@@ -1,0 +1,116 @@
+"""Golden digests: the reference runs must reproduce byte for byte.
+
+Each case runs the ``evsim`` CLI in-process on a fixed input and hashes
+what it wrote: the three scenario logs, the ``inject --out`` traces and
+the stdout of every command, with the temporary directory replaced by
+``<tmp>`` so the echoed output paths do not vary between runs.  The
+digests live in ``tests/golden/manifest.json`` together with the
+platform that produced them; ``scripts/regen_golden.py`` rewrites that
+file, and only a change that means to alter the reference output should
+run it.
+
+The logs depend on libm ``sin``/``cos``/``tan``, so a mismatch on a
+platform other than the recorded one is a finding about cross-machine
+reproducibility, not a reason to loosen the digests.  Both kernel
+backends must match: run this file again with ``EVSIM_PURE=1``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import platform
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from evsim import _kernels, canbus, cli, recordings
+
+MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
+
+RAMP = "0:200:5"
+
+
+def platform_stamp() -> dict:
+    """Where the digests were produced; libm ships with the C library."""
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "libm": " ".join(platform.libc_ver()).strip() or "unknown",
+    }
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_cli(argv: list[str], tmp: Path) -> bytes:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        status = cli.main(argv)
+    if status != 0:
+        raise RuntimeError(f"evsim {' '.join(argv)} exited with {status}")
+    return buf.getvalue().replace(str(tmp), "<tmp>").encode("ascii")
+
+
+def compute_digests(tmp: Path) -> dict[str, str]:
+    """Run every golden case under tmp and return name -> SHA-256."""
+    tmp = Path(tmp)
+    digests: dict[str, str] = {}
+
+    def simulate(name: str, scenario_file: Path) -> None:
+        outdir = tmp / name
+        digests[f"{name}/stdout"] = _sha256(
+            _run_cli(["simulate", str(scenario_file), "--outdir", str(outdir)], tmp))
+        for log in ("state.csv", "trace.txt", "metrics.json"):
+            digests[f"{name}/{log}"] = _sha256((outdir / log).read_bytes())
+
+    # the README two-lap oval
+    oval_json = tmp / "oval.json"
+    _run_cli(["make-oval", "--path", str(tmp / "oval.txt"), "--scenario", str(oval_json)], tmp)
+    simulate("oval", oval_json)
+
+    hold_json = tmp / "hold.json"
+    hold_json.write_text(json.dumps({"name": "hold", "duration_s": 2.0, "speed_ref_mph": 10.0}))
+    simulate("hold", hold_json)
+
+    press = tmp / "press.txt"
+    canbus.save_trace(recordings.press_recording(), press)
+    digests["press/capture.txt"] = _sha256(press.read_bytes())
+
+    for mode in ("shadow", "tap"):
+        for rig, source in (("live", ["--duration", "1", "--target-period-ms", "10"]),
+                            ("replay", ["--trace", str(press)])):
+            out = tmp / f"{rig}-{mode}.txt"
+            name = f"inject-{rig}-{mode}"
+            digests[f"{name}/stdout"] = _sha256(_run_cli(
+                ["inject", *source, "--ramp", RAMP, "--mode", mode, "--out", str(out)], tmp))
+            digests[f"{name}/out.txt"] = _sha256(out.read_bytes())
+
+    digests["isolate/stdout"] = _sha256(_run_cli(["isolate"], tmp))
+
+    corr = tmp / "corr.txt"
+    canbus.save_trace(recordings.correlation_recording()[0], corr)
+    digests["correlate/capture.txt"] = _sha256(corr.read_bytes())
+    digests["correlate/stdout"] = _sha256(
+        _run_cli(["correlate", "--trace", str(corr), "--top", "10"], tmp))
+    return digests
+
+
+def write_manifest(tmp: Path, path: Path = MANIFEST) -> dict:
+    manifest = {"platform": platform_stamp(), "digests": compute_digests(tmp)}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    return manifest
+
+
+def test_golden_digests(tmp_path):
+    manifest = json.loads(MANIFEST.read_text(encoding="ascii"))
+    actual = compute_digests(tmp_path)
+    changed = sorted(name for name in manifest["digests"]
+                     if actual.get(name) != manifest["digests"][name])
+    assert set(actual) == set(manifest["digests"]), "golden case list changed"
+    assert not changed, (
+        f"outputs differ from the golden manifest: {changed} "
+        f"(recorded on {manifest['platform']}, now {platform_stamp()}, "
+        f"kernel backend {_kernels.BACKEND})")
