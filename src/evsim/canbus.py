@@ -42,7 +42,7 @@ class ShortFrameError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """Encoded value does not fit the field."""
+    """Value outside the range its field or input accepts (plant and lowlevel raise it too)."""
 
 
 class TraceParseError(ValueError):
@@ -77,18 +77,6 @@ class CanFrame:
 def make_frame(timestamp_us: int, arbitration_id: int, data: bytes) -> CanFrame:
     data = bytes(data)
     return CanFrame(timestamp_us, arbitration_id, len(data), data)
-
-
-@dataclass
-class BroadcastSchedule:
-    """Periodic emission table: arbitration id -> period in microseconds."""
-
-    periods_us: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for arb_id, period in self.periods_us.items():
-            if period <= 0:
-                raise ValueError(f"period for 0x{arb_id:X} must be positive, got {period}")
 
 
 #: Default broadcast periods. The throttle command is slower than the
@@ -258,7 +246,7 @@ class CanBus:
 
     def __init__(self):
         self._periodic: list[dict] = []  # insertion-ordered sources
-        self._taps: list = []  # FilterRule-like objects with .apply(frame)
+        self._taps: list = []  # injection.FilterRule: .apply(frame) -> frame
         self._listeners: list[Listener] = []
         # heap entries: (due, arb_id, origin, seq, frame, source); origin 1
         # ranks injected frames after periodic ones on a timestamp+id tie
@@ -280,11 +268,6 @@ class CanBus:
             "source": source,
             "next_due": period_us,
         })
-
-    def add_schedule(self, schedule: dict[int, int],
-                     payload_fns: dict[int, PayloadFn], source: str = "ecu") -> None:
-        for arb_id, period in schedule.items():
-            self.add_periodic(arb_id, period, payload_fns[arb_id], source)
 
     def add_tap(self, rule) -> None:
         self._taps.append(rule)

@@ -1,10 +1,12 @@
 """Frame injection, filtering, replay, and dominance measurement.
 
-Two ways to override a broadcast:
+Two ways to override a broadcast, both taking the forged byte from a
+value_fn that maps the genuine frame's timestamp to a byte:
 
 * FilterRule sits between a producing module and the wire and rewrites
   matching frames in place (a man-in-the-middle tap).  Receivers never
-  see the genuine payload.
+  see the genuine payload.  The same rule serves a live bus (as a tap)
+  and a recorded trace (applied to each frame before replay).
 * ShadowInjector leaves genuine frames alone and schedules a forged
   copy a fixed delay after each one.  Receivers that act on the most
   recent frame then spend delay/period of each cycle on the genuine
@@ -30,27 +32,33 @@ class UnknownIdError(ValueError):
 
 @dataclass(frozen=True)
 class FilterRule:
-    """Rewrite one payload byte of every matching frame at the tap point."""
+    """Rewrite one payload byte of every matching frame at the tap point.
+
+    value_fn maps the frame's timestamp to the forged byte.  It is called
+    exactly once per frame that has the id and is long enough to carry
+    the byte, so a stateful ramp advances once per rewritten frame.
+    """
 
     arb_id: int
     byte_index: int
-    value: int
+    value_fn: Callable[[int], int]
 
     def __post_init__(self):
         if not 0 <= self.byte_index <= 7:
             raise ValueError(f"byte_index {self.byte_index} outside 0..7")
-        if not 0 <= self.value <= 0xFF:
-            raise ValueError(f"value {self.value} outside one byte")
 
     def apply(self, frame: CanFrame) -> CanFrame:
         if frame.arbitration_id != self.arb_id:
             return frame
         if self.byte_index >= frame.dlc:
             return frame
-        data = bytearray(frame.data)
-        if data[self.byte_index] == self.value:
+        value = self.value_fn(frame.timestamp_us)
+        if not 0 <= value <= 0xFF:
+            raise ValueError(f"value {value} outside one byte")
+        if frame.data[self.byte_index] == value:
             return frame
-        data[self.byte_index] = self.value
+        data = bytearray(frame.data)
+        data[self.byte_index] = value
         return CanFrame(frame.timestamp_us, frame.arbitration_id, frame.dlc, bytes(data))
 
 

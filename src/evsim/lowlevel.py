@@ -25,15 +25,12 @@ import math
 from dataclasses import dataclass
 
 from . import plant as plant_mod
+from .canbus import OutOfRangeError
 from .plant import PlantParams, DEFAULT_PARAMS, app_k, bpp_k, steer_k
 
 
 class UnachievableError(ValueError):
     """Demand outside what the actuator map can reach."""
-
-
-class OutOfRangeError(ValueError):
-    """Duty outside the compensator's working range."""
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from typing import Callable
 
 from . import canbus
 from . import _kernels
+from .canbus import OutOfRangeError
 
 log = logging.getLogger(__name__)
 
@@ -41,10 +42,6 @@ MPS_TO_MPH = 1.0 / MPH_TO_MPS
 
 class OutOfDomainError(ValueError):
     """Input outside the identified curve's valid region."""
-
-
-class OutOfRangeError(ValueError):
-    """Sensor input outside its physical range."""
 
 
 @dataclass(frozen=True)
@@ -343,6 +340,10 @@ class SimulatedEcus:
         self.plant = plant
         self.pedal_fn = pedal_fn or (lambda: (plant.last_inputs[0], plant.last_inputs[1]))
         self.schedule = dict(schedule) if schedule is not None else dict(canbus.DEFAULT_SCHEDULE)
+        unknown = set(self.schedule) - set(self.payload_fns())
+        if unknown:
+            raise ValueError("no stock payload for scheduled id "
+                             + ", ".join(f"0x{i:X}" for i in sorted(unknown)))
 
     # payload builders (now_us argument keeps the bus source signature)
 
@@ -378,17 +379,6 @@ class SimulatedEcus:
         fns = self.payload_fns()
         for arb_id, period in self.schedule.items():
             bus.add_periodic(arb_id, period, fns[arb_id], source="ecu")
-
-    def publish_due(self, now_us: int) -> list[canbus.CanFrame]:
-        """Frames whose period divides now_us (none at t=0)."""
-        frames = []
-        fns = self.payload_fns()
-        for arb_id, period in self.schedule.items():
-            if now_us > 0 and now_us % period == 0:
-                payload = fns[arb_id](now_us)
-                frames.append(canbus.CanFrame(now_us, arb_id, len(payload), payload))
-        frames.sort(key=lambda f: f.arbitration_id)
-        return frames
 
 
 def encode_speed_payload(speed_mph: float) -> bytes:

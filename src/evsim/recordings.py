@@ -17,6 +17,7 @@ from . import canbus
 from .canbus import CanBus, CanFrame, CanTrace
 from .injection import ThrottleReceiver
 from .plant import VehiclePlant, SimulatedEcus
+from .scenario import replay_ms, rig_loop
 
 REAL_IDS = (canbus.STEERING_ID, canbus.SPEED_ID, canbus.BPP_ID,
             canbus.APP_ID, canbus.THROTTLE_ID)
@@ -83,19 +84,11 @@ def throttle_effect_oracle(min_gain_mph: float = 1.0,
     the end still shows up in the speed.
     """
     def oracle(subset: CanTrace) -> bool:
-        rig = VehiclePlant()
         bus = CanBus()
         rx = ThrottleReceiver()
         bus.add_listener(rx)
         bus.feed_replay(subset)
-        last_us = subset.frames[-1].timestamp_us if len(subset) else 0
-        n_ticks = (last_us // 1000) + round(settle_s * 1000.0)
-        top_speed = 0.0
-        for ms in range(1, n_ticks + 1):
-            bus.step(ms * 1000)
-            rig.advance(rx.app_pct, 0.0, 50.0, 1, 0.001)
-            if rig.state.speed_mph > top_speed:
-                top_speed = rig.state.speed_mph
+        top_speed = rig_loop(bus, VehiclePlant(), rx, replay_ms(subset, settle_s))
         return top_speed >= min_gain_mph
     return oracle
 

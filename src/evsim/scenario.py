@@ -277,12 +277,13 @@ def run_scenario(scn: Scenario, params: PlantParams = DEFAULT_PARAMS) -> Scenari
                      counts_ref, tgt_n, tgt_e, path_err,
                      speed_ref - st.speed_mph))
 
-    metrics = _scenario_metrics(scn, rows, path, bus, physics_ticks, n_ctl,
+    trace = bus.trace()
+    metrics = _scenario_metrics(scn, rows, path, len(trace), physics_ticks, n_ctl,
                                 follower_steps, serial_roundtrips)
-    return ScenarioResult(scn, rows, bus.trace(), metrics, path)
+    return ScenarioResult(scn, rows, trace, metrics, path)
 
 
-def _scenario_metrics(scn: Scenario, rows, path, bus, physics_ticks, n_ctl,
+def _scenario_metrics(scn: Scenario, rows, path, frames_on_bus, physics_ticks, n_ctl,
                       follower_steps, serial_roundtrips) -> dict:
     metrics: dict = {
         "name": scn.name,
@@ -291,7 +292,7 @@ def _scenario_metrics(scn: Scenario, rows, path, bus, physics_ticks, n_ctl,
         "control_steps": n_ctl,
         "follower_steps": follower_steps,
         "serial_roundtrips": serial_roundtrips,
-        "frames_on_bus": len(bus.trace()),
+        "frames_on_bus": frames_on_bus,
     }
     if rows:
         last = rows[-1]
@@ -393,11 +394,49 @@ class InjectionResult:
         return out
 
 
-def _rig_loop(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
-              n_ms: int) -> None:
+def rig_loop(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
+             n_ms: int) -> float:
+    """Run the bus and a rig that obeys rx's throttle for n_ms 1 ms ticks.
+
+    The brake stays released and the steering centred.  Returns the top
+    rig speed in mph seen after any tick.
+    """
+    top_speed = 0.0
     for ms in range(1, n_ms + 1):
         bus.step(ms * 1000)
         rig.advance(rx.app_pct, 0.0, 50.0, 1, 0.001)
+        if rig.state.speed_mph > top_speed:
+            top_speed = rig.state.speed_mph
+    return top_speed
+
+
+def replay_ms(trace: canbus.CanTrace, settle_s: float) -> int:
+    """Rig ticks that cover a replayed trace plus settle_s after its last frame."""
+    last_us = trace.frames[-1].timestamp_us if len(trace) else 0
+    return last_us // 1000 + round(settle_s * 1000.0)
+
+
+def _injection_rig(mode: str, target_id: int, byte_index: int, params: PlantParams):
+    """Fresh rig plant, bus and throttle receiver for an injection run."""
+    if mode not in ("shadow", "tap"):
+        raise ValueError(f"mode must be 'shadow' or 'tap', got {mode!r}")
+    bus = canbus.CanBus()
+    rx = inj.ThrottleReceiver(target_id, byte_index)
+    bus.add_listener(rx)
+    return VehiclePlant(params), bus, rx
+
+
+def _run_injection(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
+                   injector: inj.ShadowInjector | None, n_ms: int) -> InjectionResult:
+    """Run the rig loop, then measure dominance over the genuine deliveries."""
+    rig_loop(bus, rig, rx, n_ms)
+    genuine = [t for t, src, _ in rx.deliveries if src != inj.ShadowInjector.SOURCE]
+    dominance = None
+    if injector is not None and len(genuine) >= 2:
+        dominance = inj.dominance_fraction([(t, s) for t, s, _ in rx.deliveries],
+                                           genuine[0], genuine[-1])
+    return InjectionResult(bus.trace(), dominance, injector.injected if injector else 0,
+                           list(rx.deliveries), [], rig.state.speed_mph)
 
 
 def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THROTTLE_ID,
@@ -412,47 +451,22 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
     rig's own speed frames show the override taking physical effect.
     schedule overrides the broadcast periods (microseconds per id).
     """
-    if mode not in ("shadow", "tap"):
-        raise ValueError(f"mode must be 'shadow' or 'tap', got {mode!r}")
-    rig = VehiclePlant(params)
-    bus = canbus.CanBus()
+    rig, bus, rx = _injection_rig(mode, target_id, byte_index, params)
     ecus = SimulatedEcus(rig, pedal_fn=lambda: (0.0, 0.0), schedule=schedule)
     ecus.attach(bus)
-    rx = inj.ThrottleReceiver(target_id, byte_index)
-    bus.add_listener(rx)
-    period_us = ecus.schedule.get(target_id)
     injector = None
     if mode == "shadow":
         injector = inj.ShadowInjector(bus, target_id,
                                       inj.byte_override(byte_index, value_fn),
-                                      delay_us=delay_us, period_us=period_us)
+                                      delay_us=delay_us,
+                                      period_us=ecus.schedule.get(target_id))
     else:
-        # a tap rewrites at the source, so the forged value must be known
-        # per frame; reuse the ramp by sampling it on the genuine schedule
-        class _TapRule:
-            arb_id = target_id
+        bus.add_tap(inj.FilterRule(target_id, byte_index, value_fn))
 
-            def apply(self, frame: canbus.CanFrame) -> canbus.CanFrame:
-                if frame.arbitration_id != target_id:
-                    return frame
-                data = bytearray(frame.data)
-                data[byte_index] = value_fn(frame.timestamp_us)
-                return canbus.CanFrame(frame.timestamp_us, frame.arbitration_id,
-                                       frame.dlc, bytes(data))
-        bus.add_tap(_TapRule())
-
-    _rig_loop(bus, rig, rx, round(duration_s * 1000.0))
-
-    trace = bus.trace()
-    genuine = [t for t, src, _ in rx.deliveries if src != inj.ShadowInjector.SOURCE]
-    dominance = None
-    if injector is not None and len(genuine) >= 2:
-        dominance = inj.dominance_fraction([(t, s) for t, s, _ in rx.deliveries],
-                                           genuine[0], genuine[-1])
-    speed_series = [(f.timestamp_us, canbus.decode_speed(f))
-                    for f in trace if f.arbitration_id == canbus.SPEED_ID]
-    return InjectionResult(trace, dominance, injector.injected if injector else 0,
-                           list(rx.deliveries), speed_series, rig.state.speed_mph)
+    result = _run_injection(bus, rig, rx, injector, round(duration_s * 1000.0))
+    result.speed_series = [(f.timestamp_us, canbus.decode_speed(f))
+                           for f in result.trace if f.arbitration_id == canbus.SPEED_ID]
+    return result
 
 
 def run_replay_injection(trace: canbus.CanTrace, value_fn,
@@ -467,12 +481,7 @@ def run_replay_injection(trace: canbus.CanTrace, value_fn,
     mode rewrites them up front, as if the tap had been in place when
     the recording was made.
     """
-    if mode not in ("shadow", "tap"):
-        raise ValueError(f"mode must be 'shadow' or 'tap', got {mode!r}")
-    rig = VehiclePlant(params)
-    bus = canbus.CanBus()
-    rx = inj.ThrottleReceiver(target_id, byte_index)
-    bus.add_listener(rx)
+    rig, bus, rx = _injection_rig(mode, target_id, byte_index, params)
     injector = None
     if mode == "shadow":
         target_times = [f.timestamp_us for f in trace if f.arbitration_id == target_id]
@@ -485,27 +494,7 @@ def run_replay_injection(trace: canbus.CanTrace, value_fn,
                                       delay_us=delay_us, period_us=period)
         bus.feed_replay(trace, source="replay")
     else:
-        rule = _replay_tap(trace, target_id, byte_index, value_fn)
-        bus.feed_replay(rule, source="replay")
+        rule = inj.FilterRule(target_id, byte_index, value_fn)
+        bus.feed_replay(map(rule.apply, trace), source="replay")
 
-    last_us = trace.frames[-1].timestamp_us if len(trace) else 0
-    _rig_loop(bus, rig, rx, last_us // 1000 + round(settle_s * 1000.0))
-
-    out = bus.trace()
-    genuine = [t for t, src, _ in rx.deliveries if src != inj.ShadowInjector.SOURCE]
-    dominance = None
-    if injector is not None and len(genuine) >= 2:
-        dominance = inj.dominance_fraction([(t, s) for t, s, _ in rx.deliveries],
-                                           genuine[0], genuine[-1])
-    return InjectionResult(out, dominance, injector.injected if injector else 0,
-                           list(rx.deliveries), [], rig.state.speed_mph)
-
-
-def _replay_tap(trace: canbus.CanTrace, target_id: int, byte_index: int, value_fn):
-    for f in trace:
-        if f.arbitration_id == target_id and byte_index < f.dlc:
-            data = bytearray(f.data)
-            data[byte_index] = value_fn(f.timestamp_us)
-            yield canbus.CanFrame(f.timestamp_us, f.arbitration_id, f.dlc, bytes(data))
-        else:
-            yield f
+    return _run_injection(bus, rig, rx, injector, replay_ms(trace, settle_s))

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from evsim import canbus
 from evsim.canbus import CanBus, CanFrame, CanTrace, make_frame
+from evsim.plant import SimulatedEcus, VehiclePlant
 
 
 class TestCanFrame:
@@ -197,8 +198,7 @@ class TestBus:
 
     def test_schedule_helper(self):
         bus = CanBus()
-        bus.add_schedule({0x75: 10_000, 0x10: 5_000},
-                         {0x75: lambda now: b"", 0x10: lambda now: b""})
+        SimulatedEcus(VehiclePlant(), schedule={0x75: 10_000, 0x10: 5_000}).attach(bus)
         delivered = bus.step(10_000)
         assert [f.arbitration_id for f in delivered] == [0x10, 0x10, 0x75]
 

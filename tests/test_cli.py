@@ -150,6 +150,11 @@ class TestInject:
         forged_bytes = [f.data[canbus.THROTTLE_BYTE_INDEX] for f in merged][1::2]
         assert forged_bytes == [0, 50, 100, 150, 200, 250, 250, 250, 250, 250]
 
+    def test_live_target_without_stock_payload(self):
+        with pytest.raises(ValueError, match="0x300"):
+            cli.main(["inject", "--duration", "1", "--id", "300",
+                      "--target-period-ms", "10", "--ramp", "0:10:1"])
+
     def test_trace_and_duration_are_exclusive(self, tmp_path):
         trace_file = _replay_trace_file(tmp_path, n=1)
         with pytest.raises(SystemExit) as exc:

@@ -20,37 +20,51 @@ from evsim.injection import (
 class TestFilterRule:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FilterRule(0x11A, 8, 0)
-        with pytest.raises(ValueError):
-            FilterRule(0x11A, 3, 256)
+            FilterRule(0x11A, 8, lambda t: 0)
+        rule = FilterRule(0x11A, 3, lambda t: 256)
+        with pytest.raises(ValueError, match="256"):
+            rule.apply(CanFrame(0, 0x11A, 8, bytes(8)))
 
     def test_rewrites_matching_byte(self):
-        rule = FilterRule(0x11A, 3, 0xC8)
+        rule = FilterRule(0x11A, 3, lambda t: 0xC8)
         frame = CanFrame(100, 0x11A, 8, bytes(8))
         out = rule.apply(frame)
         assert out.data[3] == 0xC8
         assert out.timestamp_us == 100
 
     def test_other_ids_pass_through_unchanged(self):
-        rule = FilterRule(0x11A, 3, 0xC8)
+        rule = FilterRule(0x11A, 3, lambda t: 0xC8)
         frame = CanFrame(0, 0x75, 8, bytes(8))
         assert rule.apply(frame) is frame
 
     def test_short_frames_pass_through(self):
-        rule = FilterRule(0x11A, 3, 0xC8)
+        rule = FilterRule(0x11A, 3, lambda t: 0xC8)
         frame = CanFrame(0, 0x11A, 2, bytes(2))
         assert rule.apply(frame) is frame
 
     def test_idempotent(self):
-        rule = FilterRule(0x11A, 3, 0xC8)
+        rule = FilterRule(0x11A, 3, lambda t: 0xC8)
         once = rule.apply(CanFrame(0, 0x11A, 8, bytes(8)))
         assert rule.apply(once) is once
+
+    def test_value_fn_called_once_per_rewritten_frame(self):
+        calls = []
+
+        def value_fn(t):
+            calls.append(t)
+            return 0xC8
+
+        rule = FilterRule(0x11A, 3, value_fn)
+        rule.apply(CanFrame(5, 0x75, 8, bytes(8)))
+        rule.apply(CanFrame(6, 0x11A, 2, bytes(2)))
+        rule.apply(CanFrame(7, 0x11A, 8, bytes(8)))
+        assert calls == [7]
 
     def test_tap_equals_source_rewrite(self):
         # filtering at the tap is indistinguishable from the ECU having
         # broadcast the forged value in the first place
         tapped = CanBus()
-        tapped.add_tap(FilterRule(0x11A, 3, 77))
+        tapped.add_tap(FilterRule(0x11A, 3, lambda t: 77))
         tapped.add_periodic(0x11A, 10_000, lambda now: bytes(8))
         direct = CanBus()
         forged = bytes(3) + bytes([77]) + bytes(4)

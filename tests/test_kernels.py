@@ -17,9 +17,15 @@ from evsim import _kernels
 from evsim._kernels import pure
 from evsim.plant import DEFAULT_PARAMS, VehiclePlant
 
-compiled = pytest.importorskip(
-    "evsim._kernels._speedups", reason="compiled kernel not built"
-)
+try:
+    from evsim._kernels import _speedups as compiled
+except ImportError:
+    compiled = None
+
+#: Backends present in this build; the pure one always is.
+IMPLS = (pure,) if compiled is None else (pure, compiled)
+
+needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
 
 
 def _random_inputs(rng):
@@ -29,6 +35,7 @@ def _random_inputs(rng):
     return app, bpp, duty
 
 
+@needs_compiled
 def test_bit_identity_random_walks():
     plant = VehiclePlant()
     params = plant._kernel_params(0.001)
@@ -46,6 +53,7 @@ def test_bit_identity_random_walks():
     assert tuple(float(repr(x)) for x in state_a) == state_a
 
 
+@needs_compiled
 def test_bit_identity_across_dt():
     plant = VehiclePlant()
     rng = random.Random(99)
@@ -88,7 +96,7 @@ def test_speed_floor_in_both():
     plant = VehiclePlant()
     params = plant._kernel_params(0.001)
     state = (0.5, -0.3768, 0.0, 0.0, 0.0, 0.0)
-    for impl in (pure, compiled):
+    for impl in IMPLS:
         out = impl.advance(state, 0.0, 80.0, 50.0, 5000, params)
         assert out[0] == 0.0
 
@@ -97,6 +105,6 @@ def test_deadband_freezes_counts_in_both():
     plant = VehiclePlant()
     params = plant._kernel_params(0.001)
     state = (10.0, -0.3768, 1234.5, 0.0, 0.0, 0.0)
-    for impl in (pure, compiled):
+    for impl in IMPLS:
         out = impl.advance(state, 20.0, 0.0, 50.0, 100, params)
         assert out[2] == 1234.5

@@ -273,13 +273,25 @@ class TestSensors:
 
 
 class TestSimulatedEcus:
-    def test_publish_due_schedule(self):
-        ecus = SimulatedEcus(VehiclePlant())
-        assert ecus.publish_due(0) == []
-        ids_10ms = [f.arbitration_id for f in ecus.publish_due(10_000)]
-        assert ids_10ms == [0x10, 0x75, 0x7D, 0x204]
-        ids_100ms = [f.arbitration_id for f in ecus.publish_due(100_000)]
-        assert ids_100ms == [0x10, 0x75, 0x7D, 0x11A, 0x204]
+    def test_attach_schedule(self):
+        bus = canbus.CanBus()
+        SimulatedEcus(VehiclePlant()).attach(bus)
+        assert bus.step(0) == []
+        frames = bus.step(100_000)
+
+        def ids_at(t):
+            return [f.arbitration_id for f in frames if f.timestamp_us == t]
+
+        assert ids_at(10_000) == [0x10, 0x75, 0x7D, 0x204]
+        assert ids_at(100_000) == [0x10, 0x75, 0x7D, 0x11A, 0x204]
+
+    def test_schedule_rejects_id_without_payload(self):
+        with pytest.raises(ValueError, match="0x300"):
+            SimulatedEcus(VehiclePlant(), schedule={0x75: 10_000, 0x300: 10_000})
+
+    def test_one_out_of_range_error(self):
+        from evsim import lowlevel
+        assert OutOfRangeError is canbus.OutOfRangeError is lowlevel.OutOfRangeError
 
     def test_throttle_frame_carries_driver_pedal(self):
         p = VehiclePlant()
