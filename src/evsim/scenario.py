@@ -16,7 +16,8 @@ are deterministic and replays byte-identical.
 
 The injection rigs run a receiver that obeys the last throttle command
 seen on the wire, against either live broadcasts plus a shadow/tap
-override or a recorded trace.
+override or a recorded trace.  rig_loop is that rig's 1 ms step loop,
+shared with the replay oracle in recordings.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from evsim import canbus, plant
+from evsim import canbus, lowlevel, plant
 from evsim.plant import (
     DEFAULT_PARAMS,
     FirstOrderChannel,
@@ -290,7 +290,6 @@ class TestSimulatedEcus:
             SimulatedEcus(VehiclePlant(), schedule={0x75: 10_000, 0x300: 10_000})
 
     def test_one_out_of_range_error(self):
-        from evsim import lowlevel
         assert OutOfRangeError is canbus.OutOfRangeError is lowlevel.OutOfRangeError
 
     def test_throttle_frame_carries_driver_pedal(self):
