@@ -170,7 +170,11 @@ def cmd_make_oval(args) -> int:
 
 def cmd_packet(args) -> int:
     if args.decode:
-        raw = bytes.fromhex(args.decode.replace(" ", ""))
+        try:
+            raw = bytes.fromhex(args.decode.replace(" ", ""))
+        except ValueError:
+            raise serial_link.FrameError(
+                f"--decode needs hex bytes, got {args.decode!r}") from None
         try:
             pkt = serial_link.decode_packet(raw)
         except serial_link.FrameError as exc:
@@ -258,9 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Errors caused by what the user passed in; main reports them in one line.
+_USER_ERRORS = (scenario.ConfigError, canbus.TraceParseError, serial_link.FrameError, OSError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _USER_ERRORS as exc:
+        print(f"evsim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

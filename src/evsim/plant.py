@@ -174,10 +174,10 @@ class FirstOrderChannel:
 class VehiclePlant:
     """Holds calibration + state and advances them on the physics tick.
 
-    The per-tick arithmetic lives in the kernel backend (compiled when
-    available); dynamics_step/pose_step expose the two halves separately
-    for callers that want them, built on the same kernel so the split and
-    fused paths cannot drift apart.
+    The per-tick arithmetic lives in ``evsim._kernels.advance``.
+    dynamics_step runs that kernel and then restores the pose;
+    pose_step is a plain-Python pose update, kept as the reference that
+    the kernel's fused pose arithmetic is tested against.
     """
 
     def __init__(self, params: PlantParams = DEFAULT_PARAMS,

@@ -25,7 +25,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -49,9 +50,15 @@ def follower_defaults() -> dict:
     return json.loads(raw)
 
 
+def _finite(value, name: str) -> None:
+    """Reject anything but a finite real number (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 def _to_us(seconds: float, name: str) -> int:
     us = seconds * 1e6
-    rounded = round(us)
+    rounded = round(us) if math.isfinite(us) else 0
     if rounded <= 0 or abs(us - rounded) > 1e-3:
         raise ConfigError(f"{name} must be a positive whole number of microseconds, got {seconds}")
     return rounded
@@ -83,11 +90,34 @@ class Scenario:
     preview_s: float | None = None
 
     def validate(self) -> None:
+        for name in ("duration_s", "physics_dt_s", "control_period_s", "follower_period_s"):
+            _finite(getattr(self, name), name)
+        for name in ("speed_ref_mph", "k_heading", "preview_s"):
+            if getattr(self, name) is not None:
+                _finite(getattr(self, name), name)
+        for name in ("q", "r"):
+            weight = getattr(self, name)
+            for w in weight if isinstance(weight, (list, tuple)) else (weight,):
+                _finite(w, name)
+        try:
+            fl.lqr_gain(self.q, self.r)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.oval is not None:
+            for name, value in asdict(self.oval).items():
+                _finite(value, f"oval.{name}")
+            if self.oval.straight_m < 0 or self.oval.radius_m <= 0 or self.oval.speed_mph <= 0:
+                raise ConfigError("oval needs straight_m >= 0, radius_m > 0 and speed_mph > 0")
+        if self.path_file is not None and not isinstance(self.path_file, str):
+            raise ConfigError(f"path_file must be a string, got {self.path_file!r}")
         if self.duration_s <= 0:
             raise ConfigError("duration must be positive")
         phys = _to_us(self.physics_dt_s, "physics_dt_s")
         ctl = _to_us(self.control_period_s, "control_period_s")
         hl = _to_us(self.follower_period_s, "follower_period_s")
+        if _control_steps(self.duration_s, ctl) == 0:
+            raise ConfigError(
+                f"duration {self.duration_s} s is shorter than one control period {ctl} us")
         if ctl % phys:
             raise ConfigError(
                 f"control period {ctl} us must be a multiple of the physics tick {phys} us")
@@ -102,6 +132,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a scenario must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         oval = raw.pop("oval", None)
         defaults = follower_defaults()
@@ -124,6 +156,11 @@ class Scenario:
         if fields["duration_s"] is None:
             raise ConfigError("duration_s is required")
         if oval is not None:
+            if not isinstance(oval, dict):
+                raise ConfigError(f"oval must be an object, got {oval!r}")
+            unknown = set(oval) - set(asdict(OvalSpec()))
+            if unknown:
+                raise ConfigError(f"unknown oval keys: {sorted(unknown)}")
             oval = OvalSpec(**oval)
         scn = cls(oval=oval, **fields)
         scn.validate()
@@ -157,7 +194,11 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return Scenario.from_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    return Scenario.from_dict(raw)
 
 
 def save_scenario(scn: Scenario, path) -> None:
@@ -183,6 +224,14 @@ class ScenarioResult:
     path: fl.TargetPath | None = None
 
 
+def _control_steps(duration_s: float, ctl_us: int) -> int:
+    """Whole control periods in a run of duration_s seconds."""
+    us = duration_s * 1e6
+    if not math.isfinite(us):
+        raise ConfigError(f"duration {duration_s} s is too long")
+    return int(round(us)) // ctl_us
+
+
 def _build_path(scn: Scenario) -> fl.TargetPath | None:
     if scn.oval is not None:
         return fl.make_oval(scn.oval.straight_m, scn.oval.radius_m,
@@ -197,7 +246,7 @@ def run_scenario(scn: Scenario, params: PlantParams = DEFAULT_PARAMS) -> Scenari
     phys_us = _to_us(scn.physics_dt_s, "physics_dt_s")
     ctl_us = _to_us(scn.control_period_s, "control_period_s")
     hl_us = _to_us(scn.follower_period_s, "follower_period_s")
-    n_ctl = int(round(scn.duration_s * 1e6)) // ctl_us
+    n_ctl = _control_steps(scn.duration_s, ctl_us)
     dt = scn.physics_dt_s
 
     plant = VehiclePlant(params)

@@ -4,6 +4,7 @@ Every test drives ``cli.main(argv)`` directly and inspects stdout, so
 exit codes and printed numbers are covered without spawning processes.
 """
 
+import json
 import re
 
 import pytest
@@ -254,6 +255,34 @@ class TestCorrelate:
         with pytest.raises(SystemExit) as exc:
             cli.main(["correlate"])
         assert exc.value.code == 2
+
+
+class TestUserErrors:
+    """Bad input ends in one line on stderr and exit code 2, not a traceback."""
+
+    @staticmethod
+    def _argv(tmp_path, case):
+        if case == "tiny-scenario":
+            scn = tmp_path / "tiny.json"
+            scn.write_text(json.dumps({"duration_s": 0.005, "oval": {}}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "malformed-trace":
+            trace = tmp_path / "bad.txt"
+            trace.write_text("0.000100 075 2 00\n")
+            return ["correlate", "--trace", str(trace)]
+        if case == "missing-trace":
+            return ["isolate", "--trace", str(tmp_path / "absent.txt")]
+        return ["packet", "--decode", "zz"]
+
+    @pytest.mark.parametrize("case", ["tiny-scenario", "malformed-trace",
+                                      "missing-trace", "non-hex-packet"])
+    def test_one_line_and_exit_2(self, tmp_path, capsys, case):
+        code = cli.main(self._argv(tmp_path, case))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("evsim: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestParser:

@@ -11,8 +11,7 @@ run it.
 
 The logs depend on libm ``sin``/``cos``/``tan``, so a mismatch on a
 platform other than the recorded one is a finding about cross-machine
-reproducibility, not a reason to loosen the digests.  Both kernel
-backends must match: run this file again with ``EVSIM_PURE=1``.
+reproducibility, not a reason to loosen the digests.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import platform
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from evsim import _kernels, canbus, cli, recordings
+from evsim import canbus, cli, recordings
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
 
@@ -112,5 +111,4 @@ def test_golden_digests(tmp_path):
     assert set(actual) == set(manifest["digests"]), "golden case list changed"
     assert not changed, (
         f"outputs differ from the golden manifest: {changed} "
-        f"(recorded on {manifest['platform']}, now {platform_stamp()}, "
-        f"kernel backend {_kernels.BACKEND})")
+        f"(recorded on {manifest['platform']}, now {platform_stamp()})")

@@ -61,6 +61,47 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="duration_s"):
             Scenario.from_dict({"name": "s", "speed_ref_mph": 10.0})
 
+    @pytest.mark.parametrize("change, match", [
+        ({"duration_s": 0.005}, "shorter than one control period"),
+        ({"duration_s": float("nan")}, "duration_s"),
+        ({"duration_s": float("inf")}, "duration_s"),
+        ({"duration_s": "5"}, "duration_s"),
+        ({"duration_s": True}, "duration_s"),
+        ({"duration_s": 1e305}, "too long"),
+        ({"physics_dt_s": float("nan")}, "physics_dt_s"),
+        ({"physics_dt_s": 1e305}, "physics_dt_s"),
+        ({"speed_ref_mph": float("nan")}, "speed_ref_mph"),
+        ({"q": float("inf")}, "q"),
+        ({"r": float("nan")}, "r"),
+        ({"r": [1.0, float("nan")]}, "r"),
+        ({"r": 0.0}, "positive definite"),
+        ({"q": [1.0, 2.0, 3.0]}, "pair"),
+        ({"k_heading": float("-inf")}, "k_heading"),
+        ({"preview_s": float("nan")}, "preview_s"),
+        ({"oval": {"radius_m": float("nan")}}, "oval.radius_m"),
+        ({"oval": {"speed_mph": "20"}}, "oval.speed_mph"),
+        ({"oval": {"radius_m": 0.0}}, "radius_m > 0"),
+        ({"oval": {"lanes": 2}}, "unknown oval keys"),
+        ({"oval": [100.0, 20.0, 20.0]}, "oval must be an object"),
+        ({"path_file": 5}, "path_file"),
+    ])
+    def test_bad_input_raises_config_error(self, change, match):
+        raw = {"name": "s", "duration_s": 1.0, "speed_ref_mph": 10.0, **change}
+        if "oval" in change or "path_file" in change:
+            del raw["speed_ref_mph"]
+        with pytest.raises(ConfigError, match=match):
+            Scenario.from_dict(raw)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            Scenario.from_dict([1.0])
+
+    def test_invalid_json_file(self, tmp_path):
+        p = tmp_path / "broken.json"
+        p.write_text("{\"duration_s\": ")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_scenario(p)
+
     def test_dict_roundtrip(self):
         scn = Scenario("oval-test", 72.8, oval=OvalSpec(100.0, 20.0, 20.0),
                        k_heading=6000.0, preview_s=0.5)
