@@ -280,9 +280,10 @@ class CanBus:
         heapq.heappush(self._pending, (due_us, frame.arbitration_id, 1, self._seq, frame, source))
         self._seq += 1
 
-    def feed_replay(self, frames: Iterable[CanFrame], source: str = "replay") -> None:
+    def feed_replay(self, frames: Iterable[CanFrame]) -> None:
+        """Queue recorded frames at their own timestamps, tagged "replay"."""
         for f in frames:
-            self.inject_at(f.timestamp_us, f, source)
+            self.inject_at(f.timestamp_us, f, "replay")
 
     # -- time ------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ are usually annotated; the library itself indexes from 0.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,14 +18,44 @@ from . import canbus, follower, lowlevel, recordings, revtools, scenario, serial
 from .plant import MPH_TO_MPS
 
 
+# Argument types: each rejects what the command cannot run with, so argparse
+# reports it in one line and exits 2 before any work starts.
+
+def _finite_number(accept, wanted: str):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _finite_number(lambda v: v > 0.0, "a finite number > 0")
+_non_negative = _finite_number(lambda v: v >= 0.0, "a finite number >= 0")
+_fraction = _finite_number(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def _parse_speed(text: str) -> float:
-    """Speed with unit suffix: '20mph', '8.94mps', or bare m/s."""
+    """Positive speed with unit suffix: '20mph', '8.94mps', or bare m/s."""
     t = text.strip().lower()
     if t.endswith("mph"):
-        return float(t[:-3]) * MPH_TO_MPS
+        return _positive(t[:-3]) * MPH_TO_MPS
     if t.endswith("mps"):
-        return float(t[:-3])
-    return float(t)
+        return _positive(t[:-3])
+    return _positive(t)
 
 
 def _parse_ramp(text: str) -> tuple[int, int, int]:
@@ -36,11 +66,18 @@ def _parse_ramp(text: str) -> tuple[int, int, int]:
         start, end, step = (int(p, 0) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError("ramp fields must be integers") from None
+    try:
+        scenario.ramp_bytes(start, end, step)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return start, end, step
 
 
 def _hex_id(text: str) -> int:
-    return int(text, 16)
+    value = int(text, 16)
+    if not 0 <= value <= 0x7FF:
+        raise argparse.ArgumentTypeError(f"id {text} is outside the 11-bit range 0..7FF")
+    return value
 
 
 def _byte_1idx(text: str) -> int:
@@ -80,7 +117,10 @@ def cmd_inject(args) -> int:
             mode=args.mode, delay_us=args.delay_us)
     else:
         schedule = None
-        if args.target_period_ms:
+        if args.target_period_ms is not None:
+            if args.id not in canbus.DEFAULT_SCHEDULE:
+                raise scenario.ConfigError(
+                    f"--target-period-ms: 0x{args.id:X} is not a stock broadcast id")
             schedule = dict(canbus.DEFAULT_SCHEDULE)
             schedule[args.id] = args.target_period_ms * 1000
         result = scenario.run_live_injection(
@@ -145,12 +185,16 @@ def cmd_design_gains(args) -> int:
     print(f"kp = {gains.kp!r}")
     print(f"ki = {gains.ki!r}")
     print(f"closed-loop poles: {poles[0]:.6g}, {poles[1]:.6g}")
-    print(f"setpoint weight for first-order tracking: b = {gains.ki * spec.tau_target_s / gains.kp!r}")
+    if gains.kp == 0.0:
+        print("setpoint weight for first-order tracking: none (kp = 0)")
+    else:
+        print(f"setpoint weight for first-order tracking: "
+              f"b = {gains.ki * spec.tau_target_s / gains.kp!r}")
     return 0
 
 
 def cmd_make_oval(args) -> int:
-    speed_mps = _parse_speed(args.speed)
+    speed_mps = args.speed
     path = follower.make_oval(args.straight, args.radius, speed_mps)
     print(f"oval: {len(path)} samples, lap {path.period_s:.4f} s "
           f"at {speed_mps / MPH_TO_MPS:.2f} mph")
@@ -163,6 +207,7 @@ def cmd_make_oval(args) -> int:
         scn = scenario.Scenario(
             name=Path(args.scenario).stem, duration_s=round(duration, 6),
             oval=scenario.OvalSpec(args.straight, args.radius, speed_mps / MPH_TO_MPS))
+        scn.validate()
         scenario.save_scenario(scn, args.scenario)
         print(f"wrote {args.scenario} ({args.laps} laps, {duration:.1f} s)")
     return 0
@@ -203,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="override a broadcast byte and watch the rig")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--trace", help="recorded trace to replay")
-    src.add_argument("--duration", type=float, metavar="SECONDS",
+    src.add_argument("--duration", type=_positive, metavar="SECONDS",
                      help="live run length against the stock broadcasts")
     p.add_argument("--id", type=_hex_id, default=canbus.THROTTLE_ID,
                    help="target arbitration id, hex (default 11A)")
@@ -212,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ramp", type=_parse_ramp, required=True, metavar="START:END:STEP",
                    help="byte value ramp, advancing per target frame")
     p.add_argument("--mode", choices=("shadow", "tap"), default="shadow")
-    p.add_argument("--delay-us", type=int, default=250,
+    p.add_argument("--delay-us", type=_positive_int, default=250,
                    help="shadow frame delay after each genuine frame")
-    p.add_argument("--target-period-ms", type=int,
+    p.add_argument("--target-period-ms", type=_positive_int,
                    help="live mode: broadcast period for the target id")
     p.add_argument("--out", help="write the resulting bus trace here")
     p.set_defaults(fn=cmd_inject)
@@ -235,27 +280,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_correlate)
 
     p = sub.add_parser("design-gains", help="PI gains from channel lag and targets")
-    p.add_argument("--tau-car", type=float, required=True,
+    p.add_argument("--tau-car", type=_positive, required=True,
                    help="identified channel time constant, seconds")
-    p.add_argument("--zeta", type=float, default=1.0, help="damping ratio")
-    p.add_argument("--tau-cl", type=float, required=True,
+    p.add_argument("--zeta", type=_positive, default=1.0, help="damping ratio")
+    p.add_argument("--tau-cl", type=_positive, required=True,
                    help="target closed-loop time constant, seconds")
     p.set_defaults(fn=cmd_design_gains)
 
     p = sub.add_parser("make-oval", help="generate the stadium track table")
-    p.add_argument("--straight", type=float, default=100.0, help="straight length, m")
-    p.add_argument("--radius", type=float, default=20.0, help="turn radius, m")
-    p.add_argument("--speed", default="20mph",
+    p.add_argument("--straight", type=_non_negative, default=100.0, help="straight length, m")
+    p.add_argument("--radius", type=_positive, default=20.0, help="turn radius, m")
+    p.add_argument("--speed", type=_parse_speed, default="20mph",
                    help="target speed ('20mph', '8.94mps', or m/s)")
     p.add_argument("--path", help="write the target table here")
     p.add_argument("--scenario", help="write a ready-to-run scenario JSON here")
-    p.add_argument("--laps", type=int, default=2, help="laps for the scenario duration")
+    p.add_argument("--laps", type=_positive_int, default=2,
+                   help="laps for the scenario duration")
     p.set_defaults(fn=cmd_make_oval)
 
     p = sub.add_parser("packet", help="encode or decode a serial command packet")
-    p.add_argument("--app", type=float, default=0.0, help="accelerator, 0..1")
-    p.add_argument("--bpp", type=float, default=0.0, help="brake, 0..1")
-    p.add_argument("--steer", type=float, default=0.5, help="steering duty, 0..1")
+    p.add_argument("--app", type=_fraction, default=0.0, help="accelerator, 0..1")
+    p.add_argument("--bpp", type=_fraction, default=0.0, help="brake, 0..1")
+    p.add_argument("--steer", type=_fraction, default=0.5, help="steering duty, 0..1")
     p.add_argument("--decode", metavar="HEX", help="decode a hex frame instead")
     p.set_defaults(fn=cmd_packet)
 
@@ -263,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Errors caused by what the user passed in; main reports them in one line.
-_USER_ERRORS = (scenario.ConfigError, canbus.TraceParseError, serial_link.FrameError, OSError)
+_USER_ERRORS = (scenario.ConfigError, canbus.TraceParseError, serial_link.FrameError,
+                revtools.EmptyTraceError, OSError)
 
 
 def main(argv=None) -> int:

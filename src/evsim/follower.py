@@ -21,7 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .plant import MPS_TO_MPH, PoseParams
+from .plant import COUNTS_PER_RAD, MPS_TO_MPH, STEER_RATIO, WHEELBASE_M
+
+#: Nominal slot of a generated oval table: the follower's 10 Hz period.
+OVAL_SLOT_S = 0.1
 
 
 class NonMonotoneTimeError(ValueError):
@@ -136,19 +139,18 @@ def load_path(file) -> TargetPath:
             fh.close()
 
 
-def make_oval(straight_m: float, radius_m: float, speed_mps: float,
-              dt_nominal_s: float = 0.1) -> TargetPath:
+def make_oval(straight_m: float, radius_m: float, speed_mps: float) -> TargetPath:
     """Stadium track: two straights joined by semicircles, driven clockwise.
 
     Starts at the origin heading north (+n).  The sample count is the
-    nearest integer to lap_time / dt_nominal and dt is stretched so the
+    nearest integer to lap_time / OVAL_SLOT_S and dt is stretched so the
     table period equals the lap time exactly, making the wrap seamless.
     """
     if straight_m < 0 or radius_m <= 0 or speed_mps <= 0:
         raise ValueError("straight >= 0, radius > 0, speed > 0 required")
     perimeter = 2.0 * straight_m + 2.0 * math.pi * radius_m
     lap_s = perimeter / speed_mps
-    n = max(1, round(lap_s / dt_nominal_s))
+    n = max(1, round(lap_s / OVAL_SLOT_S))
     dt = lap_s / n
     s1 = straight_m
     s2 = straight_m + math.pi * radius_m
@@ -285,15 +287,13 @@ class PathFollower:
 
     def __init__(self, path: TargetPath, gains: FollowerGains = FollowerGains(),
                  heading_mode: str = "relative",
-                 counts_limits: tuple[float, float] | None = None,
-                 pose: PoseParams = PoseParams()):
+                 counts_limits: tuple[float, float] | None = None):
         if heading_mode not in ("relative", "absolute"):
             raise ValueError(f"heading_mode must be 'relative' or 'absolute', got {heading_mode!r}")
         self.path = path
         self.gains = gains
         self.heading_mode = heading_mode
         self.counts_limits = counts_limits
-        self.pose = pose
 
     def _feedforward_counts(self, t_s: float) -> float:
         lead = self.path.sample_at(t_s + self.gains.preview_s)
@@ -304,8 +304,8 @@ class PathFollower:
         turn = wrap_to_pi(math.atan2(nxt.v_e, nxt.v_n)
                           - math.atan2(lead.v_e, lead.v_n))
         rate = turn / self.path.dt_s
-        delta = math.atan(self.pose.wheelbase_m * rate / speed)
-        return delta * self.pose.steer_ratio * self.pose.counts_per_rad
+        delta = math.atan(WHEELBASE_M * rate / speed)
+        return delta * STEER_RATIO * COUNTS_PER_RAD
 
     def step(self, t_s: float, p_n: float, p_e: float, heading_rad: float) -> FollowerCommand:
         target = self.path.sample_at(t_s)

@@ -1,16 +1,17 @@
-"""Frame injection, filtering, replay, and dominance measurement.
+"""Frame injection, filtering, id selection, and dominance measurement.
 
-Two ways to override a broadcast, both taking the forged byte from a
-value_fn that maps the genuine frame's timestamp to a byte:
+A FilterRule names the byte to override and a value_fn that maps the
+genuine frame's timestamp to the forged byte.  It overrides a broadcast
+in one of two ways:
 
-* FilterRule sits between a producing module and the wire and rewrites
+* As a tap it sits between a producing module and the wire and rewrites
   matching frames in place (a man-in-the-middle tap).  Receivers never
   see the genuine payload.  The same rule serves a live bus (as a tap)
   and a recorded trace (applied to each frame before replay).
-* ShadowInjector leaves genuine frames alone and schedules a forged
-  copy a fixed delay after each one.  Receivers that act on the most
-  recent frame then spend delay/period of each cycle on the genuine
-  value and the rest on the forged one.
+* A ShadowInjector built on it leaves genuine frames alone and
+  schedules a forged copy a fixed delay after each one.  Receivers that
+  act on the most recent frame then spend delay/period of each cycle on
+  the genuine value and the rest on the forged one.
 
 Dominance is that duty cycle measured on a receiver's delivery
 timeline, kept exact as a Fraction of integer microseconds.
@@ -32,11 +33,11 @@ class UnknownIdError(ValueError):
 
 @dataclass(frozen=True)
 class FilterRule:
-    """Rewrite one payload byte of every matching frame at the tap point.
+    """Override of one payload byte on one arbitration id.
 
-    value_fn maps the frame's timestamp to the forged byte.  It is called
-    exactly once per frame that has the id and is long enough to carry
-    the byte, so a stateful ramp advances once per rewritten frame.
+    value_fn maps the genuine frame's timestamp to the forged byte.  It
+    is called exactly once per frame the rule rewrites (tap) or copies
+    (shadow), so a stateful ramp advances once per genuine target frame.
     """
 
     arb_id: int
@@ -47,73 +48,60 @@ class FilterRule:
         if not 0 <= self.byte_index <= 7:
             raise ValueError(f"byte_index {self.byte_index} outside 0..7")
 
-    def apply(self, frame: CanFrame) -> CanFrame:
-        if frame.arbitration_id != self.arb_id:
-            return frame
+    def forged_payload(self, frame: CanFrame) -> bytes:
+        """frame's payload with the byte set to value_fn(frame's timestamp)."""
         if self.byte_index >= frame.dlc:
-            return frame
+            raise ValueError(f"byte_index {self.byte_index} outside dlc {frame.dlc}")
         value = self.value_fn(frame.timestamp_us)
         if not 0 <= value <= 0xFF:
             raise ValueError(f"value {value} outside one byte")
-        if frame.data[self.byte_index] == value:
-            return frame
         data = bytearray(frame.data)
         data[self.byte_index] = value
-        return CanFrame(frame.timestamp_us, frame.arbitration_id, frame.dlc, bytes(data))
-
-
-PayloadSource = Callable[[int, bytes], bytes]
-
-
-def byte_override(byte_index: int, value_fn: Callable[[int], int]) -> PayloadSource:
-    """Payload source that copies the genuine frame and rewrites one byte.
-
-    value_fn maps the genuine frame's timestamp to the forged byte, so a
-    ramp can be expressed as a function of time.
-    """
-    def src(now_us: int, genuine: bytes) -> bytes:
-        data = bytearray(genuine)
-        if byte_index >= len(data):
-            raise ValueError(f"byte_index {byte_index} outside dlc {len(data)}")
-        data[byte_index] = value_fn(now_us)
         return bytes(data)
-    return src
+
+    def apply(self, frame: CanFrame) -> CanFrame:
+        """Tap rewrite: matching frames too short for the byte pass unchanged."""
+        if frame.arbitration_id != self.arb_id or self.byte_index >= frame.dlc:
+            return frame
+        data = self.forged_payload(frame)
+        if data == frame.data:
+            return frame
+        return CanFrame(frame.timestamp_us, frame.arbitration_id, frame.dlc, data)
 
 
 class ShadowInjector:
-    """Forge a copy of each genuine target frame a fixed delay later.
+    """Forge a copy of each genuine rule.arb_id frame a fixed delay later.
 
-    The delay must be shorter than the genuine period or the forged
-    frame would land after (or with) the next genuine one and lose the
-    last-writer race it is meant to win.  The injector tags its own
-    frames and skips them when listening, so it never chases itself.
+    The copy carries the rule's forged byte; a genuine frame too short
+    for that byte raises ValueError.  The delay must be shorter than the
+    genuine period or the forged frame would land after (or with) the
+    next genuine one and lose the last-writer race it is meant to win.
+    The injector tags its own frames and skips them when listening, so
+    it never chases itself.
     """
 
     SOURCE = "shadow"
 
-    def __init__(self, bus: CanBus, target_id: int, payload_source: PayloadSource,
-                 delay_us: int = 250, period_us: int | None = None,
-                 source: str = SOURCE):
+    def __init__(self, bus: CanBus, rule: FilterRule, delay_us: int = 250,
+                 period_us: int | None = None):
         if delay_us <= 0:
             raise ValueError("delay must be positive")
         if period_us is not None and delay_us >= period_us:
             raise ValueError(
                 f"delay {delay_us} us must be shorter than the genuine period {period_us} us")
         self.bus = bus
-        self.target_id = target_id
-        self.payload_source = payload_source
+        self.rule = rule
         self.delay_us = delay_us
-        self.source = source
         self.injected = 0
         bus.add_listener(self._on_frame)
 
     def _on_frame(self, frame: CanFrame, source: str) -> None:
-        if frame.arbitration_id != self.target_id or source == self.source:
+        if frame.arbitration_id != self.rule.arb_id or source == self.SOURCE:
             return
         due = frame.timestamp_us + self.delay_us
-        payload = bytes(self.payload_source(frame.timestamp_us, frame.data))
+        payload = self.rule.forged_payload(frame)
         forged = CanFrame(due, frame.arbitration_id, len(payload), payload)
-        self.bus.inject_at(due, forged, source=self.source)
+        self.bus.inject_at(due, forged, source=self.SOURCE)
         self.injected += 1
 
 
@@ -166,7 +154,7 @@ def dominance_fraction(deliveries: Sequence[tuple[int, str]], start_us: int,
     return Fraction(dominated, total)
 
 
-# --- record and replay ------------------------------------------------------------
+# --- id selection -----------------------------------------------------------------
 
 def select_ids(trace: CanTrace, ids: Iterable[int]) -> CanTrace:
     """Subset of a trace containing only the given ids, order preserved."""
@@ -177,18 +165,3 @@ def select_ids(trace: CanTrace, ids: Iterable[int]) -> CanTrace:
         raise UnknownIdError(
             "ids not in trace: " + ", ".join(f"0x{i:X}" for i in sorted(missing)))
     return CanTrace([f for f in trace if f.arbitration_id in wanted])
-
-
-def merge_traces(*traces: CanTrace) -> CanTrace:
-    """Merge traces by timestamp; ties keep the argument order (stable)."""
-    frames = [f for tr in traces for f in tr]
-    frames.sort(key=lambda f: f.timestamp_us)
-    return CanTrace(frames)
-
-
-def playback(bus: CanBus, trace: CanTrace, ids: Iterable[int] | None = None,
-             source: str = "replay") -> int:
-    """Queue trace frames (optionally an id subset) at their recorded times."""
-    subset = trace if ids is None else select_ids(trace, ids)
-    bus.feed_replay(subset, source=source)
-    return len(subset)

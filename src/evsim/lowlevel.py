@@ -24,9 +24,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import plant as plant_mod
 from .canbus import OutOfRangeError
-from .plant import PlantParams, DEFAULT_PARAMS, app_k, bpp_k, steer_k
+from .plant import (APP_GAIN, APP_OFFSET, BPP_CONST, BPP_LIN, BPP_QUAD, BPP_VERTEX_PCT,
+                    DEADBAND_HI, DEADBAND_LO, STEER_CONST, STEER_DUTY_MAX, STEER_DUTY_MIN,
+                    STEER_LIN, STEER_QUAD, app_k, bpp_k, steer_k)
 
 
 class UnachievableError(ValueError):
@@ -40,6 +41,12 @@ class LoopSpec:
     tau_channel_s: float
     zeta: float
     tau_target_s: float
+
+    def __post_init__(self):
+        for name in ("tau_channel_s", "zeta", "tau_target_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,11 @@ STEER_SPEC = LoopSpec(0.2, 1.0, 1.0 / 3.0)
 ACCEL_GAINS = design_pi(ACCEL_SPEC)   # (27, 28)
 BRAKE_GAINS = design_pi(BRAKE_SPEC)   # (0.2, 1.2)
 STEER_GAINS = design_pi(STEER_SPEC)   # (0.2, 1.8)
+
+#: Setpoint weight that cancels the accel loop's closed-loop zero.
+ACCEL_B = ACCEL_GAINS.ki * ACCEL_SPEC.tau_target_s / ACCEL_GAINS.kp
+#: Speed error that must be crossed before the pedal mode switches.
+HYSTERESIS_MPH = 0.5
 
 
 def pi_step(error: float, integral: float, gains: PiGains, dt: float,
@@ -120,20 +132,20 @@ class PiLoop:
 
 # --- actuator map inversions --------------------------------------------------
 
-def invert_k_app(settle_mph: float, params: PlantParams = DEFAULT_PARAMS) -> float:
+def invert_k_app(settle_mph: float) -> float:
     """Accelerator position whose settle speed is the demand, clamped to [0, 100]."""
-    pct = (settle_mph - params.app_offset) / params.app_gain
+    pct = (settle_mph - APP_OFFSET) / APP_GAIN
     return min(100.0, max(0.0, pct))
 
 
-def invert_k_bpp(decel: float, params: PlantParams = DEFAULT_PARAMS) -> float:
+def invert_k_bpp(decel: float) -> float:
     """Brake position for a demanded deceleration (larger quadratic root).
 
     The identified curve peaks (weakest braking) at its vertex; demands
     weaker than that are unreachable by any pedal position and raise.
     Demands stronger than the 100% value also raise.
     """
-    a, b, c = params.bpp_quad, params.bpp_lin, params.bpp_const
+    a, b, c = BPP_QUAD, BPP_LIN, BPP_CONST
     disc = b * b - 4.0 * a * (c - decel)
     if disc < 0.0:
         # demands at the exact vertex can land a rounding error below zero
@@ -146,55 +158,46 @@ def invert_k_bpp(decel: float, params: PlantParams = DEFAULT_PARAMS) -> float:
     return pct
 
 
-def invert_k_steer(counts: float, params: PlantParams = DEFAULT_PARAMS) -> float:
+def invert_k_steer(counts: float) -> float:
     """Torque duty settling at the demanded counts, on the rising branch.
 
     Demands below the curve floor saturate to the vertex duty; demands
     above the 64% value saturate to 64.  Negative targets belong to the
     mirrored branch and are handled by steer_duty_command.
     """
-    a, b, c = params.steer_quad, params.steer_lin, params.steer_const
-    lo = params.steer_duty_min
-    floor = steer_k(lo, params)
-    ceil = steer_k(params.steer_duty_max, params)
+    a, b, c = STEER_QUAD, STEER_LIN, STEER_CONST
+    floor = steer_k(STEER_DUTY_MIN)
+    ceil = steer_k(STEER_DUTY_MAX)
     counts = min(ceil, max(floor, counts))
     disc = max(b * b - 4.0 * a * (c - counts), 0.0)  # exact-floor rounding guard
     duty = (-b + math.sqrt(disc)) / (2.0 * a)
-    return min(params.steer_duty_max, max(lo, duty))
+    return min(STEER_DUTY_MAX, max(STEER_DUTY_MIN, duty))
 
 
 # --- torque deadband ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeadbandParams:
-    """Working duty window and the dead zone the rack ignores."""
-
-    duty_min: float = 37.0
-    duty_max: float = 64.0
-    dead_lo: float = 45.0
-    dead_hi: float = 55.0
-    center: float = 50.0
+#: Working duty window of the compensator.  Its top is the plant's duty
+#: ceiling and the dead zone it skips is the plant's DEADBAND_LO..DEADBAND_HI.
+DUTY_MIN = 37.0
+DUTY_CENTER = 50.0
 
 
-DEFAULT_DEADBAND = DeadbandParams()
-
-
-def deadband_compensate(duty_pct: float, db: DeadbandParams = DEFAULT_DEADBAND) -> float:
+def deadband_compensate(duty_pct: float) -> float:
     """Remap a commanded duty so the torque deadband is skipped.
 
-    Commands above center stretch linearly onto (dead_hi, duty_max];
-    commands below center onto [duty_min, dead_lo); center passes
-    through unchanged, preserving the hold-angle behavior.
+    Commands above center stretch linearly onto (DEADBAND_HI,
+    STEER_DUTY_MAX]; commands below center onto [DUTY_MIN, DEADBAND_LO);
+    center passes through unchanged, preserving the hold-angle behavior.
     """
-    if not db.duty_min <= duty_pct <= db.duty_max:
-        raise OutOfRangeError(f"duty {duty_pct} outside [{db.duty_min}, {db.duty_max}]")
-    if duty_pct > db.center:
-        span = db.duty_max - db.center
-        return db.dead_hi + (duty_pct - db.center) / span * (db.duty_max - db.dead_hi)
-    if duty_pct < db.center:
-        span = db.center - db.duty_min
-        return db.dead_lo - (db.center - duty_pct) / span * (db.dead_lo - db.duty_min)
-    return db.center
+    if not DUTY_MIN <= duty_pct <= STEER_DUTY_MAX:
+        raise OutOfRangeError(f"duty {duty_pct} outside [{DUTY_MIN}, {STEER_DUTY_MAX}]")
+    if duty_pct > DUTY_CENTER:
+        span = STEER_DUTY_MAX - DUTY_CENTER
+        return DEADBAND_HI + (duty_pct - DUTY_CENTER) / span * (STEER_DUTY_MAX - DEADBAND_HI)
+    if duty_pct < DUTY_CENTER:
+        span = DUTY_CENTER - DUTY_MIN
+        return DEADBAND_LO - (DUTY_CENTER - duty_pct) / span * (DEADBAND_LO - DUTY_MIN)
+    return DUTY_CENTER
 
 
 # --- longitudinal (speed) controller --------------------------------------------
@@ -209,21 +212,9 @@ class LongitudinalController:
     switch so the incoming loop starts clean.
     """
 
-    def __init__(self, params: PlantParams = DEFAULT_PARAMS,
-                 accel_gains: PiGains = ACCEL_GAINS,
-                 brake_gains: PiGains = BRAKE_GAINS,
-                 hysteresis_mph: float = 0.5,
-                 accel_spec: LoopSpec = ACCEL_SPEC):
-        self.params = params
-        self.hysteresis_mph = hysteresis_mph
-        self.accel_pi = PiLoop(accel_gains, (params.app_offset,
-                                             app_k(100.0, params)))
-        brake_floor = bpp_k(100.0, params)
-        brake_vertex_pct = -params.bpp_lin / (2.0 * params.bpp_quad)
-        self.brake_pi = PiLoop(brake_gains, (brake_floor,
-                                             bpp_k(brake_vertex_pct, params)))
-        # weight that cancels the accel loop's closed-loop zero
-        self.accel_b = accel_gains.ki * accel_spec.tau_target_s / accel_gains.kp
+    def __init__(self):
+        self.accel_pi = PiLoop(ACCEL_GAINS, (APP_OFFSET, app_k(100.0)))
+        self.brake_pi = PiLoop(BRAKE_GAINS, (bpp_k(100.0), bpp_k(BPP_VERTEX_PCT)))
         self.mode = "accel"
 
     def reset(self) -> None:
@@ -234,20 +225,20 @@ class LongitudinalController:
     def step(self, speed_ref_mph: float, speed_mph: float, dt: float) -> tuple[float, float]:
         """Returns (app_pct, bpp_pct); exactly one of them is nonzero."""
         error = speed_ref_mph - speed_mph
-        if self.mode == "accel" and error < -self.hysteresis_mph:
+        if self.mode == "accel" and error < -HYSTERESIS_MPH:
             self.mode = "brake"
             self.accel_pi.reset()
             self.brake_pi.reset()
-        elif self.mode == "brake" and error > self.hysteresis_mph:
+        elif self.mode == "brake" and error > HYSTERESIS_MPH:
             self.mode = "accel"
             self.accel_pi.reset()
             self.brake_pi.reset()
         if self.mode == "accel":
-            p_error = self.accel_b * speed_ref_mph - speed_mph
+            p_error = ACCEL_B * speed_ref_mph - speed_mph
             u = self.accel_pi.step(error, dt, p_error)
-            return invert_k_app(u, self.params), 0.0
+            return invert_k_app(u), 0.0
         u = self.brake_pi.step(error, dt)
-        return 0.0, invert_k_bpp(u, self.params)
+        return 0.0, invert_k_bpp(u)
 
 
 # --- lateral (steering) controller -----------------------------------------------
@@ -260,15 +251,11 @@ class LateralController:
     compensator and the command map cancel to rounding error.
     """
 
-    def __init__(self, params: PlantParams = DEFAULT_PARAMS,
-                 gains: PiGains = STEER_GAINS,
-                 db: DeadbandParams = DEFAULT_DEADBAND):
-        self.params = params
-        self.db = db
-        hi = steer_k(params.steer_duty_max, params)
-        # mirrored branch is narrower: duty_min maps to 100 - duty_min
-        lo = -steer_k(100.0 - db.duty_min, params)
-        self.pi = PiLoop(gains, (lo, hi))
+    def __init__(self):
+        hi = steer_k(STEER_DUTY_MAX)
+        # mirrored branch is narrower: DUTY_MIN maps to 100 - DUTY_MIN
+        lo = -steer_k(100.0 - DUTY_MIN)
+        self.pi = PiLoop(STEER_GAINS, (lo, hi))
 
     def reset(self) -> None:
         self.pi.reset()
@@ -278,17 +265,16 @@ class LateralController:
 
     def steer_duty_command(self, counts_demand: float) -> float:
         """Raw duty (pre-compensation) whose settle counts match the demand."""
-        db = self.db
         if counts_demand == 0.0:
-            return db.center
+            return DUTY_CENTER
         if counts_demand > 0.0:
-            duty_active = invert_k_steer(counts_demand, self.params)
-            span = db.duty_max - db.center
-            return db.center + (duty_active - db.dead_hi) / (db.duty_max - db.dead_hi) * span
-        duty_active = min(invert_k_steer(-counts_demand, self.params), 100.0 - db.duty_min)
+            duty_active = invert_k_steer(counts_demand)
+            span = STEER_DUTY_MAX - DUTY_CENTER
+            return DUTY_CENTER + (duty_active - DEADBAND_HI) / (STEER_DUTY_MAX - DEADBAND_HI) * span
+        duty_active = min(invert_k_steer(-counts_demand), 100.0 - DUTY_MIN)
         mirrored = 100.0 - duty_active
-        span = db.center - db.duty_min
-        return db.center - (db.dead_lo - mirrored) / (db.dead_lo - db.duty_min) * span
+        span = DUTY_CENTER - DUTY_MIN
+        return DUTY_CENTER - (DEADBAND_LO - mirrored) / (DEADBAND_LO - DUTY_MIN) * span
 
     def step(self, counts_ref: float, counts: float, dt: float) -> float:
         """Returns the raw steering duty to put on the wire."""

@@ -20,14 +20,17 @@ match the analytic exponential to rounding error at any tick size.
 
 Pose is a kinematic bicycle: road-wheel angle = counts / counts_per_rad
 / steer_ratio, heading rate = v * tan(delta) / wheelbase.  The counts
-scale defaults to 2000 counts per half-turn of the steering wheel.
+scale is 2000 counts per half-turn of the steering wheel.
+
+The calibration below was identified once on the test vehicle; every
+module reads it from here.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from . import canbus
@@ -44,64 +47,38 @@ class OutOfDomainError(ValueError):
     """Input outside the identified curve's valid region."""
 
 
-@dataclass(frozen=True)
-class PoseParams:
-    wheelbase_m: float = 2.7
-    steer_ratio: float = 15.0
-    counts_per_rad: float = 2000.0 / math.pi
+# --- identified calibration of the test vehicle -----------------------------
 
+APP_GAIN = 3.65
+APP_OFFSET = -9.7
+APP_TAU_S = 7.0
 
-@dataclass(frozen=True)
-class PlantParams:
-    """Calibration constants; defaults are the identified test-vehicle values."""
+BPP_QUAD = -0.0018
+BPP_LIN = 0.029
+BPP_CONST = -0.3768
+BPP_TAU_S = 0.3
+#: Brake position at the vertex of the brake curve: its weakest braking.
+BPP_VERTEX_PCT = -BPP_LIN / (2.0 * BPP_QUAD)
 
-    app_gain: float = 3.65
-    app_offset: float = -9.7
-    app_tau_s: float = 7.0
+STEER_QUAD = 59.4
+STEER_LIN = -6802.7
+STEER_CONST = 195084.5
+STEER_TAU_S = 0.2
+STEER_DUTY_MAX = 64.0
+#: Vertex of the steering curve; below it the fit is not monotone.
+STEER_DUTY_MIN = -STEER_LIN / (2.0 * STEER_QUAD)
 
-    bpp_quad: float = -0.0018
-    bpp_lin: float = 0.029
-    bpp_const: float = -0.3768
-    bpp_tau_s: float = 0.3
+#: Torque duty window the steering rack ignores.
+DEADBAND_LO = 45.0
+DEADBAND_HI = 55.0
+#: Brake positions above this percent hand the speed to the brake channel.
+BRAKE_ACTIVE_PCT = 1.0
+#: The brake map's deceleration is in m/s^2; speed integrates in mph/s.
+DECEL_TO_MPH_S = MPS_TO_MPH
 
-    steer_quad: float = 59.4
-    steer_lin: float = -6802.7
-    steer_const: float = 195084.5
-    steer_tau_s: float = 0.2
-    steer_duty_max: float = 64.0
-
-    deadband_lo: float = 45.0
-    deadband_hi: float = 55.0
-    brake_active_pct: float = 1.0
-    decel_units: str = "mps2"  # "mps2" or "mph_s"
-
-    pose: PoseParams = field(default_factory=PoseParams)
-
-    def __post_init__(self):
-        if self.decel_units not in ("mps2", "mph_s"):
-            raise ValueError(f"decel_units must be 'mps2' or 'mph_s', got {self.decel_units!r}")
-
-    @property
-    def steer_duty_min(self) -> float:
-        """Vertex of the steering curve; below it the fit is not monotone."""
-        return -self.steer_lin / (2.0 * self.steer_quad)
-
-    @property
-    def decel_to_mph_s(self) -> float:
-        return MPS_TO_MPH if self.decel_units == "mps2" else 1.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PlantParams":
-        raw = dict(raw)
-        pose = raw.pop("pose", None)
-        params = cls(**raw) if not pose else cls(**raw, pose=PoseParams(**pose))
-        return params
-
-
-DEFAULT_PARAMS = PlantParams()
+WHEELBASE_M = 2.7
+STEER_RATIO = 15.0
+COUNTS_PER_RAD = 2000.0 / math.pi
 
 
 @dataclass
@@ -114,9 +91,9 @@ class VehicleState:
     p_e: float = 0.0
 
     @classmethod
-    def at_rest(cls, params: PlantParams = DEFAULT_PARAMS) -> "VehicleState":
+    def at_rest(cls) -> "VehicleState":
         """Rest state: pedals released long enough for the channels to settle."""
-        return cls(decel=bpp_k(0.0, params))
+        return cls(decel=bpp_k(0.0))
 
     def as_tuple(self) -> tuple:
         return (self.speed_mph, self.decel, self.steer_counts,
@@ -125,28 +102,27 @@ class VehicleState:
 
 # --- steady-state maps -------------------------------------------------------
 
-def app_k(app_pct: float, params: PlantParams = DEFAULT_PARAMS) -> float:
+def app_k(app_pct: float) -> float:
     """Settle speed in mph for a held accelerator position, clamped at 0."""
-    v = params.app_gain * app_pct + params.app_offset
+    v = APP_GAIN * app_pct + APP_OFFSET
     return v if v > 0.0 else 0.0
 
 
-def bpp_k(bpp_pct: float, params: PlantParams = DEFAULT_PARAMS) -> float:
+def bpp_k(bpp_pct: float) -> float:
     """Settle deceleration for a held brake position (speed-independent)."""
-    return (params.bpp_quad * bpp_pct) * bpp_pct + params.bpp_lin * bpp_pct + params.bpp_const
+    return (BPP_QUAD * bpp_pct) * bpp_pct + BPP_LIN * bpp_pct + BPP_CONST
 
 
-def steer_k(duty_pct: float, params: PlantParams = DEFAULT_PARAMS) -> float:
+def steer_k(duty_pct: float) -> float:
     """Settle steering angle in counts for a held torque duty.
 
     Valid only on the monotone branch of the identified curve, from the
     vertex (~57.26%) to the calibration maximum.
     """
-    lo = params.steer_duty_min
-    if not lo <= duty_pct <= params.steer_duty_max:
-        raise OutOfDomainError(
-            f"steer duty {duty_pct} outside identified branch [{lo:.4f}, {params.steer_duty_max}]")
-    return (params.steer_quad * duty_pct) * duty_pct + params.steer_lin * duty_pct + params.steer_const
+    if not STEER_DUTY_MIN <= duty_pct <= STEER_DUTY_MAX:
+        raise OutOfDomainError(f"steer duty {duty_pct} outside identified branch "
+                               f"[{STEER_DUTY_MIN:.4f}, {STEER_DUTY_MAX}]")
+    return (STEER_QUAD * duty_pct) * duty_pct + STEER_LIN * duty_pct + STEER_CONST
 
 
 class FirstOrderChannel:
@@ -172,7 +148,7 @@ class FirstOrderChannel:
 # --- integrated plant ---------------------------------------------------------
 
 class VehiclePlant:
-    """Holds calibration + state and advances them on the physics tick.
+    """Holds the vehicle state and advances it on the physics tick.
 
     The per-tick arithmetic lives in ``evsim._kernels.advance``.
     dynamics_step runs that kernel and then restores the pose;
@@ -180,35 +156,32 @@ class VehiclePlant:
     the kernel's fused pose arithmetic is tested against.
     """
 
-    def __init__(self, params: PlantParams = DEFAULT_PARAMS,
-                 state: VehicleState | None = None):
-        self.params = params
-        self.state = state if state is not None else VehicleState.at_rest(params)
+    def __init__(self, state: VehicleState | None = None):
+        self.state = state if state is not None else VehicleState.at_rest()
         self.last_inputs = (0.0, 0.0, 50.0)
         self._alpha_cache: dict[float, tuple] = {}
 
     def reset(self, state: VehicleState | None = None) -> None:
-        self.state = state if state is not None else VehicleState.at_rest(self.params)
+        self.state = state if state is not None else VehicleState.at_rest()
         self.last_inputs = (0.0, 0.0, 50.0)
 
     def _kernel_params(self, dt: float) -> tuple:
         cached = self._alpha_cache.get(dt)
         if cached is not None:
             return cached
-        p = self.params
         packed = (
-            p.app_gain, p.app_offset,
-            p.bpp_quad, p.bpp_lin, p.bpp_const,
-            p.steer_quad, p.steer_lin, p.steer_const,
-            p.steer_duty_min, p.steer_duty_max,
-            p.deadband_lo, p.deadband_hi,
-            p.brake_active_pct,
-            -math.expm1(-dt / p.app_tau_s),
-            -math.expm1(-dt / p.bpp_tau_s),
-            -math.expm1(-dt / p.steer_tau_s),
-            p.decel_to_mph_s,
+            APP_GAIN, APP_OFFSET,
+            BPP_QUAD, BPP_LIN, BPP_CONST,
+            STEER_QUAD, STEER_LIN, STEER_CONST,
+            STEER_DUTY_MIN, STEER_DUTY_MAX,
+            DEADBAND_LO, DEADBAND_HI,
+            BRAKE_ACTIVE_PCT,
+            -math.expm1(-dt / APP_TAU_S),
+            -math.expm1(-dt / BPP_TAU_S),
+            -math.expm1(-dt / STEER_TAU_S),
+            DECEL_TO_MPH_S,
             dt,
-            p.pose.counts_per_rad, p.pose.steer_ratio, p.pose.wheelbase_m,
+            COUNTS_PER_RAD, STEER_RATIO, WHEELBASE_M,
             MPH_TO_MPS,
         )
         self._alpha_cache[dt] = packed
@@ -250,10 +223,9 @@ class VehiclePlant:
 
     def pose_step(self, dt: float) -> VehicleState:
         """Pose only, using current speed and steering angle."""
-        p = self.params.pose
         v_ms = self.state.speed_mph * MPH_TO_MPS
-        delta = self.state.steer_counts / p.counts_per_rad / p.steer_ratio
-        self.state.heading_rad = self.state.heading_rad + v_ms / p.wheelbase_m * math.tan(delta) * dt
+        delta = self.state.steer_counts / COUNTS_PER_RAD / STEER_RATIO
+        self.state.heading_rad = self.state.heading_rad + v_ms / WHEELBASE_M * math.tan(delta) * dt
         self.state.p_n = self.state.p_n + v_ms * math.cos(self.state.heading_rad) * dt
         self.state.p_e = self.state.p_e + v_ms * math.sin(self.state.heading_rad) * dt
         return self.state
@@ -261,20 +233,14 @@ class VehiclePlant:
 
 # --- pedal and steering sensors ----------------------------------------------
 
-@dataclass(frozen=True)
-class SensorCalibration:
-    """Emulated sensor spans; rest values match the unpressed pedals."""
-
-    app_v2_rest: float = 0.4
-    app_v2_full: float = 2.0
-    bpp_duty_rest: float = 89.0
-    bpp_duty_slope: float = 0.7
-    bpp_freq1_hz: float = 533.0
-    bpp_freq2_hz: float = 482.0
-    steer_freq_hz: float = 2150.0
-
-
-DEFAULT_SENSORS = SensorCalibration()
+# Emulated sensor spans; rest values match the unpressed pedals.
+APP_V2_REST = 0.4
+APP_V2_FULL = 2.0
+BPP_DUTY_REST = 89.0
+BPP_DUTY_SLOPE = 0.7
+BPP_FREQ1_HZ = 533.0
+BPP_FREQ2_HZ = 482.0
+STEER_FREQ_HZ = 2150.0
 
 
 @dataclass(frozen=True)
@@ -292,8 +258,7 @@ class SensorSignals:
     steer_freq_hz: float
 
 
-def sensors_from_inputs(app_pct: float, bpp_pct: float, steer_duty: float,
-                        calib: SensorCalibration = DEFAULT_SENSORS) -> SensorSignals:
+def sensors_from_inputs(app_pct: float, bpp_pct: float, steer_duty: float) -> SensorSignals:
     """Emulated sensor outputs for a command set.
 
     The accelerator is two DC voltages with channel 1 exactly twice
@@ -305,8 +270,8 @@ def sensors_from_inputs(app_pct: float, bpp_pct: float, steer_duty: float,
                         ("steer_duty", steer_duty)):
         if not 0.0 <= value <= 100.0:
             raise OutOfRangeError(f"{name}={value} outside [0, 100]")
-    v2 = calib.app_v2_rest + app_pct / 100.0 * (calib.app_v2_full - calib.app_v2_rest)
-    bpp_duty1 = calib.bpp_duty_rest - calib.bpp_duty_slope * bpp_pct
+    v2 = APP_V2_REST + app_pct / 100.0 * (APP_V2_FULL - APP_V2_REST)
+    bpp_duty1 = BPP_DUTY_REST - BPP_DUTY_SLOPE * bpp_pct
     return SensorSignals(
         app_v1=2.0 * v2,
         app_v2=v2,
@@ -314,9 +279,9 @@ def sensors_from_inputs(app_pct: float, bpp_pct: float, steer_duty: float,
         bpp_duty2=100.0 - bpp_duty1,
         steer_duty1=steer_duty,
         steer_duty2=100.0 - steer_duty,
-        bpp_freq1_hz=calib.bpp_freq1_hz,
-        bpp_freq2_hz=calib.bpp_freq2_hz,
-        steer_freq_hz=calib.steer_freq_hz,
+        bpp_freq1_hz=BPP_FREQ1_HZ,
+        bpp_freq2_hz=BPP_FREQ2_HZ,
+        steer_freq_hz=STEER_FREQ_HZ,
     )
 
 
@@ -348,7 +313,7 @@ class SimulatedEcus:
     # payload builders (now_us argument keeps the bus source signature)
 
     def speed_payload(self, now_us: int) -> bytes:
-        return encode_speed_payload(self.plant.state.speed_mph)
+        return canbus.encode_speed(self.plant.state.speed_mph).data
 
     def steering_payload(self, now_us: int) -> bytes:
         counts = round(self.plant.state.steer_counts)
@@ -379,12 +344,3 @@ class SimulatedEcus:
         fns = self.payload_fns()
         for arb_id, period in self.schedule.items():
             bus.add_periodic(arb_id, period, fns[arb_id], source="ecu")
-
-
-def encode_speed_payload(speed_mph: float) -> bytes:
-    return canbus.encode_speed(speed_mph).data
-
-
-def decode_throttle_byte(raw: int) -> float:
-    """Invert the percent scaling of the throttle command byte."""
-    return raw / canbus.PCT_TO_BYTE

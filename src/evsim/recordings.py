@@ -24,6 +24,21 @@ REAL_IDS = (canbus.STEERING_ID, canbus.SPEED_ID, canbus.BPP_ID,
 
 _FILLER_PERIODS_US = (5_000, 10_000, 20_000, 25_000, 50_000, 100_000)
 
+# press capture: one accelerator press among filler ids
+PRESS_START_S = 2.0
+PRESS_END_S = 5.0
+PRESS_APP_PCT = 15.0
+N_FILLER = 97
+
+# correlation drive: square-wave accelerator plus random-walk filler ids
+SQUARE_PERIOD_S = 20.0
+APP_LO_PCT = 10.0
+APP_HI_PCT = 20.0
+N_WALKERS = 6
+
+#: Top rig speed that counts as the replayed traffic moving the car.
+MIN_GAIN_MPH = 1.0
+
 
 def _filler_ids(rng: random.Random, count: int) -> list[int]:
     pool = [i for i in range(0x20, 0x800) if i not in REAL_IDS]
@@ -43,12 +58,7 @@ def _walker_payload(rng: random.Random) -> Callable[[int], bytes]:
     return payload
 
 
-def press_recording(duration_s: float = 6.0,
-                    press_start_s: float = 2.0,
-                    press_end_s: float = 5.0,
-                    app_pct: float = 15.0,
-                    n_filler: int = 97,
-                    seed: int = 2024) -> CanTrace:
+def press_recording(duration_s: float = 6.0, seed: int = 2024) -> CanTrace:
     """Capture of a single accelerator press among heavy filler traffic.
 
     The five stock broadcasts run against a live plant while 97 filler
@@ -61,21 +71,20 @@ def press_recording(duration_s: float = 6.0,
     bus = CanBus()
     ecus = SimulatedEcus(plant, pedal_fn=lambda: (pedal["app"], 0.0))
     ecus.attach(bus)
-    for arb_id in _filler_ids(rng, n_filler):
+    for arb_id in _filler_ids(rng, N_FILLER):
         bus.add_periodic(arb_id, rng.choice(_FILLER_PERIODS_US),
                          _walker_payload(rng), source="filler")
     n_ticks = round(duration_s * 1000.0)
-    lo = round(press_start_s * 1000.0)
-    hi = round(press_end_s * 1000.0)
+    lo = round(PRESS_START_S * 1000.0)
+    hi = round(PRESS_END_S * 1000.0)
     for ms in range(1, n_ticks + 1):
-        pedal["app"] = app_pct if lo <= ms < hi else 0.0
+        pedal["app"] = PRESS_APP_PCT if lo <= ms < hi else 0.0
         plant.advance(pedal["app"], 0.0, 50.0, 1, 0.001)
         bus.step(ms * 1000)
     return bus.trace()
 
 
-def throttle_effect_oracle(min_gain_mph: float = 1.0,
-                           settle_s: float = 1.0) -> Callable[[CanTrace], bool]:
+def throttle_effect_oracle() -> Callable[[CanTrace], bool]:
     """Replay oracle: does this traffic make a fresh test rig gain speed?
 
     The rig is a plant whose accelerator obeys the last throttle
@@ -88,8 +97,8 @@ def throttle_effect_oracle(min_gain_mph: float = 1.0,
         rx = ThrottleReceiver()
         bus.add_listener(rx)
         bus.feed_replay(subset)
-        top_speed = rig_loop(bus, VehiclePlant(), rx, replay_ms(subset, settle_s))
-        return top_speed >= min_gain_mph
+        top_speed = rig_loop(bus, VehiclePlant(), rx, replay_ms(subset))
+        return top_speed >= MIN_GAIN_MPH
     return oracle
 
 
@@ -104,10 +113,6 @@ def _ema_status_payload(statuses: list[dict], ema: list[float]) -> Callable[[int
 
 
 def correlation_recording(duration_s: float = 60.0,
-                          square_period_s: float = 20.0,
-                          app_lo_pct: float = 10.0,
-                          app_hi_pct: float = 20.0,
-                          n_walkers: int = 6,
                           seed: int = 77) -> tuple[CanTrace, dict]:
     """Drive capture with speed mirrors planted for the correlator.
 
@@ -121,13 +126,13 @@ def correlation_recording(duration_s: float = 60.0,
     """
     rng = random.Random(seed)
     plant = VehiclePlant()
-    pedal = {"app": app_lo_pct}
+    pedal = {"app": APP_LO_PCT}
     bus = CanBus()
     ecus = SimulatedEcus(plant, pedal_fn=lambda: (pedal["app"], 0.0))
     ecus.attach(bus)
 
-    ids = _filler_ids(rng, n_walkers + 7)
-    walker_ids, rest = ids[:n_walkers], ids[n_walkers:]
+    ids = _filler_ids(rng, N_WALKERS + 7)
+    walker_ids, rest = ids[:N_WALKERS], ids[N_WALKERS:]
     planted_id, const_a, const_b = rest[0], rest[1], rest[2]
     status_ids = rest[3:7]
     for arb_id in walker_ids:
@@ -163,10 +168,10 @@ def correlation_recording(duration_s: float = 60.0,
 
     bus.add_periodic(planted_id, 10_000, planted_payload, source="filler")
 
-    half_ms = round(square_period_s * 500.0)
+    half_ms = round(SQUARE_PERIOD_S * 500.0)
     n_ticks = round(duration_s * 1000.0)
     for ms in range(1, n_ticks + 1):
-        pedal["app"] = app_hi_pct if (ms // half_ms) % 2 == 1 else app_lo_pct
+        pedal["app"] = APP_HI_PCT if (ms // half_ms) % 2 == 1 else APP_LO_PCT
         plant.advance(pedal["app"], 0.0, 50.0, 1, 0.001)
         for i, tau in enumerate(taus):
             ema[i] += (plant.state.speed_mph - ema[i]) * (1.0 - math.exp(-0.001 / tau))

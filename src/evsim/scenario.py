@@ -36,8 +36,7 @@ from . import follower as fl
 from . import injection as inj
 from . import lowlevel as ll
 from . import serial_link
-from .plant import (DEFAULT_PARAMS, MPH_TO_MPS, MPS_TO_MPH, PlantParams,
-                    SimulatedEcus, VehiclePlant)
+from .plant import MPH_TO_MPS, SimulatedEcus, VehiclePlant
 
 
 class ConfigError(ValueError):
@@ -51,8 +50,13 @@ def follower_defaults() -> dict:
 
 
 def _finite(value, name: str) -> None:
-    """Reject anything but a finite real number (bools included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Reject anything but a finite real number (bools and ints too big for a float included)."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value))
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -90,6 +94,8 @@ class Scenario:
     preview_s: float | None = None
 
     def validate(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
         for name in ("duration_s", "physics_dt_s", "control_period_s", "follower_period_s"):
             _finite(getattr(self, name), name)
         for name in ("speed_ref_mph", "k_heading", "preview_s"):
@@ -196,7 +202,7 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return Scenario.from_dict(raw)
 
@@ -237,11 +243,14 @@ def _build_path(scn: Scenario) -> fl.TargetPath | None:
         return fl.make_oval(scn.oval.straight_m, scn.oval.radius_m,
                             scn.oval.speed_mph * MPH_TO_MPS)
     if scn.path_file is not None:
-        return fl.load_path(scn.path_file)
+        try:
+            return fl.load_path(scn.path_file)
+        except ValueError as exc:  # malformed table, NonMonotoneTimeError included
+            raise ConfigError(f"path_file {scn.path_file}: {exc}") from exc
     return None
 
 
-def run_scenario(scn: Scenario, params: PlantParams = DEFAULT_PARAMS) -> ScenarioResult:
+def run_scenario(scn: Scenario) -> ScenarioResult:
     scn.validate()
     phys_us = _to_us(scn.physics_dt_s, "physics_dt_s")
     ctl_us = _to_us(scn.control_period_s, "control_period_s")
@@ -249,13 +258,13 @@ def run_scenario(scn: Scenario, params: PlantParams = DEFAULT_PARAMS) -> Scenari
     n_ctl = _control_steps(scn.duration_s, ctl_us)
     dt = scn.physics_dt_s
 
-    plant = VehiclePlant(params)
+    plant = VehiclePlant()
     bus = canbus.CanBus()
     ecus = SimulatedEcus(plant)
     ecus.attach(bus)
 
-    lon = ll.LongitudinalController(params)
-    lat = ll.LateralController(params)
+    lon = ll.LongitudinalController()
+    lat = ll.LateralController()
     decoder = serial_link.StreamDecoder()
 
     path = _build_path(scn)
@@ -266,8 +275,7 @@ def run_scenario(scn: Scenario, params: PlantParams = DEFAULT_PARAMS) -> Scenari
         preview = scn.preview_s if scn.preview_s is not None else defaults.get("preview_s", 0.0)
         gains = fl.FollowerGains.from_weights(scn.q, scn.r, k_heading, preview)
         pilot = fl.PathFollower(path, gains, scn.heading_mode,
-                                counts_limits=lat.achievable_counts(),
-                                pose=params.pose)
+                                counts_limits=lat.achievable_counts())
 
     rows: list[tuple] = []
     t_us = 0
@@ -460,20 +468,24 @@ def rig_loop(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
     return top_speed
 
 
-def replay_ms(trace: canbus.CanTrace, settle_s: float) -> int:
-    """Rig ticks that cover a replayed trace plus settle_s after its last frame."""
+#: Rig time run past the last replayed frame, so a late press still shows.
+REPLAY_SETTLE_S = 1.0
+
+
+def replay_ms(trace: canbus.CanTrace) -> int:
+    """Rig ticks that cover a replayed trace plus REPLAY_SETTLE_S after its last frame."""
     last_us = trace.frames[-1].timestamp_us if len(trace) else 0
-    return last_us // 1000 + round(settle_s * 1000.0)
+    return last_us // 1000 + round(REPLAY_SETTLE_S * 1000.0)
 
 
-def _injection_rig(mode: str, target_id: int, byte_index: int, params: PlantParams):
-    """Fresh rig plant, bus and throttle receiver for an injection run."""
+def _injection_rig(mode: str, target_id: int, byte_index: int, value_fn):
+    """Fresh rig plant, bus, throttle receiver and override rule for an injection run."""
     if mode not in ("shadow", "tap"):
         raise ValueError(f"mode must be 'shadow' or 'tap', got {mode!r}")
     bus = canbus.CanBus()
     rx = inj.ThrottleReceiver(target_id, byte_index)
     bus.add_listener(rx)
-    return VehiclePlant(params), bus, rx
+    return VehiclePlant(), bus, rx, inj.FilterRule(target_id, byte_index, value_fn)
 
 
 def _run_injection(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
@@ -492,8 +504,7 @@ def _run_injection(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiv
 def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THROTTLE_ID,
                        byte_index: int = canbus.THROTTLE_BYTE_INDEX,
                        mode: str = "shadow", delay_us: int = 250,
-                       schedule: dict[int, int] | None = None,
-                       params: PlantParams = DEFAULT_PARAMS) -> InjectionResult:
+                       schedule: dict[int, int] | None = None) -> InjectionResult:
     """Live broadcasts with an override riding on the throttle command id.
 
     The rig plant obeys the last 0x11A byte it saw, the driver pedal
@@ -501,17 +512,15 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
     rig's own speed frames show the override taking physical effect.
     schedule overrides the broadcast periods (microseconds per id).
     """
-    rig, bus, rx = _injection_rig(mode, target_id, byte_index, params)
+    rig, bus, rx, rule = _injection_rig(mode, target_id, byte_index, value_fn)
     ecus = SimulatedEcus(rig, pedal_fn=lambda: (0.0, 0.0), schedule=schedule)
     ecus.attach(bus)
     injector = None
     if mode == "shadow":
-        injector = inj.ShadowInjector(bus, target_id,
-                                      inj.byte_override(byte_index, value_fn),
-                                      delay_us=delay_us,
+        injector = inj.ShadowInjector(bus, rule, delay_us=delay_us,
                                       period_us=ecus.schedule.get(target_id))
     else:
-        bus.add_tap(inj.FilterRule(target_id, byte_index, value_fn))
+        bus.add_tap(rule)
 
     result = _run_injection(bus, rig, rx, injector, round(duration_s * 1000.0))
     result.speed_series = [(f.timestamp_us, canbus.decode_speed(f))
@@ -522,16 +531,14 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
 def run_replay_injection(trace: canbus.CanTrace, value_fn,
                          target_id: int = canbus.THROTTLE_ID,
                          byte_index: int = canbus.THROTTLE_BYTE_INDEX,
-                         mode: str = "shadow", delay_us: int = 250,
-                         settle_s: float = 1.0,
-                         params: PlantParams = DEFAULT_PARAMS) -> InjectionResult:
+                         mode: str = "shadow", delay_us: int = 250) -> InjectionResult:
     """Replay a recording into the rig with the override applied.
 
     Shadow mode forges delayed copies of the replayed target frames; tap
     mode rewrites them up front, as if the tap had been in place when
     the recording was made.
     """
-    rig, bus, rx = _injection_rig(mode, target_id, byte_index, params)
+    rig, bus, rx, rule = _injection_rig(mode, target_id, byte_index, value_fn)
     injector = None
     if mode == "shadow":
         target_times = [f.timestamp_us for f in trace if f.arbitration_id == target_id]
@@ -539,12 +546,9 @@ def run_replay_injection(trace: canbus.CanTrace, value_fn,
         if len(target_times) >= 2:
             deltas = sorted(b - a for a, b in zip(target_times, target_times[1:]))
             period = deltas[len(deltas) // 2]
-        injector = inj.ShadowInjector(bus, target_id,
-                                      inj.byte_override(byte_index, value_fn),
-                                      delay_us=delay_us, period_us=period)
-        bus.feed_replay(trace, source="replay")
+        injector = inj.ShadowInjector(bus, rule, delay_us=delay_us, period_us=period)
+        bus.feed_replay(trace)
     else:
-        rule = inj.FilterRule(target_id, byte_index, value_fn)
-        bus.feed_replay(map(rule.apply, trace), source="replay")
+        bus.feed_replay(map(rule.apply, trace))
 
-    return _run_injection(bus, rig, rx, injector, replay_ms(trace, settle_s))
+    return _run_injection(bus, rig, rx, injector, replay_ms(trace))

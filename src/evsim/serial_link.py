@@ -55,15 +55,12 @@ class Frame:
     crc: int
 
 
-_CRC_INIT = {"ccitt-false": 0xFFFF, "xmodem": 0x0000}
-
-
-def _crc_table(poly: int = 0x1021) -> list[int]:
+def _crc_table() -> list[int]:
     table = []
     for byte in range(256):
         crc = byte << 8
         for _ in range(8):
-            crc = ((crc << 1) ^ poly) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
+            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
         table.append(crc)
     return table
 
@@ -71,16 +68,13 @@ def _crc_table(poly: int = 0x1021) -> list[int]:
 _TABLE = _crc_table()
 
 
-def crc16_ccitt(data: bytes, variant: str = "ccitt-false") -> int:
-    """CRC16 with polynomial 0x1021, MSB first, no reflection, no final xor.
+def crc16_ccitt(data: bytes) -> int:
+    """CRC16/CCITT-FALSE of data.
 
-    The default variant starts from 0xFFFF (check value of b"123456789"
-    is 0x29B1); "xmodem" starts from zero.
+    Polynomial 0x1021 starting from 0xFFFF, MSB first, no reflection, no
+    final xor; the check value of b"123456789" is 0x29B1.
     """
-    try:
-        crc = _CRC_INIT[variant]
-    except KeyError:
-        raise ValueError(f"unknown CRC variant {variant!r}") from None
+    crc = 0xFFFF
     for byte in data:
         crc = ((crc << 8) & 0xFFFF) ^ _TABLE[(crc >> 8) ^ byte]
     return crc

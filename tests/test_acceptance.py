@@ -17,7 +17,7 @@ from scipy.linalg import solve_continuous_are
 
 from evsim import canbus, follower, lowlevel, recordings, revtools, scenario, serial_link
 from evsim.canbus import CanFrame, CanTrace
-from evsim.plant import DEFAULT_PARAMS, VehiclePlant, VehicleState, bpp_k
+from evsim.plant import VehiclePlant, VehicleState, bpp_k
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

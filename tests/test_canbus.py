@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evsim import canbus
 from evsim.canbus import CanBus, CanFrame, CanTrace, make_frame
@@ -80,6 +80,18 @@ class TestTraceFormat:
         text = canbus.serialize_trace(CanTrace(frames))
         back = canbus.parse_trace(text)
         assert list(back) == frames
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 0x7FF),
+                              st.binary(max_size=8)), max_size=20))
+    def test_roundtrip_property(self, raw):
+        t = 0
+        frames = []
+        for gap, arb_id, data in raw:
+            t += gap
+            frames.append(CanFrame(t, arb_id, len(data), data))
+        trace = CanTrace(frames)
+        assert canbus.parse_trace(canbus.serialize_trace(trace)) == trace
 
     def test_comments_and_blanks_skipped(self):
         text = "# header\n\n100 75 2 AA BB\n   \n# trailing\n"

@@ -60,6 +60,12 @@ class TestDesignGains:
         assert "-2" in out  # repeated pole at -2 rad/s
         assert f"b = {14 / 27!r}" in out
 
+    def test_zero_kp_has_no_setpoint_weight(self, capsys):
+        code, out = run_cli(capsys, "design-gains", "--tau-car", "0.5", "--tau-cl", "1")
+        assert code == 0
+        assert "kp = 0.0" in out
+        assert "none (kp = 0)" in out
+
     def test_requires_both_time_constants(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["design-gains", "--tau-car", "7"])
@@ -152,9 +158,11 @@ class TestInject:
         assert forged_bytes == [0, 50, 100, 150, 200, 250, 250, 250, 250, 250]
 
     def test_live_target_without_stock_payload(self):
-        with pytest.raises(ValueError, match="0x300"):
-            cli.main(["inject", "--duration", "1", "--id", "300",
-                      "--target-period-ms", "10", "--ramp", "0:10:1"])
+        args = cli.build_parser().parse_args(
+            ["inject", "--duration", "1", "--id", "300", "--target-period-ms", "10",
+             "--ramp", "0:10:1"])
+        with pytest.raises(scenario.ConfigError, match="0x300"):
+            args.fn(args)
 
     def test_trace_and_duration_are_exclusive(self, tmp_path):
         trace_file = _replay_trace_file(tmp_path, n=1)
@@ -272,10 +280,27 @@ class TestUserErrors:
             return ["correlate", "--trace", str(trace)]
         if case == "missing-trace":
             return ["isolate", "--trace", str(tmp_path / "absent.txt")]
+        if case == "empty-trace":
+            trace = tmp_path / "empty.txt"
+            trace.write_text("")
+            return ["isolate", "--trace", str(trace)]
+        if case == "speed-only-trace":
+            trace = tmp_path / "speed.txt"
+            canbus.save_trace(CanTrace([canbus.encode_speed(10.0)]), trace)
+            return ["correlate", "--trace", str(trace)]
+        if case in ("malformed-path-file", "backwards-path-file"):
+            path = tmp_path / "path.txt"
+            path.write_text("0 0 0 1 0\n0.1 0 0 1\n" if case == "malformed-path-file"
+                            else "0 0 0 1 0\n0.1 0 0 1 0\n0.05 0 0 1 0\n")
+            scn = tmp_path / "path.json"
+            scn.write_text(json.dumps({"duration_s": 1.0, "path_file": str(path)}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
         return ["packet", "--decode", "zz"]
 
     @pytest.mark.parametrize("case", ["tiny-scenario", "malformed-trace",
-                                      "missing-trace", "non-hex-packet"])
+                                      "missing-trace", "non-hex-packet", "empty-trace",
+                                      "speed-only-trace", "malformed-path-file",
+                                      "backwards-path-file"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -283,6 +308,40 @@ class TestUserErrors:
         assert captured.err.startswith("evsim: error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["design-gains", "--tau-car", "0", "--tau-cl", "1"],
+        ["design-gains", "--tau-car", "-1", "--tau-cl", "1"],
+        ["design-gains", "--tau-car", "7", "--tau-cl", "0"],
+        ["design-gains", "--tau-car", "7", "--tau-cl", "1", "--zeta", "0"],
+        ["design-gains", "--tau-car", "nan", "--tau-cl", "1"],
+        ["make-oval", "--speed", "abc"],
+        ["make-oval", "--speed", "0mph"],
+        ["make-oval", "--radius", "-1"],
+        ["make-oval", "--straight", "-1"],
+        ["make-oval", "--laps", "0", "--scenario", "x.json"],
+        ["packet", "--app", "2"],
+        ["packet", "--steer", "-0.1"],
+        ["inject", "--duration", "1", "--ramp", "0:300:1"],
+        ["inject", "--duration", "1", "--ramp", "0:10:-1"],
+        ["inject", "--duration", "1", "--ramp", "0:10:0"],
+        ["inject", "--duration", "1", "--ramp", "0:10:1", "--delay-us", "0"],
+        ["inject", "--duration", "-1", "--ramp", "0:10:1"],
+        ["inject", "--duration", "1", "--ramp", "0:10:1", "--target-period-ms", "0"],
+        ["inject", "--duration", "1", "--ramp", "0:10:1", "--id", "800"],
+        ["inject", "--duration", "1", "--ramp", "0:10:1", "--id", "300",
+         "--target-period-ms", "10"],
+    ])
+    def test_out_of_range_argument_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err and "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestParser:

@@ -9,10 +9,7 @@ from evsim.injection import (
     ShadowInjector,
     ThrottleReceiver,
     UnknownIdError,
-    byte_override,
     dominance_fraction,
-    merge_traces,
-    playback,
     select_ids,
 )
 
@@ -74,20 +71,35 @@ class TestFilterRule:
         assert list(tapped.trace()) == list(direct.trace())
 
 
+def _forge_one(rule, genuine: CanFrame) -> CanFrame:
+    """The shadow copy a ShadowInjector built on rule queues for genuine."""
+    bus = CanBus()
+    ShadowInjector(bus, rule, delay_us=250)
+    bus.inject_at(genuine.timestamp_us, genuine, source="ecu")
+    bus.step(genuine.timestamp_us)
+    bus.step(genuine.timestamp_us + 250)
+    genuine_out, forged = bus.trace().frames
+    assert genuine_out is genuine
+    return forged
+
+
 class TestByteOverride:
+    """The shadow copy: the genuine payload with the rule's byte rewritten."""
+
     def test_rewrites_from_genuine(self):
-        src = byte_override(3, lambda t: 200)
-        out = src(0, bytes([1, 2, 3, 4, 5, 6, 7, 8]))
-        assert out == bytes([1, 2, 3, 200, 5, 6, 7, 8])
+        genuine = CanFrame(0, 0x11A, 8, bytes([1, 2, 3, 4, 5, 6, 7, 8]))
+        forged = _forge_one(FilterRule(0x11A, 3, lambda t: 200), genuine)
+        assert forged.data == bytes([1, 2, 3, 200, 5, 6, 7, 8])
+        assert forged.timestamp_us == 250
 
     def test_time_dependent_value(self):
-        src = byte_override(0, lambda t: t // 1000)
-        assert src(5000, bytes(8))[0] == 5
+        genuine = CanFrame(5000, 0x11A, 8, bytes(8))
+        forged = _forge_one(FilterRule(0x11A, 0, lambda t: t // 1000), genuine)
+        assert forged.data[0] == 5
 
     def test_index_outside_dlc(self):
-        src = byte_override(3, lambda t: 0)
-        with pytest.raises(ValueError):
-            src(0, bytes(2))
+        with pytest.raises(ValueError, match="dlc 2"):
+            _forge_one(FilterRule(0x11A, 3, lambda t: 0), CanFrame(0, 0x11A, 2, bytes(2)))
 
 
 def _shadow_rig(delay_us=250, stop_us=100_000):
@@ -95,7 +107,7 @@ def _shadow_rig(delay_us=250, stop_us=100_000):
     bus.add_periodic(0x11A, 10_000, lambda now: bytes(8), source="ecu")
     rx = ThrottleReceiver()
     bus.add_listener(rx)
-    inj = ShadowInjector(bus, 0x11A, byte_override(3, lambda t: 200),
+    inj = ShadowInjector(bus, FilterRule(0x11A, 3, lambda t: 200),
                          delay_us=delay_us, period_us=10_000)
     t = 0
     while t < stop_us:
@@ -110,9 +122,9 @@ class TestShadowInjector:
     def test_delay_validation(self):
         bus = CanBus()
         with pytest.raises(ValueError):
-            ShadowInjector(bus, 0x11A, byte_override(3, lambda t: 0), delay_us=0)
+            ShadowInjector(bus, FilterRule(0x11A, 3, lambda t: 0), delay_us=0)
         with pytest.raises(ValueError):
-            ShadowInjector(bus, 0x11A, byte_override(3, lambda t: 0),
+            ShadowInjector(bus, FilterRule(0x11A, 3, lambda t: 0),
                            delay_us=10_000, period_us=10_000)
 
     def test_one_forgery_per_genuine_frame(self):
@@ -187,22 +199,6 @@ class TestTraceTools:
     def test_select_unknown_id(self):
         with pytest.raises(UnknownIdError, match="0x7D"):
             select_ids(self._trace(), [0x75, 0x7D])
-
-    def test_merge_sorted_and_stable(self):
-        a = CanTrace([CanFrame(5, 0x10, 1, b"\x01")])
-        b = CanTrace([CanFrame(2, 0x20, 0, b""), CanFrame(5, 0x10, 1, b"\x02")])
-        merged = merge_traces(a, b)
-        assert [f.timestamp_us for f in merged] == [2, 5, 5]
-        assert merged.frames[1].data == b"\x01"  # ties keep argument order
-
-    def test_playback(self):
-        bus = CanBus()
-        seen = []
-        bus.add_listener(lambda f, src: seen.append((f.arbitration_id, src)))
-        n = playback(bus, self._trace(), ids=[0x11A])
-        assert n == 1
-        bus.step(10)
-        assert seen == [(0x11A, "replay")]
 
 
 class TestThrottleReceiver:

@@ -10,7 +10,6 @@ from evsim.lowlevel import (
     BRAKE_GAINS,
     STEER_GAINS,
     STEER_SPEC,
-    DEFAULT_DEADBAND,
     LateralController,
     LongitudinalController,
     LoopSpec,
@@ -26,7 +25,7 @@ from evsim.lowlevel import (
     invert_k_steer,
     pi_step,
 )
-from evsim.plant import DEFAULT_PARAMS, VehiclePlant, VehicleState, app_k, bpp_k, steer_k
+from evsim.plant import BPP_VERTEX_PCT, STEER_DUTY_MIN, VehiclePlant, VehicleState, bpp_k, steer_k
 
 
 class TestGainDesign:
@@ -67,6 +66,13 @@ class TestGainDesign:
         slow = design_pi(LoopSpec(1.0, 1.0, 1.0))
         fast = design_pi(LoopSpec(1.0, 1.0, 0.5))
         assert fast.ki == pytest.approx(4.0 * slow.ki, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (7.0, 0.0, 0.5),
+                                      (7.0, 1.0, 0.0), (float("nan"), 1.0, 1.0),
+                                      (7.0, float("inf"), 0.5)])
+    def test_spec_rejects_non_positive_or_non_finite(self, spec):
+        with pytest.raises(ValueError, match="positive finite"):
+            LoopSpec(*spec)
 
 
 class TestPiStep:
@@ -118,12 +124,12 @@ class TestInversions:
         assert invert_k_app(10_000.0) == 100.0
 
     def test_bpp_roundtrip_on_reachable_range(self):
-        vertex = -DEFAULT_PARAMS.bpp_lin / (2.0 * DEFAULT_PARAMS.bpp_quad)
+        vertex = BPP_VERTEX_PCT
         for pct in (vertex, 20.0, 50.0, 75.0, 100.0):
             assert invert_k_bpp(bpp_k(pct)) == pytest.approx(pct, rel=1e-9)
 
     def test_bpp_vertex_boundary_does_not_raise(self):
-        vertex = -DEFAULT_PARAMS.bpp_lin / (2.0 * DEFAULT_PARAMS.bpp_quad)
+        vertex = BPP_VERTEX_PCT
         invert_k_bpp(bpp_k(vertex))  # exact peak, rounding guard territory
 
     def test_bpp_unreachably_weak(self):
@@ -147,12 +153,12 @@ class TestInversions:
     def test_steer_roundtrip_at_vertex(self):
         # the inverse is ill-conditioned at the flat vertex, so the
         # contract there is counts accuracy, not duty accuracy
-        lo = DEFAULT_PARAMS.steer_duty_min
+        lo = STEER_DUTY_MIN
         duty = invert_k_steer(steer_k(lo))
         assert steer_k(duty) == pytest.approx(steer_k(lo), abs=1e-6)
 
     def test_steer_saturates(self):
-        assert invert_k_steer(0.0) == pytest.approx(DEFAULT_PARAMS.steer_duty_min)
+        assert invert_k_steer(0.0) == pytest.approx(STEER_DUTY_MIN)
         assert invert_k_steer(1e9) == 64.0
 
 
@@ -257,7 +263,7 @@ class TestLateralController:
         # above the curve floor
         lat = LateralController()
         lo, hi = lat.achievable_counts()
-        floor = steer_k(DEFAULT_PARAMS.steer_duty_min)
+        floor = steer_k(STEER_DUTY_MIN)
         for demand in [hi * f for f in (0.15, 0.3, 0.5, 0.7, 0.9, 1.0)] + \
                       [lo * f for f in (0.15, 0.3, 0.5, 0.7, 0.9, 1.0)] + \
                       [floor, -floor]:
@@ -269,7 +275,7 @@ class TestLateralController:
         # angles between zero and the curve floor have no settling duty;
         # the command map pins them at the floor rather than crossing center
         lat = LateralController()
-        floor = steer_k(DEFAULT_PARAMS.steer_duty_min)
+        floor = steer_k(STEER_DUTY_MIN)
         duty = deadband_compensate(lat.steer_duty_command(floor / 2.0))
         assert steer_k(duty) == pytest.approx(floor, abs=1e-6)
 

@@ -5,11 +5,14 @@ import pytest
 
 from evsim import canbus, lowlevel, plant
 from evsim.plant import (
-    DEFAULT_PARAMS,
+    BPP_VERTEX_PCT,
+    COUNTS_PER_RAD,
+    STEER_DUTY_MIN,
+    STEER_RATIO,
+    WHEELBASE_M,
     FirstOrderChannel,
     OutOfDomainError,
     OutOfRangeError,
-    PlantParams,
     SimulatedEcus,
     VehiclePlant,
     VehicleState,
@@ -34,7 +37,7 @@ class TestSteadyStateMaps:
         assert bpp_k(100.0) == pytest.approx(-15.4768, abs=1e-12)
 
     def test_bpp_weakest_at_vertex(self):
-        vertex = DEFAULT_PARAMS.bpp_lin / (-2.0 * DEFAULT_PARAMS.bpp_quad)
+        vertex = BPP_VERTEX_PCT
         lo, hi = sorted((bpp_k(vertex), bpp_k(vertex + 1.0)))
         assert lo < hi < 0.0  # always decelerating, weakest near the vertex
 
@@ -44,7 +47,7 @@ class TestSteadyStateMaps:
         assert steer_k(64.0) == pytest.approx(3014.1, abs=1e-6)
 
     def test_steer_branch_floor(self):
-        lo = DEFAULT_PARAMS.steer_duty_min
+        lo = STEER_DUTY_MIN
         assert lo == pytest.approx(57.26178451178451, abs=1e-12)
         assert steer_k(lo) == pytest.approx(317.1292508417682, abs=1e-9)
 
@@ -55,7 +58,7 @@ class TestSteadyStateMaps:
             steer_k(65.0)
 
     def test_steer_monotone_on_branch(self):
-        lo = DEFAULT_PARAMS.steer_duty_min
+        lo = STEER_DUTY_MIN
         samples = [lo + i * (64.0 - lo) / 200 for i in range(201)]
         values = [steer_k(d) for d in samples]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -164,16 +167,15 @@ class TestSteeringDeadband:
         p = VehiclePlant()
         p.advance(0.0, 0.0, 44.9, 50_000, 0.001)
         assert p.state.steer_counts == pytest.approx(
-            -steer_k(DEFAULT_PARAMS.steer_duty_min), rel=1e-9)
+            -steer_k(STEER_DUTY_MIN), rel=1e-9)
 
 
 class TestPose:
     def test_heading_rate_matches_bicycle(self):
         p = VehiclePlant(state=VehicleState(
             speed_mph=20.0, decel=bpp_k(0.0), steer_counts=1000.0))
-        pose = DEFAULT_PARAMS.pose
-        delta = 1000.0 / pose.counts_per_rad / pose.steer_ratio
-        omega = 20.0 * plant.MPH_TO_MPS / pose.wheelbase_m * math.tan(delta)
+        delta = 1000.0 / COUNTS_PER_RAD / STEER_RATIO
+        omega = 20.0 * plant.MPH_TO_MPS / WHEELBASE_M * math.tan(delta)
         n = 5000
         for _ in range(n):
             p.pose_step(0.001)
@@ -182,9 +184,8 @@ class TestPose:
     def test_full_circle_closes(self):
         p = VehiclePlant(state=VehicleState(
             speed_mph=20.0, decel=bpp_k(0.0), steer_counts=1000.0))
-        pose = DEFAULT_PARAMS.pose
-        delta = 1000.0 / pose.counts_per_rad / pose.steer_ratio
-        omega = 20.0 * plant.MPH_TO_MPS / pose.wheelbase_m * math.tan(delta)
+        delta = 1000.0 / COUNTS_PER_RAD / STEER_RATIO
+        omega = 20.0 * plant.MPH_TO_MPS / WHEELBASE_M * math.tan(delta)
         n = round(2 * math.pi / omega / 0.001)
         for _ in range(n):
             p.pose_step(0.001)
@@ -231,14 +232,6 @@ class TestInputClamping:
 
 
 class TestParams:
-    def test_dict_roundtrip(self):
-        d = DEFAULT_PARAMS.to_dict()
-        assert PlantParams.from_dict(d) == DEFAULT_PARAMS
-
-    def test_decel_units_validated(self):
-        with pytest.raises(ValueError):
-            PlantParams(decel_units="furlongs")
-
     def test_at_rest_decel(self):
         assert VehicleState.at_rest().decel == bpp_k(0.0)
 
@@ -298,7 +291,7 @@ class TestSimulatedEcus:
         ecus = SimulatedEcus(p, pedal_fn=lambda: (40.0, 0.0))
         payload = ecus.throttle_payload(0)
         assert payload[canbus.THROTTLE_BYTE_INDEX] == round(40.0 * 2.55)
-        assert plant.decode_throttle_byte(payload[3]) == pytest.approx(40.0, abs=0.2)
+        assert payload[3] / canbus.PCT_TO_BYTE == pytest.approx(40.0, abs=0.2)
 
     def test_speed_frame_decodes_to_plant_speed(self):
         p = VehiclePlant(state=VehicleState(speed_mph=25.0, decel=bpp_k(0.0)))

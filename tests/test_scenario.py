@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evsim import canbus, scenario
 from evsim.canbus import CanFrame, CanTrace
@@ -84,6 +85,10 @@ class TestScenarioConfig:
         ({"oval": {"lanes": 2}}, "unknown oval keys"),
         ({"oval": [100.0, 20.0, 20.0]}, "oval must be an object"),
         ({"path_file": 5}, "path_file"),
+        ({"name": 5}, "name"),
+        ({"name": None}, "name"),
+        ({"name": ""}, "name"),
+        ({"duration_s": 10 ** 400}, "duration_s"),
     ])
     def test_bad_input_raises_config_error(self, change, match):
         raw = {"name": "s", "duration_s": 1.0, "speed_ref_mph": 10.0, **change}
@@ -91,6 +96,28 @@ class TestScenarioConfig:
             del raw["speed_ref_mph"]
         with pytest.raises(ConfigError, match=match):
             Scenario.from_dict(raw)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.dictionaries(
+        st.sampled_from(["name", "duration_s", "physics_dt_s", "control_period_s",
+                         "follower_period_s", "oval", "path_file", "speed_ref_mph",
+                         "heading_mode", "q", "r", "k_heading", "preview_s", "lanes"]),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+            | st.sampled_from([0.001, 0.01, 0.1, 1.0, 20.0, "relative", "absolute"]),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.sampled_from(["straight_m", "radius_m", "speed_mph", "x"]),
+                              inner, max_size=3),
+            max_leaves=6),
+        max_size=3))
+    def test_from_dict_loads_or_raises_config_error(self, changes):
+        # start from a valid scenario so the changes reach past the first check
+        raw = {"name": "s", "duration_s": 1.0, "speed_ref_mph": 10.0, **changes}
+        try:
+            scn = Scenario.from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(scn, Scenario)
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):

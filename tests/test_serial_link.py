@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from evsim import serial_link
 from evsim.serial_link import (
@@ -36,21 +36,12 @@ class TestCrc:
     def test_check_value(self):
         assert crc16_ccitt(b"123456789") == 0x29B1
 
-    def test_xmodem_check_value(self):
-        assert crc16_ccitt(b"123456789", variant="xmodem") == 0x31C3
-
     def test_empty(self):
         assert crc16_ccitt(b"") == 0xFFFF
-        assert crc16_ccitt(b"", variant="xmodem") == 0x0000
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            crc16_ccitt(b"", variant="ccitt")
 
     @given(st.binary(max_size=64))
     def test_matches_bitwise_reference(self, data):
         assert crc16_ccitt(data) == crc16_bitwise(data, 0xFFFF)
-        assert crc16_ccitt(data, variant="xmodem") == crc16_bitwise(data, 0x0000)
 
 
 class TestPacketCodec:
@@ -172,3 +163,28 @@ class TestStreamDecoder:
         # the pending 0xFA is stale garbage; the real frame still decodes
         out = dec.feed(frame)
         assert len(out) == 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.binary(max_size=32), max_size=8))
+    def test_feed_never_raises(self, chunks):
+        dec = StreamDecoder()
+        for chunk in chunks:
+            for pkt in dec.feed(chunk):
+                assert isinstance(pkt, CommandPacket)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.binary(max_size=40), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+           st.integers(0, 0xFFFF))
+    def test_clean_packet_after_garbage_decodes(self, garbage, app, bpp, steer):
+        wire = encode_packet(app / 65535, bpp / 65535, steer / 65535)
+        stream = garbage + wire
+        # The packet can only be lost to a frame that starts in the garbage,
+        # runs into the packet and passes its CRC by a 16-bit collision.
+        for start in range(max(0, len(garbage) - 9), len(garbage)):
+            try:
+                decode_packet(stream[start:start + 10])
+            except FrameError:
+                continue
+            assume(False)
+        out = StreamDecoder().feed(stream)
+        assert out and out[-1] == decode_packet(wire)
