@@ -2,22 +2,20 @@
 """Calibrate the follower's steering shaping on the reference oval.
 
 Grid-search the heading gain and feedforward preview for the lowest
-second-lap mean path error on the two-lap 20 mph oval, then refine
-around the winner and write the result into the packaged defaults
-(src/evsim/data/follower_defaults.json).
+second-lap mean path error on the two-lap 20 mph oval, refine around
+the winner, and print the values to set as follower.K_HEADING and
+follower.PREVIEW_S.
 
 Run from the repository root:
 
-    python3 scripts/calibrate_follower.py [--write]
-
-Without --write it only prints the table and the winner.
+    PYTHONPATH=src python3 scripts/calibrate_follower.py
 """
 
 import argparse
 import json
 import sys
-from pathlib import Path
 
+from evsim import follower
 from evsim import scenario as sc
 
 OVAL = sc.OvalSpec(straight_m=100.0, radius_m=20.0, speed_mph=20.0)
@@ -65,24 +63,14 @@ def search(verbose: bool = True) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--write", action="store_true",
-                        help="update src/evsim/data/follower_defaults.json")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     best = search()
     print("\nwinner:", json.dumps(best, indent=2))
-
-    if args.write:
-        target = Path(__file__).resolve().parents[1] / "src/evsim/data/follower_defaults.json"
-        defaults = {
-            "q": 1.0,
-            "r": 1.0,
-            "k_heading": best["k_heading"],
-            "preview_s": best["preview_s"],
-        }
-        target.write_text(json.dumps(defaults, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {target}")
+    print("\nset in src/evsim/follower.py "
+          f"(now {follower.K_HEADING!r} and {follower.PREVIEW_S!r}):")
+    print(f"K_HEADING = {best['k_heading']!r}")
+    print(f"PREVIEW_S = {best['preview_s']!r}")
     return 0
 
 

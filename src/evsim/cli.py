@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import canbus, follower, lowlevel, recordings, revtools, scenario, serial_link
+from . import canbus, follower, injection, lowlevel, recordings, revtools, scenario, serial_link
 from .plant import MPH_TO_MPS
 
 
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, help="capture file")
     p.add_argument("--speed-id", type=_hex_id, default=canbus.SPEED_ID,
                    help="speed broadcast id, hex (default 75)")
-    p.add_argument("--top", type=int, default=20, help="rows to print")
+    p.add_argument("--top", type=_positive_int, default=20, help="rows to print")
     p.add_argument("--signed", action="store_true",
                    help="rank by signed r, most positive first")
     p.set_defaults(fn=cmd_correlate)
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Errors caused by what the user passed in; main reports them in one line.
 _USER_ERRORS = (scenario.ConfigError, canbus.TraceParseError, serial_link.FrameError,
-                revtools.EmptyTraceError, OSError)
+                revtools.EmptyTraceError, follower.OvalError, injection.DelayError, OSError)
 
 
 def main(argv=None) -> int:

@@ -26,6 +26,12 @@ from .plant import COUNTS_PER_RAD, MPS_TO_MPH, STEER_RATIO, WHEELBASE_M
 #: Nominal slot of a generated oval table: the follower's 10 Hz period.
 OVAL_SLOT_S = 0.1
 
+#: Steering shaping calibrated on the reference two-lap 20 mph oval by
+#: scripts/calibrate_follower.py: counts per radian of heading error, and
+#: how far ahead the turn-rate feedforward reads the target table.
+K_HEADING = 6000.0
+PREVIEW_S = 0.5
+
 
 class NonMonotoneTimeError(ValueError):
     """Target sample times must be strictly increasing and evenly spaced."""
@@ -33,6 +39,10 @@ class NonMonotoneTimeError(ValueError):
 
 class SingularRError(ValueError):
     """Control weight R must be positive definite."""
+
+
+class OvalError(ValueError):
+    """Oval geometry that no target table can be built for."""
 
 
 def wrap_to_pi(angle_rad: float) -> float:
@@ -139,6 +149,17 @@ def load_path(file) -> TargetPath:
             fh.close()
 
 
+def oval_lap_s(straight_m: float, radius_m: float, speed_mps: float) -> float:
+    """Lap time of the stadium track; OvalError if it cannot be tabulated."""
+    if straight_m < 0 or radius_m <= 0 or speed_mps <= 0:
+        raise OvalError("straight >= 0, radius > 0, speed > 0 required")
+    perimeter = 2.0 * straight_m + 2.0 * math.pi * radius_m
+    lap_s = perimeter / speed_mps
+    if not math.isfinite(lap_s / OVAL_SLOT_S):
+        raise OvalError(f"lap time {lap_s:g} s is too long: {perimeter:g} m at {speed_mps:g} m/s")
+    return lap_s
+
+
 def make_oval(straight_m: float, radius_m: float, speed_mps: float) -> TargetPath:
     """Stadium track: two straights joined by semicircles, driven clockwise.
 
@@ -146,10 +167,7 @@ def make_oval(straight_m: float, radius_m: float, speed_mps: float) -> TargetPat
     nearest integer to lap_time / OVAL_SLOT_S and dt is stretched so the
     table period equals the lap time exactly, making the wrap seamless.
     """
-    if straight_m < 0 or radius_m <= 0 or speed_mps <= 0:
-        raise ValueError("straight >= 0, radius > 0, speed > 0 required")
-    perimeter = 2.0 * straight_m + 2.0 * math.pi * radius_m
-    lap_s = perimeter / speed_mps
+    lap_s = oval_lap_s(straight_m, radius_m, speed_mps)
     n = max(1, round(lap_s / OVAL_SLOT_S))
     dt = lap_s / n
     s1 = straight_m
@@ -254,12 +272,12 @@ class FollowerGains:
 
     k_n: float = 1.0
     k_e: float = 1.0
-    k_heading: float = 4000.0
-    preview_s: float = 0.0
+    k_heading: float = K_HEADING
+    preview_s: float = PREVIEW_S
 
     @classmethod
-    def from_weights(cls, q=1.0, r=1.0, k_heading: float = 4000.0,
-                     preview_s: float = 0.0) -> "FollowerGains":
+    def from_weights(cls, q=1.0, r=1.0, k_heading: float = K_HEADING,
+                     preview_s: float = PREVIEW_S) -> "FollowerGains":
         k = lqr_gain(q, r)
         return cls(k[0], k[1], k_heading, preview_s)
 

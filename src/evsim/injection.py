@@ -31,6 +31,10 @@ class UnknownIdError(ValueError):
     """Requested arbitration id never appears in the trace."""
 
 
+class DelayError(ValueError):
+    """Shadow delay that is not positive or not shorter than the genuine period."""
+
+
 @dataclass(frozen=True)
 class FilterRule:
     """Override of one payload byte on one arbitration id.
@@ -74,8 +78,9 @@ class ShadowInjector:
 
     The copy carries the rule's forged byte; a genuine frame too short
     for that byte raises ValueError.  The delay must be shorter than the
-    genuine period or the forged frame would land after (or with) the
-    next genuine one and lose the last-writer race it is meant to win.
+    genuine period (DelayError otherwise), or the forged frame would land
+    after (or with) the next genuine one and lose the last-writer race it
+    is meant to win.
     The injector tags its own frames and skips them when listening, so
     it never chases itself.
     """
@@ -85,9 +90,9 @@ class ShadowInjector:
     def __init__(self, bus: CanBus, rule: FilterRule, delay_us: int = 250,
                  period_us: int | None = None):
         if delay_us <= 0:
-            raise ValueError("delay must be positive")
+            raise DelayError("delay must be positive")
         if period_us is not None and delay_us >= period_us:
-            raise ValueError(
+            raise DelayError(
                 f"delay {delay_us} us must be shorter than the genuine period {period_us} us")
         self.bus = bus
         self.rule = rule

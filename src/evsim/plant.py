@@ -23,7 +23,10 @@ Pose is a kinematic bicycle: road-wheel angle = counts / counts_per_rad
 scale is 2000 counts per half-turn of the steering wheel.
 
 The calibration below was identified once on the test vehicle; every
-module reads it from here.
+module reads it from here, and VehiclePlant.advance reads it directly.
+The float expressions in advance keep a fixed form and order: the
+golden digests in tests/golden/manifest.json pin every value they
+produce, so a reordered product or sum shows up there.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import canbus
-from . import _kernels
 from .canbus import OutOfRangeError
 
 log = logging.getLogger(__name__)
@@ -95,10 +97,6 @@ class VehicleState:
         """Rest state: pedals released long enough for the channels to settle."""
         return cls(decel=bpp_k(0.0))
 
-    def as_tuple(self) -> tuple:
-        return (self.speed_mph, self.decel, self.steer_counts,
-                self.heading_rad, self.p_n, self.p_e)
-
 
 # --- steady-state maps -------------------------------------------------------
 
@@ -128,8 +126,8 @@ def steer_k(duty_pct: float) -> float:
 class FirstOrderChannel:
     """One first-order lag x -> K(u) with exact per-step discretization.
 
-    Deliberately plain: this is the reference the fused kernel is checked
-    against in the tests.
+    Deliberately plain: this is the reference the fused VehiclePlant.advance
+    is checked against in the tests.
     """
 
     def __init__(self, k_map: Callable[[float], float], tau_s: float, state: float = 0.0):
@@ -150,10 +148,11 @@ class FirstOrderChannel:
 class VehiclePlant:
     """Holds the vehicle state and advances it on the physics tick.
 
-    The per-tick arithmetic lives in ``evsim._kernels.advance``.
-    dynamics_step runs that kernel and then restores the pose;
-    pose_step is a plain-Python pose update, kept as the reference that
-    the kernel's fused pose arithmetic is tested against.
+    advance is the per-tick loop, with the three channel lags (alphas)
+    cached per tick size, since a scenario sets its own physics_dt_s.
+    dynamics_step runs it and then restores the pose; pose_step is a
+    plain pose update, kept as the reference that advance's fused pose
+    arithmetic is tested against.
     """
 
     def __init__(self, state: VehicleState | None = None):
@@ -164,28 +163,6 @@ class VehiclePlant:
     def reset(self, state: VehicleState | None = None) -> None:
         self.state = state if state is not None else VehicleState.at_rest()
         self.last_inputs = (0.0, 0.0, 50.0)
-
-    def _kernel_params(self, dt: float) -> tuple:
-        cached = self._alpha_cache.get(dt)
-        if cached is not None:
-            return cached
-        packed = (
-            APP_GAIN, APP_OFFSET,
-            BPP_QUAD, BPP_LIN, BPP_CONST,
-            STEER_QUAD, STEER_LIN, STEER_CONST,
-            STEER_DUTY_MIN, STEER_DUTY_MAX,
-            DEADBAND_LO, DEADBAND_HI,
-            BRAKE_ACTIVE_PCT,
-            -math.expm1(-dt / APP_TAU_S),
-            -math.expm1(-dt / BPP_TAU_S),
-            -math.expm1(-dt / STEER_TAU_S),
-            DECEL_TO_MPH_S,
-            dt,
-            COUNTS_PER_RAD, STEER_RATIO, WHEELBASE_M,
-            MPH_TO_MPS,
-        )
-        self._alpha_cache[dt] = packed
-        return packed
 
     def _clamped_inputs(self, app_pct: float, bpp_pct: float, steer_duty: float) -> tuple:
         clamped = []
@@ -200,11 +177,56 @@ class VehiclePlant:
 
     def advance(self, app_pct: float, bpp_pct: float, steer_duty: float,
                 n_ticks: int, dt: float) -> VehicleState:
-        """Advance n physics ticks with held inputs (the hot path)."""
+        """Advance n physics ticks with held inputs (the hot path).
+
+        Each tick applies the exact first-order channel updates and then
+        the kinematic bicycle pose update using the post-update speed
+        and steering angle.
+        """
         app_pct, bpp_pct, steer_duty = self._clamped_inputs(app_pct, bpp_pct, steer_duty)
-        out = _kernels.advance(self.state.as_tuple(), app_pct, bpp_pct, steer_duty,
-                               n_ticks, self._kernel_params(dt))
-        self.state = VehicleState(*out)
+        alphas = self._alpha_cache.get(dt)
+        if alphas is None:
+            alphas = self._alpha_cache[dt] = (-math.expm1(-dt / APP_TAU_S),
+                                              -math.expm1(-dt / BPP_TAU_S),
+                                              -math.expm1(-dt / STEER_TAU_S))
+        alpha_app, alpha_bpp, alpha_steer = alphas
+
+        k_app = app_k(app_pct)
+        k_bpp = bpp_k(bpp_pct)
+        braking = bpp_pct > BRAKE_ACTIVE_PCT
+        if steer_duty > DEADBAND_HI:
+            steer_target = steer_k(min(STEER_DUTY_MAX, max(STEER_DUTY_MIN, steer_duty)))
+        elif steer_duty < DEADBAND_LO:
+            steer_target = -steer_k(min(STEER_DUTY_MAX, max(STEER_DUTY_MIN, 100.0 - steer_duty)))
+        else:
+            steer_target = None  # inside the deadband the angle holds
+
+        decel_to_mph_s = DECEL_TO_MPH_S
+        mph_to_ms = MPH_TO_MPS
+        counts_per_rad = COUNTS_PER_RAD
+        steer_ratio = STEER_RATIO
+        wheelbase = WHEELBASE_M
+        tan, sin, cos = math.tan, math.sin, math.cos
+        st = self.state
+        speed, decel, counts = st.speed_mph, st.decel, st.steer_counts
+        heading, p_n, p_e = st.heading_rad, st.p_n, st.p_e
+        for _ in range(n_ticks):
+            decel = decel + alpha_bpp * (k_bpp - decel)
+            if braking:
+                speed = speed + decel * decel_to_mph_s * dt
+            else:
+                speed = speed + alpha_app * (k_app - speed)
+            if speed < 0.0:
+                speed = 0.0
+            if steer_target is not None:
+                counts = counts + alpha_steer * (steer_target - counts)
+            v_ms = speed * mph_to_ms
+            delta = counts / counts_per_rad / steer_ratio
+            heading = heading + v_ms / wheelbase * tan(delta) * dt
+            p_n = p_n + v_ms * cos(heading) * dt
+            p_e = p_e + v_ms * sin(heading) * dt
+
+        self.state = VehicleState(speed, decel, counts, heading, p_n, p_e)
         self.last_inputs = (app_pct, bpp_pct, steer_duty)
         return self.state
 

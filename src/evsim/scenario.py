@@ -26,9 +26,8 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from . import canbus
@@ -41,12 +40,6 @@ from .plant import MPH_TO_MPS, SimulatedEcus, VehiclePlant
 
 class ConfigError(ValueError):
     """Scenario description is inconsistent or incomplete."""
-
-
-def follower_defaults() -> dict:
-    """Packaged follower gain defaults (heading gain is rig-calibrated)."""
-    raw = resources.files("evsim").joinpath("data/follower_defaults.json").read_text()
-    return json.loads(raw)
 
 
 def _finite(value, name: str) -> None:
@@ -90,17 +83,17 @@ class Scenario:
     heading_mode: str = "relative"
     q: float = 1.0
     r: float = 1.0
-    k_heading: float | None = None
-    preview_s: float | None = None
+    k_heading: float = fl.K_HEADING
+    preview_s: float = fl.PREVIEW_S
 
     def validate(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
-        for name in ("duration_s", "physics_dt_s", "control_period_s", "follower_period_s"):
+        for name in ("duration_s", "physics_dt_s", "control_period_s", "follower_period_s",
+                     "k_heading", "preview_s"):
             _finite(getattr(self, name), name)
-        for name in ("speed_ref_mph", "k_heading", "preview_s"):
-            if getattr(self, name) is not None:
-                _finite(getattr(self, name), name)
+        if self.speed_ref_mph is not None:
+            _finite(self.speed_ref_mph, "speed_ref_mph")
         for name in ("q", "r"):
             weight = getattr(self, name)
             for w in weight if isinstance(weight, (list, tuple)) else (weight,):
@@ -114,6 +107,11 @@ class Scenario:
                 _finite(value, f"oval.{name}")
             if self.oval.straight_m < 0 or self.oval.radius_m <= 0 or self.oval.speed_mph <= 0:
                 raise ConfigError("oval needs straight_m >= 0, radius_m > 0 and speed_mph > 0")
+            try:
+                fl.oval_lap_s(self.oval.straight_m, self.oval.radius_m,
+                              self.oval.speed_mph * MPH_TO_MPS)
+            except fl.OvalError as exc:
+                raise ConfigError(f"oval: {exc}") from exc
         if self.path_file is not None and not isinstance(self.path_file, str):
             raise ConfigError(f"path_file must be a string, got {self.path_file!r}")
         if self.duration_s <= 0:
@@ -140,62 +138,27 @@ class Scenario:
     def from_dict(cls, raw: dict) -> "Scenario":
         if not isinstance(raw, dict):
             raise ConfigError(f"a scenario must be a JSON object, got {type(raw).__name__}")
-        raw = dict(raw)
-        oval = raw.pop("oval", None)
-        defaults = follower_defaults()
-        fields = {
-            "name": raw.pop("name", "scenario"),
-            "duration_s": raw.pop("duration_s", None),
-            "physics_dt_s": raw.pop("physics_dt_s", 0.001),
-            "control_period_s": raw.pop("control_period_s", 0.01),
-            "follower_period_s": raw.pop("follower_period_s", 0.1),
-            "path_file": raw.pop("path_file", None),
-            "speed_ref_mph": raw.pop("speed_ref_mph", None),
-            "heading_mode": raw.pop("heading_mode", "relative"),
-            "q": raw.pop("q", defaults.get("q", 1.0)),
-            "r": raw.pop("r", defaults.get("r", 1.0)),
-            "k_heading": raw.pop("k_heading", None),
-            "preview_s": raw.pop("preview_s", None),
-        }
-        if raw:
-            raise ConfigError(f"unknown scenario keys: {sorted(raw)}")
-        if fields["duration_s"] is None:
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
+        if raw.get("duration_s") is None:
             raise ConfigError("duration_s is required")
+        raw = {"name": "scenario", **raw}
+        oval = raw.get("oval")
         if oval is not None:
             if not isinstance(oval, dict):
                 raise ConfigError(f"oval must be an object, got {oval!r}")
             unknown = set(oval) - set(asdict(OvalSpec()))
             if unknown:
                 raise ConfigError(f"unknown oval keys: {sorted(unknown)}")
-            oval = OvalSpec(**oval)
-        scn = cls(oval=oval, **fields)
+            raw["oval"] = OvalSpec(**oval)
+        scn = cls(**raw)
         scn.validate()
         return scn
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "duration_s": self.duration_s,
-            "physics_dt_s": self.physics_dt_s,
-            "control_period_s": self.control_period_s,
-            "follower_period_s": self.follower_period_s,
-            "heading_mode": self.heading_mode,
-            "q": self.q,
-            "r": self.r,
-        }
-        if self.oval is not None:
-            out["oval"] = {"straight_m": self.oval.straight_m,
-                           "radius_m": self.oval.radius_m,
-                           "speed_mph": self.oval.speed_mph}
-        if self.path_file is not None:
-            out["path_file"] = self.path_file
-        if self.speed_ref_mph is not None:
-            out["speed_ref_mph"] = self.speed_ref_mph
-        if self.k_heading is not None:
-            out["k_heading"] = self.k_heading
-        if self.preview_s is not None:
-            out["preview_s"] = self.preview_s
-        return out
+        """Every field, the unused reference sources left out."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def load_scenario(path) -> Scenario:
@@ -270,10 +233,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     path = _build_path(scn)
     pilot = None
     if path is not None:
-        defaults = follower_defaults()
-        k_heading = scn.k_heading if scn.k_heading is not None else defaults["k_heading"]
-        preview = scn.preview_s if scn.preview_s is not None else defaults.get("preview_s", 0.0)
-        gains = fl.FollowerGains.from_weights(scn.q, scn.r, k_heading, preview)
+        gains = fl.FollowerGains.from_weights(scn.q, scn.r, scn.k_heading, scn.preview_s)
         pilot = fl.PathFollower(path, gains, scn.heading_mode,
                                 counts_limits=lat.achievable_counts())
 

@@ -295,12 +295,26 @@ class TestUserErrors:
             scn = tmp_path / "path.json"
             scn.write_text(json.dumps({"duration_s": 1.0, "path_file": str(path)}))
             return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "endless-oval-scenario":
+            scn = tmp_path / "endless.json"
+            scn.write_text(json.dumps({"duration_s": 1.0, "oval": {
+                "straight_m": 1e308, "radius_m": 1, "speed_mph": 1}}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "endless-oval":
+            return ["make-oval", "--straight", "1e308"]
+        if case == "live-delay-not-shorter-than-period":
+            return ["inject", "--duration", "1", "--ramp", "0:10:1", "--delay-us", "100000"]
+        if case == "replay-delay-not-shorter-than-period":
+            return ["inject", "--trace", str(_replay_trace_file(tmp_path)),
+                    "--ramp", "0:10:1", "--delay-us", "100000"]
         return ["packet", "--decode", "zz"]
 
     @pytest.mark.parametrize("case", ["tiny-scenario", "malformed-trace",
                                       "missing-trace", "non-hex-packet", "empty-trace",
                                       "speed-only-trace", "malformed-path-file",
-                                      "backwards-path-file"])
+                                      "backwards-path-file", "endless-oval-scenario",
+                                      "endless-oval", "live-delay-not-shorter-than-period",
+                                      "replay-delay-not-shorter-than-period"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -331,6 +345,9 @@ class TestUserErrors:
         ["inject", "--duration", "1", "--ramp", "0:10:1", "--id", "800"],
         ["inject", "--duration", "1", "--ramp", "0:10:1", "--id", "300",
          "--target-period-ms", "10"],
+        ["correlate", "--trace", "capture.txt", "--top", "0"],
+        ["correlate", "--trace", "capture.txt", "--top", "-28"],
+        ["correlate", "--trace", "capture.txt", "--top", "-3"],
     ])
     def test_out_of_range_argument_exits_2(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

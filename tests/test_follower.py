@@ -270,7 +270,7 @@ class TestPathFollower:
     def test_arc_feedforward_matches_kinematics(self):
         radius, speed = 20.0, 8.9408
         path = make_oval(100.0, radius, speed)
-        f = PathFollower(path, FollowerGains(k_heading=4000.0))
+        f = PathFollower(path, FollowerGains(k_heading=4000.0, preview_s=0.0))
         # mid-arc, standing on the anchor with the target's own heading
         t = (100.0 / speed) + (math.pi * radius / speed) / 2.0
         t = math.floor(t / path.dt_s) * path.dt_s
@@ -283,7 +283,7 @@ class TestPathFollower:
 
     def test_straight_has_no_feedforward(self):
         path = make_oval(100.0, 20.0, 8.9408)
-        f = PathFollower(path, FollowerGains(k_heading=4000.0))
+        f = PathFollower(path, FollowerGains(k_heading=4000.0, preview_s=0.0))
         t = 10 * path.dt_s  # well inside the first straight
         anchor = path.position_at(t, held=False)
         cmd = f.step(t, anchor[0], anchor[1], 0.0)

@@ -1,4 +1,4 @@
-"""The per-tick vehicle update kernel.
+"""The per-tick vehicle update, VehiclePlant.advance.
 
 The golden digests pin its floats end to end; these tests pin the
 properties the plant relies on: a fused span equals the same ticks run
@@ -6,7 +6,7 @@ one at a time, speed floors at zero, and the deadband holds the angle.
 """
 
 from evsim import _kernels
-from evsim.plant import VehiclePlant
+from evsim.plant import VehiclePlant, VehicleState
 
 
 def test_fused_equals_split():
@@ -16,24 +16,20 @@ def test_fused_equals_split():
     a.advance(40.0, 0.0, 58.0, 500, 0.001)
     for _ in range(500):
         b.advance(40.0, 0.0, 58.0, 1, 0.001)
-    assert a.state.as_tuple() == b.state.as_tuple()
+    assert a.state == b.state
 
 
 def test_backend_reported():
     assert _kernels.BACKEND == "pure"
 
 
-def test_speed_floor_in_both():
-    plant = VehiclePlant()
-    params = plant._kernel_params(0.001)
-    state = (0.5, -0.3768, 0.0, 0.0, 0.0, 0.0)
-    out = _kernels.advance(state, 0.0, 80.0, 50.0, 5000, params)
-    assert out[0] == 0.0
+def test_speed_floor():
+    plant = VehiclePlant(VehicleState(0.5, -0.3768, 0.0, 0.0, 0.0, 0.0))
+    out = plant.advance(0.0, 80.0, 50.0, 5000, 0.001)
+    assert out.speed_mph == 0.0
 
 
-def test_deadband_freezes_counts_in_both():
-    plant = VehiclePlant()
-    params = plant._kernel_params(0.001)
-    state = (10.0, -0.3768, 1234.5, 0.0, 0.0, 0.0)
-    out = _kernels.advance(state, 20.0, 0.0, 50.0, 100, params)
-    assert out[2] == 1234.5
+def test_deadband_freezes_counts():
+    plant = VehiclePlant(VehicleState(10.0, -0.3768, 1234.5, 0.0, 0.0, 0.0))
+    out = plant.advance(20.0, 0.0, 50.0, 100, 0.001)
+    assert out.steer_counts == 1234.5

@@ -212,7 +212,7 @@ class TestPose:
             fused.step(30.0, 0.0, 58.0, 0.001)
             split.dynamics_step(30.0, 0.0, 58.0, 0.001)
             split.pose_step(0.001)
-        assert fused.state.as_tuple() == split.state.as_tuple()
+        assert fused.state == split.state
 
 
 class TestInputClamping:
@@ -227,7 +227,7 @@ class TestInputClamping:
         p = VehiclePlant()
         p.advance(50.0, 0.0, 60.0, 100, 0.001)
         p.reset()
-        assert p.state.as_tuple() == VehicleState.at_rest().as_tuple()
+        assert p.state == VehicleState.at_rest()
         assert p.last_inputs == (0.0, 0.0, 50.0)
 
 

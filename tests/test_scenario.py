@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evsim import canbus, scenario
+from evsim import canbus, follower, scenario
 from evsim.canbus import CanFrame, CanTrace
 from evsim.scenario import (
     ConfigError,
     OvalSpec,
     Scenario,
     emit_logs,
-    follower_defaults,
     load_scenario,
     ramp_bytes,
     run_live_injection,
@@ -89,6 +88,8 @@ class TestScenarioConfig:
         ({"name": None}, "name"),
         ({"name": ""}, "name"),
         ({"duration_s": 10 ** 400}, "duration_s"),
+        ({"k_heading": None}, "k_heading"),
+        ({"oval": {"straight_m": 1e308, "radius_m": 1, "speed_mph": 1}}, "lap time"),
     ])
     def test_bad_input_raises_config_error(self, change, match):
         raw = {"name": "s", "duration_s": 1.0, "speed_ref_mph": 10.0, **change}
@@ -140,10 +141,15 @@ class TestScenarioConfig:
         save_scenario(scn, p)
         assert load_scenario(p) == scn
 
-    def test_follower_defaults_shape(self):
-        d = follower_defaults()
-        assert set(d) == {"k_heading", "preview_s", "q", "r"}
-        assert d["k_heading"] > 0
+    def test_minimal_scenario_carries_calibrated_gains(self, tmp_path):
+        scn = Scenario.from_dict({"duration_s": 1.0, "oval": {}})
+        gains = follower.FollowerGains.from_weights(scn.q, scn.r, scn.k_heading, scn.preview_s)
+        assert gains == follower.FollowerGains()
+        assert (scn.k_heading, scn.preview_s) == (follower.K_HEADING, follower.PREVIEW_S)
+        p = tmp_path / "minimal.json"
+        save_scenario(scn, p)
+        saved = json.loads(p.read_text())
+        assert (saved["k_heading"], saved["preview_s"]) == (follower.K_HEADING, follower.PREVIEW_S)
 
 
 @pytest.fixture(scope="module")
