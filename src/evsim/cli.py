@@ -36,6 +36,8 @@ def _finite_number(accept, wanted: str):
 _positive = _finite_number(lambda v: v > 0.0, "a finite number > 0")
 _non_negative = _finite_number(lambda v: v >= 0.0, "a finite number >= 0")
 _fraction = _finite_number(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_run_seconds = _finite_number(lambda v: 0.0 < v <= scenario.MAX_RUN_S,
+                              f"a number > 0 and <= {scenario.MAX_RUN_S:g}")
 
 
 def _positive_int(text: str) -> int:
@@ -234,8 +236,15 @@ def cmd_packet(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in the same one line as main's user errors."""
+
+    def error(self, message: str):
+        self.exit(2, f"evsim: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evsim",
         description="CAN-actuated EV conversion simulator and bus analysis tools")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -248,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="override a broadcast byte and watch the rig")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--trace", help="recorded trace to replay")
-    src.add_argument("--duration", type=_positive, metavar="SECONDS",
+    src.add_argument("--duration", type=_run_seconds, metavar="SECONDS",
                      help="live run length against the stock broadcasts")
     p.add_argument("--id", type=_hex_id, default=canbus.THROTTLE_ID,
                    help="target arbitration id, hex (default 11A)")

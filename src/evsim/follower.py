@@ -25,6 +25,8 @@ from .plant import COUNTS_PER_RAD, MPS_TO_MPH, STEER_RATIO, WHEELBASE_M
 
 #: Nominal slot of a generated oval table: the follower's 10 Hz period.
 OVAL_SLOT_S = 0.1
+#: Largest oval table make_oval builds: a 10,000 s lap, about 0.4 s to build.
+MAX_OVAL_SAMPLES = 100_000
 
 #: Steering shaping calibrated on the reference two-lap 20 mph oval by
 #: scripts/calibrate_follower.py: counts per radian of heading error, and
@@ -155,8 +157,9 @@ def oval_lap_s(straight_m: float, radius_m: float, speed_mps: float) -> float:
         raise OvalError("straight >= 0, radius > 0, speed > 0 required")
     perimeter = 2.0 * straight_m + 2.0 * math.pi * radius_m
     lap_s = perimeter / speed_mps
-    if not math.isfinite(lap_s / OVAL_SLOT_S):
-        raise OvalError(f"lap time {lap_s:g} s is too long: {perimeter:g} m at {speed_mps:g} m/s")
+    if not lap_s / OVAL_SLOT_S <= MAX_OVAL_SAMPLES:
+        raise OvalError(f"lap time {lap_s:g} s is too long: {perimeter:g} m at {speed_mps:g} m/s"
+                        f" needs more than {MAX_OVAL_SAMPLES} samples")
     return lap_s
 
 

@@ -14,10 +14,14 @@ on their own schedule; due times between physics ticks take effect at
 the next tick.  Everything is integer-microsecond bookkeeping, so runs
 are deterministic and replays byte-identical.
 
-The injection rigs run a receiver that obeys the last throttle command
-seen on the wire, against either live broadcasts plus a shadow/tap
-override or a recorded trace.  rig_loop is that rig's 1 ms step loop,
-shared with the replay oracle in recordings.
+run_until is the one loop that runs a bus and a plant together.  It
+advances the plant in chunks of held inputs and steps the bus only
+where a frame falls due.  run_scenario calls it once per control
+period.  The injection rigs run a receiver that obeys the last throttle
+command seen on the wire, against either live broadcasts plus a
+shadow/tap override or a recorded trace; rig_loop drives that rig
+through run_until, and the replay oracle in recordings shares it.  The
+press capture in recordings runs its pedal phases through run_until too.
 """
 
 from __future__ import annotations
@@ -40,6 +44,16 @@ from .plant import MPH_TO_MPS, SimulatedEcus, VehiclePlant
 
 class ConfigError(ValueError):
     """Scenario description is inconsistent or incomplete."""
+
+
+#: Longest run of simulated time (one day) a scenario, a live injection or a
+#: replayed capture may ask for; longer ones would run for hours or never end.
+MAX_RUN_S = 86_400.0
+
+
+def _check_run_s(seconds: float, what: str) -> None:
+    if not seconds <= MAX_RUN_S:
+        raise ConfigError(f"{what} {seconds:g} s is too long: the limit is {MAX_RUN_S:g} s")
 
 
 def _finite(value, name: str) -> None:
@@ -116,6 +130,7 @@ class Scenario:
             raise ConfigError(f"path_file must be a string, got {self.path_file!r}")
         if self.duration_s <= 0:
             raise ConfigError("duration must be positive")
+        _check_run_s(self.duration_s, "duration")
         phys = _to_us(self.physics_dt_s, "physics_dt_s")
         ctl = _to_us(self.control_period_s, "control_period_s")
         hl = _to_us(self.follower_period_s, "follower_period_s")
@@ -195,10 +210,7 @@ class ScenarioResult:
 
 def _control_steps(duration_s: float, ctl_us: int) -> int:
     """Whole control periods in a run of duration_s seconds."""
-    us = duration_s * 1e6
-    if not math.isfinite(us):
-        raise ConfigError(f"duration {duration_s} s is too long")
-    return int(round(us)) // ctl_us
+    return round(duration_s * 1e6) // ctl_us
 
 
 def _build_path(scn: Scenario) -> fl.TargetPath | None:
@@ -211,6 +223,31 @@ def _build_path(scn: Scenario) -> fl.TargetPath | None:
         except ValueError as exc:  # malformed table, NonMonotoneTimeError included
             raise ConfigError(f"path_file {scn.path_file}: {exc}") from exc
     return None
+
+
+def run_until(bus: canbus.CanBus, plant: VehiclePlant, inputs, t_us: int, end_us: int,
+              phys_us: int, dt: float) -> int:
+    """Run the bus and the plant from t_us to end_us; returns the physics ticks run.
+
+    Frames due at or before t_us are delivered first.  Then the plant
+    advances, with the inputs() read just before each advance, to the
+    physics boundary at or after the next due frame, where the bus
+    steps and delivers it.  Nothing is delivered at end_us itself: a
+    frame due there is left to the next call or to a final bus.step.
+    t_us and end_us lie on the physics grid.
+    """
+    ticks = 0
+    while t_us < end_us:
+        due = bus.next_due_us()
+        if due is not None and due <= t_us:
+            bus.step(t_us)
+            continue
+        boundary = end_us if due is None else min(end_us, -(-due // phys_us) * phys_us)
+        n = (boundary - t_us) // phys_us
+        plant.advance(*inputs(), n, dt)
+        ticks += n
+        t_us = boundary
+    return ticks
 
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
@@ -238,7 +275,6 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
                                 counts_limits=lat.achievable_counts())
 
     rows: list[tuple] = []
-    t_us = 0
     speed_ref = scn.speed_ref_mph or 0.0
     counts_ref = 0.0
     serial_roundtrips = 0
@@ -267,21 +303,8 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         duty_plant = ll.deadband_compensate(pkt.steer * 100.0)
 
         end_us = start_us + ctl_us
-        while t_us < end_us:
-            due = bus.next_due_us()
-            if due is not None and due <= t_us:
-                bus.step(t_us)
-                continue
-            if due is None or due >= end_us:
-                boundary = end_us
-            else:
-                boundary = min(end_us, ((due + phys_us - 1) // phys_us) * phys_us)
-            n = (boundary - t_us) // phys_us
-            plant.advance(app_rx, bpp_rx, duty_plant, n, dt)
-            physics_ticks += n
-            t_us = boundary
-            if due is not None and due <= t_us:
-                bus.step(t_us)
+        physics_ticks += run_until(bus, plant, lambda: (app_rx, bpp_rx, duty_plant),
+                                   start_us, end_us, phys_us, dt)
 
         t_s = end_us / 1e6
         st = plant.state
@@ -294,6 +317,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
                      st.p_e, app_pct, bpp_pct, duty_raw, duty_plant, speed_ref,
                      counts_ref, tgt_n, tgt_e, path_err,
                      speed_ref - st.speed_mph))
+    bus.step(n_ctl * ctl_us)  # frames due at the last boundary
 
     trace = bus.trace()
     metrics = _scenario_metrics(scn, rows, path, len(trace), physics_ticks, n_ctl,
@@ -416,16 +440,22 @@ def rig_loop(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
              n_ms: int) -> float:
     """Run the bus and a rig that obeys rx's throttle for n_ms 1 ms ticks.
 
-    The brake stays released and the steering centred.  Returns the top
-    rig speed in mph seen after any tick.
+    The rig runs one tick behind the bus: the frames delivered at
+    k ms set the throttle of the tick that follows, and the last bus
+    step is at n_ms ms.  The brake stays released and the steering
+    centred, so within a run_until chunk of held throttle the speed
+    approaches app_k(throttle) monotonically and its peak lies at a
+    chunk end.  Returns the top rig speed in mph over every tick.
     """
     top_speed = 0.0
-    for ms in range(1, n_ms + 1):
-        bus.step(ms * 1000)
-        rig.advance(rx.app_pct, 0.0, 50.0, 1, 0.001)
-        if rig.state.speed_mph > top_speed:
-            top_speed = rig.state.speed_mph
-    return top_speed
+
+    def inputs():  # read at each chunk start, which is the previous chunk's end
+        nonlocal top_speed
+        top_speed = max(top_speed, rig.state.speed_mph)
+        return rx.app_pct, 0.0, 50.0
+
+    run_until(bus, rig, inputs, 1000, (n_ms + 1) * 1000, 1000, 0.001)
+    return max(top_speed, rig.state.speed_mph)
 
 
 #: Rig time run past the last replayed frame, so a late press still shows.
@@ -435,6 +465,8 @@ REPLAY_SETTLE_S = 1.0
 def replay_ms(trace: canbus.CanTrace) -> int:
     """Rig ticks that cover a replayed trace plus REPLAY_SETTLE_S after its last frame."""
     last_us = trace.frames[-1].timestamp_us if len(trace) else 0
+    if last_us > MAX_RUN_S * 1e6:  # integer timestamps of any size compare exactly
+        raise ConfigError(f"capture runs to {last_us} us, past the limit of {MAX_RUN_S:g} s")
     return last_us // 1000 + round(REPLAY_SETTLE_S * 1000.0)
 
 
@@ -472,6 +504,7 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
     rig's own speed frames show the override taking physical effect.
     schedule overrides the broadcast periods (microseconds per id).
     """
+    _check_run_s(duration_s, "duration")
     rig, bus, rx, rule = _injection_rig(mode, target_id, byte_index, value_fn)
     ecus = SimulatedEcus(rig, pedal_fn=lambda: (0.0, 0.0), schedule=schedule)
     ecus.attach(bus)

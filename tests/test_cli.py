@@ -307,6 +307,23 @@ class TestUserErrors:
         if case == "replay-delay-not-shorter-than-period":
             return ["inject", "--trace", str(_replay_trace_file(tmp_path)),
                     "--ramp", "0:10:1", "--delay-us", "100000"]
+        if case == "day-long-scenario":
+            scn = tmp_path / "long.json"
+            scn.write_text(json.dumps({"duration_s": 1e300, "speed_ref_mph": 10.0}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "slow-oval-scenario":
+            scn = tmp_path / "slow.json"
+            scn.write_text(json.dumps({"duration_s": 1.0, "oval": {"speed_mph": 1e-9}}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "slow-oval":
+            return ["make-oval", "--speed", "1e-6"]
+        if case in ("far-capture-inject", "far-capture-isolate"):
+            trace = tmp_path / "far.txt"
+            trace.write_text("0 11A 8 00 00 00 10 00 00 00 00\n"
+                             "1000000000000000 11A 8 00 00 00 10 00 00 00 00\n")
+            if case == "far-capture-inject":
+                return ["inject", "--trace", str(trace), "--ramp", "0:10:1"]
+            return ["isolate", "--trace", str(trace)]
         return ["packet", "--decode", "zz"]
 
     @pytest.mark.parametrize("case", ["tiny-scenario", "malformed-trace",
@@ -314,7 +331,9 @@ class TestUserErrors:
                                       "speed-only-trace", "malformed-path-file",
                                       "backwards-path-file", "endless-oval-scenario",
                                       "endless-oval", "live-delay-not-shorter-than-period",
-                                      "replay-delay-not-shorter-than-period"])
+                                      "replay-delay-not-shorter-than-period",
+                                      "day-long-scenario", "slow-oval-scenario", "slow-oval",
+                                      "far-capture-inject", "far-capture-isolate"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -348,6 +367,9 @@ class TestUserErrors:
         ["correlate", "--trace", "capture.txt", "--top", "0"],
         ["correlate", "--trace", "capture.txt", "--top", "-28"],
         ["correlate", "--trace", "capture.txt", "--top", "-3"],
+        ["inject", "--duration", "1e306", "--ramp", "0:10:1"],
+        ["inject", "--duration", "1e300", "--ramp", "0:10:1"],
+        ["inject", "--duration", "86400.5", "--ramp", "0:10:1"],
     ])
     def test_out_of_range_argument_exits_2(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -357,8 +379,15 @@ class TestUserErrors:
             code = exc.code
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err and "Traceback" not in captured.err + captured.out
+        assert captured.err.startswith("evsim: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "x.json").exists()
+
+    def test_day_long_live_run_accepted(self):
+        args = cli.build_parser().parse_args(
+            ["inject", "--duration", "86400", "--ramp", "0:10:1"])
+        assert args.duration == scenario.MAX_RUN_S
 
 
 class TestParser:

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from evsim import canbus, follower, scenario
 from evsim.canbus import CanFrame, CanTrace
+from evsim.plant import MPH_TO_MPS
 from evsim.scenario import (
     ConfigError,
     OvalSpec,
@@ -18,6 +20,9 @@ from evsim.scenario import (
     run_scenario,
     save_scenario,
 )
+
+
+_HUGE = st.floats(min_value=1e5, max_value=1e308)
 
 
 class TestScenarioConfig:
@@ -90,6 +95,10 @@ class TestScenarioConfig:
         ({"duration_s": 10 ** 400}, "duration_s"),
         ({"k_heading": None}, "k_heading"),
         ({"oval": {"straight_m": 1e308, "radius_m": 1, "speed_mph": 1}}, "lap time"),
+        ({"duration_s": 1e300}, "too long"),
+        ({"duration_s": scenario.MAX_RUN_S + 0.01}, "too long"),
+        ({"oval": {"speed_mph": 1e-9}}, "lap time"),
+        ({"oval": {"straight_m": 1e6}}, "samples"),
     ])
     def test_bad_input_raises_config_error(self, change, match):
         raw = {"name": "s", "duration_s": 1.0, "speed_ref_mph": 10.0, **change}
@@ -99,26 +108,49 @@ class TestScenarioConfig:
             Scenario.from_dict(raw)
 
     @settings(deadline=None, max_examples=150)
-    @given(st.dictionaries(
+    @given(changes=st.dictionaries(
         st.sampled_from(["name", "duration_s", "physics_dt_s", "control_period_s",
                          "follower_period_s", "oval", "path_file", "speed_ref_mph",
                          "heading_mode", "q", "r", "k_heading", "preview_s", "lanes"]),
         st.recursive(
             st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-            | st.sampled_from([0.001, 0.01, 0.1, 1.0, 20.0, "relative", "absolute"]),
+            | _HUGE | st.sampled_from([0.001, 0.01, 0.1, 1.0, 20.0, "relative", "absolute"]),
             lambda inner: st.lists(inner, max_size=3)
             | st.dictionaries(st.sampled_from(["straight_m", "radius_m", "speed_mph", "x"]),
                               inner, max_size=3),
             max_leaves=6),
-        max_size=3))
-    def test_from_dict_loads_or_raises_config_error(self, changes):
+        max_size=3),
+        # huge or tiny finite numbers where they set the run length or the oval table size
+        scale=st.fixed_dictionaries({}, optional={
+            "duration_s": _HUGE,
+            "oval": st.fixed_dictionaries({}, optional=dict.fromkeys(
+                ("straight_m", "radius_m", "speed_mph"),
+                _HUGE | st.floats(min_value=1e-12, max_value=1e-3) | st.just(20.0)))}))
+    def test_from_dict_loads_or_raises_config_error(self, changes, scale):
         # start from a valid scenario so the changes reach past the first check
-        raw = {"name": "s", "duration_s": 1.0, "speed_ref_mph": 10.0, **changes}
+        raw = {"name": "s", "duration_s": 1.0, **scale, **changes}
+        if "oval" not in scale:
+            raw.setdefault("speed_ref_mph", 10.0)
         try:
             scn = Scenario.from_dict(raw)
         except ConfigError:
             return
         assert isinstance(scn, Scenario)
+        assert scn.duration_s <= scenario.MAX_RUN_S
+        if scn.oval is not None:
+            lap_s = follower.oval_lap_s(scn.oval.straight_m, scn.oval.radius_m,
+                                        scn.oval.speed_mph * MPH_TO_MPS)
+            assert lap_s / follower.OVAL_SLOT_S <= follower.MAX_OVAL_SAMPLES
+
+    def test_run_length_cap_is_inclusive(self):
+        Scenario("s", scenario.MAX_RUN_S, speed_ref_mph=10.0).validate()
+
+    def test_oval_table_cap(self):
+        # just under the cap builds, just over it raises before any sample is made
+        speed = (2.0 * 100.0 + 2.0 * math.pi * 20.0) / (follower.MAX_OVAL_SAMPLES * 0.1)
+        assert len(follower.make_oval(100.0, 20.0, speed * 1.001)) <= follower.MAX_OVAL_SAMPLES
+        with pytest.raises(follower.OvalError, match="samples"):
+            follower.make_oval(100.0, 20.0, speed * 0.999)
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -267,6 +299,11 @@ class TestLiveInjection:
         with pytest.raises(ValueError):
             run_live_injection(1.0, lambda t: 0, mode="mitm")
 
+    @pytest.mark.parametrize("duration_s", [scenario.MAX_RUN_S * 1.5, 1e300, float("nan")])
+    def test_run_length_capped(self, duration_s):
+        with pytest.raises(ConfigError, match="too long"):
+            run_live_injection(duration_s, lambda t: 0)
+
     def test_metrics_shape(self):
         m = run_live_injection(1.0, lambda t: 100).metrics()
         # every 100 ms interval is dominated 99750/100000, so the reduced
@@ -299,3 +336,12 @@ class TestReplayInjection:
         assert len(throttle) == 20
         assert all(f.data[3] == 128 for f in throttle)
         assert all(src == "replay" for _, src, _ in result.deliveries)
+
+    def test_capture_past_run_cap(self):
+        cap_us = round(scenario.MAX_RUN_S * 1e6)
+        at_cap = CanTrace([CanFrame(cap_us, 0x11A, 8, bytes(8))])
+        assert scenario.replay_ms(at_cap) == cap_us // 1000 + 1000
+        for last_us in (cap_us + 1, 10 ** 15, 10 ** 400):
+            past = CanTrace([CanFrame(last_us, 0x11A, 8, bytes(8))])
+            with pytest.raises(ConfigError, match="past the limit"):
+                run_replay_injection(past, lambda t: 0)
