@@ -52,31 +52,59 @@ class TraceParseError(ValueError):
         super().__init__(f"line {line_no}: {reason}")
 
 
-@dataclass(frozen=True)
 class CanFrame:
-    """One classical CAN data frame as seen on the wire."""
+    """One classical CAN data frame as seen on the wire.
 
-    timestamp_us: int
-    arbitration_id: int
-    dlc: int
-    data: bytes
+    ``dlc`` is ``len(data)``.  The constructor takes any bytes-like data,
+    checks the fields (timestamp >= 0, 11-bit id, at most 8 data bytes)
+    and raises ValueError; code that already holds valid fields builds
+    frames with ``_frame`` instead.  Frames are values, equal and hashed
+    by their three fields.  Nothing assigns to a frame once it is built;
+    the class does not block it, because a guard would slow every build.
+    """
 
-    def __post_init__(self):
-        if self.timestamp_us < 0:
-            raise ValueError(f"negative timestamp {self.timestamp_us}")
-        if not 0 <= self.arbitration_id <= 0x7FF:
-            raise ValueError(f"arbitration id 0x{self.arbitration_id:X} outside 11-bit range")
-        if not 0 <= self.dlc <= 8:
-            raise ValueError(f"dlc {self.dlc} outside 0..8")
-        if len(self.data) != self.dlc:
-            raise ValueError(f"dlc {self.dlc} does not match {len(self.data)} data bytes")
-        if not isinstance(self.data, bytes):
-            object.__setattr__(self, "data", bytes(self.data))
+    __slots__ = ("timestamp_us", "arbitration_id", "data")
+
+    def __init__(self, timestamp_us: int, arbitration_id: int, data: bytes):
+        if timestamp_us < 0:
+            raise ValueError(f"negative timestamp {timestamp_us}")
+        if not 0 <= arbitration_id <= 0x7FF:
+            raise ValueError(f"arbitration id 0x{arbitration_id:X} outside 11-bit range")
+        if not isinstance(data, bytes):
+            data = bytes(data)
+        if len(data) > 8:
+            raise ValueError(f"dlc {len(data)} outside 0..8")
+        self.timestamp_us = timestamp_us
+        self.arbitration_id = arbitration_id
+        self.data = data
+
+    @property
+    def dlc(self) -> int:
+        return len(self.data)
+
+    def _key(self) -> tuple[int, int, bytes]:
+        return (self.timestamp_us, self.arbitration_id, self.data)
+
+    def __eq__(self, other):
+        if other.__class__ is not CanFrame:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"CanFrame(timestamp_us={self.timestamp_us!r}, "
+                f"arbitration_id={self.arbitration_id!r}, data={self.data!r})")
 
 
-def make_frame(timestamp_us: int, arbitration_id: int, data: bytes) -> CanFrame:
-    data = bytes(data)
-    return CanFrame(timestamp_us, arbitration_id, len(data), data)
+def _frame(timestamp_us: int, arbitration_id: int, data: bytes) -> CanFrame:
+    """Unchecked CanFrame for producers whose fields are valid by construction."""
+    frame = object.__new__(CanFrame)
+    frame.timestamp_us = timestamp_us
+    frame.arbitration_id = arbitration_id
+    frame.data = data
+    return frame
 
 
 #: Default broadcast periods. The throttle command is slower than the
@@ -92,7 +120,12 @@ DEFAULT_SCHEDULE = {
 
 @dataclass
 class CanTrace:
-    """A time-ordered list of frames."""
+    """A time-ordered list of frames.
+
+    The constructor checks the order and raises ValueError; code that
+    builds its list in order already (the parser, the bus, id selection)
+    uses ``_ordered_trace`` instead.
+    """
 
     frames: list[CanFrame] = field(default_factory=list)
 
@@ -150,7 +183,7 @@ def encode_speed(speed_mph: float, timestamp_us: int = 0) -> CanFrame:
     if not 0 <= raw <= 0xFFFF:
         raise OutOfRangeError(f"speed {speed_mph} mph does not fit the 16-bit field")
     data = bytes([0, 0, 0, 0, 0, 0, (raw >> 8) & 0xFF, raw & 0xFF])
-    return CanFrame(timestamp_us, SPEED_ID, 8, data)
+    return _frame(timestamp_us, SPEED_ID, data)
 
 
 # --- trace text format ------------------------------------------------------
@@ -158,32 +191,64 @@ def encode_speed(speed_mph: float, timestamp_us: int = 0) -> CanFrame:
 def serialize_trace(trace: CanTrace) -> str:
     """Candump-like text: ``<timestamp_us> <ID hex> <dlc> <bytes...>`` per line.
 
-    IDs are uppercase hex without prefix; data bytes are two uppercase hex
-    digits each.
+    IDs are uppercase hex without prefix, the dlc is the number of data
+    bytes, and each data byte is two uppercase hex digits.  A frame with
+    no data ends its line after the dlc.
     """
-    lines = []
-    for f in trace:
-        body = " ".join(f"{b:02X}" for b in f.data)
-        line = f"{f.timestamp_us} {f.arbitration_id:X} {f.dlc}"
-        lines.append(f"{line} {body}" if body else line)
+    lines = [f"{f.timestamp_us} {f.arbitration_id:X} {len(f.data)} {f.data.hex(' ').upper()}"
+             if f.data else f"{f.timestamp_us} {f.arbitration_id:X} 0"
+             for f in trace]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _ordered_trace(frames: list[CanFrame]) -> CanTrace:
+    """CanTrace over frames the caller built in time order; the order is not re-checked."""
+    trace = object.__new__(CanTrace)
+    trace.frames = frames
+    return trace
+
+
+def _data_bytes(line_no: int, tokens: list[str], dlc: int) -> bytes:
+    """The data bytes of a trace line; each token is one byte in int(tok, 16) syntax.
+
+    The usual two-digit tokens decode in one bytes.fromhex call.  Joining
+    with spaces keeps the tokens apart, so "F FFF" does not pass as two
+    bytes; anything fromhex rejects or reads to another length goes
+    through int(tok, 16), which also takes "F", "0x1F", "+F" and "1_0".
+    """
+    byte_tokens = tokens[3:]
+    try:
+        data = bytes.fromhex(" ".join(byte_tokens))
+        if len(data) == dlc:
+            return data
+    except ValueError:
+        pass
+    try:
+        return bytes(int(tok, 16) for tok in byte_tokens)
+    except ValueError:
+        raise TraceParseError(line_no, "bad data byte") from None
 
 
 def parse_trace(text: str | bytes) -> CanTrace:
     """Parse the text trace format; blank lines and '#' comments are skipped.
 
-    Raises TraceParseError with the 1-indexed line number on malformed
-    input, including timestamps that go backwards.
+    Each line is ``<timestamp> <id> <dlc> <bytes...>``: a decimal
+    timestamp, a hex id, a decimal dlc equal to the number of byte
+    tokens, and one hex token per byte.  Raises TraceParseError with the
+    1-indexed line number on malformed input, including timestamps that
+    go backwards, a negative timestamp, an id beyond 11 bits and more
+    than 8 bytes.  Each frame is built once, unchecked, after the line
+    passed these checks.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
     frames: list[CanFrame] = []
+    append = frames.append
     last_t = -1
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = stripped.split()
         if len(tokens) < 3:
             raise TraceParseError(line_no, "expected '<timestamp> <id> <dlc> <bytes...>'")
         try:
@@ -198,21 +263,20 @@ def parse_trace(text: str | bytes) -> CanTrace:
             dlc = int(tokens[2])
         except ValueError:
             raise TraceParseError(line_no, f"bad dlc {tokens[2]!r}") from None
-        byte_tokens = tokens[3:]
-        if len(byte_tokens) != dlc:
-            raise TraceParseError(line_no, f"dlc {dlc} but {len(byte_tokens)} data bytes")
-        try:
-            data = bytes(int(tok, 16) for tok in byte_tokens)
-        except ValueError:
-            raise TraceParseError(line_no, "bad data byte") from None
+        if len(tokens) - 3 != dlc:
+            raise TraceParseError(line_no, f"dlc {dlc} but {len(tokens) - 3} data bytes")
+        data = _data_bytes(line_no, tokens, dlc)
         if t < last_t:
             raise TraceParseError(line_no, f"timestamp {t} goes backwards")
         last_t = t
-        try:
-            frames.append(CanFrame(t, arb_id, dlc, data))
-        except ValueError as exc:
-            raise TraceParseError(line_no, str(exc)) from None
-    return CanTrace(frames)
+        if t < 0:
+            raise TraceParseError(line_no, f"negative timestamp {t}")
+        if not 0 <= arb_id <= 0x7FF:
+            raise TraceParseError(line_no, f"arbitration id 0x{arb_id:X} outside 11-bit range")
+        if dlc > 8:
+            raise TraceParseError(line_no, f"dlc {dlc} outside 0..8")
+        append(_frame(t, arb_id, data))
+    return _ordered_trace(frames)
 
 
 def load_trace(path) -> CanTrace:
@@ -253,12 +317,18 @@ class CanBus:
         self._pending: list[tuple[int, int, int, int, CanFrame, str]] = []
         self._seq = 0
         self._now = 0
+        # due time of the latest frame delivered or in delivery; every frame
+        # carries its due time, so the trace is in time order
+        self._last_us = -1
         self._trace: list[CanFrame] = []
 
     # -- wiring --------------------------------------------------------------
 
     def add_periodic(self, arb_id: int, period_us: int, payload_fn: PayloadFn,
                      source: str = "ecu") -> None:
+        """Emit payload_fn(due) on arb_id every period_us; the payload holds at most 8 bytes."""
+        if not 0 <= arb_id <= 0x7FF:
+            raise ValueError(f"arbitration id 0x{arb_id:X} outside 11-bit range")
         if period_us <= 0:
             raise ValueError("period must be positive")
         self._periodic.append({
@@ -270,13 +340,24 @@ class CanBus:
         })
 
     def add_tap(self, rule) -> None:
+        """Pass each periodic frame through rule.apply, which keeps its timestamp."""
         self._taps.append(rule)
 
     def add_listener(self, fn: Listener) -> None:
         self._listeners.append(fn)
 
     def inject_at(self, due_us: int, frame: CanFrame, source: str = "inject") -> None:
-        """Queue a frame for delivery once the bus reaches due_us."""
+        """Queue a frame stamped due_us for delivery once the bus reaches due_us.
+
+        Raises ValueError for a due time earlier than a frame already
+        delivered, or in delivery by the current ``step``: the frame would
+        reach the wire after that later one and break the trace order.
+        """
+        if frame.timestamp_us != due_us:
+            raise ValueError(f"frame stamped {frame.timestamp_us} us queued for {due_us} us")
+        if due_us < self._last_us:
+            raise ValueError(
+                f"frame due at {due_us} us would follow one stamped {self._last_us} us")
         heapq.heappush(self._pending, (due_us, frame.arbitration_id, 1, self._seq, frame, source))
         self._seq += 1
 
@@ -303,7 +384,9 @@ class CanBus:
             while src["next_due"] <= now_us:
                 due = src["next_due"]
                 payload = bytes(src["payload"](due))
-                frame = CanFrame(due, src["id"], len(payload), payload)
+                if len(payload) > 8:
+                    raise ValueError(f"dlc {len(payload)} outside 0..8")
+                frame = _frame(due, src["id"], payload)
                 for tap in self._taps:
                     frame = tap.apply(frame)
                 batch.append((due, frame.arbitration_id, 0, self._seq, frame, src["source"]))
@@ -312,6 +395,8 @@ class CanBus:
         while self._pending and self._pending[0][0] <= now_us:
             batch.append(heapq.heappop(self._pending))
         batch.sort(key=lambda item: item[:4])
+        if batch:
+            self._last_us = batch[-1][0]
         delivered = []
         for _, _, _, _, frame, source in batch:
             self._trace.append(frame)
@@ -322,4 +407,5 @@ class CanBus:
         return delivered
 
     def trace(self) -> CanTrace:
-        return CanTrace(list(self._trace))
+        """Every frame delivered so far, in delivery order, which is time order."""
+        return _ordered_trace(list(self._trace))

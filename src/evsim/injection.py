@@ -70,7 +70,7 @@ class FilterRule:
         data = self.forged_payload(frame)
         if data == frame.data:
             return frame
-        return CanFrame(frame.timestamp_us, frame.arbitration_id, frame.dlc, data)
+        return canbus._frame(frame.timestamp_us, frame.arbitration_id, data)
 
 
 class ShadowInjector:
@@ -105,8 +105,8 @@ class ShadowInjector:
             return
         due = frame.timestamp_us + self.delay_us
         payload = self.rule.forged_payload(frame)
-        forged = CanFrame(due, frame.arbitration_id, len(payload), payload)
-        self.bus.inject_at(due, forged, source=self.SOURCE)
+        self.bus.inject_at(due, canbus._frame(due, frame.arbitration_id, payload),
+                           source=self.SOURCE)
         self.injected += 1
 
 
@@ -169,4 +169,4 @@ def select_ids(trace: CanTrace, ids: Iterable[int]) -> CanTrace:
     if missing:
         raise UnknownIdError(
             "ids not in trace: " + ", ".join(f"0x{i:X}" for i in sorted(missing)))
-    return CanTrace([f for f in trace if f.arbitration_id in wanted])
+    return canbus._ordered_trace([f for f in trace if f.arbitration_id in wanted])

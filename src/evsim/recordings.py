@@ -14,7 +14,7 @@ import random
 from typing import Callable
 
 from . import canbus
-from .canbus import CanBus, CanFrame, CanTrace
+from .canbus import CanBus, CanTrace
 from .injection import ThrottleReceiver
 from .plant import VehiclePlant, SimulatedEcus
 from .scenario import replay_ms, rig_loop, run_until

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canbus
-from .canbus import CanTrace
+from .canbus import CanFrame, CanTrace
 from .injection import select_ids
 
 
@@ -122,6 +122,12 @@ class CorrelationReport:
         return None
 
 
+def _byte_matrix(frames: list[CanFrame]) -> np.ndarray:
+    """Payloads as an (n, 8) float array; bytes beyond a frame's dlc are zero."""
+    padded = b"".join([f.data.ljust(8, b"\0") for f in frames])
+    return np.frombuffer(padded, np.uint8).reshape(-1, 8).astype(np.float64)
+
+
 def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
                     signed: bool = False) -> CorrelationReport:
     """Rank every payload byte of every non-reference id against speed.
@@ -148,9 +154,7 @@ def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
     excluded: list[tuple[int, int, str]] = []
     for arb_id, frames in by_id.items():
         t = np.array([f.timestamp_us for f in frames], dtype=np.int64)
-        data = np.zeros((len(frames), 8), dtype=np.float64)
-        for i, f in enumerate(frames):
-            data[i, :f.dlc] = list(f.data)
+        data = _byte_matrix(frames)
         idx = np.clip(np.searchsorted(speed_t, t, side="right") - 1, 0, len(speed_t) - 1)
         v = speed_v[idx]
         for b in range(8):

@@ -51,6 +51,12 @@ class ConfigError(ValueError):
 MAX_RUN_S = 86_400.0
 
 
+#: Most physics ticks a scenario may ask for: a day at the default 1 ms tick.
+#: MAX_RUN_S alone bounds simulated time, not work: a day at a 1 us tick
+#: would run for days.
+MAX_PHYSICS_TICKS = round(MAX_RUN_S * 1000)
+
+
 def _check_run_s(seconds: float, what: str) -> None:
     if not seconds <= MAX_RUN_S:
         raise ConfigError(f"{what} {seconds:g} s is too long: the limit is {MAX_RUN_S:g} s")
@@ -134,6 +140,10 @@ class Scenario:
         phys = _to_us(self.physics_dt_s, "physics_dt_s")
         ctl = _to_us(self.control_period_s, "control_period_s")
         hl = _to_us(self.follower_period_s, "follower_period_s")
+        ticks = round(self.duration_s * 1e6) // phys
+        if ticks > MAX_PHYSICS_TICKS:
+            raise ConfigError(f"{ticks} physics ticks of {phys} us are too many: "
+                              f"the limit is {MAX_PHYSICS_TICKS}")
         if _control_steps(self.duration_s, ctl) == 0:
             raise ConfigError(
                 f"duration {self.duration_s} s is shorter than one control period {ctl} us")

@@ -148,7 +148,7 @@ def test_criterion_06_bisection():
         n = rng.randint(1, 128)
         ids = rng.sample(range(1, 0x7FF), n)
         planted = rng.choice(ids)
-        trace = CanTrace([CanFrame(i, arb, 1, b"\x00") for i, arb in enumerate(ids)])
+        trace = CanTrace([CanFrame(i, arb, b"\x00") for i, arb in enumerate(ids)])
         result = revtools.isolate_control_id(
             trace, lambda tr, p=planted: p in set(tr.ids()), confirm=False)
         if result.arb_id == planted and result.oracle_calls <= revtools.isolation_budget(n):

@@ -37,3 +37,14 @@ def test_hooks_find_their_arguments():
 
 def test_oracle_factory_takes_no_arguments():
     assert callable(recordings.throttle_effect_oracle())
+
+
+def test_load_trace_calls_parse_trace_through_the_module(tmp_path, monkeypatch):
+    # the tracer counts canbus.parse_trace.frames by replacing the attribute
+    path = tmp_path / "t.txt"
+    path.write_text("0 10 0\n")
+    parse = canbus.parse_trace
+    seen = []
+    monkeypatch.setattr(canbus, "parse_trace", lambda text: seen.append(text) or parse(text))
+    assert len(canbus.load_trace(path)) == 1
+    assert seen == ["0 10 0\n"]

@@ -4,33 +4,114 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evsim import canbus
-from evsim.canbus import CanBus, CanFrame, CanTrace, make_frame
+from evsim.canbus import CanBus, CanFrame, CanTrace, TraceParseError
 from evsim.plant import SimulatedEcus, VehiclePlant
+
+
+def parse_per_token(text):
+    """Reference parser: the per-token parser parse_trace replaced.
+
+    Each byte goes through int(tok, 16), and the checks of the old
+    frame constructor (timestamp, id, dlc range) follow the order check,
+    in that order.
+    """
+    frames = []
+    last_t = -1
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) < 3:
+            raise TraceParseError(line_no, "expected '<timestamp> <id> <dlc> <bytes...>'")
+        try:
+            t = int(tokens[0])
+        except ValueError:
+            raise TraceParseError(line_no, f"bad timestamp {tokens[0]!r}") from None
+        try:
+            arb_id = int(tokens[1], 16)
+        except ValueError:
+            raise TraceParseError(line_no, f"bad arbitration id {tokens[1]!r}") from None
+        try:
+            dlc = int(tokens[2])
+        except ValueError:
+            raise TraceParseError(line_no, f"bad dlc {tokens[2]!r}") from None
+        byte_tokens = tokens[3:]
+        if len(byte_tokens) != dlc:
+            raise TraceParseError(line_no, f"dlc {dlc} but {len(byte_tokens)} data bytes")
+        try:
+            data = bytes(int(tok, 16) for tok in byte_tokens)
+        except ValueError:
+            raise TraceParseError(line_no, "bad data byte") from None
+        if t < last_t:
+            raise TraceParseError(line_no, f"timestamp {t} goes backwards")
+        last_t = t
+        if t < 0:
+            raise TraceParseError(line_no, f"negative timestamp {t}")
+        if not 0 <= arb_id <= 0x7FF:
+            raise TraceParseError(line_no, f"arbitration id 0x{arb_id:X} outside 11-bit range")
+        if not 0 <= dlc <= 8:
+            raise TraceParseError(line_no, f"dlc {dlc} outside 0..8")
+        frames.append(CanFrame(t, arb_id, data))
+    return frames
+
+
+def _outcome(parse, text):
+    try:
+        return list(parse(text))
+    except TraceParseError as exc:
+        return exc.line_no, exc.reason
+
+
+_ODD_BYTES = ["F", "0x1F", "FFF", "+F", "1_0", "ff", "a0", "-0", "-1", "GG", "FFFF", "0X0a"]
+_ODD_IDS = ["800", "7ff", "0x1F", "+F", "1_0", "-5", "zz", "FFFFFFFF"]
+_ODD_TIMES = ["-1", "-2", "+5", "1_000", "0x10", "1.5", "9" * 30]
+
+
+@st.composite
+def _trace_line(draw):
+    kind = draw(st.sampled_from(["frame"] * 6 + ["comment", "blank", "short"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# note", "   # indented", "#"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    t = draw(st.integers(0, 400).map(str) | st.sampled_from(_ODD_TIMES))
+    arb = draw(st.integers(0, 0x7FF).map(lambda i: f"{i:X}") | st.sampled_from(_ODD_IDS))
+    if kind == "short":
+        return draw(st.sampled_from([t, f"{t} {arb}"]))
+    data = draw(st.lists(st.integers(0, 255).map(lambda b: f"{b:02X}")
+                         | st.sampled_from(_ODD_BYTES), max_size=9))
+    dlc = draw(st.just(str(len(data))) | st.sampled_from(["9", "-1", "x", "+2", "3"]))
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    return sep.join([t, arb, dlc, *data])
 
 
 class TestCanFrame:
     def test_valid_frame(self):
-        f = CanFrame(100, 0x75, 8, bytes(8))
+        f = CanFrame(100, 0x75, bytes(8))
         assert f.timestamp_us == 100
         assert f.dlc == 8
 
     def test_id_range(self):
         with pytest.raises(ValueError):
-            CanFrame(0, 0x800, 0, b"")
-        CanFrame(0, 0x7FF, 0, b"")
+            CanFrame(0, 0x800, b"")
+        CanFrame(0, 0x7FF, b"")
 
     def test_dlc_matches_data(self):
-        with pytest.raises(ValueError):
-            CanFrame(0, 0x10, 3, bytes(2))
-        with pytest.raises(ValueError):
-            CanFrame(0, 0x10, 9, bytes(9))
+        # dlc is len(data); a text line whose dlc disagrees is a parse error
+        assert CanFrame(0, 0x10, bytes(2)).dlc == 2
+        with pytest.raises(canbus.TraceParseError, match="dlc 3 but 2 data bytes"):
+            canbus.parse_trace("0 10 3 AA BB\n")
+        with pytest.raises(ValueError, match="dlc 9 outside 0..8"):
+            CanFrame(0, 0x10, bytes(9))
 
     def test_negative_timestamp(self):
         with pytest.raises(ValueError):
-            CanFrame(-1, 0x10, 0, b"")
+            CanFrame(-1, 0x10, b"")
 
-    def test_make_frame(self):
-        f = make_frame(5, 0x7D, b"\x01\x02")
+    def test_bytes_like_data(self):
+        f = CanFrame(5, 0x7D, bytearray(b"\x01\x02"))
+        assert type(f.data) is bytes and f.data == b"\x01\x02"
         assert f.dlc == 2
 
 
@@ -47,12 +128,12 @@ class TestSpeedCodec:
         assert canbus.decode_speed(f) == 25.0
 
     def test_wrong_id(self):
-        f = CanFrame(0, 0x76, 8, bytes(8))
+        f = CanFrame(0, 0x76, bytes(8))
         with pytest.raises(canbus.WrongIdError):
             canbus.decode_speed(f)
 
     def test_short_frame(self):
-        f = CanFrame(0, 0x75, 4, bytes(4))
+        f = CanFrame(0, 0x75, bytes(4))
         with pytest.raises(canbus.ShortFrameError):
             canbus.decode_speed(f)
 
@@ -65,7 +146,7 @@ class TestSpeedCodec:
     @given(st.integers(min_value=0, max_value=0xFFFF))
     def test_raw_roundtrip(self, raw):
         data = bytes(6) + raw.to_bytes(2, "big")
-        v = canbus.decode_speed(CanFrame(0, 0x75, 8, data))
+        v = canbus.decode_speed(CanFrame(0, 0x75, data))
         back = canbus.encode_speed(v)
         assert (back.data[6] << 8) + back.data[7] == raw
 
@@ -73,9 +154,9 @@ class TestSpeedCodec:
 class TestTraceFormat:
     def test_roundtrip(self):
         frames = [
-            CanFrame(0, 0x10, 8, bytes(range(8))),
-            CanFrame(150, 0x7D, 2, b"\xff\x00"),
-            CanFrame(150, 0x204, 0, b""),
+            CanFrame(0, 0x10, bytes(range(8))),
+            CanFrame(150, 0x7D, b"\xff\x00"),
+            CanFrame(150, 0x204, b""),
         ]
         text = canbus.serialize_trace(CanTrace(frames))
         back = canbus.parse_trace(text)
@@ -89,9 +170,26 @@ class TestTraceFormat:
         frames = []
         for gap, arb_id, data in raw:
             t += gap
-            frames.append(CanFrame(t, arb_id, len(data), data))
+            frames.append(CanFrame(t, arb_id, data))
         trace = CanTrace(frames)
         assert canbus.parse_trace(canbus.serialize_trace(trace)) == trace
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.lists(_trace_line(), max_size=8))
+    def test_matches_per_token_parser(self, lines):
+        # same frames, or the same first fault with the same line number and message
+        text = "\n".join(lines)
+        assert _outcome(canbus.parse_trace, text) == _outcome(parse_per_token, text)
+
+    @pytest.mark.parametrize("line", [
+        "0 10 2 F F", "0 10 1 0x1F", "0 10 1 FFF", "0 10 1 +F", "0 10 1 1_0", "0 10 2 ff a0",
+        "0 10 2 F FFF", "0 10 1 FFFF", "0 10 9 " + "00 " * 9, "0 800 0", "-1 10 0",
+        "-2 10 0", "0 10 -1", "-1 800 9 " + "GG " * 9, "5 800 1 GG",
+    ])
+    @pytest.mark.parametrize("before", ["", "# header\n\n0 7FF 0\n"])
+    def test_odd_tokens_match_per_token_parser(self, before, line):
+        text = f"{before}{line}\n"
+        assert _outcome(canbus.parse_trace, text) == _outcome(parse_per_token, text)
 
     def test_comments_and_blanks_skipped(self):
         text = "# header\n\n100 75 2 AA BB\n   \n# trailing\n"
@@ -119,20 +217,20 @@ class TestTraceFormat:
             canbus.parse_trace("0 75 1 1FF\n")
 
     def test_file_roundtrip(self, tmp_path):
-        trace = CanTrace([CanFrame(7, 0x11A, 8, bytes(8))])
+        trace = CanTrace([CanFrame(7, 0x11A, bytes(8))])
         p = tmp_path / "t.txt"
         canbus.save_trace(trace, p)
         assert list(canbus.load_trace(p)) == list(trace)
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
-            CanTrace([CanFrame(5, 0x10, 0, b""), CanFrame(4, 0x10, 0, b"")])
+            CanTrace([CanFrame(5, 0x10, b""), CanFrame(4, 0x10, b"")])
 
     def test_ids_first_seen_order(self):
         trace = CanTrace([
-            CanFrame(0, 0x7D, 0, b""),
-            CanFrame(1, 0x10, 0, b""),
-            CanFrame(2, 0x7D, 0, b""),
+            CanFrame(0, 0x7D, b""),
+            CanFrame(1, 0x10, b""),
+            CanFrame(2, 0x7D, b""),
         ])
         assert trace.ids() == [0x7D, 0x10]
 
@@ -159,18 +257,18 @@ class TestBus:
     def test_injected_after_observed_on_tie(self):
         bus = CanBus()
         bus.add_periodic(0x75, 10_000, lambda now: b"\x01")
-        bus.inject_at(10_000, CanFrame(10_000, 0x75, 1, b"\x02"))
+        bus.inject_at(10_000, CanFrame(10_000, 0x75, b"\x02"))
         delivered = bus.step(10_000)
         assert [f.data for f in delivered] == [b"\x01", b"\x02"]
 
     def test_taps_rewrite_periodic_only(self):
         class Tap:
             def apply(self, frame):
-                return CanFrame(frame.timestamp_us, frame.arbitration_id, 1, b"\x99")
+                return CanFrame(frame.timestamp_us, frame.arbitration_id, b"\x99")
         bus = CanBus()
         bus.add_tap(Tap())
         bus.add_periodic(0x75, 10_000, lambda now: b"\x01")
-        bus.inject_at(10_000, CanFrame(10_000, 0x77, 1, b"\x02"))
+        bus.inject_at(10_000, CanFrame(10_000, 0x77, b"\x02"))
         delivered = bus.step(10_000)
         by_id = {f.arbitration_id: f.data for f in delivered}
         assert by_id[0x75] == b"\x99"
@@ -180,7 +278,7 @@ class TestBus:
         seen = []
         bus = CanBus()
         bus.add_periodic(0x75, 10_000, lambda now: b"", source="ecu")
-        bus.inject_at(10_000, CanFrame(10_000, 0x80, 0, b""), source="attack")
+        bus.inject_at(10_000, CanFrame(10_000, 0x80, b""), source="attack")
         bus.add_listener(lambda f, src: seen.append((f.arbitration_id, src)))
         bus.step(10_000)
         assert seen == [(0x75, "ecu"), (0x80, "attack")]
@@ -189,7 +287,7 @@ class TestBus:
         bus = CanBus()
         assert bus.next_due_us() is None
         bus.add_periodic(0x75, 10_000, lambda now: b"")
-        bus.inject_at(3_000, CanFrame(3_000, 0x80, 0, b""))
+        bus.inject_at(3_000, CanFrame(3_000, 0x80, b""))
         assert bus.next_due_us() == 3_000
 
     def test_time_must_advance(self):
@@ -213,6 +311,47 @@ class TestBus:
         SimulatedEcus(VehiclePlant(), schedule={0x75: 10_000, 0x10: 5_000}).attach(bus)
         delivered = bus.step(10_000)
         assert [f.arbitration_id for f in delivered] == [0x10, 0x10, 0x75]
+
+    def test_periodic_source_checked(self):
+        # periodic frames are built unchecked, so the source is checked instead
+        bus = CanBus()
+        with pytest.raises(ValueError, match="11-bit"):
+            bus.add_periodic(0x800, 10_000, lambda now: b"")
+        bus.add_periodic(0x75, 10_000, lambda now: bytes(9))
+        with pytest.raises(ValueError, match="dlc 9"):
+            bus.step(10_000)
+
+    def test_injection_keeps_trace_in_time_order(self):
+        bus = CanBus()
+        bus.add_periodic(0x75, 10_000, lambda now: b"")
+        with pytest.raises(ValueError, match="stamped 4000 us queued for 5000 us"):
+            bus.inject_at(5_000, CanFrame(4_000, 0x80, b""))
+        bus.step(10_000)
+        with pytest.raises(ValueError, match="follow one stamped 10000 us"):
+            bus.inject_at(9_999, CanFrame(9_999, 0x80, b""))
+        bus.inject_at(10_000, CanFrame(10_000, 0x80, b""))
+        bus.step(20_000)
+        assert [f.timestamp_us for f in bus.trace()] == [10_000, 10_000, 20_000]
+
+    @pytest.mark.parametrize("other_us, ok", [(1_600, True), (2_000, False)])
+    def test_listener_injection_during_a_step(self, other_us, ok):
+        # a frame due before a later one of the batch in delivery would land after it
+        bus = CanBus()
+        bus.inject_at(1_500, CanFrame(1_500, 0x10, b""))
+        bus.inject_at(other_us, CanFrame(other_us, 0x20, b""))
+
+        def echo(frame, source):
+            if frame.arbitration_id == 0x10:
+                bus.inject_at(1_750, CanFrame(1_750, 0x30, b""))
+
+        bus.add_listener(echo)
+        if not ok:
+            with pytest.raises(ValueError, match="follow"):
+                bus.step(2_000)
+            return
+        bus.step(1_600)
+        bus.step(2_000)
+        assert [f.timestamp_us for f in bus.trace()] == [1_500, 1_600, 1_750]
 
     def test_bad_period(self):
         bus = CanBus()

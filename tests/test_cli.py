@@ -119,7 +119,7 @@ class TestSimulate:
 
 
 def _replay_trace_file(tmp_path, n=10, period_us=100_000):
-    frames = [CanFrame(period_us * (k + 1), canbus.THROTTLE_ID, 8, bytes(8))
+    frames = [CanFrame(period_us * (k + 1), canbus.THROTTLE_ID, bytes(8))
               for k in range(n)]
     trace_file = tmp_path / "replay.txt"
     canbus.save_trace(CanTrace(frames), trace_file)
@@ -204,7 +204,7 @@ class TestIsolate:
         assert calls <= 8
 
     def test_trace_without_effect_fails(self, tmp_path, capsys):
-        frames = [CanFrame(10_000 * (k + 1), canbus.STEERING_ID, 8, bytes(8))
+        frames = [CanFrame(10_000 * (k + 1), canbus.STEERING_ID, bytes(8))
                   for k in range(5)]
         trace_file = tmp_path / "inert.txt"
         canbus.save_trace(CanTrace(frames), trace_file)
@@ -217,10 +217,10 @@ def _correlation_trace_file(tmp_path, speed_id=canbus.SPEED_ID):
     frames = []
     for t, v in ((0, 0.0), (10, 10.0), (20, 20.0)):
         base = canbus.encode_speed(v, timestamp_us=t)
-        frames.append(CanFrame(t, speed_id, 8, base.data))
+        frames.append(CanFrame(t, speed_id, base.data))
     for k, t in enumerate((5, 15, 25)):
         data = bytes([10 * k, 20 - 10 * k, 7, 0, 0, 0, 0, 0])
-        frames.append(CanFrame(t, 0x200, 8, data))
+        frames.append(CanFrame(t, 0x200, data))
     frames.sort(key=lambda f: f.timestamp_us)
     trace_file = tmp_path / "capture.txt"
     canbus.save_trace(CanTrace(frames), trace_file)
@@ -311,6 +311,12 @@ class TestUserErrors:
             scn = tmp_path / "long.json"
             scn.write_text(json.dumps({"duration_s": 1e300, "speed_ref_mph": 10.0}))
             return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "day-long-fine-tick-scenario":
+            scn = tmp_path / "fine.json"
+            scn.write_text(json.dumps({"duration_s": 86_400, "physics_dt_s": 1e-6,
+                                       "control_period_s": 1e-5, "follower_period_s": 1e-4,
+                                       "speed_ref_mph": 10.0}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
         if case == "slow-oval-scenario":
             scn = tmp_path / "slow.json"
             scn.write_text(json.dumps({"duration_s": 1.0, "oval": {"speed_mph": 1e-9}}))
@@ -333,7 +339,8 @@ class TestUserErrors:
                                       "endless-oval", "live-delay-not-shorter-than-period",
                                       "replay-delay-not-shorter-than-period",
                                       "day-long-scenario", "slow-oval-scenario", "slow-oval",
-                                      "far-capture-inject", "far-capture-isolate"])
+                                      "far-capture-inject", "far-capture-isolate",
+                                      "day-long-fine-tick-scenario"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()

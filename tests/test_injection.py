@@ -20,28 +20,28 @@ class TestFilterRule:
             FilterRule(0x11A, 8, lambda t: 0)
         rule = FilterRule(0x11A, 3, lambda t: 256)
         with pytest.raises(ValueError, match="256"):
-            rule.apply(CanFrame(0, 0x11A, 8, bytes(8)))
+            rule.apply(CanFrame(0, 0x11A, bytes(8)))
 
     def test_rewrites_matching_byte(self):
         rule = FilterRule(0x11A, 3, lambda t: 0xC8)
-        frame = CanFrame(100, 0x11A, 8, bytes(8))
+        frame = CanFrame(100, 0x11A, bytes(8))
         out = rule.apply(frame)
         assert out.data[3] == 0xC8
         assert out.timestamp_us == 100
 
     def test_other_ids_pass_through_unchanged(self):
         rule = FilterRule(0x11A, 3, lambda t: 0xC8)
-        frame = CanFrame(0, 0x75, 8, bytes(8))
+        frame = CanFrame(0, 0x75, bytes(8))
         assert rule.apply(frame) is frame
 
     def test_short_frames_pass_through(self):
         rule = FilterRule(0x11A, 3, lambda t: 0xC8)
-        frame = CanFrame(0, 0x11A, 2, bytes(2))
+        frame = CanFrame(0, 0x11A, bytes(2))
         assert rule.apply(frame) is frame
 
     def test_idempotent(self):
         rule = FilterRule(0x11A, 3, lambda t: 0xC8)
-        once = rule.apply(CanFrame(0, 0x11A, 8, bytes(8)))
+        once = rule.apply(CanFrame(0, 0x11A, bytes(8)))
         assert rule.apply(once) is once
 
     def test_value_fn_called_once_per_rewritten_frame(self):
@@ -52,9 +52,9 @@ class TestFilterRule:
             return 0xC8
 
         rule = FilterRule(0x11A, 3, value_fn)
-        rule.apply(CanFrame(5, 0x75, 8, bytes(8)))
-        rule.apply(CanFrame(6, 0x11A, 2, bytes(2)))
-        rule.apply(CanFrame(7, 0x11A, 8, bytes(8)))
+        rule.apply(CanFrame(5, 0x75, bytes(8)))
+        rule.apply(CanFrame(6, 0x11A, bytes(2)))
+        rule.apply(CanFrame(7, 0x11A, bytes(8)))
         assert calls == [7]
 
     def test_tap_equals_source_rewrite(self):
@@ -87,19 +87,19 @@ class TestByteOverride:
     """The shadow copy: the genuine payload with the rule's byte rewritten."""
 
     def test_rewrites_from_genuine(self):
-        genuine = CanFrame(0, 0x11A, 8, bytes([1, 2, 3, 4, 5, 6, 7, 8]))
+        genuine = CanFrame(0, 0x11A, bytes([1, 2, 3, 4, 5, 6, 7, 8]))
         forged = _forge_one(FilterRule(0x11A, 3, lambda t: 200), genuine)
         assert forged.data == bytes([1, 2, 3, 200, 5, 6, 7, 8])
         assert forged.timestamp_us == 250
 
     def test_time_dependent_value(self):
-        genuine = CanFrame(5000, 0x11A, 8, bytes(8))
+        genuine = CanFrame(5000, 0x11A, bytes(8))
         forged = _forge_one(FilterRule(0x11A, 0, lambda t: t // 1000), genuine)
         assert forged.data[0] == 5
 
     def test_index_outside_dlc(self):
         with pytest.raises(ValueError, match="dlc 2"):
-            _forge_one(FilterRule(0x11A, 3, lambda t: 0), CanFrame(0, 0x11A, 2, bytes(2)))
+            _forge_one(FilterRule(0x11A, 3, lambda t: 0), CanFrame(0, 0x11A, bytes(2)))
 
 
 def _shadow_rig(delay_us=250, stop_us=100_000):
@@ -186,9 +186,9 @@ class TestDominanceFraction:
 class TestTraceTools:
     def _trace(self):
         return CanTrace([
-            CanFrame(0, 0x75, 8, bytes(8)),
-            CanFrame(5, 0x11A, 8, bytes(8)),
-            CanFrame(9, 0x75, 8, bytes(8)),
+            CanFrame(0, 0x75, bytes(8)),
+            CanFrame(5, 0x11A, bytes(8)),
+            CanFrame(9, 0x75, bytes(8)),
         ])
 
     def test_select_ids(self):
@@ -204,11 +204,11 @@ class TestTraceTools:
 class TestThrottleReceiver:
     def test_decodes_pct(self):
         rx = ThrottleReceiver()
-        rx(CanFrame(0, 0x11A, 8, bytes(3) + bytes([102]) + bytes(4)), "ecu")
+        rx(CanFrame(0, 0x11A, bytes(3) + bytes([102]) + bytes(4)), "ecu")
         assert rx.app_pct == pytest.approx(40.0, abs=0.01)
 
     def test_ignores_other_ids_and_short_frames(self):
         rx = ThrottleReceiver()
-        rx(CanFrame(0, 0x75, 8, bytes(8)), "ecu")
-        rx(CanFrame(0, 0x11A, 2, bytes(2)), "ecu")
+        rx(CanFrame(0, 0x75, bytes(8)), "ecu")
+        rx(CanFrame(0, 0x11A, bytes(2)), "ecu")
         assert rx.deliveries == []

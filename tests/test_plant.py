@@ -296,7 +296,7 @@ class TestSimulatedEcus:
     def test_speed_frame_decodes_to_plant_speed(self):
         p = VehiclePlant(state=VehicleState(speed_mph=25.0, decel=bpp_k(0.0)))
         ecus = SimulatedEcus(p)
-        frame = canbus.CanFrame(0, 0x75, 8, ecus.speed_payload(0))
+        frame = canbus.CanFrame(0, 0x75, ecus.speed_payload(0))
         assert canbus.decode_speed(frame) == pytest.approx(25.0, abs=1 / 54)
 
     def test_steering_frame_signed(self):

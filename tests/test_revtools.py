@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from evsim import canbus, recordings
+from evsim import canbus, recordings, revtools
 from evsim.canbus import CanFrame, CanTrace
 from evsim.revtools import (
     AmbiguousError,
@@ -15,7 +16,7 @@ from evsim.revtools import (
 
 
 def _membership_trace(ids):
-    return CanTrace([CanFrame(k, arb_id, 1, b"\x00")
+    return CanTrace([CanFrame(k, arb_id, b"\x00")
                      for k, arb_id in enumerate(ids)])
 
 
@@ -69,8 +70,8 @@ class TestIsolateControlId:
             isolate_control_id(CanTrace([]), lambda tr: True)
 
     def test_subset_keeps_timestamps(self):
-        trace = CanTrace([CanFrame(100, 0x10, 0, b""),
-                          CanFrame(250, 0x20, 0, b"")])
+        trace = CanTrace([CanFrame(100, 0x10, b""),
+                          CanFrame(250, 0x20, b"")])
         seen = []
 
         def oracle(tr):
@@ -124,12 +125,27 @@ def _speed_frames(pairs):
     return [canbus.encode_speed(v, timestamp_us=t) for t, v in pairs]
 
 
+def byte_matrix_per_frame(frames):
+    """Reference: the per-frame loop _byte_matrix replaced."""
+    data = np.zeros((len(frames), 8), dtype=np.float64)
+    for i, f in enumerate(frames):
+        data[i, :f.dlc] = list(f.data)
+    return data
+
+
 class TestCorrelateBytes:
+    def test_byte_matrix_matches_per_frame_loop(self):
+        rng = random.Random(3)
+        frames = [CanFrame(k, 0x200, rng.randbytes(rng.randrange(9))) for k in range(200)]
+        matrix = revtools._byte_matrix(frames)
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix, byte_matrix_per_frame(frames))
+
     def _linear_trace(self):
         frames = _speed_frames([(0, 0.0), (10, 10.0), (20, 20.0)])
         for k, t in enumerate((5, 15, 25)):
             data = bytes([10 * k, 20 - 10 * k, 7, 0, 0, 0, 0, 0])
-            frames.append(CanFrame(t, 0x200, 8, data))
+            frames.append(CanFrame(t, 0x200, data))
         frames.sort(key=lambda f: f.timestamp_us)
         return CanTrace(frames)
 
@@ -160,8 +176,8 @@ class TestCorrelateBytes:
 
     def test_flat_speed_excludes_all(self):
         frames = _speed_frames([(0, 5.0), (10, 5.0)])
-        frames.append(CanFrame(5, 0x200, 1, bytes([1])))
-        frames.append(CanFrame(15, 0x200, 1, bytes([9])))  # varying byte
+        frames.append(CanFrame(5, 0x200, bytes([1])))
+        frames.append(CanFrame(15, 0x200, bytes([9])))  # varying byte
         frames.sort(key=lambda f: f.timestamp_us)
         report = correlate_bytes(CanTrace(frames))
         assert report.ranked == ()
@@ -173,23 +189,23 @@ class TestCorrelateBytes:
         # the hold (not interpolation) is what makes r == 1
         frames = _speed_frames([(0, 0.0), (100, 54.0)])
         for t, v in ((50, 0), (99, 0), (150, 54)):
-            frames.append(CanFrame(t, 0x300, 1, bytes([v])))
+            frames.append(CanFrame(t, 0x300, bytes([v])))
         frames.sort(key=lambda f: f.timestamp_us)
         report = correlate_bytes(CanTrace(frames))
         assert report.find(0x300, 0).r == pytest.approx(1.0)
 
     def test_custom_speed_id(self):
-        frames = [CanFrame(t, 0x99, 8, canbus.encode_speed(v).data)
+        frames = [CanFrame(t, 0x99, canbus.encode_speed(v).data)
                   for t, v in ((0, 0.0), (10, 10.0), (20, 20.0))]
-        frames.append(CanFrame(5, 0x200, 1, bytes([3])))
-        frames.append(CanFrame(15, 0x200, 1, bytes([9])))
+        frames.append(CanFrame(5, 0x200, bytes([3])))
+        frames.append(CanFrame(15, 0x200, bytes([9])))
         frames.sort(key=lambda f: f.timestamp_us)
         report = correlate_bytes(CanTrace(frames), speed_id=0x99)
         assert report.speed_id == 0x99
         assert report.find(0x200, 0).r == pytest.approx(1.0)
 
     def test_speed_id_missing(self):
-        trace = CanTrace([CanFrame(0, 0x200, 1, b"\x01")])
+        trace = CanTrace([CanFrame(0, 0x200, b"\x01")])
         with pytest.raises(EmptyTraceError):
             correlate_bytes(trace)
 

@@ -99,6 +99,9 @@ class TestScenarioConfig:
         ({"duration_s": scenario.MAX_RUN_S + 0.01}, "too long"),
         ({"oval": {"speed_mph": 1e-9}}, "lap time"),
         ({"oval": {"straight_m": 1e6}}, "samples"),
+        ({"duration_s": 86_400, "physics_dt_s": 1e-6, "control_period_s": 1e-5,
+          "follower_period_s": 1e-4}, "physics ticks"),
+        ({"duration_s": 86.400001, "physics_dt_s": 1e-6}, "physics ticks"),
     ])
     def test_bad_input_raises_config_error(self, change, match):
         raw = {"name": "s", "duration_s": 1.0, "speed_ref_mph": 10.0, **change}
@@ -120,9 +123,11 @@ class TestScenarioConfig:
                               inner, max_size=3),
             max_leaves=6),
         max_size=3),
-        # huge or tiny finite numbers where they set the run length or the oval table size
-        scale=st.fixed_dictionaries({}, optional={
-            "duration_s": _HUGE,
+        # huge or tiny finite numbers where they set the run length, the tick count or
+        # the oval table size
+        scale=st.fixed_dictionaries({
+            "physics_dt_s": st.sampled_from([1e-3, 1e-5, 1e-6])}, optional={
+            "duration_s": _HUGE | st.floats(min_value=1.0, max_value=scenario.MAX_RUN_S),
             "oval": st.fixed_dictionaries({}, optional=dict.fromkeys(
                 ("straight_m", "radius_m", "speed_mph"),
                 _HUGE | st.floats(min_value=1e-12, max_value=1e-3) | st.just(20.0)))}))
@@ -137,6 +142,8 @@ class TestScenarioConfig:
             return
         assert isinstance(scn, Scenario)
         assert scn.duration_s <= scenario.MAX_RUN_S
+        ticks = round(scn.duration_s * 1e6) // round(scn.physics_dt_s * 1e6)
+        assert ticks <= scenario.MAX_PHYSICS_TICKS
         if scn.oval is not None:
             lap_s = follower.oval_lap_s(scn.oval.straight_m, scn.oval.radius_m,
                                         scn.oval.speed_mph * MPH_TO_MPS)
@@ -144,6 +151,8 @@ class TestScenarioConfig:
 
     def test_run_length_cap_is_inclusive(self):
         Scenario("s", scenario.MAX_RUN_S, speed_ref_mph=10.0).validate()
+        Scenario("s", scenario.MAX_PHYSICS_TICKS * 1e-6, physics_dt_s=1e-6,
+                 speed_ref_mph=10.0).validate()
 
     def test_oval_table_cap(self):
         # just under the cap builds, just over it raises before any sample is made
@@ -314,7 +323,7 @@ class TestLiveInjection:
 
 def _throttle_replay(n=20, period_us=100_000, value=0):
     return CanTrace([
-        CanFrame(k * period_us, 0x11A, 8, bytes(3) + bytes([value]) + bytes(4))
+        CanFrame(k * period_us, 0x11A, bytes(3) + bytes([value]) + bytes(4))
         for k in range(1, n + 1)
     ])
 
@@ -339,9 +348,9 @@ class TestReplayInjection:
 
     def test_capture_past_run_cap(self):
         cap_us = round(scenario.MAX_RUN_S * 1e6)
-        at_cap = CanTrace([CanFrame(cap_us, 0x11A, 8, bytes(8))])
+        at_cap = CanTrace([CanFrame(cap_us, 0x11A, bytes(8))])
         assert scenario.replay_ms(at_cap) == cap_us // 1000 + 1000
         for last_us in (cap_us + 1, 10 ** 15, 10 ** 400):
-            past = CanTrace([CanFrame(last_us, 0x11A, 8, bytes(8))])
+            past = CanTrace([CanFrame(last_us, 0x11A, bytes(8))])
             with pytest.raises(ConfigError, match="past the limit"):
                 run_replay_injection(past, lambda t: 0)

@@ -13,7 +13,7 @@ import pytest
 
 from evsim import canbus, recordings
 from evsim import injection as inj
-from evsim.canbus import CanBus, CanTrace, make_frame
+from evsim.canbus import CanBus, CanFrame, CanTrace
 from evsim.plant import SimulatedEcus, VehiclePlant
 from evsim.scenario import _injection_rig, ramp_bytes, replay_ms, rig_loop, run_until
 
@@ -132,7 +132,7 @@ class TestRunUntil:
         plant = VehiclePlant()
         bus.add_listener(lambda frame, source: seen.append((frame.timestamp_us,
                                                             plant.state.speed_mph)))
-        bus.inject_at(5000, make_frame(5000, 0x10, b"\x01"))
+        bus.inject_at(5000, CanFrame(5000, 0x10, b"\x01"))
         return bus, plant, seen
 
     @staticmethod
@@ -161,7 +161,7 @@ class TestRunUntil:
         ticks_at_delivery = []
         calls = []
         bus.add_listener(lambda frame, source: ticks_at_delivery.append(sum(calls)))
-        bus.inject_at(2500, make_frame(2500, 0x10, b"\x01"))
+        bus.inject_at(2500, CanFrame(2500, 0x10, b"\x01"))
         real_advance = plant.advance
 
         def advance(app, bpp, steer, n, dt):
@@ -178,7 +178,7 @@ class TestRunUntil:
         rx = inj.ThrottleReceiver()
         bus.add_listener(rx)
         bus.feed_replay(CanTrace([
-            make_frame(t, canbus.THROTTLE_ID, bytes([0, 0, 0, value, 0, 0, 0, 0]))
+            CanFrame(t, canbus.THROTTLE_ID, bytes([0, 0, 0, value, 0, 0, 0, 0]))
             for t, value in ((2000, 100), (4000, 0))]))
         read = []
 
