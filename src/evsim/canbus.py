@@ -15,7 +15,7 @@ so 0 mph sits at 0xB0D4 and each count is 1/54 mph.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -295,6 +295,19 @@ PayloadFn = Callable[[int], bytes]
 Listener = Callable[[CanFrame, str], None]
 
 
+class _Periodic:
+    """One periodic source: emit payload(due) on arb_id at due, then every period."""
+
+    __slots__ = ("arb_id", "period", "payload", "source", "next_due")
+
+    def __init__(self, arb_id: int, period: int, payload: PayloadFn, source: str):
+        self.arb_id = arb_id
+        self.period = period
+        self.payload = payload
+        self.source = source
+        self.next_due = period
+
+
 class CanBus:
     """Single-threaded bus scheduler with deterministic arbitration.
 
@@ -306,15 +319,25 @@ class CanBus:
     number is larger.  Tap rules rewrite periodic-source frames between
     the producing module and the wire; injected and replayed frames enter
     at the connector and are not tapped.
+
+    Injected frames wait in one list kept in that order.  A replayed
+    capture is already in time order, so each of its frames is appended
+    at the tail; ``step`` takes the due ones as one slice from the head.
     """
 
     def __init__(self):
-        self._periodic: list[dict] = []  # insertion-ordered sources
+        # called in insertion order: payload functions may share a seeded
+        # RNG, so the order of the calls shows in the frames
+        self._periodic: list[_Periodic] = []
+        self._periodic_due: int | None = None  # earliest next_due of the sources
         self._taps: list = []  # injection.FilterRule: .apply(frame) -> frame
         self._listeners: list[Listener] = []
-        # heap entries: (due, arb_id, origin, seq, frame, source); origin 1
-        # ranks injected frames after periodic ones on a timestamp+id tie
+        # entries (due, arb_id, origin, seq, frame, source), sorted; origin 1
+        # ranks injected frames after periodic ones on a timestamp+id tie, and
+        # seq is unique, so no comparison reaches the frame.  Entries before
+        # _head are delivered; step drops them once they are half the list.
         self._pending: list[tuple[int, int, int, int, CanFrame, str]] = []
+        self._head = 0
         self._seq = 0
         self._now = 0
         # due time of the latest frame delivered or in delivery; every frame
@@ -331,13 +354,9 @@ class CanBus:
             raise ValueError(f"arbitration id 0x{arb_id:X} outside 11-bit range")
         if period_us <= 0:
             raise ValueError("period must be positive")
-        self._periodic.append({
-            "id": arb_id,
-            "period": period_us,
-            "payload": payload_fn,
-            "source": source,
-            "next_due": period_us,
-        })
+        self._periodic.append(_Periodic(arb_id, period_us, payload_fn, source))
+        if self._periodic_due is None or period_us < self._periodic_due:
+            self._periodic_due = period_us
 
     def add_tap(self, rule) -> None:
         """Pass each periodic frame through rule.apply, which keeps its timestamp."""
@@ -358,8 +377,13 @@ class CanBus:
         if due_us < self._last_us:
             raise ValueError(
                 f"frame due at {due_us} us would follow one stamped {self._last_us} us")
-        heapq.heappush(self._pending, (due_us, frame.arbitration_id, 1, self._seq, frame, source))
+        item = (due_us, frame.arbitration_id, 1, self._seq, frame, source)
         self._seq += 1
+        pending = self._pending
+        if not pending or pending[-1] < item:
+            pending.append(item)
+        else:
+            bisect.insort(pending, item, lo=self._head)
 
     def feed_replay(self, frames: Iterable[CanFrame]) -> None:
         """Queue recorded frames at their own timestamps, tagged "replay"."""
@@ -370,41 +394,61 @@ class CanBus:
 
     def next_due_us(self) -> int | None:
         """Earliest pending emission time, or None when nothing is scheduled."""
-        candidates = [src["next_due"] for src in self._periodic]
-        if self._pending:
-            candidates.append(self._pending[0][0])
-        return min(candidates) if candidates else None
+        due = self._periodic_due
+        if self._head < len(self._pending):
+            injected = self._pending[self._head][0]
+            if due is None or injected < due:
+                return injected
+        return due
 
     def step(self, now_us: int) -> list[CanFrame]:
         """Deliver every frame due in (previous now, now_us]."""
         if now_us < self._now:
             raise ValueError("bus time must not go backwards")
         batch: list[tuple[int, int, int, int, CanFrame, str]] = []
-        for src in self._periodic:
-            while src["next_due"] <= now_us:
-                due = src["next_due"]
-                payload = bytes(src["payload"](due))
-                if len(payload) > 8:
-                    raise ValueError(f"dlc {len(payload)} outside 0..8")
-                frame = _frame(due, src["id"], payload)
-                for tap in self._taps:
-                    frame = tap.apply(frame)
-                batch.append((due, frame.arbitration_id, 0, self._seq, frame, src["source"]))
-                self._seq += 1
-                src["next_due"] = due + src["period"]
-        while self._pending and self._pending[0][0] <= now_us:
-            batch.append(heapq.heappop(self._pending))
-        batch.sort(key=lambda item: item[:4])
+        if self._periodic_due is not None and self._periodic_due <= now_us:
+            taps = self._taps
+            earliest = None
+            for src in self._periodic:
+                while src.next_due <= now_us:
+                    due = src.next_due
+                    payload = bytes(src.payload(due))
+                    if len(payload) > 8:
+                        raise ValueError(f"dlc {len(payload)} outside 0..8")
+                    frame = _frame(due, src.arb_id, payload)
+                    for tap in taps:
+                        frame = tap.apply(frame)
+                    batch.append((due, frame.arbitration_id, 0, self._seq, frame, src.source))
+                    self._seq += 1
+                    src.next_due = due + src.period
+                if earliest is None or src.next_due < earliest:
+                    earliest = src.next_due
+            self._periodic_due = earliest
+        pending = self._pending
+        head = self._head
+        if head < len(pending) and pending[head][0] <= now_us:
+            end = bisect.bisect_right(pending, (now_us + 1,), head)
+            batch += pending[head:end]
+            # drop delivered entries: a drained list is cleared, and a
+            # delivered prefix is cut once it is more than half the list
+            if end == len(pending):
+                pending.clear()
+                end = 0
+            elif end > len(pending) // 2:
+                del pending[:end]
+                end = 0
+            self._head = end
         if batch:
+            batch.sort()
             self._last_us = batch[-1][0]
-        delivered = []
+        trace_append = self._trace.append
+        listeners = self._listeners
         for _, _, _, _, frame, source in batch:
-            self._trace.append(frame)
-            for listener in self._listeners:
+            trace_append(frame)
+            for listener in listeners:
                 listener(frame, source)
-            delivered.append(frame)
         self._now = now_us
-        return delivered
+        return [item[4] for item in batch]
 
     def trace(self) -> CanTrace:
         """Every frame delivered so far, in delivery order, which is time order."""

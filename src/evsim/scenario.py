@@ -2,21 +2,23 @@
 
 A scenario wires the full stack together on one clock hierarchy:
 
-  physics tick (1 kHz)  plant integration and bus event grid
+  physics tick (1 kHz)  plant integration
   control period (100 Hz)  the three PI loops and the serial hop
   follower period (10 Hz)  target replay and the flatness law
 
 Each control period the loops read the true plant state, their duties
 ride the serial link (encode, CRC, decode) exactly as they would to the
 gateway board, the steering duty passes through deadband compensation,
-and the plant integrates to the next boundary.  Bus broadcasts fall due
-on their own schedule; due times between physics ticks take effect at
-the next tick.  Everything is integer-microsecond bookkeeping, so runs
-are deterministic and replays byte-identical.
+and the plant integrates to the next boundary.  Bus frames fall due on
+their own schedule and are delivered at their own microsecond, between
+physics ticks too; the plant moves only on ticks, so a frame due
+between ticks takes effect at the next one.  Everything is
+integer-microsecond bookkeeping, so runs are deterministic and replays
+byte-identical.
 
 run_until is the one loop that runs a bus and a plant together.  It
-advances the plant in chunks of held inputs and steps the bus only
-where a frame falls due.  run_scenario calls it once per control
+advances the plant in chunks of held inputs and steps the bus only at
+the due time of a frame.  run_scenario calls it once per control
 period.  The injection rigs run a receiver that obeys the last throttle
 command seen on the wire, against either live broadcasts plus a
 shadow/tap override or a recorded trace; rig_loop drives that rig
@@ -242,15 +244,18 @@ def run_until(bus: canbus.CanBus, plant: VehiclePlant, inputs, t_us: int, end_us
     Frames due at or before t_us are delivered first.  Then the plant
     advances, with the inputs() read just before each advance, to the
     physics boundary at or after the next due frame, where the bus
-    steps and delivers it.  Nothing is delivered at end_us itself: a
-    frame due there is left to the next call or to a final bus.step.
-    t_us and end_us lie on the physics grid.
+    delivers it.  The bus steps at each due time, so every frame is
+    delivered at its own timestamp, between ticks too, and a listener
+    may queue a frame for any later microsecond; the plant moves only
+    on ticks.  Nothing is delivered at end_us itself: a frame due there
+    is left to the next call or to a final bus.step.  t_us and end_us
+    lie on the physics grid.
     """
     ticks = 0
     while t_us < end_us:
         due = bus.next_due_us()
         if due is not None and due <= t_us:
-            bus.step(t_us)
+            bus.step(due)
             continue
         boundary = end_us if due is None else min(end_us, -(-due // phys_us) * phys_us)
         n = (boundary - t_us) // phys_us
@@ -376,8 +381,8 @@ def _scenario_metrics(scn: Scenario, rows, path, frames_on_bus, physics_ticks, n
 def emit_logs(result: ScenarioResult, outdir) -> dict[str, Path]:
     """Write state.csv, trace.txt, and metrics.json; returns the paths.
 
-    Floats go through repr so reruns of a deterministic scenario produce
-    byte-identical files.
+    csv writes floats through repr and None as an empty field, so reruns
+    of a deterministic scenario produce byte-identical files.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -389,8 +394,7 @@ def emit_logs(result: ScenarioResult, outdir) -> dict[str, Path]:
     with open(paths["state"], "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
-        for row in result.rows:
-            writer.writerow(["" if v is None else repr(v) for v in row])
+        writer.writerows(result.rows)
     canbus.save_trace(result.trace, paths["trace"])
     with open(paths["metrics"], "w", encoding="ascii") as fh:
         json.dump(result.metrics, fh, indent=2, sort_keys=True)
@@ -450,9 +454,9 @@ def rig_loop(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
              n_ms: int) -> float:
     """Run the bus and a rig that obeys rx's throttle for n_ms 1 ms ticks.
 
-    The rig runs one tick behind the bus: the frames delivered at
-    k ms set the throttle of the tick that follows, and the last bus
-    step is at n_ms ms.  The brake stays released and the steering
+    The rig runs one tick behind the bus: the frames due up to k ms
+    set the throttle of the tick that follows, and no frame due after
+    n_ms ms is delivered.  The brake stays released and the steering
     centred, so within a run_until chunk of held throttle the speed
     approaches app_k(throttle) monotonically and its peak lies at a
     chunk end.  Returns the top rig speed in mph over every tick.

@@ -8,11 +8,13 @@ so a command frame is always 10 bytes.  The CRC covers the payload only.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 START_BYTE = 0xFA
 COMMAND_PAYLOAD_LEN = 6
 FIXED_POINT_FULL_SCALE = 65535
+_COMMAND_FIELDS = struct.Struct(">HHH")  # app, bpp, steer
 
 
 class FrameError(ValueError):
@@ -88,12 +90,10 @@ def _encode_fixed(value: float, name: str) -> int:
 
 def encode_packet(app: float, bpp: float, steer: float) -> bytes:
     """Serialize a command into the 10-byte wire frame."""
-    payload = b"".join(
-        _encode_fixed(v, n).to_bytes(2, "big")
-        for v, n in ((app, "app"), (bpp, "bpp"), (steer, "steer"))
-    )
+    payload = _COMMAND_FIELDS.pack(_encode_fixed(app, "app"), _encode_fixed(bpp, "bpp"),
+                                   _encode_fixed(steer, "steer"))
     crc = crc16_ccitt(payload)
-    return bytes([START_BYTE, len(payload)]) + payload + crc.to_bytes(2, "big")
+    return bytes((START_BYTE, COMMAND_PAYLOAD_LEN)) + payload + crc.to_bytes(2, "big")
 
 
 def parse_frame(buf: bytes) -> Frame:
@@ -121,11 +121,9 @@ def decode_packet(buf: bytes) -> CommandPacket:
     frame = parse_frame(buf)
     if frame.length != COMMAND_PAYLOAD_LEN:
         raise BadLengthError(f"command payload must be {COMMAND_PAYLOAD_LEN} bytes, got {frame.length}")
-    fields = [
-        int.from_bytes(frame.payload[i:i + 2], "big") / FIXED_POINT_FULL_SCALE
-        for i in (0, 2, 4)
-    ]
-    return CommandPacket(*fields)
+    app, bpp, steer = _COMMAND_FIELDS.unpack(frame.payload)
+    return CommandPacket(app / FIXED_POINT_FULL_SCALE, bpp / FIXED_POINT_FULL_SCALE,
+                         steer / FIXED_POINT_FULL_SCALE)
 
 
 class StreamDecoder:

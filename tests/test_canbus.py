@@ -1,4 +1,6 @@
+import heapq
 import io
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +237,159 @@ class TestTraceFormat:
         assert trace.ids() == [0x7D, 0x10]
 
 
+class HeapBus:
+    """Reference scheduler: the heap-queue CanBus the sorted-list queue replaced.
+
+    Sources are dicts in insertion order; injected frames go through
+    heapq.heappush, and each step pops the due ones and sorts the batch
+    by its (due, id, origin, seq) key.
+    """
+
+    def __init__(self):
+        self._periodic = []
+        self._taps = []
+        self._listeners = []
+        self._pending = []
+        self._seq = 0
+        self._now = 0
+        self._last_us = -1
+        self._trace = []
+
+    def add_periodic(self, arb_id, period_us, payload_fn, source="ecu"):
+        if not 0 <= arb_id <= 0x7FF:
+            raise ValueError(f"arbitration id 0x{arb_id:X} outside 11-bit range")
+        if period_us <= 0:
+            raise ValueError("period must be positive")
+        self._periodic.append({"id": arb_id, "period": period_us, "payload": payload_fn,
+                               "source": source, "next_due": period_us})
+
+    def add_tap(self, rule):
+        self._taps.append(rule)
+
+    def add_listener(self, fn):
+        self._listeners.append(fn)
+
+    def inject_at(self, due_us, frame, source="inject"):
+        if frame.timestamp_us != due_us:
+            raise ValueError(f"frame stamped {frame.timestamp_us} us queued for {due_us} us")
+        if due_us < self._last_us:
+            raise ValueError(
+                f"frame due at {due_us} us would follow one stamped {self._last_us} us")
+        heapq.heappush(self._pending, (due_us, frame.arbitration_id, 1, self._seq, frame, source))
+        self._seq += 1
+
+    def feed_replay(self, frames):
+        for f in frames:
+            self.inject_at(f.timestamp_us, f, "replay")
+
+    def next_due_us(self):
+        candidates = [src["next_due"] for src in self._periodic]
+        if self._pending:
+            candidates.append(self._pending[0][0])
+        return min(candidates) if candidates else None
+
+    def step(self, now_us):
+        if now_us < self._now:
+            raise ValueError("bus time must not go backwards")
+        batch = []
+        for src in self._periodic:
+            while src["next_due"] <= now_us:
+                due = src["next_due"]
+                payload = bytes(src["payload"](due))
+                if len(payload) > 8:
+                    raise ValueError(f"dlc {len(payload)} outside 0..8")
+                frame = canbus._frame(due, src["id"], payload)
+                for tap in self._taps:
+                    frame = tap.apply(frame)
+                batch.append((due, frame.arbitration_id, 0, self._seq, frame, src["source"]))
+                self._seq += 1
+                src["next_due"] = due + src["period"]
+        while self._pending and self._pending[0][0] <= now_us:
+            batch.append(heapq.heappop(self._pending))
+        batch.sort(key=lambda item: item[:4])
+        if batch:
+            self._last_us = batch[-1][0]
+        delivered = []
+        for _, _, _, _, frame, source in batch:
+            self._trace.append(frame)
+            for listener in self._listeners:
+                listener(frame, source)
+            delivered.append(frame)
+        self._now = now_us
+        return delivered
+
+    def trace(self):
+        return canbus._ordered_trace(list(self._trace))
+
+
+# bus operations for the queue property; few ids, so that ties are common
+_BUS_IDS = st.sampled_from([0x10, 0x11, 0x75, 0x7FF]) | st.integers(0, 0x800)
+_BUS_OPS = st.one_of(
+    st.tuples(st.just("periodic"), _BUS_IDS, st.integers(0, 3_000)),
+    st.tuples(st.just("inject"), _BUS_IDS, st.integers(-500, 3_000),
+              st.sampled_from([0, 0, 0, 1])),
+    st.tuples(st.just("replay"),
+              st.lists(st.tuples(st.integers(-200, 4_000), _BUS_IDS), max_size=12)),
+    st.tuples(st.just("echo"), st.integers(0, 2), st.integers(0, 1_500), _BUS_IDS),
+    st.tuples(st.just("tap"),),
+    st.tuples(st.just("step"), st.integers(-100, 4_000)),
+)
+
+
+class _XorTap:
+    def apply(self, frame):
+        return canbus._frame(frame.timestamp_us, frame.arbitration_id,
+                             bytes(b ^ 0x5A for b in frame.data))
+
+
+def drive_bus(bus, ops, check=lambda bus: None):
+    """Apply ops to bus; returns every outcome, next due time, delivery and the trace."""
+    rng = random.Random(7)  # shared by the payloads, so their call order shows
+    deliveries = []
+    bus.add_listener(lambda frame, source: deliveries.append((frame, source)))
+    log = []
+    now = 0
+    for i, (kind, *args) in enumerate(ops):
+        try:
+            if kind == "periodic":
+                arb_id, period = args
+                bus.add_periodic(arb_id, period,
+                                 lambda due: rng.randbytes(rng.randrange(9)), f"p{i}")
+                out = None
+            elif kind == "inject":
+                arb_id, offset, skew = args
+                due = max(0, now + offset)
+                bus.inject_at(due, CanFrame(due + skew, arb_id, bytes([i % 256])), f"i{i}")
+                out = None
+            elif kind == "replay":
+                bus.feed_replay(CanFrame(max(0, now + offset), arb_id, bytes([i % 256]))
+                                for offset, arb_id in args[0])
+                out = None
+            elif kind == "echo":
+                # while a step delivers, queue an answer to every frame whose id
+                # has this remainder mod 3, except to answers
+                rem, delay, arb_id = args
+
+                def echo(frame, source, rem=rem, delay=delay, arb_id=arb_id, tag=f"e{i}"):
+                    if frame.arbitration_id % 3 == rem and not source.startswith("e"):
+                        due = frame.timestamp_us + delay
+                        bus.inject_at(due, CanFrame(due, arb_id, b"\xee"), tag)
+
+                bus.add_listener(echo)
+                out = None
+            elif kind == "tap":
+                bus.add_tap(_XorTap())
+                out = None
+            else:
+                out = bus.step(now + args[0])
+                now += args[0]
+        except ValueError as exc:
+            out = ("ValueError", str(exc))
+        check(bus)
+        log.append((out, bus.next_due_us()))
+    return log, deliveries, list(bus.trace())
+
+
 class TestBus:
     def test_periodic_emits_at_multiples(self):
         bus = CanBus()
@@ -357,3 +512,39 @@ class TestBus:
         bus = CanBus()
         with pytest.raises(ValueError):
             bus.add_periodic(0x75, 0, lambda now: b"")
+
+
+class TestQueue:
+    """The sorted-list queue of CanBus against the heap it replaced."""
+
+    @staticmethod
+    def _delivered_half_at_most(bus):
+        assert 2 * bus._head <= len(bus._pending)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_BUS_OPS, max_size=30))
+    def test_matches_heap_scheduler(self, ops):
+        # same frames, sources, next due times, trace and ValueError messages
+        assert (drive_bus(CanBus(), ops, self._delivered_half_at_most)
+                == drive_bus(HeapBus(), ops))
+
+    def test_drained_bus_holds_no_delivered_entries(self):
+        bus = CanBus()
+        bus.feed_replay(CanFrame(t, 0x10, b"") for t in range(1_000, 50_000, 1_000))
+        for t in range(0, 60_000, 700):
+            bus.step(t)
+            self._delivered_half_at_most(bus)
+        assert len(bus.trace()) == 49
+        assert bus._pending == [] and bus._head == 0
+
+    def test_feed_replay_calls_inject_at_per_frame(self, monkeypatch):
+        calls = []
+        inject_at = CanBus.inject_at
+
+        def counted(bus, due_us, frame, source="inject"):
+            calls.append((due_us, source))
+            inject_at(bus, due_us, frame, source)
+
+        monkeypatch.setattr(CanBus, "inject_at", counted)
+        CanBus().feed_replay(CanFrame(t, 0x10, b"") for t in (5, 5, 9))
+        assert calls == [(5, "replay"), (5, "replay"), (9, "replay")]

@@ -157,6 +157,17 @@ class TestInject:
         forged_bytes = [f.data[canbus.THROTTLE_BYTE_INDEX] for f in merged][1::2]
         assert forged_bytes == [0, 50, 100, 150, 200, 250, 250, 250, 250, 250]
 
+    def test_replay_with_sub_millisecond_timestamps(self, tmp_path, capsys):
+        # the forged copy of the 1500 us command falls due at 1750 us, between
+        # rig ticks and before the 1900 us speed frame
+        trace_file = tmp_path / "sub_ms.txt"
+        trace_file.write_text("1500 11A 8 00 00 00 10 00 00 00 00\n1900 75 0\n"
+                              "101500 11A 8 00 00 00 10 00 00 00 00\n101900 75 0\n")
+        code, out = run_cli(capsys, "inject", "--trace", str(trace_file), "--ramp", "0:10:1")
+        assert code == 0
+        assert "injected 2 frames" in out
+        assert "dominance: 399/400" in out
+
     def test_live_target_without_stock_payload(self):
         args = cli.build_parser().parse_args(
             ["inject", "--duration", "1", "--id", "300", "--target-period-ms", "10",
