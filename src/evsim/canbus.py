@@ -177,13 +177,17 @@ def decode_speed(frame: CanFrame, arb_id: int = SPEED_ID) -> float:
     return decode_speed_raw((frame.data[6] << 8) + frame.data[7])
 
 
-def encode_speed(speed_mph: float, timestamp_us: int = 0) -> CanFrame:
-    """Build a full speed broadcast frame; bytes other than 7/8 are zero."""
+def speed_data(speed_mph: float) -> bytes:
+    """The 8 data bytes of a speed broadcast; bytes other than 7/8 are zero."""
     raw = round(SPEED_OFFSET + SPEED_COUNTS_PER_MPH * speed_mph)
     if not 0 <= raw <= 0xFFFF:
         raise OutOfRangeError(f"speed {speed_mph} mph does not fit the 16-bit field")
-    data = bytes([0, 0, 0, 0, 0, 0, (raw >> 8) & 0xFF, raw & 0xFF])
-    return _frame(timestamp_us, SPEED_ID, data)
+    return bytes((0, 0, 0, 0, 0, 0, raw >> 8, raw & 0xFF))
+
+
+def encode_speed(speed_mph: float, timestamp_us: int = 0) -> CanFrame:
+    """Build a full speed broadcast frame."""
+    return _frame(timestamp_us, SPEED_ID, speed_data(speed_mph))
 
 
 # --- trace text format ------------------------------------------------------
@@ -296,22 +300,25 @@ Listener = Callable[[CanFrame, str], None]
 
 
 class _Periodic:
-    """One periodic source: emit payload(due) on arb_id at due, then every period."""
+    """One periodic source: emit payload(due) on arb_id at next_due, then every period."""
 
     __slots__ = ("arb_id", "period", "payload", "source", "next_due")
 
-    def __init__(self, arb_id: int, period: int, payload: PayloadFn, source: str):
+    def __init__(self, arb_id: int, period: int, payload: PayloadFn, source: str,
+                 next_due: int):
         self.arb_id = arb_id
         self.period = period
         self.payload = payload
         self.source = source
-        self.next_due = period
+        self.next_due = next_due
 
 
 class CanBus:
     """Single-threaded bus scheduler with deterministic arbitration.
 
-    Periodic sources emit at k*period for k >= 1. Frames that fall due in
+    Periodic sources emit at k*period for k >= 1; one added after the bus
+    stepped to t starts at the first multiple after t (and after every
+    frame already delivered).  Frames that fall due in
     the window covered by one ``step`` call are delivered sorted by
     (timestamp, arbitration id, enqueue sequence): lower IDs win
     simultaneous arbitration, and an injected frame scheduled at the same
@@ -354,9 +361,12 @@ class CanBus:
             raise ValueError(f"arbitration id 0x{arb_id:X} outside 11-bit range")
         if period_us <= 0:
             raise ValueError("period must be positive")
-        self._periodic.append(_Periodic(arb_id, period_us, payload_fn, source))
-        if self._periodic_due is None or period_us < self._periodic_due:
-            self._periodic_due = period_us
+        # after the latest frame delivered too, which a step that a listener
+        # broke off leaves past the bus time
+        first_due = (max(self._now, self._last_us) // period_us + 1) * period_us
+        self._periodic.append(_Periodic(arb_id, period_us, payload_fn, source, first_due))
+        if self._periodic_due is None or first_due < self._periodic_due:
+            self._periodic_due = first_due
 
     def add_tap(self, rule) -> None:
         """Pass each periodic frame through rule.apply, which keeps its timestamp."""
@@ -408,21 +418,37 @@ class CanBus:
         batch: list[tuple[int, int, int, int, CanFrame, str]] = []
         if self._periodic_due is not None and self._periodic_due <= now_us:
             taps = self._taps
+            append = batch.append
             earliest = None
-            for src in self._periodic:
-                while src.next_due <= now_us:
+            seq = self._seq
+            try:
+                for src in self._periodic:
                     due = src.next_due
-                    payload = bytes(src.payload(due))
-                    if len(payload) > 8:
-                        raise ValueError(f"dlc {len(payload)} outside 0..8")
-                    frame = _frame(due, src.arb_id, payload)
-                    for tap in taps:
-                        frame = tap.apply(frame)
-                    batch.append((due, frame.arbitration_id, 0, self._seq, frame, src.source))
-                    self._seq += 1
-                    src.next_due = due + src.period
-                if earliest is None or src.next_due < earliest:
-                    earliest = src.next_due
+                    if due <= now_us:
+                        arb_id, period, payload_fn, source = (src.arb_id, src.period,
+                                                              src.payload, src.source)
+                        while due <= now_us:
+                            payload = payload_fn(due)
+                            if payload.__class__ is not bytes:
+                                payload = bytes(payload)
+                            if len(payload) > 8:
+                                raise ValueError(f"dlc {len(payload)} outside 0..8")
+                            frame = _frame(due, arb_id, payload)
+                            for tap in taps:
+                                frame = tap.apply(frame)
+                            append((due, frame.arbitration_id, 0, seq, frame, source))
+                            seq += 1
+                            # kept per frame: a payload that raises leaves the
+                            # frames before it emitted and their source advanced
+                            due = src.next_due = due + period
+                    if earliest is None or due < earliest:
+                        earliest = due
+            except BaseException:
+                # a payload or tap raised: the sources stay advanced up to it
+                self._periodic_due = min(src.next_due for src in self._periodic)
+                raise
+            finally:
+                self._seq = seq
             self._periodic_due = earliest
         pending = self._pending
         head = self._head
@@ -438,17 +464,24 @@ class CanBus:
                 del pending[:end]
                 end = 0
             self._head = end
-        if batch:
-            batch.sort()
-            self._last_us = batch[-1][0]
-        trace_append = self._trace.append
+        if not batch:
+            self._now = now_us
+            return []
+        batch.sort()
+        self._last_us = batch[-1][0]
+        delivered = [item[4] for item in batch]
         listeners = self._listeners
-        for _, _, _, _, frame, source in batch:
-            trace_append(frame)
-            for listener in listeners:
-                listener(frame, source)
+        if listeners:
+            # a listener that raises leaves the trace ending at its frame
+            trace_append = self._trace.append
+            for _, _, _, _, frame, source in batch:
+                trace_append(frame)
+                for listener in listeners:
+                    listener(frame, source)
+        else:
+            self._trace += delivered
         self._now = now_us
-        return [item[4] for item in batch]
+        return delivered
 
     def trace(self) -> CanTrace:
         """Every frame delivered so far, in delivery order, which is time order."""

@@ -158,6 +158,11 @@ def invert_k_bpp(decel: float) -> float:
     return pct
 
 
+#: Settle counts at the ends of the steering curve's rising branch.
+STEER_COUNTS_FLOOR = steer_k(STEER_DUTY_MIN)
+STEER_COUNTS_CEIL = steer_k(STEER_DUTY_MAX)
+
+
 def invert_k_steer(counts: float) -> float:
     """Torque duty settling at the demanded counts, on the rising branch.
 
@@ -166,9 +171,7 @@ def invert_k_steer(counts: float) -> float:
     mirrored branch and are handled by steer_duty_command.
     """
     a, b, c = STEER_QUAD, STEER_LIN, STEER_CONST
-    floor = steer_k(STEER_DUTY_MIN)
-    ceil = steer_k(STEER_DUTY_MAX)
-    counts = min(ceil, max(floor, counts))
+    counts = min(STEER_COUNTS_CEIL, max(STEER_COUNTS_FLOOR, counts))
     disc = max(b * b - 4.0 * a * (c - counts), 0.0)  # exact-floor rounding guard
     duty = (-b + math.sqrt(disc)) / (2.0 * a)
     return min(STEER_DUTY_MAX, max(STEER_DUTY_MIN, duty))
@@ -252,7 +255,7 @@ class LateralController:
     """
 
     def __init__(self):
-        hi = steer_k(STEER_DUTY_MAX)
+        hi = STEER_COUNTS_CEIL
         # mirrored branch is narrower: DUTY_MIN maps to 100 - DUTY_MIN
         lo = -steer_k(100.0 - DUTY_MIN)
         self.pi = PiLoop(STEER_GAINS, (lo, hi))

@@ -165,6 +165,8 @@ class VehiclePlant:
         self.last_inputs = (0.0, 0.0, 50.0)
 
     def _clamped_inputs(self, app_pct: float, bpp_pct: float, steer_duty: float) -> tuple:
+        if 0.0 <= app_pct <= 100.0 and 0.0 <= bpp_pct <= 100.0 and 0.0 <= steer_duty <= 100.0:
+            return app_pct, bpp_pct, steer_duty
         clamped = []
         for name, value in (("app_pct", app_pct), ("bpp_pct", bpp_pct),
                             ("steer_duty", steer_duty)):
@@ -335,7 +337,7 @@ class SimulatedEcus:
     # payload builders (now_us argument keeps the bus source signature)
 
     def speed_payload(self, now_us: int) -> bytes:
-        return canbus.encode_speed(self.plant.state.speed_mph).data
+        return canbus.speed_data(self.plant.state.speed_mph)
 
     def steering_payload(self, now_us: int) -> bytes:
         counts = round(self.plant.state.steer_counts)

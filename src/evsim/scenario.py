@@ -28,7 +28,6 @@ press capture in recordings runs its pedal phases through run_until too.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -211,6 +210,26 @@ LOG_COLUMNS = (
 )
 
 
+#: One state.csv line: %r writes a float as repr does, which is what csv writes.
+_ROW_FORMAT = ",".join(["%r"] * len(LOG_COLUMNS)) + "\r\n"
+#: Rows formatted and written per file write; a chunk holds about 270 kB.
+_ROWS_PER_WRITE = 1024
+
+
+def write_state_csv(fh, rows) -> None:
+    """Write the header and rows to the text file fh, byte for byte as csv.writer does.
+
+    csv writes a float through repr and None as an empty field.  %r writes
+    None as "None", which no number's repr contains, so deleting it from a
+    formatted chunk leaves csv's empty field.  Rows go out in chunks, so
+    the whole file is never held as one string.
+    """
+    fh.write(",".join(LOG_COLUMNS) + "\r\n")
+    fmt = _ROW_FORMAT
+    for i in range(0, len(rows), _ROWS_PER_WRITE):
+        fh.write("".join([fmt % row for row in rows[i:i + _ROWS_PER_WRITE]]).replace("None", ""))
+
+
 @dataclass
 class ScenarioResult:
     scenario: Scenario
@@ -381,8 +400,8 @@ def _scenario_metrics(scn: Scenario, rows, path, frames_on_bus, physics_ticks, n
 def emit_logs(result: ScenarioResult, outdir) -> dict[str, Path]:
     """Write state.csv, trace.txt, and metrics.json; returns the paths.
 
-    csv writes floats through repr and None as an empty field, so reruns
-    of a deterministic scenario produce byte-identical files.
+    Floats are written through repr, so reruns of a deterministic
+    scenario produce byte-identical files.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -392,9 +411,7 @@ def emit_logs(result: ScenarioResult, outdir) -> dict[str, Path]:
         "metrics": outdir / "metrics.json",
     }
     with open(paths["state"], "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        writer.writerows(result.rows)
+        write_state_csv(fh, result.rows)
     canbus.save_trace(result.trace, paths["trace"])
     with open(paths["metrics"], "w", encoding="ascii") as fh:
         json.dump(result.metrics, fh, indent=2, sort_keys=True)

@@ -9,10 +9,12 @@ so a command frame is always 10 bytes.  The CRC covers the payload only.
 from __future__ import annotations
 
 import struct
+from binascii import crc_hqx
 from dataclasses import dataclass
 
 START_BYTE = 0xFA
 COMMAND_PAYLOAD_LEN = 6
+COMMAND_FRAME_LEN = COMMAND_PAYLOAD_LEN + 4
 FIXED_POINT_FULL_SCALE = 65535
 _COMMAND_FIELDS = struct.Struct(">HHH")  # app, bpp, steer
 
@@ -48,6 +50,16 @@ class CommandPacket:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
+def _command(app: float, bpp: float, steer: float) -> CommandPacket:
+    """Unchecked CommandPacket for fields in [0, 1] by construction (a 16-bit count / 65535)."""
+    pkt = object.__new__(CommandPacket)
+    fields = pkt.__dict__  # a frozen dataclass blocks only attribute assignment
+    fields["app"] = app
+    fields["bpp"] = bpp
+    fields["steer"] = steer
+    return pkt
+
+
 @dataclass(frozen=True)
 class Frame:
     """Decoded wire frame before payload interpretation."""
@@ -57,29 +69,14 @@ class Frame:
     crc: int
 
 
-def _crc_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-_TABLE = _crc_table()
-
-
 def crc16_ccitt(data: bytes) -> int:
     """CRC16/CCITT-FALSE of data.
 
     Polynomial 0x1021 starting from 0xFFFF, MSB first, no reflection, no
-    final xor; the check value of b"123456789" is 0x29B1.
+    final xor; the check value of b"123456789" is 0x29B1.  binascii's
+    crc_hqx is this CRC with the start value as its second argument.
     """
-    crc = 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _TABLE[(crc >> 8) ^ byte]
-    return crc
+    return crc_hqx(data, 0xFFFF)
 
 
 def _encode_fixed(value: float, name: str) -> int:
@@ -116,14 +113,19 @@ def decode_packet(buf: bytes) -> CommandPacket:
     """Parse and interpret a command frame.
 
     Raises BadStartError / BadLengthError / BadCrcError so the caller can
-    tell framing noise from corruption.
+    tell framing noise from corruption.  A valid command frame is checked
+    and unpacked in place; anything else goes through parse_frame, which
+    raises the error it would have raised first.
     """
+    if (len(buf) == COMMAND_FRAME_LEN and buf[0] == START_BYTE
+            and buf[1] == COMMAND_PAYLOAD_LEN
+            and crc_hqx(buf[2:8], 0xFFFF) == (buf[8] << 8 | buf[9])):
+        app, bpp, steer = _COMMAND_FIELDS.unpack_from(buf, 2)
+        return _command(app / FIXED_POINT_FULL_SCALE, bpp / FIXED_POINT_FULL_SCALE,
+                        steer / FIXED_POINT_FULL_SCALE)
     frame = parse_frame(buf)
-    if frame.length != COMMAND_PAYLOAD_LEN:
-        raise BadLengthError(f"command payload must be {COMMAND_PAYLOAD_LEN} bytes, got {frame.length}")
-    app, bpp, steer = _COMMAND_FIELDS.unpack(frame.payload)
-    return CommandPacket(app / FIXED_POINT_FULL_SCALE, bpp / FIXED_POINT_FULL_SCALE,
-                         steer / FIXED_POINT_FULL_SCALE)
+    # framing and CRC passed, so the payload is not a command's 6 bytes
+    raise BadLengthError(f"command payload must be {COMMAND_PAYLOAD_LEN} bytes, got {frame.length}")
 
 
 class StreamDecoder:
@@ -139,6 +141,13 @@ class StreamDecoder:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> list[CommandPacket]:
+        """Append data to the buffer; returns the packets decoded, in stream order."""
+        if not self._buf and len(data) == COMMAND_FRAME_LEN:
+            # one whole frame into an empty buffer, as the control loop feeds it
+            try:
+                return [decode_packet(data)]
+            except FrameError:
+                pass
         self._buf.extend(data)
         out: list[CommandPacket] = []
         while True:

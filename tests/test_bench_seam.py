@@ -10,7 +10,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from evsim import canbus, plant, recordings
+import pytest
+
+from evsim import canbus, plant, recordings, serial_link
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,3 +50,51 @@ def test_load_trace_calls_parse_trace_through_the_module(tmp_path, monkeypatch):
     monkeypatch.setattr(canbus, "parse_trace", lambda text: seen.append(text) or parse(text))
     assert len(canbus.load_trace(path)) == 1
     assert seen == ["0 10 0\n"]
+
+
+# The tracer counts canbus.frames_delivered and serial_link.packets from
+# len() of what CanBus.step and StreamDecoder.feed return, so each call must
+# return a list of its own holding exactly what it delivered or decoded.
+
+@pytest.mark.parametrize("listen", [False, True])
+def test_step_returns_the_frames_it_appended_to_the_trace(listen):
+    bus = canbus.CanBus()
+    bus.add_periodic(0x75, 3_000, lambda now: bytes(8))
+    bus.add_periodic(0x10, 5_000, lambda now: bytearray(2))
+    bus.feed_replay(canbus.CanFrame(t, 0x20, b"\x01") for t in (2_500, 5_000, 9_000))
+    seen = []
+    if listen:
+        bus.add_listener(lambda frame, source: seen.append(frame))
+    returned = []
+    for now in (0, 2_000, 5_000, 5_000, 12_000, 20_000):
+        before = len(bus.trace())
+        delivered = bus.step(now)
+        assert delivered == bus.trace().frames[before:]
+        assert all(d is t for d, t in zip(delivered, bus.trace().frames[before:]))
+        assert all(delivered is not r for r in returned)
+        returned.append(delivered)
+    assert sum(map(len, returned)) == len(bus.trace()) == 13
+    assert seen == (bus.trace().frames if listen else [])
+    returned[-1].clear()  # the caller's list is not the bus's trace
+    assert len(bus.trace()) == 13
+
+
+def test_feed_returns_the_packets_it_decoded():
+    wire = [serial_link.encode_packet(x / 10, 0.0, 0.5) for x in range(4)]
+    packets = [serial_link.decode_packet(w) for w in wire]
+    bad = bytearray(wire[0])
+    bad[5] ^= 0xFF
+    dec = serial_link.StreamDecoder()
+    results = [
+        dec.feed(wire[0]),                # one whole frame into an empty buffer
+        dec.feed(bytes(bad)),             # a whole but corrupt frame: resync scan
+        dec.feed(wire[1]),
+        dec.feed(wire[2][:4]),            # a partial frame waits in the buffer
+        dec.feed(wire[2][4:] + wire[3]),  # and completes with the next one
+        dec.feed(wire[0]),
+        dec.feed(b"\x00\x01\x02\x03" + wire[1][:6]),  # 10 bytes, a frame starts inside
+        dec.feed(wire[1][6:]),
+    ]
+    assert results == [[packets[0]], [], [packets[1]], [], packets[2:], [packets[0]], [],
+                       [packets[1]]]
+    assert len({id(r) for r in results}) == len(results)

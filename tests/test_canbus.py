@@ -261,7 +261,9 @@ class HeapBus:
         if period_us <= 0:
             raise ValueError("period must be positive")
         self._periodic.append({"id": arb_id, "period": period_us, "payload": payload_fn,
-                               "source": source, "next_due": period_us})
+                               "source": source,
+                               "next_due": (max(self._now, self._last_us) // period_us + 1)
+                               * period_us})
 
     def add_tap(self, rule):
         self._taps.append(rule)
@@ -342,19 +344,28 @@ class _XorTap:
                              bytes(b ^ 0x5A for b in frame.data))
 
 
-def drive_bus(bus, ops, check=lambda bus: None):
-    """Apply ops to bus; returns every outcome, next due time, delivery and the trace."""
+def _random_payload(rng):
+    return rng.randbytes(rng.randrange(9))
+
+
+def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_payload):
+    """Apply ops to bus; returns every outcome, next due time, delivery and the trace.
+
+    listen=False adds no recording listener, so steps before the first
+    echo op run with no listener at all; payload(rng) builds each
+    periodic payload.
+    """
     rng = random.Random(7)  # shared by the payloads, so their call order shows
     deliveries = []
-    bus.add_listener(lambda frame, source: deliveries.append((frame, source)))
+    if listen:
+        bus.add_listener(lambda frame, source: deliveries.append((frame, source)))
     log = []
     now = 0
     for i, (kind, *args) in enumerate(ops):
         try:
             if kind == "periodic":
                 arb_id, period = args
-                bus.add_periodic(arb_id, period,
-                                 lambda due: rng.randbytes(rng.randrange(9)), f"p{i}")
+                bus.add_periodic(arb_id, period, lambda due: payload(rng), f"p{i}")
                 out = None
             elif kind == "inject":
                 arb_id, offset, skew = args
@@ -513,6 +524,34 @@ class TestBus:
         with pytest.raises(ValueError):
             bus.add_periodic(0x75, 0, lambda now: b"")
 
+    def test_source_added_after_a_step_starts_after_it(self):
+        bus = CanBus()
+        bus.add_periodic(0x10, 1, lambda now: b"")
+        bus.step(2)
+        bus.add_periodic(0x10, 1, lambda now: b"")
+        assert bus.next_due_us() == 3
+        bus.step(2)
+        bus.step(4)
+        CanTrace(bus.trace().frames)  # raises if the trace left time order
+        assert [f.timestamp_us for f in bus.trace()] == [1, 2, 3, 3, 4, 4]
+        bus.add_periodic(0x20, 3, lambda now: b"")
+        assert [f.timestamp_us for f in bus.step(6)] == [5, 5, 6, 6, 6]
+
+    def test_source_added_after_a_broken_off_step_starts_after_its_frames(self):
+        bus = CanBus()
+        bus.add_periodic(0x11, 2, lambda now: b"")
+
+        def echo(frame, source):  # due at 2 while the batch reaches 4: raises
+            bus.inject_at(frame.timestamp_us, CanFrame(frame.timestamp_us, 0x10, b""))
+
+        bus.add_listener(echo)
+        with pytest.raises(ValueError, match="follow one stamped 4 us"):
+            bus.step(4)
+        bus.add_periodic(0x10, 1, lambda now: b"")
+        assert bus.next_due_us() == 5
+        bus.step(1)
+        CanTrace(bus.trace().frames)
+
 
 class TestQueue:
     """The sorted-list queue of CanBus against the heap it replaced."""
@@ -521,12 +560,30 @@ class TestQueue:
     def _delivered_half_at_most(bus):
         assert 2 * bus._head <= len(bus._pending)
 
+    @classmethod
+    def _invariants(cls, bus):
+        cls._delivered_half_at_most(bus)
+        frames = bus.trace().frames
+        CanTrace(frames)  # raises if the trace left time order
+        assert all(f.data.__class__ is bytes for f in frames)
+
     @settings(deadline=None, max_examples=300)
     @given(st.lists(_BUS_OPS, max_size=30))
     def test_matches_heap_scheduler(self, ops):
         # same frames, sources, next due times, trace and ValueError messages
-        assert (drive_bus(CanBus(), ops, self._delivered_half_at_most)
+        assert (drive_bus(CanBus(), ops, self._invariants)
                 == drive_bus(HeapBus(), ops))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_BUS_OPS, max_size=30))
+    def test_matches_heap_scheduler_unobserved(self, ops):
+        # the step with no listener, and bytearray payloads of up to 9 bytes,
+        # so that a too-long one raises after others of its step were emitted
+        def payload(rng):
+            return bytearray(rng.randbytes(rng.randrange(10)))
+
+        assert (drive_bus(CanBus(), ops, self._invariants, listen=False, payload=payload)
+                == drive_bus(HeapBus(), ops, listen=False, payload=payload))
 
     def test_drained_bus_holds_no_delivered_entries(self):
         bus = CanBus()

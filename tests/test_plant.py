@@ -223,6 +223,19 @@ class TestInputClamping:
         assert p.last_inputs == (100.0, 0.0, 100.0)
         assert len(caplog.records) == 3
 
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("value, fixed", [(-1e-9, 0.0), (100.5, 100.0), (math.nan, 0.0),
+                                              (0.0, 0.0), (100.0, 100.0)])
+    def test_each_input_clamped_alone(self, caplog, index, value, fixed):
+        inputs = [30.0, 0.0, 50.0]
+        inputs[index] = value
+        p = VehiclePlant()
+        with caplog.at_level(logging.WARNING, logger="evsim.plant"):
+            p.advance(*inputs, 1, 0.001)
+        inputs[index] = fixed
+        assert p.last_inputs == tuple(inputs)
+        assert len(caplog.records) == (0 if value == fixed else 1)
+
     def test_reset(self):
         p = VehiclePlant()
         p.advance(50.0, 0.0, 60.0, 100, 0.001)

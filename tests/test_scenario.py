@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,7 +236,27 @@ class TestRunScenario:
         assert result.metrics["max_err_m"] >= result.metrics["mean_err_m"]
 
 
+# state.csv fields: floats (edge values included), None for an empty field,
+# and ints (a speed_ref_mph given as a JSON integer reaches the rows as one)
+_LOG_FIELD = (st.floats()
+              | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                 2.2250738585072014e-308, 1e22, 1e16, 0.1])
+              | st.none() | st.integers(-2**70, 2**70))
+
+
 class TestEmitLogs:
+    @given(st.lists(st.tuples(*[_LOG_FIELD] * len(scenario.LOG_COLUMNS)), max_size=12),
+           st.integers(1, 4))
+    def test_state_csv_matches_csv_writer(self, rows, rows_per_write):
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\r\n")
+        writer.writerow(scenario.LOG_COLUMNS)
+        writer.writerows(rows)
+        got = io.StringIO(newline="")
+        with mock.patch.object(scenario, "_ROWS_PER_WRITE", rows_per_write):
+            scenario.write_state_csv(got, rows)
+        assert got.getvalue() == expected.getvalue()
+
     def test_deterministic_reruns(self, tmp_path):
         scn = Scenario("det", 2.0, speed_ref_mph=8.0)
         paths_a = emit_logs(run_scenario(scn), tmp_path / "a")
