@@ -149,13 +149,6 @@ class CanTrace:
             seen.setdefault(f.arbitration_id, None)
         return list(seen)
 
-    def by_id(self) -> dict[int, list[CanFrame]]:
-        """Group frames by arbitration id, preserving first-seen id order."""
-        groups: dict[int, list[CanFrame]] = {}
-        for f in self.frames:
-            groups.setdefault(f.arbitration_id, []).append(f)
-        return groups
-
 
 # --- speed codec -----------------------------------------------------------
 
@@ -243,43 +236,70 @@ def parse_trace(text: str | bytes) -> CanTrace:
     go backwards, a negative timestamp, an id beyond 11 bits and more
     than 8 bytes.  Each frame is built once, unchecked, after the line
     passed these checks.
+
+    A line in the form serialize_trace writes (single spaces, two hex
+    digits per byte) is read with one split and one bytes.fromhex call;
+    any other line is split on whitespace and read token by token.  Both
+    branches give the same frames and the same errors.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
     frames: list[CanFrame] = []
     append = frames.append
+    new = object.__new__
+    fromhex = bytes.fromhex
     last_t = -1
     for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
-        if len(tokens) < 3:
-            raise TraceParseError(line_no, "expected '<timestamp> <id> <dlc> <bytes...>'")
+        parts = line.split(" ", 3)
         try:
-            t = int(tokens[0])
-        except ValueError:
-            raise TraceParseError(line_no, f"bad timestamp {tokens[0]!r}") from None
-        try:
-            arb_id = int(tokens[1], 16)
-        except ValueError:
-            raise TraceParseError(line_no, f"bad arbitration id {tokens[1]!r}") from None
-        try:
-            dlc = int(tokens[2])
-        except ValueError:
-            raise TraceParseError(line_no, f"bad dlc {tokens[2]!r}") from None
-        if len(tokens) - 3 != dlc:
-            raise TraceParseError(line_no, f"dlc {dlc} but {len(tokens) - 3} data bytes")
-        data = _data_bytes(line_no, tokens, dlc)
-        if t < last_t:
-            raise TraceParseError(line_no, f"timestamp {t} goes backwards")
-        last_t = t
+            t = int(parts[0])
+            arb_id = int(parts[1], 16)
+            dlc = int(parts[2])
+            rest = parts[3] if len(parts) == 4 else ""
+            data = fromhex(rest)
+            # fromhex also reads "AABB", " AA BB" and "AA BB ": only the
+            # written spelling, one space between byte pairs, stays here
+            canonical = len(data) == dlc and rest[2::3] == " " * (dlc - 1)
+        except (ValueError, IndexError):
+            canonical = False
+        if not canonical:
+            tokens = line.split()
+            if not tokens or tokens[0][0] == "#":
+                continue
+            if len(tokens) < 3:
+                raise TraceParseError(line_no, "expected '<timestamp> <id> <dlc> <bytes...>'")
+            try:
+                t = int(tokens[0])
+            except ValueError:
+                raise TraceParseError(line_no, f"bad timestamp {tokens[0]!r}") from None
+            try:
+                arb_id = int(tokens[1], 16)
+            except ValueError:
+                raise TraceParseError(line_no, f"bad arbitration id {tokens[1]!r}") from None
+            try:
+                dlc = int(tokens[2])
+            except ValueError:
+                raise TraceParseError(line_no, f"bad dlc {tokens[2]!r}") from None
+            if len(tokens) - 3 != dlc:
+                raise TraceParseError(line_no, f"dlc {dlc} but {len(tokens) - 3} data bytes")
+            data = _data_bytes(line_no, tokens, dlc)
+        if t != last_t:
+            if t < last_t:
+                raise TraceParseError(line_no, f"timestamp {t} goes backwards")
+            # frames of one timestamp share its int object, 32 of the 144
+            # bytes an 8-byte frame holds
+            last_t = t
         if t < 0:
             raise TraceParseError(line_no, f"negative timestamp {t}")
         if not 0 <= arb_id <= 0x7FF:
             raise TraceParseError(line_no, f"arbitration id 0x{arb_id:X} outside 11-bit range")
         if dlc > 8:
             raise TraceParseError(line_no, f"dlc {dlc} outside 0..8")
-        append(_frame(t, arb_id, data))
+        frame = new(CanFrame)
+        frame.timestamp_us = last_t
+        frame.arbitration_id = arb_id
+        frame.data = data
+        append(frame)
     return _ordered_trace(frames)
 
 
@@ -412,7 +432,12 @@ class CanBus:
         return due
 
     def step(self, now_us: int) -> list[CanFrame]:
-        """Deliver every frame due in (previous now, now_us]."""
+        """Deliver every frame due in (previous now, now_us].
+
+        When a listener raises, the error propagates after the frame it was
+        handed is in the trace; the frames due after that one stay queued,
+        and the next step delivers them.
+        """
         if now_us < self._now:
             raise ValueError("bus time must not go backwards")
         batch: list[tuple[int, int, int, int, CanFrame, str]] = []
@@ -472,12 +497,23 @@ class CanBus:
         delivered = [item[4] for item in batch]
         listeners = self._listeners
         if listeners:
-            # a listener that raises leaves the trace ending at its frame
-            trace_append = self._trace.append
-            for _, _, _, _, frame, source in batch:
-                trace_append(frame)
-                for listener in listeners:
-                    listener(frame, source)
+            trace = self._trace
+            trace_append = trace.append
+            start = len(trace)
+            try:
+                for _, _, _, _, frame, source in batch:
+                    trace_append(frame)
+                    for listener in listeners:
+                        listener(frame, source)
+            except BaseException:
+                # a listener raised: the trace ends at the frame in delivery,
+                # and the frames after it go back to the queue in their
+                # order, so that the next step delivers them
+                traced = len(trace) - start
+                self._last_us = batch[traced - 1][0]
+                if traced < len(batch):
+                    pending[self._head:] = sorted(batch[traced:] + pending[self._head:])
+                raise
         else:
             self._trace += delivered
         self._now = now_us

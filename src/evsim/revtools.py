@@ -21,6 +21,7 @@ against a slow plant: the state they cause lags far behind them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -122,10 +123,20 @@ class CorrelationReport:
         return None
 
 
-def _byte_matrix(frames: list[CanFrame]) -> np.ndarray:
-    """Payloads as an (n, 8) float array; bytes beyond a frame's dlc are zero."""
-    padded = b"".join([f.data.ljust(8, b"\0") for f in frames])
-    return np.frombuffer(padded, np.uint8).reshape(-1, 8).astype(np.float64)
+def _payload_columns(frames: list[CanFrame]) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's dlc (uint8) and its payload as a row of an (n, 8) uint8 matrix.
+
+    Bytes beyond a frame's dlc are zero.
+    """
+    datas = list(map(attrgetter("data"), frames))
+    flat = np.frombuffer(b"".join(datas), np.uint8)
+    if len(flat) == 8 * len(datas):
+        return np.full(len(datas), 8, np.uint8), flat.reshape(-1, 8)
+    dlc = np.fromiter(map(len, datas), np.uint8, len(datas))
+    matrix = np.zeros((len(datas), 8), np.uint8)
+    # a boolean mask fills row by row, which is the order of the joined bytes
+    matrix[dlc[:, None] > np.arange(8)] = flat
+    return dlc, matrix
 
 
 def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
@@ -140,33 +151,43 @@ def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
     |r| so inverse relationships surface too; signed=True ranks by the
     signed coefficient, most positive first.
     """
-    by_id = trace.by_id()
-    speed_frames = by_id.pop(speed_id, None)
-    if not speed_frames:
+    frames = trace.frames
+    n = len(frames)
+    dlc, data = _payload_columns(frames)
+    ids = np.fromiter(map(attrgetter("arbitration_id"), frames), np.uint16, n)
+    speed_rows = np.flatnonzero(ids == speed_id)
+    if not len(speed_rows):
         raise EmptyTraceError(f"no frames of the speed id 0x{speed_id:X} in the trace")
-    if not by_id:
+    if len(speed_rows) == n:
         raise EmptyTraceError("no candidate ids besides the speed reference")
-    speed_t = np.array([f.timestamp_us for f in speed_frames], dtype=np.int64)
-    speed_v = np.array([canbus.decode_speed(f, speed_id) for f in speed_frames])
+    short = np.flatnonzero(dlc[speed_rows] < 8)
+    if len(short):
+        raise canbus.ShortFrameError(
+            f"speed frame needs 8 bytes, got {int(dlc[speed_rows[short[0]]])}")
+    timestamps = np.fromiter(map(attrgetter("timestamp_us"), frames), np.int64, n)
+    speed_t = timestamps[speed_rows]
+    speed_v = canbus.decode_speed_raw((data[speed_rows, 6].astype(np.int64) << 8)
+                                      + data[speed_rows, 7])
     flat_speed = bool(np.all(speed_v == speed_v[0]))
-
     ranked: list[ByteCorrelation] = []
     excluded: list[tuple[int, int, str]] = []
-    for arb_id, frames in by_id.items():
-        t = np.array([f.timestamp_us for f in frames], dtype=np.int64)
-        data = _byte_matrix(frames)
-        idx = np.clip(np.searchsorted(speed_t, t, side="right") - 1, 0, len(speed_t) - 1)
+    for arb_id in trace.ids():
+        if arb_id == speed_id:
+            continue
+        rows = np.flatnonzero(ids == arb_id)
+        block = data[rows]
+        varies = (block != block[0]).any(axis=0)
+        idx = np.clip(np.searchsorted(speed_t, timestamps[rows], side="right") - 1,
+                      0, len(speed_t) - 1)
         v = speed_v[idx]
         for b in range(8):
-            series = data[:, b]
-            if np.all(series == series[0]):
+            if not varies[b]:
                 excluded.append((arb_id, b, "constant byte"))
-                continue
-            if flat_speed:
+            elif flat_speed:
                 excluded.append((arb_id, b, "speed reference is constant"))
-                continue
-            r = float(np.corrcoef(series, v)[0, 1])
-            ranked.append(ByteCorrelation(arb_id, b, r, len(frames), rank=0))
+            else:
+                r = float(np.corrcoef(block[:, b].astype(np.float64), v)[0, 1])
+                ranked.append(ByteCorrelation(arb_id, b, r, len(rows), rank=0))
 
     if signed:
         ranked.sort(key=lambda c: (-c.r, c.arb_id, c.byte_index))
@@ -174,4 +195,4 @@ def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
         ranked.sort(key=lambda c: (-abs(c.r), c.arb_id, c.byte_index))
     ranked = [ByteCorrelation(c.arb_id, c.byte_index, c.r, c.n_samples, i + 1)
               for i, c in enumerate(ranked)]
-    return CorrelationReport(speed_id, len(speed_frames), tuple(ranked), tuple(excluded))
+    return CorrelationReport(speed_id, len(speed_rows), tuple(ranked), tuple(excluded))

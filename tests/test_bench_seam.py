@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from evsim import canbus, plant, recordings, serial_link
+from evsim import canbus, plant, recordings, revtools, serial_link
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,6 +50,27 @@ def test_load_trace_calls_parse_trace_through_the_module(tmp_path, monkeypatch):
     monkeypatch.setattr(canbus, "parse_trace", lambda text: seen.append(text) or parse(text))
     assert len(canbus.load_trace(path)) == 1
     assert seen == ["0 10 0\n"]
+
+
+def test_isolate_reaches_select_ids_through_revtools_once_per_oracle_call(monkeypatch):
+    # the tracer times injection.select_ids by replacing revtools.select_ids,
+    # and a traced isolate run requires that span
+    assert "injection.select_ids" in _tracing().REQUIRED["isolate"]
+    select = revtools.select_ids
+    selections = []
+    monkeypatch.setattr(revtools, "select_ids",
+                        lambda trace, ids: selections.append(ids) or select(trace, ids))
+    trace = canbus.CanTrace([canbus.CanFrame(k, arb_id, b"")
+                             for k, arb_id in enumerate((0x10, 0x20, 0x30, 0x40, 0x50))])
+    oracle_calls = []
+
+    def oracle(subset):
+        oracle_calls.append(subset)
+        return 0x50 in subset.ids()
+
+    result = revtools.isolate_control_id(trace, oracle, confirm=True)
+    assert result.arb_id == 0x50 and result.confirmed
+    assert len(selections) == len(oracle_calls) == result.oracle_calls
 
 
 # The tracer counts canbus.frames_delivered and serial_link.packets from

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evsim import canbus
+from evsim import canbus, recordings
 from evsim.canbus import CanBus, CanFrame, CanTrace, TraceParseError
 from evsim.plant import SimulatedEcus, VehiclePlant
 
@@ -82,6 +82,7 @@ def _trace_line(draw):
     if kind == "short":
         return draw(st.sampled_from([t, f"{t} {arb}"]))
     data = draw(st.lists(st.integers(0, 255).map(lambda b: f"{b:02X}")
+                         | st.integers(0, 255).map(lambda b: f"{b:02x}")
                          | st.sampled_from(_ODD_BYTES), max_size=9))
     dlc = draw(st.just(str(len(data))) | st.sampled_from(["9", "-1", "x", "+2", "3"]))
     sep = draw(st.sampled_from([" ", "  ", "\t"]))
@@ -187,11 +188,32 @@ class TestTraceFormat:
         "0 10 2 F F", "0 10 1 0x1F", "0 10 1 FFF", "0 10 1 +F", "0 10 1 1_0", "0 10 2 ff a0",
         "0 10 2 F FFF", "0 10 1 FFFF", "0 10 9 " + "00 " * 9, "0 800 0", "-1 10 0",
         "-2 10 0", "0 10 -1", "-1 800 9 " + "GG " * 9, "5 800 1 GG",
+        # near the written spelling, which bytes.fromhex alone would accept
+        "5 10 2 AABB ", "5 10 2  AABB", " 5 10 1 AA", "5 10 1 AA ", "5 10 2 AA\tBB",
+        "5\t 10 2 AA BB", "5 10 0 ", "5 10 +2 AA BB", "5 10 2 aa bb",
+        "5 10 2 AA BB\r\n6 10 1 CC\r", "5 10 0\r\n\r\n6 10 1 AA B\r",
     ])
     @pytest.mark.parametrize("before", ["", "# header\n\n0 7FF 0\n"])
     def test_odd_tokens_match_per_token_parser(self, before, line):
         text = f"{before}{line}\n"
         assert _outcome(canbus.parse_trace, text) == _outcome(parse_per_token, text)
+
+    def test_written_spelling_never_reaches_the_per_token_branch(self, monkeypatch):
+        rng = random.Random(5)
+        t = 0
+        frames = []
+        for _ in range(300):
+            t += rng.randrange(3)
+            frames.append(CanFrame(t, rng.randrange(0x800), rng.randbytes(rng.randrange(9))))
+        press = recordings.press_recording()
+        texts = [canbus.serialize_trace(CanTrace(frames)), canbus.serialize_trace(press)]
+
+        def per_token(line_no, tokens, dlc):
+            raise AssertionError(f"line {line_no} left the fast branch")
+
+        monkeypatch.setattr(canbus, "_data_bytes", per_token)
+        assert list(canbus.parse_trace(texts[0])) == frames
+        assert list(canbus.parse_trace(texts[1])) == list(press)
 
     def test_comments_and_blanks_skipped(self):
         text = "# header\n\n100 75 2 AA BB\n   \n# trailing\n"
@@ -312,10 +334,17 @@ class HeapBus:
         if batch:
             self._last_us = batch[-1][0]
         delivered = []
-        for _, _, _, _, frame, source in batch:
+        for i, (due, _, _, _, frame, source) in enumerate(batch):
             self._trace.append(frame)
-            for listener in self._listeners:
-                listener(frame, source)
+            try:
+                for listener in self._listeners:
+                    listener(frame, source)
+            except BaseException:
+                # the rest of the batch goes back onto the heap, undelivered
+                for item in batch[i + 1:]:
+                    heapq.heappush(self._pending, item)
+                self._last_us = due
+                raise
             delivered.append(frame)
         self._now = now_us
         return delivered
@@ -542,15 +571,47 @@ class TestBus:
         bus.add_periodic(0x11, 2, lambda now: b"")
 
         def echo(frame, source):  # due at 2 while the batch reaches 4: raises
-            bus.inject_at(frame.timestamp_us, CanFrame(frame.timestamp_us, 0x10, b""))
+            if frame.timestamp_us == 2:
+                bus.inject_at(2, CanFrame(2, 0x10, b""))
 
         bus.add_listener(echo)
         with pytest.raises(ValueError, match="follow one stamped 4 us"):
             bus.step(4)
+        assert [f.timestamp_us for f in bus.trace()] == [2]
+        assert bus.next_due_us() == 4  # the rest of the broken-off batch
         bus.add_periodic(0x10, 1, lambda now: b"")
-        assert bus.next_due_us() == 5
+        assert bus.next_due_us() == 3
         bus.step(1)
+        bus.step(4)
         CanTrace(bus.trace().frames)
+        assert [(f.timestamp_us, f.arbitration_id) for f in bus.trace()] == [
+            (2, 0x11), (3, 0x10), (4, 0x10), (4, 0x11)]
+
+    @pytest.mark.parametrize("bus_type", [CanBus, HeapBus])
+    def test_step_after_a_listener_raised_ends_with_the_unbroken_trace(self, bus_type):
+        def run(fail_at):
+            bus = bus_type()
+            payload_calls = []
+            bus.add_periodic(0x10, 3, lambda now: payload_calls.append(now) or bytes([now]))
+            bus.add_periodic(0x20, 2, lambda now: payload_calls.append(now) or bytes([now, 1]))
+            bus.feed_replay(CanFrame(t, 0x30, b"\x07") for t in (1, 4, 4, 9))
+            seen = []
+
+            def listener(frame, source):
+                seen.append((frame, source))
+                if (frame.timestamp_us, frame.arbitration_id) in fail_at:
+                    fail_at.remove((frame.timestamp_us, frame.arbitration_id))
+                    raise RuntimeError("listener failed")
+
+            bus.add_listener(listener)
+            for now in (5, 5, 10, 10):
+                try:
+                    bus.step(now)
+                except RuntimeError:
+                    pass
+            return list(bus.trace()), seen, payload_calls, bus.next_due_us()
+
+        assert run({(2, 0x20), (4, 0x20), (6, 0x20)}) == run(set())
 
 
 class TestQueue:

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evsim import canbus, recordings, revtools
 from evsim.canbus import CanFrame, CanTrace
@@ -126,20 +127,113 @@ def _speed_frames(pairs):
 
 
 def byte_matrix_per_frame(frames):
-    """Reference: the per-frame loop _byte_matrix replaced."""
+    """Reference: the per-frame loop _payload_columns replaced."""
     data = np.zeros((len(frames), 8), dtype=np.float64)
     for i, f in enumerate(frames):
         data[i, :f.dlc] = list(f.data)
     return data
 
 
+def correlate_bytes_by_id(trace, speed_id=canbus.SPEED_ID, signed=False):
+    """Reference: the by_id implementation correlate_bytes replaced.
+
+    Frames are grouped per id in lists (the removed CanTrace.by_id), each
+    speed frame goes through canbus.decode_speed, and each id's payloads
+    through the per-frame loop.
+    """
+    by_id = {}
+    for f in trace:
+        by_id.setdefault(f.arbitration_id, []).append(f)
+    speed_frames = by_id.pop(speed_id, None)
+    if not speed_frames:
+        raise EmptyTraceError(f"no frames of the speed id 0x{speed_id:X} in the trace")
+    if not by_id:
+        raise EmptyTraceError("no candidate ids besides the speed reference")
+    speed_t = np.array([f.timestamp_us for f in speed_frames], dtype=np.int64)
+    speed_v = np.array([canbus.decode_speed(f, speed_id) for f in speed_frames])
+    flat_speed = bool(np.all(speed_v == speed_v[0]))
+    ranked = []
+    excluded = []
+    for arb_id, frames in by_id.items():
+        t = np.array([f.timestamp_us for f in frames], dtype=np.int64)
+        data = byte_matrix_per_frame(frames)
+        idx = np.clip(np.searchsorted(speed_t, t, side="right") - 1, 0, len(speed_t) - 1)
+        v = speed_v[idx]
+        for b in range(8):
+            series = data[:, b]
+            if np.all(series == series[0]):
+                excluded.append((arb_id, b, "constant byte"))
+            elif flat_speed:
+                excluded.append((arb_id, b, "speed reference is constant"))
+            else:
+                r = float(np.corrcoef(series, v)[0, 1])
+                ranked.append(revtools.ByteCorrelation(arb_id, b, r, len(frames), rank=0))
+    if signed:
+        ranked.sort(key=lambda c: (-c.r, c.arb_id, c.byte_index))
+    else:
+        ranked.sort(key=lambda c: (-abs(c.r), c.arb_id, c.byte_index))
+    ranked = [revtools.ByteCorrelation(c.arb_id, c.byte_index, c.r, c.n_samples, i + 1)
+              for i, c in enumerate(ranked)]
+    return revtools.CorrelationReport(speed_id, len(speed_frames), tuple(ranked),
+                                      tuple(excluded))
+
+
+def _report_outcome(correlate, trace, signed):
+    # repr compares every r bit for bit, nan included
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return repr(correlate(trace, signed=signed))
+    except (EmptyTraceError, canbus.ShortFrameError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _speed_traces(draw):
+    """Traces over few ids with ties, dlc 0-8 and few byte values.
+
+    One id in the draw is the speed broadcast; a trace may hold a flat
+    speed, a short speed frame, or no speed frame at all.
+    """
+    speeds = draw(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=3))
+    t = 0
+    frames = []
+    for _ in range(draw(st.integers(0, 40))):
+        t += draw(st.integers(0, 3))
+        arb_id = draw(st.sampled_from([0x10, canbus.SPEED_ID, 0x200, 0x7FF]))
+        if arb_id == canbus.SPEED_ID and draw(st.integers(0, 15)):
+            raw = draw(st.sampled_from(speeds))
+            data = draw(st.binary(min_size=6, max_size=6)) + raw.to_bytes(2, "big")
+        else:
+            data = bytes(draw(st.lists(st.sampled_from([0, 1, 255]), max_size=8)))
+        frames.append(CanFrame(t, arb_id, data))
+    return CanTrace(frames)
+
+
 class TestCorrelateBytes:
     def test_byte_matrix_matches_per_frame_loop(self):
         rng = random.Random(3)
         frames = [CanFrame(k, 0x200, rng.randbytes(rng.randrange(9))) for k in range(200)]
-        matrix = revtools._byte_matrix(frames)
-        assert matrix.dtype == np.float64
+        dlc, matrix = revtools._payload_columns(frames)
+        assert matrix.dtype == dlc.dtype == np.uint8
         assert np.array_equal(matrix, byte_matrix_per_frame(frames))
+        assert dlc.tolist() == [f.dlc for f in frames]
+        full = [CanFrame(k, 0x200, rng.randbytes(8)) for k in range(20)]
+        dlc, matrix = revtools._payload_columns(full)
+        assert dlc.tolist() == [8] * 20
+        assert np.array_equal(matrix, byte_matrix_per_frame(full))
+
+    @settings(deadline=None, max_examples=300)
+    @given(_speed_traces(), st.booleans())
+    def test_matches_by_id_reference(self, trace, signed):
+        # the same report bit for bit, or the same EmptyTraceError or ShortFrameError
+        assert (_report_outcome(correlate_bytes, trace, signed)
+                == _report_outcome(correlate_bytes_by_id, trace, signed))
+
+    def test_matches_by_id_reference_on_the_correlation_capture(self, rec):
+        trace, _ = rec
+        for signed in (False, True):
+            assert (_report_outcome(correlate_bytes, trace, signed)
+                    == _report_outcome(correlate_bytes_by_id, trace, signed))
 
     def _linear_trace(self):
         frames = _speed_frames([(0, 0.0), (10, 10.0), (20, 20.0)])
