@@ -205,23 +205,14 @@ def _ordered_trace(frames: list[CanFrame]) -> CanTrace:
     return trace
 
 
-def _data_bytes(line_no: int, tokens: list[str], dlc: int) -> bytes:
+def _data_bytes(line_no: int, tokens: list[str]) -> bytes:
     """The data bytes of a trace line; each token is one byte in int(tok, 16) syntax.
 
-    The usual two-digit tokens decode in one bytes.fromhex call.  Joining
-    with spaces keeps the tokens apart, so "F FFF" does not pass as two
-    bytes; anything fromhex rejects or reads to another length goes
-    through int(tok, 16), which also takes "F", "0x1F", "+F" and "1_0".
+    int(tok, 16) also takes "F", "0x1F", "+F" and "1_0"; a value above 0xFF
+    or a token it rejects is a bad data byte.
     """
-    byte_tokens = tokens[3:]
     try:
-        data = bytes.fromhex(" ".join(byte_tokens))
-        if len(data) == dlc:
-            return data
-    except ValueError:
-        pass
-    try:
-        return bytes(int(tok, 16) for tok in byte_tokens)
+        return bytes(int(tok, 16) for tok in tokens[3:])
     except ValueError:
         raise TraceParseError(line_no, "bad data byte") from None
 
@@ -282,7 +273,7 @@ def parse_trace(text: str | bytes) -> CanTrace:
                 raise TraceParseError(line_no, f"bad dlc {tokens[2]!r}") from None
             if len(tokens) - 3 != dlc:
                 raise TraceParseError(line_no, f"dlc {dlc} but {len(tokens) - 3} data bytes")
-            data = _data_bytes(line_no, tokens, dlc)
+            data = _data_bytes(line_no, tokens)
         if t != last_t:
             if t < last_t:
                 raise TraceParseError(line_no, f"timestamp {t} goes backwards")
@@ -361,8 +352,10 @@ class CanBus:
         self._listeners: list[Listener] = []
         # entries (due, arb_id, origin, seq, frame, source), sorted; origin 1
         # ranks injected frames after periodic ones on a timestamp+id tie, and
-        # seq is unique, so no comparison reaches the frame.  Entries before
-        # _head are delivered; step drops them once they are half the list.
+        # seq is unique, so no comparison reaches the frame.  The rest of a
+        # batch a listener broke off comes back with its id less 0x800, ahead
+        # of the frames injected during that step.  Entries before _head are
+        # delivered; step drops them once they are half the list.
         self._pending: list[tuple[int, int, int, int, CanFrame, str]] = []
         self._head = 0
         self._seq = 0
@@ -436,7 +429,8 @@ class CanBus:
 
         When a listener raises, the error propagates after the frame it was
         handed is in the trace; the frames due after that one stay queued,
-        and the next step delivers them.
+        and the next step delivers them first, ahead of every frame queued
+        since at the same time.
         """
         if now_us < self._now:
             raise ValueError("bus time must not go backwards")
@@ -507,12 +501,17 @@ class CanBus:
                         listener(frame, source)
             except BaseException:
                 # a listener raised: the trace ends at the frame in delivery,
-                # and the frames after it go back to the queue in their
-                # order, so that the next step delivers them
+                # and the frames after it go back to the head of the queue in
+                # their order, so that the next step delivers them first.
+                # Every other pending frame is due at the batch's last due
+                # time or later, and the negative id ranks them before one
+                # a listener injected at that time.
                 traced = len(trace) - start
                 self._last_us = batch[traced - 1][0]
-                if traced < len(batch):
-                    pending[self._head:] = sorted(batch[traced:] + pending[self._head:])
+                head = self._head
+                pending[head:head] = [(due, arb_id - 0x800, origin, seq, frame, source)
+                                      for due, arb_id, origin, seq, frame, source
+                                      in batch[traced:]]
                 raise
         else:
             self._trace += delivered

@@ -130,8 +130,6 @@ def _payload_columns(frames: list[CanFrame]) -> tuple[np.ndarray, np.ndarray]:
     """
     datas = list(map(attrgetter("data"), frames))
     flat = np.frombuffer(b"".join(datas), np.uint8)
-    if len(flat) == 8 * len(datas):
-        return np.full(len(datas), 8, np.uint8), flat.reshape(-1, 8)
     dlc = np.fromiter(map(len, datas), np.uint8, len(datas))
     matrix = np.zeros((len(datas), 8), np.uint8)
     # a boolean mask fills row by row, which is the order of the joined bytes

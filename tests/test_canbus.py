@@ -208,7 +208,7 @@ class TestTraceFormat:
         press = recordings.press_recording()
         texts = [canbus.serialize_trace(CanTrace(frames)), canbus.serialize_trace(press)]
 
-        def per_token(line_no, tokens, dlc):
+        def per_token(line_no, tokens):
             raise AssertionError(f"line {line_no} left the fast branch")
 
         monkeypatch.setattr(canbus, "_data_bytes", per_token)
@@ -340,9 +340,11 @@ class HeapBus:
                 for listener in self._listeners:
                     listener(frame, source)
             except BaseException:
-                # the rest of the batch goes back onto the heap, undelivered
-                for item in batch[i + 1:]:
-                    heapq.heappush(self._pending, item)
+                # the rest of the batch goes back onto the heap, undelivered,
+                # ahead of the frames injected during this step
+                for due_, arb_id, origin, seq, frame_, source_ in batch[i + 1:]:
+                    heapq.heappush(self._pending,
+                                   (due_, arb_id - 0x800, origin, seq, frame_, source_))
                 self._last_us = due
                 raise
             delivered.append(frame)
@@ -584,8 +586,9 @@ class TestBus:
         bus.step(1)
         bus.step(4)
         CanTrace(bus.trace().frames)
+        # the rest of the broken-off batch goes ahead of the new source's frame
         assert [(f.timestamp_us, f.arbitration_id) for f in bus.trace()] == [
-            (2, 0x11), (3, 0x10), (4, 0x10), (4, 0x11)]
+            (2, 0x11), (3, 0x10), (4, 0x11), (4, 0x10)]
 
     @pytest.mark.parametrize("bus_type", [CanBus, HeapBus])
     def test_step_after_a_listener_raised_ends_with_the_unbroken_trace(self, bus_type):
@@ -612,6 +615,36 @@ class TestBus:
             return list(bus.trace()), seen, payload_calls, bus.next_due_us()
 
         assert run({(2, 0x20), (4, 0x20), (6, 0x20)}) == run(set())
+
+        # a frame injected during the broken-off step, at the batch's last due
+        # time and with a lower id, still follows the rest of that batch
+        def run_echo(fail_at):
+            bus = bus_type()
+            bus.feed_replay(CanFrame(t, arb_id, b"") for t, arb_id in
+                            ((2, 0x10), (4, 0x20), (4, 0x7FF)))
+            seen = []
+
+            def listener(frame, source):
+                seen.append((frame, source))
+                if frame.arbitration_id == 0x10:
+                    bus.inject_at(4, CanFrame(4, 0x05, b""))
+                if frame.arbitration_id in fail_at:
+                    fail_at.remove(frame.arbitration_id)
+                    raise RuntimeError("listener failed")
+
+            bus.add_listener(listener)
+            for now in (4, 4, 4):
+                try:
+                    bus.step(now)
+                except RuntimeError:
+                    pass
+            return list(bus.trace()), seen, bus.next_due_us()
+
+        unbroken = run_echo(set())
+        assert [(f.timestamp_us, f.arbitration_id) for f in unbroken[0]] == [
+            (2, 0x10), (4, 0x20), (4, 0x7FF), (4, 0x05)]
+        assert run_echo({0x20}) == unbroken
+        assert run_echo({0x10}) == unbroken
 
 
 class TestQueue:
