@@ -147,6 +147,7 @@ def cmd_inject(args) -> int:
 def cmd_isolate(args) -> int:
     if args.trace:
         trace = canbus.load_trace(args.trace)
+        scenario.replay_ms(trace)  # a capture too long to replay fails here
     else:
         print("no trace given; using the built-in pedal-press capture")
         trace = recordings.press_recording()
@@ -318,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Errors caused by what the user passed in; main reports them in one line.
-_USER_ERRORS = (scenario.ConfigError, canbus.TraceParseError, serial_link.FrameError,
-                revtools.EmptyTraceError, follower.OvalError, injection.DelayError, OSError)
+_USER_ERRORS = (scenario.ConfigError, canbus.TraceParseError, canbus.ShortFrameError,
+                serial_link.FrameError, revtools.EmptyTraceError, follower.OvalError,
+                injection.DelayError, OSError)
 
 
 def main(argv=None) -> int:

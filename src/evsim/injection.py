@@ -162,17 +162,11 @@ def dominance_fraction(deliveries: Sequence[tuple[int, str]], start_us: int,
 # --- id selection -----------------------------------------------------------------
 
 def select_ids(trace: CanTrace, ids: Iterable[int]) -> CanTrace:
-    """Subset of a trace containing only the given ids, order preserved."""
+    """Subset of a trace containing only the given ids, order preserved, as columns."""
     wanted = set(ids)
-    frames = [f for f in trace.frames if f.arbitration_id in wanted]
-    # the wanted ids missing from the trace are those no selected frame
-    # carries; the search stops once every one is found
-    missing = set(wanted)
-    for f in frames:
-        missing.discard(f.arbitration_id)
-        if not missing:
-            break
+    subset = trace.select(trace.rows_of(wanted))
+    missing = wanted.difference(subset.ids())
     if missing:
         raise UnknownIdError(
             "ids not in trace: " + ", ".join(f"0x{i:X}" for i in sorted(missing)))
-    return canbus._ordered_trace(frames)
+    return subset

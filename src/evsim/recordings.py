@@ -98,7 +98,7 @@ def throttle_effect_oracle() -> Callable[[CanTrace], bool]:
         rx = ThrottleReceiver()
         bus.add_listener(rx)
         # the receiver ignores every other id; the rig still runs the whole subset
-        bus.feed_replay(f for f in subset if f.arbitration_id == rx.arb_id)
+        bus.feed_replay(subset.select(subset.columns().ids == rx.arb_id))
         top_speed = rig_loop(bus, VehiclePlant(), rx, replay_ms(subset))
         return top_speed >= MIN_GAIN_MPH
     return oracle

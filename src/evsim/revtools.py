@@ -21,12 +21,11 @@ against a slow plant: the state they cause lags far behind them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from . import canbus
-from .canbus import CanFrame, CanTrace
+from .canbus import CanTrace
 from .injection import select_ids
 
 
@@ -123,20 +122,6 @@ class CorrelationReport:
         return None
 
 
-def _payload_columns(frames: list[CanFrame]) -> tuple[np.ndarray, np.ndarray]:
-    """Each frame's dlc (uint8) and its payload as a row of an (n, 8) uint8 matrix.
-
-    Bytes beyond a frame's dlc are zero.
-    """
-    datas = list(map(attrgetter("data"), frames))
-    flat = np.frombuffer(b"".join(datas), np.uint8)
-    dlc = np.fromiter(map(len, datas), np.uint8, len(datas))
-    matrix = np.zeros((len(datas), 8), np.uint8)
-    # a boolean mask fills row by row, which is the order of the joined bytes
-    matrix[dlc[:, None] > np.arange(8)] = flat
-    return dlc, matrix
-
-
 def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
                     signed: bool = False) -> CorrelationReport:
     """Rank every payload byte of every non-reference id against speed.
@@ -149,20 +134,16 @@ def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
     |r| so inverse relationships surface too; signed=True ranks by the
     signed coefficient, most positive first.
     """
-    frames = trace.frames
-    n = len(frames)
-    dlc, data = _payload_columns(frames)
-    ids = np.fromiter(map(attrgetter("arbitration_id"), frames), np.uint16, n)
+    timestamps, ids, dlc, data = trace.columns()
     speed_rows = np.flatnonzero(ids == speed_id)
     if not len(speed_rows):
         raise EmptyTraceError(f"no frames of the speed id 0x{speed_id:X} in the trace")
-    if len(speed_rows) == n:
+    if len(speed_rows) == len(ids):
         raise EmptyTraceError("no candidate ids besides the speed reference")
     short = np.flatnonzero(dlc[speed_rows] < 8)
     if len(short):
         raise canbus.ShortFrameError(
             f"speed frame needs 8 bytes, got {int(dlc[speed_rows[short[0]]])}")
-    timestamps = np.fromiter(map(attrgetter("timestamp_us"), frames), np.int64, n)
     speed_t = timestamps[speed_rows]
     speed_v = canbus.decode_speed_raw((data[speed_rows, 6].astype(np.int64) << 8)
                                       + data[speed_rows, 7])

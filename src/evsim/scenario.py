@@ -495,7 +495,7 @@ REPLAY_SETTLE_S = 1.0
 
 def replay_ms(trace: canbus.CanTrace) -> int:
     """Rig ticks that cover a replayed trace plus REPLAY_SETTLE_S after its last frame."""
-    last_us = trace.frames[-1].timestamp_us if len(trace) else 0
+    last_us = trace.last_us() if len(trace) else 0
     if last_us > MAX_RUN_S * 1e6:  # integer timestamps of any size compare exactly
         raise ConfigError(f"capture runs to {last_us} us, past the limit of {MAX_RUN_S:g} s")
     return last_us // 1000 + round(REPLAY_SETTLE_S * 1000.0)
@@ -560,19 +560,30 @@ def run_replay_injection(trace: canbus.CanTrace, value_fn,
 
     Shadow mode forges delayed copies of the replayed target frames; tap
     mode rewrites them up front, as if the tap had been in place when
-    the recording was made.
+    the recording was made.  A target frame too short for byte_index
+    raises ShortFrameError before the run, in both modes.
     """
     rig, bus, rx, rule = _injection_rig(mode, target_id, byte_index, value_fn)
+    n_ms = replay_ms(trace)
+    timestamps, ids, dlc, _ = trace.columns()
+    target = ids == target_id
+    short = target & (dlc <= byte_index)
+    if short.any():
+        row = short.argmax()
+        raise canbus.ShortFrameError(
+            f"0x{target_id:X} frame at {timestamps[row]} us has {dlc[row]} data bytes, "
+            f"too short for byte {byte_index + 1}")
     injector = None
     if mode == "shadow":
-        target_times = [f.timestamp_us for f in trace if f.arbitration_id == target_id]
+        target_times = timestamps[target]
         period = None
         if len(target_times) >= 2:
-            deltas = sorted(b - a for a, b in zip(target_times, target_times[1:]))
-            period = deltas[len(deltas) // 2]
+            deltas = target_times[1:] - target_times[:-1]
+            deltas.sort()
+            period = int(deltas[len(deltas) // 2])
         injector = inj.ShadowInjector(bus, rule, delay_us=delay_us, period_us=period)
         bus.feed_replay(trace)
     else:
         bus.feed_replay(map(rule.apply, trace))
 
-    return _run_injection(bus, rig, rx, injector, replay_ms(trace))
+    return _run_injection(bus, rig, rx, injector, n_ms)

@@ -49,7 +49,17 @@ def test_load_trace_calls_parse_trace_through_the_module(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(canbus, "parse_trace", lambda text: seen.append(text) or parse(text))
     assert len(canbus.load_trace(path)) == 1
-    assert seen == ["0 10 0\n"]
+    assert seen == [b"0 10 0\n"]  # the file's bytes, undecoded
+
+
+def test_len_of_a_parsed_trace_builds_no_frame(monkeypatch):
+    # the tracer counts canbus.parse_trace.frames with len(result), inside
+    # the parse span of a correlate run that never builds a frame
+    def no_frames(columns):
+        raise AssertionError("frames built")
+
+    monkeypatch.setattr(canbus, "_frames_of", no_frames)
+    assert len(canbus.parse_trace("0 10 0\n# note\n5 7FF 1 AA\n6 10 1 bb\n")) == 3
 
 
 def test_isolate_reaches_select_ids_through_revtools_once_per_oracle_call(monkeypatch):

@@ -1,6 +1,8 @@
 import heapq
 import io
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,32 @@ def _trace_line(draw):
     dlc = draw(st.just(str(len(data))) | st.sampled_from(["9", "-1", "x", "+2", "3"]))
     sep = draw(st.sampled_from([" ", "  ", "\t"]))
     return sep.join([t, arb, dlc, *data])
+
+
+def _written_line(t, arb_id, data):
+    return f"{t} {arb_id:X} {len(data)}" + "".join(f" {b:02X}" for b in data)
+
+
+@st.composite
+def _mixed_trace(draw):
+    """Many lines in the written spelling among odd lines from _trace_line.
+
+    The written lines mostly keep time order; a few go backwards, carry an
+    id beyond 7FF or a dlc of 9.
+    """
+    t = 0
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 5)):
+            rare = draw(st.integers(0, 29))
+            t += -1 if rare == 0 else draw(st.sampled_from([0, 0, 1, 2, 7, 1000]))
+            arb_id = 0x800 if rare == 1 else draw(st.integers(0, 0x7FF))
+            n_bytes = 9 if rare == 2 else draw(st.integers(0, 8))
+            data = draw(st.binary(min_size=n_bytes, max_size=n_bytes))
+            lines.append(_written_line(t, arb_id, data))
+        else:
+            lines.append(draw(_trace_line()))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestCanFrame:
@@ -198,6 +226,77 @@ class TestTraceFormat:
         text = f"{before}{line}\n"
         assert _outcome(canbus.parse_trace, text) == _outcome(parse_per_token, text)
 
+    @settings(deadline=None, max_examples=300)
+    @given(_mixed_trace(), st.sampled_from([1 << 17, 64, 8]))
+    def test_mixed_paths_match_per_token_parser(self, text, block):
+        # both paths and their merge, in blocks that end inside and between
+        # lines; text and bytes give the same outcome
+        expected = _outcome(parse_per_token, text)
+        with mock.patch.object(canbus, "_BLOCK", block):
+            assert _outcome(canbus.parse_trace, text) == expected
+            assert _outcome(canbus.parse_trace, text.encode("ascii")) == expected
+
+    @pytest.mark.parametrize("text, line_no", [
+        # a written line that goes backwards, carries id 800 or dlc 9, ahead
+        # of a malformed line, and behind one
+        ("5 10 0\n4 10 0\nbogus\n", 2),
+        ("bogus\n5 10 0\n4 10 0\n", 1),
+        ("5 800 0\n0 10 1 GG\n", 1),
+        ("0 10 1 GG\n5 800 0\n", 1),
+        ("5 10 9" + " 00" * 9 + "\n0 10\n", 1),
+        ("0 10\n5 10 9" + " 00" * 9 + "\n", 1),
+        # order across the paths: lowercase bytes take the per-line path
+        ("5 10 0\n4 10 1 aa\n", 2),
+        ("5 10 1 aa\n4 10 0\n", 2),
+        ("5 10 1 aa\n6 10 0\n5 10 1 aa\n", 3),
+        ("5 10 0\n6 10 1 aa\n6 10 1 aa\n7 10 0\n6 10 0\n", 5),
+        ("# c\n\n5 10 1 aa\n5 10 0\n4 10 1 aa\n", 5),
+        ("-1 10 0\n5 10 0\n", 1),
+        ("1 10 0\n" + "9" * 30 + " 10 0\n5 10 0\n", 3),
+    ])
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_first_fault_wins_across_paths(self, text, line_no, as_bytes):
+        expected = _outcome(parse_per_token, text)
+        assert expected[0] == line_no
+        assert _outcome(canbus.parse_trace, text.encode() if as_bytes else text) == expected
+
+    @pytest.mark.parametrize("data, fault", [
+        (b"0 10 0\n1 10 1 \xc3\n", (2, "non-ASCII byte 0xC3")),
+        (b"\xff", (1, "non-ASCII byte 0xFF")),
+        (b"0 10 0 \x80\n", (1, "non-ASCII byte 0x80")),
+        (b"0 10 0\r\n1 10 0\n\xe9 x\n", (3, "non-ASCII byte 0xE9")),
+        (b"0 10 0\n\x85", (2, "non-ASCII byte 0x85")),
+        # a fault on an earlier line wins
+        (b"5 10 0\n4 10 0\n\xc3\n", (2, "timestamp 4 goes backwards")),
+        (b"5 10 0\nbogus\xc3\n", (2, "non-ASCII byte 0xC3")),
+    ])
+    def test_non_ascii_byte(self, data, fault):
+        with pytest.raises(TraceParseError) as exc:
+            canbus.parse_trace(data)
+        assert (exc.value.line_no, exc.value.reason) == fault
+
+    def test_timestamp_beyond_64_bits(self):
+        # the per-line path reads it, and no int64 column can hold it
+        trace = canbus.parse_trace("1 10 0\n" + "9" * 30 + " 10 1 AA\n")
+        assert [f.timestamp_us for f in trace] == [1, int("9" * 30)]
+        assert trace.last_us() == int("9" * 30)
+        with pytest.raises(canbus.OutOfRangeError):
+            trace.columns()
+
+    def test_parse_peak_memory(self):
+        # 2.35 MiB measured on the 2.4 MiB text of this 66,600-frame capture
+        # (numpy 2.4, CPython 3.11): its columns and one block's temporaries
+        text = canbus.serialize_trace(recordings.correlation_recording()[0]).encode()
+        canbus.parse_trace(b"0 10 0\n")  # imports numpy outside the measurement
+        tracemalloc.start()
+        try:
+            trace = canbus.parse_trace(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 66_600
+        assert peak < 4 * 2**20
+
     def test_written_spelling_never_reaches_the_per_token_branch(self, monkeypatch):
         rng = random.Random(5)
         t = 0
@@ -208,10 +307,10 @@ class TestTraceFormat:
         press = recordings.press_recording()
         texts = [canbus.serialize_trace(CanTrace(frames)), canbus.serialize_trace(press)]
 
-        def per_token(line_no, tokens):
-            raise AssertionError(f"line {line_no} left the fast branch")
+        def per_line(line_no, line):
+            raise AssertionError(f"line {line_no} left the columnar pass")
 
-        monkeypatch.setattr(canbus, "_data_bytes", per_token)
+        monkeypatch.setattr(canbus, "_parse_line", per_line)
         assert list(canbus.parse_trace(texts[0])) == frames
         assert list(canbus.parse_trace(texts[1])) == list(press)
 
@@ -249,6 +348,23 @@ class TestTraceFormat:
     def test_trace_validation(self):
         with pytest.raises(ValueError):
             CanTrace([CanFrame(5, 0x10, b""), CanFrame(4, 0x10, b"")])
+
+    def test_columns_and_frames_agree(self):
+        rng = random.Random(11)
+        t = 0
+        frames = []
+        for _ in range(500):
+            t += rng.randrange(3)
+            frames.append(CanFrame(t, rng.randrange(0x800), rng.randbytes(rng.randrange(9))))
+        columns = CanTrace(frames).columns()
+        assert columns.timestamps.tolist() == [f.timestamp_us for f in frames]
+        assert columns.ids.tolist() == [f.arbitration_id for f in frames]
+        assert columns.dlc.tolist() == [f.dlc for f in frames]
+        parsed = canbus.parse_trace(canbus.serialize_trace(CanTrace(frames)))
+        assert all(a.tolist() == b.tolist() for a, b in zip(parsed.columns(), columns))
+        assert parsed.frames == frames
+        rows = [k for k, f in enumerate(frames) if f.arbitration_id % 3 == 0]
+        assert parsed.select(parsed.columns().ids % 3 == 0).frames == [frames[k] for k in rows]
 
     def test_ids_first_seen_order(self):
         trace = CanTrace([

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from evsim import canbus, cli, follower, scenario
+from evsim import canbus, cli, follower, recordings, scenario
 from evsim.canbus import CanFrame, CanTrace
 
 
@@ -214,6 +214,17 @@ class TestIsolate:
         calls = int(re.search(r"oracle calls: (\d+)", out).group(1))
         assert calls <= 8
 
+    def test_saved_capture_reports_as_the_builtin(self, tmp_path, capsys):
+        press = tmp_path / "press.txt"
+        canbus.save_trace(recordings.press_recording(), press)
+        code, saved = run_cli(capsys, "isolate", "--trace", str(press))
+        assert code == 0
+        code, builtin = run_cli(capsys, "isolate")
+        assert code == 0
+        first, *rest = builtin.splitlines()
+        assert first == "no trace given; using the built-in pedal-press capture"
+        assert saved.splitlines() == rest
+
     def test_trace_without_effect_fails(self, tmp_path, capsys):
         frames = [CanFrame(10_000 * (k + 1), canbus.STEERING_ID, bytes(8))
                   for k in range(5)]
@@ -334,6 +345,20 @@ class TestUserErrors:
             return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
         if case == "slow-oval":
             return ["make-oval", "--speed", "1e-6"]
+        if case == "non-ascii-trace":
+            trace = tmp_path / "latin.txt"
+            trace.write_bytes(b"0 75 0\n10 75 1 \xc3\xa9\n")
+            return ["correlate", "--trace", str(trace)]
+        if case == "short-speed-frame":
+            trace = tmp_path / "short.txt"
+            trace.write_text("0 75 2 B0 D4\n5 200 1 07\n")
+            return ["correlate", "--trace", str(trace)]
+        if case in ("short-shadow-target", "short-tap-target"):
+            trace = tmp_path / "short.txt"
+            trace.write_text("100000 11A 8 00 00 00 10 00 00 00 00\n200000 11A 2 00 00\n"
+                             "300000 11A 8 00 00 00 10 00 00 00 00\n")
+            mode = "shadow" if case == "short-shadow-target" else "tap"
+            return ["inject", "--trace", str(trace), "--ramp", "0:10:1", "--mode", mode]
         if case in ("far-capture-inject", "far-capture-isolate"):
             trace = tmp_path / "far.txt"
             trace.write_text("0 11A 8 00 00 00 10 00 00 00 00\n"
@@ -351,7 +376,9 @@ class TestUserErrors:
                                       "replay-delay-not-shorter-than-period",
                                       "day-long-scenario", "slow-oval-scenario", "slow-oval",
                                       "far-capture-inject", "far-capture-isolate",
-                                      "day-long-fine-tick-scenario"])
+                                      "day-long-fine-tick-scenario", "non-ascii-trace",
+                                      "short-speed-frame", "short-shadow-target",
+                                      "short-tap-target"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -359,6 +386,15 @@ class TestUserErrors:
         assert captured.err.startswith("evsim: error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
+        assert self._NAMED.get(case, "") in captured.err
+
+    #: What the message of some cases must name.
+    _NAMED = {
+        "non-ascii-trace": "line 2: non-ASCII byte 0xC3",
+        "short-speed-frame": "speed frame needs 8 bytes, got 2",
+        "short-shadow-target": "0x11A frame at 200000 us has 2 data bytes, too short for byte 4",
+        "short-tap-target": "0x11A frame at 200000 us has 2 data bytes, too short for byte 4",
+    }
 
     @pytest.mark.parametrize("argv", [
         ["design-gains", "--tau-car", "0", "--tau-cl", "1"],

@@ -127,7 +127,7 @@ def _speed_frames(pairs):
 
 
 def byte_matrix_per_frame(frames):
-    """Reference: the per-frame loop _payload_columns replaced."""
+    """Reference: the per-frame loop that CanTrace.columns() replaced."""
     data = np.zeros((len(frames), 8), dtype=np.float64)
     for i, f in enumerate(frames):
         data[i, :f.dlc] = list(f.data)
@@ -213,12 +213,12 @@ class TestCorrelateBytes:
     def test_byte_matrix_matches_per_frame_loop(self):
         rng = random.Random(3)
         frames = [CanFrame(k, 0x200, rng.randbytes(rng.randrange(9))) for k in range(200)]
-        dlc, matrix = revtools._payload_columns(frames)
+        _, _, dlc, matrix = CanTrace(frames).columns()
         assert matrix.dtype == dlc.dtype == np.uint8
         assert np.array_equal(matrix, byte_matrix_per_frame(frames))
         assert dlc.tolist() == [f.dlc for f in frames]
         full = [CanFrame(k, 0x200, rng.randbytes(8)) for k in range(20)]
-        dlc, matrix = revtools._payload_columns(full)
+        _, _, dlc, matrix = CanTrace(full).columns()
         assert dlc.tolist() == [8] * 20
         assert np.array_equal(matrix, byte_matrix_per_frame(full))
 
