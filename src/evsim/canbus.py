@@ -68,6 +68,10 @@ class OutOfRangeError(ValueError):
     """Value outside the range its field or input accepts (plant and lowlevel raise it too)."""
 
 
+class BusStoppedError(RuntimeError):
+    """The bus stopped when a payload function, tap or listener raised in a step."""
+
+
 class TraceParseError(ValueError):
     def __init__(self, line_no: int, reason: str):
         self.line_no = line_no
@@ -385,6 +389,8 @@ def _row_fault(t: int, arb_id: int, dlc: int, last_t: int) -> str | None:
         return f"timestamp {t} goes backwards"
     if t < 0:
         return f"negative timestamp {t}"
+    if t > _INT64_MAX:
+        return f"timestamp {t} does not fit 64 bits"
     if not 0 <= arb_id <= 0x7FF:
         return f"arbitration id 0x{arb_id:X} outside 11-bit range"
     if dlc > 8:
@@ -514,8 +520,9 @@ def _merge(line_nos: np.ndarray, fast: TraceColumns, rows: list,
     """The trace of the columnar pass's rows and the per-line rows, merged by line.
 
     Raises the fault of the lowest line: fault (the per-line path's, which
-    stopped there), or the first row that goes backwards, is negative or
-    out of range.  The columnar rows can only go backwards.
+    stopped there), or the first row that goes backwards, is negative, does
+    not fit 64 bits or is out of range.  The columnar rows can only go
+    backwards.
     """
     t = fast.timestamps
     # each per-line row sits after this many columnar rows
@@ -548,12 +555,6 @@ def _merge(line_nos: np.ndarray, fast: TraceColumns, rows: list,
     if not rows:
         return _columnar_trace(fast)
     slow = [_frame(ts, arb_id, payload) for _, ts, arb_id, payload in rows]
-    if slow[-1].timestamp_us > _INT64_MAX:
-        # no column holds it: a trace of frames, whose columns() raise
-        frames = _frames_of(fast)
-        for k, frame in zip(reversed(after), reversed(slow)):
-            frames.insert(k, frame)
-        return _ordered_trace(frames)
     return _columnar_trace(TraceColumns(*(np.insert(f, after, s, axis=0)
                                           for f, s in zip(fast, _columns_of(slow)))))
 
@@ -581,8 +582,8 @@ def parse_trace(text: str | bytes) -> CanTrace:
     timestamp, a hex id, a decimal dlc equal to the number of byte
     tokens, and one hex token per byte.  Raises TraceParseError with the
     1-indexed line number of the first malformed line, including
-    timestamps that go backwards, a negative timestamp, an id beyond 11
-    bits, more than 8 bytes and a byte that is not ASCII.
+    timestamps that go backwards, a negative timestamp or one past int64,
+    an id beyond 11 bits, more than 8 bytes and a byte that is not ASCII.
 
     One columnar pass reads every "\\n"-terminated line in the spelling
     serialize_trace writes straight from the text's bytes into the four
@@ -666,11 +667,10 @@ class _Periodic:
 class CanBus:
     """Single-threaded bus scheduler with deterministic arbitration.
 
-    Periodic sources emit at k*period for k >= 1; one added after the bus
-    stepped to t starts at the first multiple after t (and after every
-    frame already delivered).  Frames that fall due in
-    the window covered by one ``step`` call are delivered sorted by
-    (timestamp, arbitration id, enqueue sequence): lower IDs win
+    Periodic sources emit at k*period for k >= 1; one added after or while
+    the bus steps to t starts at the first multiple after t.  Frames that
+    fall due in the window covered by one ``step`` call are delivered
+    sorted by (timestamp, arbitration id, enqueue sequence): lower IDs win
     simultaneous arbitration, and an injected frame scheduled at the same
     microsecond as an observed one lands after it because its sequence
     number is larger.  Tap rules rewrite periodic-source frames between
@@ -680,6 +680,14 @@ class CanBus:
     Injected frames wait in one list kept in that order.  A replayed
     capture is already in time order, so each of its frames is appended
     at the tail; ``step`` takes the due ones as one slice from the head.
+
+    The bus is fail-stop.  When a payload function, tap or listener
+    raises, the error propagates from ``step`` and the trace ends at the
+    frame in delivery; from then on every ``step``, ``inject_at`` and
+    ``add_periodic`` raises BusStoppedError, and ``trace()`` still reads.
+    A ValueError from a check that changes nothing (a bad id or period, a
+    step back in time, a mis-stamped or late ``inject_at`` outside a
+    step) leaves the bus running.
     """
 
     def __init__(self):
@@ -691,10 +699,8 @@ class CanBus:
         self._listeners: list[Listener] = []
         # entries (due, arb_id, origin, seq, frame, source), sorted; origin 1
         # ranks injected frames after periodic ones on a timestamp+id tie, and
-        # seq is unique, so no comparison reaches the frame.  The rest of a
-        # batch a listener broke off comes back with its id less 0x800, ahead
-        # of the frames injected during that step.  Entries before _head are
-        # delivered; step drops them once they are half the list.
+        # seq is unique, so no comparison reaches the frame.  Entries before
+        # _head are delivered; step drops them once they are half the list.
         self._pending: list[tuple[int, int, int, int, CanFrame, str]] = []
         self._head = 0
         self._seq = 0
@@ -703,19 +709,20 @@ class CanBus:
         # carries its due time, so the trace is in time order
         self._last_us = -1
         self._trace: list[CanFrame] = []
+        self._stopped: str | None = None  # the BusStoppedError message once stopped
 
     # -- wiring --------------------------------------------------------------
 
     def add_periodic(self, arb_id: int, period_us: int, payload_fn: PayloadFn,
                      source: str = "ecu") -> None:
         """Emit payload_fn(due) on arb_id every period_us; the payload holds at most 8 bytes."""
+        if self._stopped is not None:
+            raise BusStoppedError(self._stopped)
         if not 0 <= arb_id <= 0x7FF:
             raise ValueError(f"arbitration id 0x{arb_id:X} outside 11-bit range")
         if period_us <= 0:
             raise ValueError("period must be positive")
-        # after the latest frame delivered too, which a step that a listener
-        # broke off leaves past the bus time
-        first_due = (max(self._now, self._last_us) // period_us + 1) * period_us
+        first_due = (self._now // period_us + 1) * period_us
         self._periodic.append(_Periodic(arb_id, period_us, payload_fn, source, first_due))
         if self._periodic_due is None or first_due < self._periodic_due:
             self._periodic_due = first_due
@@ -734,6 +741,8 @@ class CanBus:
         delivered, or in delivery by the current ``step``: the frame would
         reach the wire after that later one and break the trace order.
         """
+        if self._stopped is not None:
+            raise BusStoppedError(self._stopped)
         if frame.timestamp_us != due_us:
             raise ValueError(f"frame stamped {frame.timestamp_us} us queued for {due_us} us")
         if due_us < self._last_us:
@@ -755,7 +764,9 @@ class CanBus:
     # -- time ------------------------------------------------------------------
 
     def next_due_us(self) -> int | None:
-        """Earliest pending emission time, or None when nothing is scheduled."""
+        """Earliest pending emission time, or None if nothing is scheduled or the bus stopped."""
+        if self._stopped is not None:
+            return None
         due = self._periodic_due
         if self._head < len(self._pending):
             injected = self._pending[self._head][0]
@@ -766,20 +777,20 @@ class CanBus:
     def step(self, now_us: int) -> list[CanFrame]:
         """Deliver every frame due in (previous now, now_us].
 
-        When a listener raises, the error propagates after the frame it was
-        handed is in the trace; the frames due after that one stay queued,
-        and the next step delivers them first, ahead of every frame queued
-        since at the same time.
+        A payload function, tap or listener that raises stops the bus.
         """
+        if self._stopped is not None:
+            raise BusStoppedError(self._stopped)
         if now_us < self._now:
             raise ValueError("bus time must not go backwards")
-        batch: list[tuple[int, int, int, int, CanFrame, str]] = []
-        if self._periodic_due is not None and self._periodic_due <= now_us:
-            taps = self._taps
-            append = batch.append
-            earliest = None
-            seq = self._seq
-            try:
+        self._now = now_us
+        try:
+            batch: list[tuple[int, int, int, int, CanFrame, str]] = []
+            if self._periodic_due is not None and self._periodic_due <= now_us:
+                taps = self._taps
+                append = batch.append
+                earliest = None
+                seq = self._seq
                 for src in self._periodic:
                     due = src.next_due
                     if due <= now_us:
@@ -796,65 +807,43 @@ class CanBus:
                                 frame = tap.apply(frame)
                             append((due, frame.arbitration_id, 0, seq, frame, source))
                             seq += 1
-                            # kept per frame: a payload that raises leaves the
-                            # frames before it emitted and their source advanced
-                            due = src.next_due = due + period
+                            due += period
+                        src.next_due = due
                     if earliest is None or due < earliest:
                         earliest = due
-            except BaseException:
-                # a payload or tap raised: the sources stay advanced up to it
-                self._periodic_due = min(src.next_due for src in self._periodic)
-                raise
-            finally:
                 self._seq = seq
-            self._periodic_due = earliest
-        pending = self._pending
-        head = self._head
-        if head < len(pending) and pending[head][0] <= now_us:
-            end = bisect.bisect_right(pending, (now_us + 1,), head)
-            batch += pending[head:end]
-            # drop delivered entries: a drained list is cleared, and a
-            # delivered prefix is cut once it is more than half the list
-            if end == len(pending):
-                pending.clear()
-                end = 0
-            elif end > len(pending) // 2:
-                del pending[:end]
-                end = 0
-            self._head = end
-        if not batch:
-            self._now = now_us
-            return []
-        batch.sort()
-        self._last_us = batch[-1][0]
-        delivered = [item[4] for item in batch]
-        listeners = self._listeners
-        if listeners:
-            trace = self._trace
-            trace_append = trace.append
-            start = len(trace)
-            try:
+                self._periodic_due = earliest
+            pending = self._pending
+            head = self._head
+            if head < len(pending) and pending[head][0] <= now_us:
+                end = bisect.bisect_right(pending, (now_us + 1,), head)
+                batch += pending[head:end]
+                # drop delivered entries: a drained list is cleared, and a
+                # delivered prefix is cut once it is more than half the list
+                if end == len(pending):
+                    pending.clear()
+                    end = 0
+                elif end > len(pending) // 2:
+                    del pending[:end]
+                    end = 0
+                self._head = end
+            if not batch:
+                return []
+            batch.sort()
+            self._last_us = batch[-1][0]
+            delivered = [item[4] for item in batch]
+            listeners = self._listeners
+            if listeners:
+                trace_append = self._trace.append
                 for _, _, _, _, frame, source in batch:
                     trace_append(frame)
                     for listener in listeners:
                         listener(frame, source)
-            except BaseException:
-                # a listener raised: the trace ends at the frame in delivery,
-                # and the frames after it go back to the head of the queue in
-                # their order, so that the next step delivers them first.
-                # Every other pending frame is due at the batch's last due
-                # time or later, and the negative id ranks them before one
-                # a listener injected at that time.
-                traced = len(trace) - start
-                self._last_us = batch[traced - 1][0]
-                head = self._head
-                pending[head:head] = [(due, arb_id - 0x800, origin, seq, frame, source)
-                                      for due, arb_id, origin, seq, frame, source
-                                      in batch[traced:]]
-                raise
-        else:
-            self._trace += delivered
-        self._now = now_us
+            else:
+                self._trace += delivered
+        except BaseException as exc:
+            self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
+            raise
         return delivered
 
     def trace(self) -> CanTrace:

@@ -1,7 +1,7 @@
 import heapq
-import io
 import random
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -17,7 +17,7 @@ def parse_per_token(text):
 
     Each byte goes through int(tok, 16), and the checks of the old
     frame constructor (timestamp, id, dlc range) follow the order check,
-    in that order.
+    in that order; a timestamp must also fit an int64 column.
     """
     frames = []
     last_t = -1
@@ -52,6 +52,8 @@ def parse_per_token(text):
         last_t = t
         if t < 0:
             raise TraceParseError(line_no, f"negative timestamp {t}")
+        if t >= 2**63:
+            raise TraceParseError(line_no, f"timestamp {t} does not fit 64 bits")
         if not 0 <= arb_id <= 0x7FF:
             raise TraceParseError(line_no, f"arbitration id 0x{arb_id:X} outside 11-bit range")
         if not 0 <= dlc <= 8:
@@ -252,7 +254,7 @@ class TestTraceFormat:
         ("5 10 0\n6 10 1 aa\n6 10 1 aa\n7 10 0\n6 10 0\n", 5),
         ("# c\n\n5 10 1 aa\n5 10 0\n4 10 1 aa\n", 5),
         ("-1 10 0\n5 10 0\n", 1),
-        ("1 10 0\n" + "9" * 30 + " 10 0\n5 10 0\n", 3),
+        ("1 10 0\n" + "9" * 30 + " 10 0\n5 10 0\n", 2),
     ])
     @pytest.mark.parametrize("as_bytes", [False, True])
     def test_first_fault_wins_across_paths(self, text, line_no, as_bytes):
@@ -275,13 +277,13 @@ class TestTraceFormat:
             canbus.parse_trace(data)
         assert (exc.value.line_no, exc.value.reason) == fault
 
-    def test_timestamp_beyond_64_bits(self):
-        # the per-line path reads it, and no int64 column can hold it
-        trace = canbus.parse_trace("1 10 0\n" + "9" * 30 + " 10 1 AA\n")
-        assert [f.timestamp_us for f in trace] == [1, int("9" * 30)]
-        assert trace.last_us() == int("9" * 30)
-        with pytest.raises(canbus.OutOfRangeError):
-            trace.columns()
+    @pytest.mark.parametrize("t", [2**63, 2**64, int("9" * 30)])
+    def test_timestamp_beyond_64_bits(self, t):
+        # the largest int64 parses; one past it is a parse error naming its line
+        assert canbus.parse_trace(f"1 10 0\n{2**63 - 1} 10 1 AA\n").last_us() == 2**63 - 1
+        with pytest.raises(TraceParseError) as exc:
+            canbus.parse_trace(f"1 10 0\n{t} 10 1 AA\n{2**63 - 1} 10 0\n")
+        assert (exc.value.line_no, exc.value.reason) == (2, f"timestamp {t} does not fit 64 bits")
 
     def test_parse_peak_memory(self):
         # 2.35 MiB measured on the 2.4 MiB text of this 66,600-frame capture
@@ -380,7 +382,8 @@ class HeapBus:
 
     Sources are dicts in insertion order; injected frames go through
     heapq.heappush, and each step pops the due ones and sorts the batch
-    by its (due, id, origin, seq) key.
+    by its (due, id, origin, seq) key.  A payload, tap or listener that
+    raises stops it, as it stops CanBus.
     """
 
     def __init__(self):
@@ -392,16 +395,21 @@ class HeapBus:
         self._now = 0
         self._last_us = -1
         self._trace = []
+        self._stopped = None
+
+    def _check_running(self):
+        if self._stopped is not None:
+            raise canbus.BusStoppedError(self._stopped)
 
     def add_periodic(self, arb_id, period_us, payload_fn, source="ecu"):
+        self._check_running()
         if not 0 <= arb_id <= 0x7FF:
             raise ValueError(f"arbitration id 0x{arb_id:X} outside 11-bit range")
         if period_us <= 0:
             raise ValueError("period must be positive")
         self._periodic.append({"id": arb_id, "period": period_us, "payload": payload_fn,
                                "source": source,
-                               "next_due": (max(self._now, self._last_us) // period_us + 1)
-                               * period_us})
+                               "next_due": (self._now // period_us + 1) * period_us})
 
     def add_tap(self, rule):
         self._taps.append(rule)
@@ -410,6 +418,7 @@ class HeapBus:
         self._listeners.append(fn)
 
     def inject_at(self, due_us, frame, source="inject"):
+        self._check_running()
         if frame.timestamp_us != due_us:
             raise ValueError(f"frame stamped {frame.timestamp_us} us queued for {due_us} us")
         if due_us < self._last_us:
@@ -423,49 +432,42 @@ class HeapBus:
             self.inject_at(f.timestamp_us, f, "replay")
 
     def next_due_us(self):
-        candidates = [src["next_due"] for src in self._periodic]
-        if self._pending:
-            candidates.append(self._pending[0][0])
-        return min(candidates) if candidates else None
+        due = [src["next_due"] for src in self._periodic] + [e[0] for e in self._pending[:1]]
+        return None if self._stopped is not None or not due else min(due)
 
     def step(self, now_us):
+        self._check_running()
         if now_us < self._now:
             raise ValueError("bus time must not go backwards")
-        batch = []
-        for src in self._periodic:
-            while src["next_due"] <= now_us:
-                due = src["next_due"]
-                payload = bytes(src["payload"](due))
-                if len(payload) > 8:
-                    raise ValueError(f"dlc {len(payload)} outside 0..8")
-                frame = canbus._frame(due, src["id"], payload)
-                for tap in self._taps:
-                    frame = tap.apply(frame)
-                batch.append((due, frame.arbitration_id, 0, self._seq, frame, src["source"]))
-                self._seq += 1
-                src["next_due"] = due + src["period"]
-        while self._pending and self._pending[0][0] <= now_us:
-            batch.append(heapq.heappop(self._pending))
-        batch.sort(key=lambda item: item[:4])
-        if batch:
-            self._last_us = batch[-1][0]
-        delivered = []
-        for i, (due, _, _, _, frame, source) in enumerate(batch):
-            self._trace.append(frame)
-            try:
+        self._now = now_us
+        try:
+            batch = []
+            for src in self._periodic:
+                while src["next_due"] <= now_us:
+                    due = src["next_due"]
+                    payload = bytes(src["payload"](due))
+                    if len(payload) > 8:
+                        raise ValueError(f"dlc {len(payload)} outside 0..8")
+                    frame = canbus._frame(due, src["id"], payload)
+                    for tap in self._taps:
+                        frame = tap.apply(frame)
+                    batch.append((due, frame.arbitration_id, 0, self._seq, frame,
+                                  src["source"]))
+                    self._seq += 1
+                    src["next_due"] = due + src["period"]
+            while self._pending and self._pending[0][0] <= now_us:
+                batch.append(heapq.heappop(self._pending))
+            batch.sort(key=lambda item: item[:4])
+            if batch:
+                self._last_us = batch[-1][0]
+            for _, _, _, _, frame, source in batch:
+                self._trace.append(frame)
                 for listener in self._listeners:
                     listener(frame, source)
-            except BaseException:
-                # the rest of the batch goes back onto the heap, undelivered,
-                # ahead of the frames injected during this step
-                for due_, arb_id, origin, seq, frame_, source_ in batch[i + 1:]:
-                    heapq.heappush(self._pending,
-                                   (due_, arb_id - 0x800, origin, seq, frame_, source_))
-                self._last_us = due
-                raise
-            delivered.append(frame)
-        self._now = now_us
-        return delivered
+        except BaseException as exc:
+            self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
+            raise
+        return [item[4] for item in batch]
 
     def trace(self):
         return canbus._ordered_trace(list(self._trace))
@@ -541,8 +543,8 @@ def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_pay
             else:
                 out = bus.step(now + args[0])
                 now += args[0]
-        except ValueError as exc:
-            out = ("ValueError", str(exc))
+        except (ValueError, canbus.BusStoppedError) as exc:
+            out = (type(exc).__name__, str(exc))
         check(bus)
         log.append((out, bus.next_due_us()))
     return log, deliveries, list(bus.trace())
@@ -646,22 +648,17 @@ class TestBus:
         bus.step(20_000)
         assert [f.timestamp_us for f in bus.trace()] == [10_000, 10_000, 20_000]
 
-    @pytest.mark.parametrize("other_us, ok", [(1_600, True), (2_000, False)])
-    def test_listener_injection_during_a_step(self, other_us, ok):
-        # a frame due before a later one of the batch in delivery would land after it
+    def test_listener_injection_during_a_step(self):
+        # allowed when it follows the batch in delivery (TestFailStop has one that does not)
         bus = CanBus()
         bus.inject_at(1_500, CanFrame(1_500, 0x10, b""))
-        bus.inject_at(other_us, CanFrame(other_us, 0x20, b""))
+        bus.inject_at(1_600, CanFrame(1_600, 0x20, b""))
 
         def echo(frame, source):
             if frame.arbitration_id == 0x10:
                 bus.inject_at(1_750, CanFrame(1_750, 0x30, b""))
 
         bus.add_listener(echo)
-        if not ok:
-            with pytest.raises(ValueError, match="follow"):
-                bus.step(2_000)
-            return
         bus.step(1_600)
         bus.step(2_000)
         assert [f.timestamp_us for f in bus.trace()] == [1_500, 1_600, 1_750]
@@ -684,83 +681,85 @@ class TestBus:
         bus.add_periodic(0x20, 3, lambda now: b"")
         assert [f.timestamp_us for f in bus.step(6)] == [5, 5, 6, 6, 6]
 
-    def test_source_added_after_a_broken_off_step_starts_after_its_frames(self):
+    def test_source_added_during_a_step_starts_after_it(self):
         bus = CanBus()
-        bus.add_periodic(0x11, 2, lambda now: b"")
+        bus.add_periodic(0x10, 4, lambda now: b"")
+        bus.add_listener(lambda frame, source: frame.timestamp_us == 4
+                         and bus.add_periodic(0x20, 3, lambda now: b""))
+        bus.step(10)
+        assert bus.next_due_us() == 12
+        assert [f.arbitration_id for f in bus.step(12)] == [0x10, 0x20]
 
-        def echo(frame, source):  # due at 2 while the batch reaches 4: raises
-            if frame.timestamp_us == 2:
-                bus.inject_at(2, CanFrame(2, 0x10, b""))
 
-        bus.add_listener(echo)
-        with pytest.raises(ValueError, match="follow one stamped 4 us"):
-            bus.step(4)
-        assert [f.timestamp_us for f in bus.trace()] == [2]
-        assert bus.next_due_us() == 4  # the rest of the broken-off batch
-        bus.add_periodic(0x10, 1, lambda now: b"")
-        assert bus.next_due_us() == 3
-        bus.step(1)
-        bus.step(4)
-        CanTrace(bus.trace().frames)
-        # the rest of the broken-off batch goes ahead of the new source's frame
-        assert [(f.timestamp_us, f.arbitration_id) for f in bus.trace()] == [
-            (2, 0x11), (3, 0x10), (4, 0x11), (4, 0x10)]
+def _stopped_bus(bus_type, where):
+    """A bus that stops in its step to 10 us, at the 0x20 frame due at 8 us, where
+    the payload function, the tap, the listener, or ("inject") an inject_at of
+    the listener's behind the batch's last frame raises.  Returns the bus, the
+    frames its listener was handed and the error."""
+    bus, seen = bus_type(), []
 
-    @pytest.mark.parametrize("bus_type", [CanBus, HeapBus])
-    def test_step_after_a_listener_raised_ends_with_the_unbroken_trace(self, bus_type):
-        def run(fail_at):
-            bus = bus_type()
-            payload_calls = []
-            bus.add_periodic(0x10, 3, lambda now: payload_calls.append(now) or bytes([now]))
-            bus.add_periodic(0x20, 2, lambda now: payload_calls.append(now) or bytes([now, 1]))
-            bus.feed_replay(CanFrame(t, 0x30, b"\x07") for t in (1, 4, 4, 9))
-            seen = []
+    def fail(name, frame):
+        if name == where and (frame.timestamp_us, frame.arbitration_id) == (8, 0x20):
+            if name != "inject":
+                raise RuntimeError(f"{name} failed")
+            bus.inject_at(7, CanFrame(7, 0x05, b""))
+        return frame
 
-            def listener(frame, source):
-                seen.append((frame, source))
-                if (frame.timestamp_us, frame.arbitration_id) in fail_at:
-                    fail_at.remove((frame.timestamp_us, frame.arbitration_id))
-                    raise RuntimeError("listener failed")
+    bus.add_periodic(0x10, 3, lambda due: bytes([due]))
+    bus.add_periodic(0x20, 2, lambda due: fail("payload", CanFrame(due, 0x20, bytes([due]))).data)
+    bus.add_tap(SimpleNamespace(apply=lambda frame: fail("tap", frame)))
+    bus.add_listener(lambda frame, source: seen.append(frame)
+                     or fail("listener", fail("inject", frame)))
+    bus.feed_replay(CanFrame(t, 0x30, b"\x07") for t in (1, 4, 9))
+    bus.step(5)
+    with pytest.raises((RuntimeError, ValueError)) as exc:
+        bus.step(10)
+    return bus, seen, exc.value
 
-            bus.add_listener(listener)
-            for now in (5, 5, 10, 10):
-                try:
-                    bus.step(now)
-                except RuntimeError:
-                    pass
-            return list(bus.trace()), seen, payload_calls, bus.next_due_us()
 
-        assert run({(2, 0x20), (4, 0x20), (6, 0x20)}) == run(set())
+@pytest.mark.parametrize("bus_type", [CanBus, HeapBus])
+class TestFailStop:
+    """A payload, tap or listener that raises stops the bus; a failed check does not."""
 
-        # a frame injected during the broken-off step, at the batch's last due
-        # time and with a lower id, still follows the rest of that batch
-        def run_echo(fail_at):
-            bus = bus_type()
-            bus.feed_replay(CanFrame(t, arb_id, b"") for t, arb_id in
-                            ((2, 0x10), (4, 0x20), (4, 0x7FF)))
-            seen = []
+    # a payload or tap leaves the five frames of the step to 5 us; a listener
+    # leaves the trace ending at the frame it was handed
+    @pytest.mark.parametrize("where, kept", [("payload", 5), ("tap", 5), ("listener", 8),
+                                             ("inject", 8)])
+    def test_stop_keeps_the_trace_to_the_frame_in_delivery(self, bus_type, where, kept):
+        bus, seen, error = _stopped_bus(bus_type, where)
+        trace = list(bus.trace())
+        assert trace == seen
+        assert [(f.timestamp_us, f.arbitration_id) for f in trace] == [
+            (1, 0x30), (2, 0x20), (3, 0x10), (4, 0x20), (4, 0x30), (6, 0x10), (6, 0x20),
+            (8, 0x20)][:kept]
+        # every later step, inject_at and add_periodic raises, bad arguments or not
+        for call in (lambda: bus.step(20), lambda: bus.step(0),
+                     lambda: bus.inject_at(30, CanFrame(30, 0x10, b"")),
+                     lambda: bus.inject_at(30, CanFrame(29, 0x10, b"")),
+                     lambda: bus.add_periodic(0x10, 5, bytes),
+                     lambda: bus.add_periodic(0x10, 0, bytes)):
+            with pytest.raises(canbus.BusStoppedError) as exc:
+                call()
+            assert str(exc.value) == f"bus stopped in the step to 10 us by {error!r}"
+        assert isinstance(exc.value, RuntimeError) and bus.next_due_us() is None
+        assert list(bus.trace()) == trace
 
-            def listener(frame, source):
-                seen.append((frame, source))
-                if frame.arbitration_id == 0x10:
-                    bus.inject_at(4, CanFrame(4, 0x05, b""))
-                if frame.arbitration_id in fail_at:
-                    fail_at.remove(frame.arbitration_id)
-                    raise RuntimeError("listener failed")
-
-            bus.add_listener(listener)
-            for now in (4, 4, 4):
-                try:
-                    bus.step(now)
-                except RuntimeError:
-                    pass
-            return list(bus.trace()), seen, bus.next_due_us()
-
-        unbroken = run_echo(set())
-        assert [(f.timestamp_us, f.arbitration_id) for f in unbroken[0]] == [
-            (2, 0x10), (4, 0x20), (4, 0x7FF), (4, 0x05)]
-        assert run_echo({0x20}) == unbroken
-        assert run_echo({0x10}) == unbroken
+    def test_failed_check_leaves_the_bus_running(self, bus_type):
+        bus = bus_type()
+        bus.feed_replay(CanFrame(t, 0x30, b"") for t in (1, 9))
+        bus.step(5)
+        for call, message in ((lambda: bus.inject_at(7, CanFrame(6, 0x20, b"")), "stamped 6"),
+                              (lambda: bus.inject_at(0, CanFrame(0, 0x20, b"")), "follow one"),
+                              (lambda: bus.step(4), "backwards"),
+                              (lambda: bus.add_periodic(0x10, 0, bytes), "positive"),
+                              (lambda: bus.add_periodic(0x800, 4, bytes), "11-bit")):
+            with pytest.raises(ValueError, match=message):
+                call()
+        bus.inject_at(7, CanFrame(7, 0x20, b""))
+        bus.add_periodic(0x40, 4, bytes)
+        assert [(f.timestamp_us, f.arbitration_id) for f in bus.step(10)] == [
+            (7, 0x20), (8, 0x40), (9, 0x30)]
+        assert bus.next_due_us() == 12
 
 
 class TestQueue:
@@ -780,7 +779,7 @@ class TestQueue:
     @settings(deadline=None, max_examples=300)
     @given(st.lists(_BUS_OPS, max_size=30))
     def test_matches_heap_scheduler(self, ops):
-        # same frames, sources, next due times, trace and ValueError messages
+        # same frames, sources, next due times, trace and error messages
         assert (drive_bus(CanBus(), ops, self._invariants)
                 == drive_bus(HeapBus(), ops))
 

@@ -353,6 +353,11 @@ class TestUserErrors:
             trace = tmp_path / "short.txt"
             trace.write_text("0 75 2 B0 D4\n5 200 1 07\n")
             return ["correlate", "--trace", str(trace)]
+        if case == "past-int64-trace":
+            trace = tmp_path / "far.txt"
+            trace.write_text("0 75 8 00 00 00 00 00 00 B0 D4\n5 200 1 07\n"
+                             "99999999999999999999 75 8 00 00 00 00 00 00 B0 D5\n")
+            return ["correlate", "--trace", str(trace)]
         if case in ("short-shadow-target", "short-tap-target"):
             trace = tmp_path / "short.txt"
             trace.write_text("100000 11A 8 00 00 00 10 00 00 00 00\n200000 11A 2 00 00\n"
@@ -378,7 +383,7 @@ class TestUserErrors:
                                       "far-capture-inject", "far-capture-isolate",
                                       "day-long-fine-tick-scenario", "non-ascii-trace",
                                       "short-speed-frame", "short-shadow-target",
-                                      "short-tap-target"])
+                                      "short-tap-target", "past-int64-trace"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -394,6 +399,7 @@ class TestUserErrors:
         "short-speed-frame": "speed frame needs 8 bytes, got 2",
         "short-shadow-target": "0x11A frame at 200000 us has 2 data bytes, too short for byte 4",
         "short-tap-target": "0x11A frame at 200000 us has 2 data bytes, too short for byte 4",
+        "past-int64-trace": "line 3: timestamp 99999999999999999999 does not fit 64 bits",
     }
 
     @pytest.mark.parametrize("argv", [
