@@ -157,8 +157,9 @@ class TraceColumns(NamedTuple):
 class CanTrace:
     """A time-ordered sequence of frames, held as frames, as columns, or both.
 
-    ``CanTrace(frames)`` checks the order and raises ValueError; the bus,
-    which builds its list in order already, uses ``_ordered_trace``.
+    ``CanTrace(frames)`` checks the order and raises ValueError; the bus
+    and the per-line path of parse_trace, which build their lists in
+    order already, use ``_ordered_trace``.  The columnar pass of
     parse_trace and ``select`` make a trace of columns: ``frames`` builds
     its CanFrame list on first use and keeps it.  ``columns()`` of a trace
     of frames derives the columns on first use and keeps them.  ``len``
@@ -403,9 +404,6 @@ _DEC = bytes(int(chr(b)) if chr(b) in "0123456789" else 255 for b in range(256))
 _HEX = bytes(int(chr(b), 16) if chr(b) in "0123456789ABCDEFabcdef" else 255
              for b in range(256))
 
-#: The ASCII line breaks of str.splitlines other than "\n".
-_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-
 #: Bytes of text the columnar pass reads at a time; its temporaries scale with it.
 _BLOCK = 1 << 17
 
@@ -420,28 +418,15 @@ def _blocks(widths: np.ndarray):
         yield width, np.flatnonzero(widths == width)
 
 
-def _row_or(table: np.ndarray) -> np.ndarray:
-    """Bitwise or across each row of a 2-D uint8 array.
+def _scan(buf: np.ndarray) -> TraceColumns | None:
+    """The columns of an ASCII text whose every line ends in "\n", or None.
 
-    A loop over the few columns runs several times faster than numpy's
-    reduction along a short axis.
-    """
-    out = table[:, 0].copy()
-    for column in table.T[1:]:
-        out |= column
-    return out
-
-
-def _scan(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, TraceColumns]:
-    """The columnar pass over an ASCII text whose every line ends in "\n".
-
-    Returns the mask of the lines in the spelling serialize_trace writes
+    None unless every line is in the spelling serialize_trace writes
     (1-18 decimal digits, 1-3 hex digits, a dlc digit and dlc pairs of
-    hex digits, each field after one space) that carry an id up to 7FF
-    and a dlc up to 8; each line's start and end; and the accepted lines'
-    columns.  Every byte of an accepted line is checked.  Positions are
-    int32 for a text under 2 GiB, and each field is read as a block of
-    rows of one width.
+    hex digits, each field after one space) with an id up to 7FF and a
+    dlc up to 8.  Every byte is checked, and the order of the rows is
+    not.  Positions are int32 for a text under 2 GiB, and each field is
+    read as a block of rows of one width.
     """
     pos = np.int32 if len(buf) < 2**31 else np.int64
     windows = np.lib.stride_tricks.sliding_window_view
@@ -453,117 +438,95 @@ def _scan(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, TraceCol
     # a line of dlc d holds d + 2 spaces and ends in the digit d and d pairs
     # (a count past 255 wraps round, and the checks below reject that line)
     dlc = np.add.reduceat(buf == 32, starts, dtype=np.uint8).astype(pos) - 2
-    ok = (dlc >= 0) & (dlc <= 8)
-    dlc[~ok] = 0
+    if dlc.min() < 0 or dlc.max() > 8:
+        return None
     at_dlc = ends - 3 * dlc - 1
-    # reads before the text's start land on rows that fail a later check
+    # reads before the text's start land on lines that fail a later check
     take = partial(np.take, buf, mode="clip")
-    ok &= (take(at_dlc) == dlc + 48) & (take(at_dlc - 1) == 32)
     # the space ahead of the id, which is 1 to 3 hex digits
     at_id = np.where(take(at_dlc - 3) == 32, at_dlc - 3,
                      np.where(take(at_dlc - 4) == 32, at_dlc - 4, at_dlc - 5))
     n_time = at_id - starts
-    ok &= (take(at_id) == 32) & (n_time >= 1) & (n_time <= _MAX_TIME_DIGITS)
+    if not ((take(at_dlc) == dlc + 48) & (take(at_dlc - 1) == 32) & (take(at_id) == 32)
+            & (n_time >= 1) & (n_time <= _MAX_TIME_DIGITS)).all():
+        return None
 
-    # every field of these rows lies inside its line
-    rows = np.flatnonzero(ok)
-    starts_r, at_id, at_dlc, dlc, n_time = (a[rows] for a in (starts, at_id, at_dlc, dlc,
-                                                               n_time))
-    good = np.ones(len(rows), bool)
-    timestamps = np.zeros(len(rows), np.int64)
-    ids = np.zeros(len(rows), np.int64)
-    for at, widths, table, base, out in ((starts_r, n_time, dec, 10, timestamps),
+    # every field lies inside its line
+    timestamps = np.zeros(len(ends), np.int64)
+    ids = np.zeros(len(ends), np.int64)
+    for at, widths, table, base, out in ((starts, n_time, dec, 10, timestamps),
                                          (at_id + 1, at_dlc - 2 - at_id, hexd, 16, ids)):
         for width, sel in _blocks(widths):
             digits = table[windows(buf, width)[at[sel]]]  # 255 for a non-digit
-            good[sel] &= _row_or(digits) < 16
+            if digits.max() > 15:
+                return None
             value = np.zeros(len(sel), np.int64)
             for column in digits.T:
                 value = value * base + column
             out[sel] = value
-    good &= ids <= 0x7FF
-    data = np.zeros((len(rows), 8), np.uint8)
+    if ids.max() > 0x7FF:
+        return None
+    data = np.zeros((len(ends), 8), np.uint8)
     for width, sel in _blocks(dlc):
         if not width:
             continue
         chars = windows(buf, 3 * width)[at_dlc[sel] + 1]  # a space and two digits a pair
         digits = hexd[chars]
         high, low = digits[:, 1::3], digits[:, 2::3]
-        good[sel] &= _row_or((chars[:, ::3] ^ 32) | ((high | low) & 0xF0)) == 0
+        if (chars[:, ::3] != 32).any() or (high | low).max() > 15:
+            return None
         data[sel, :width] = high << 4 | low
-    ok[rows] = good
-    columns = TraceColumns(timestamps[good], ids[good].astype(np.uint16),
-                           dlc[good].astype(np.uint8), data[good])
-    return ok, starts, ends, columns
+    return TraceColumns(timestamps, ids.astype(np.uint16), dlc.astype(np.uint8), data)
 
 
-def _per_line_rows(lines: Iterable[tuple[int, str]]):
-    """The rows the per-line path reads from (line number, line) pairs, up to
-    its first malformed line; returns the rows and that line's error or None."""
-    rows = []
-    for line_no, line in lines:
-        try:
-            row = _parse_line(line_no, line)
-        except TraceParseError as exc:
-            return rows, exc
-        if row is not None:
-            rows.append((line_no, *row))
-    return rows, None
+def _columnar(data: bytes) -> CanTrace | None:
+    """The columnar pass over ASCII data, _BLOCK bytes of lines at a time.
 
-
-def _earlier(a: TraceParseError | None, b: TraceParseError) -> TraceParseError:
-    return b if a is None or b.line_no < a.line_no else a
-
-
-def _merge(line_nos: np.ndarray, fast: TraceColumns, rows: list,
-           fault: TraceParseError | None) -> CanTrace:
-    """The trace of the columnar pass's rows and the per-line rows, merged by line.
-
-    Raises the fault of the lowest line: fault (the per-line path's, which
-    stopped there), or the first row that goes backwards, is negative, does
-    not fit 64 bits or is out of range.  The columnar rows can only go
-    backwards.
+    None unless _scan reads every block, which needs a final "\n".  Raises
+    TraceParseError for the first row that goes backwards; every line is
+    a row, so row k is on line k + 1.
     """
-    t = fast.timestamps
-    # each per-line row sits after this many columnar rows
-    after = np.searchsorted(line_nos, [row[0] for row in rows]).tolist()
-    back = np.flatnonzero(t[1:] < t[:-1]) + 1
-    if rows:  # a columnar row behind a per-line row is checked in the loop below
-        back = back[~np.isin(back, after)]
+    if data and not data.endswith(b"\n"):
+        return None
+    # the columns are allocated once, ahead of the blocks' temporaries
+    n_lines = data.count(b"\n")
+    out = TraceColumns(np.empty(n_lines, np.int64), np.empty(n_lines, np.uint16),
+                       np.empty(n_lines, np.uint8), np.empty((n_lines, 8), np.uint8))
+    n_rows = lo = 0
+    while lo < len(data):
+        # whole lines of about _BLOCK bytes, or one longer line
+        hi = data.rfind(b"\n", lo, lo + _BLOCK) + 1 or data.find(b"\n", lo) + 1
+        block = _scan(np.frombuffer(data, np.uint8, hi - lo, lo))
+        if block is None:
+            return None
+        rows = slice(n_rows, n_rows + len(block.ids))
+        for column, part in zip(out, block):
+            column[rows] = part
+        n_rows = rows.stop
+        lo = hi
+    t = out.timestamps
+    back = np.flatnonzero(t[1:] < t[:-1])
     if len(back):
-        j = back[0]
-        fault = _earlier(fault, TraceParseError(int(line_nos[j]),
-                                                f"timestamp {int(t[j])} goes backwards"))
-    last_t = -1
-    for i, (line_no, ts, arb_id, payload) in enumerate(rows):
-        if fault is not None and line_no > fault.line_no:
-            break
-        k = after[i]
-        if k and (i == 0 or after[i - 1] < k):
-            last_t = int(t[k - 1])
-        reason = _row_fault(ts, arb_id, len(payload), last_t)
-        if reason:
-            fault = _earlier(fault, TraceParseError(line_no, reason))
-            break
-        last_t = ts
-        if k < len(t) and (i + 1 == len(rows) or after[i + 1] > k) and int(t[k]) < ts:
-            fault = _earlier(fault, TraceParseError(int(line_nos[k]),
-                                                    f"timestamp {int(t[k])} goes backwards"))
-            break
-    if fault is not None:
-        raise fault
-    if not rows:
-        return _columnar_trace(fast)
-    slow = [_frame(ts, arb_id, payload) for _, ts, arb_id, payload in rows]
-    return _columnar_trace(TraceColumns(*(np.insert(f, after, s, axis=0)
-                                          for f, s in zip(fast, _columns_of(slow)))))
+        row = int(back[0]) + 1
+        raise TraceParseError(row + 1, f"timestamp {int(t[row])} goes backwards")
+    return _columnar_trace(out)
 
 
 def _per_line(text: str) -> CanTrace:
-    """Every line of text through the per-line path."""
-    no_rows = np.zeros(0, np.int64)
-    return _merge(no_rows, _columns_of([]),
-                  *_per_line_rows(enumerate(text.splitlines(), start=1)))
+    """Every line of text through the per-line path, in file order."""
+    frames = []
+    last_t = -1
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        row = _parse_line(line_no, line)
+        if row is None:
+            continue
+        t, arb_id, payload = row
+        reason = _row_fault(t, arb_id, len(payload), last_t)
+        if reason:
+            raise TraceParseError(line_no, reason)
+        frames.append(_frame(t, arb_id, payload))
+        last_t = t
+    return _ordered_trace(frames)
 
 
 def _non_ascii(data: bytes) -> CanTrace:
@@ -585,16 +548,14 @@ def parse_trace(text: str | bytes) -> CanTrace:
     timestamps that go backwards, a negative timestamp or one past int64,
     an id beyond 11 bits, more than 8 bytes and a byte that is not ASCII.
 
-    One columnar pass reads every "\\n"-terminated line in the spelling
-    serialize_trace writes straight from the text's bytes into the four
-    columns of a CanTrace, _BLOCK bytes of lines at a time; no line
-    string and no frame is built.  Every
-    other line (comments, blanks, other spellings, an unterminated last
-    line) goes through the per-line path, which reads it token by token,
-    and the rows of both are merged by line number.  A text with another
-    line break that str.splitlines knows ("\\r" or "\\x0b", say), or a str
-    that is not ASCII, goes through the per-line path whole.  Both paths
-    give the same frames and the same errors.
+    A text whose every line is in the spelling serialize_trace writes,
+    each ending in "\\n", goes through the columnar pass: it reads the
+    text's bytes straight into the four columns of a CanTrace, _BLOCK
+    bytes of lines at a time, and builds no line string and no frame.
+    Any other text (comments, blanks, other spellings, other line
+    breaks, an unterminated last line, non-ASCII text) goes through the
+    per-line path whole, which reads it token by token and returns a
+    trace of frames.  Both paths give the same frames and the same errors.
     """
     if isinstance(text, str):
         if not text.isascii():  # int() reads non-ASCII digits too
@@ -604,34 +565,8 @@ def parse_trace(text: str | bytes) -> CanTrace:
         data = text
         if not data.isascii():
             return _non_ascii(data)
-    if any(brk in data for brk in _OTHER_BREAKS):
-        return _per_line(data.decode("ascii"))
-    # the columns are allocated once, ahead of the blocks' temporaries
-    n_lines = data.count(b"\n")
-    out = TraceColumns(np.empty(n_lines, np.int64), np.empty(n_lines, np.uint16),
-                       np.empty(n_lines, np.uint8), np.empty((n_lines, 8), np.uint8))
-    line_nos = np.empty(n_lines, np.int64)
-    rejected: list[tuple[int, int, int]] = []  # (line number, start, end)
-    n_rows = n_seen = lo = 0
-    while n_seen < n_lines:
-        # whole lines of about _BLOCK bytes, or one longer line
-        hi = data.rfind(b"\n", lo, lo + _BLOCK) + 1 or data.find(b"\n", lo) + 1
-        ok, starts, ends, block = _scan(np.frombuffer(data, np.uint8, hi - lo, lo))
-        rows = slice(n_rows, n_rows + len(block.ids))
-        for column, part in zip(out, block):
-            column[rows] = part
-        line_nos[rows] = np.flatnonzero(ok) + n_seen + 1
-        bad = np.flatnonzero(~ok)
-        rejected += zip((bad + n_seen + 1).tolist(), (starts[bad] + lo).tolist(),
-                        (ends[bad] + lo).tolist())
-        n_rows = rows.stop
-        n_seen += len(ok)
-        lo = hi
-    if lo < len(data):
-        rejected.append((n_seen + 1, lo, len(data)))
-    lines = ((line_no, data[s:e].decode("ascii")) for line_no, s, e in rejected)
-    return _merge(line_nos[:n_rows], TraceColumns(*(column[:n_rows] for column in out)),
-                  *_per_line_rows(lines))
+    trace = _columnar(data)
+    return _per_line(data.decode("ascii")) if trace is None else trace
 
 
 def load_trace(path) -> CanTrace:

@@ -128,7 +128,10 @@ def save_path(path: TargetPath, file) -> None:
 
 
 def load_path(file) -> TargetPath:
-    """Read the save_path format; commas and extra whitespace are tolerated."""
+    """Read the save_path format; commas and extra whitespace are tolerated.
+
+    Raises ValueError naming the line of a malformed row, nan and inf included.
+    """
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
     fh = open(file, "r", encoding="ascii") if own else file
     try:
@@ -141,10 +144,12 @@ def load_path(file) -> TargetPath:
             if len(fields) != 5:
                 raise ValueError(f"line {line_no}: expected 5 fields, got {len(fields)}")
             try:
-                t, pn, pe, vn, ve = (float(x) for x in fields)
+                values = [float(x) for x in fields]
             except ValueError:
                 raise ValueError(f"line {line_no}: bad number") from None
-            samples.append(TargetSample(t, pn, pe, vn, ve))
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"line {line_no}: a value is not finite")
+            samples.append(TargetSample(*values))
         return TargetPath(samples)
     finally:
         if own:

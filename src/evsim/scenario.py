@@ -113,6 +113,8 @@ class Scenario:
         for name in ("duration_s", "physics_dt_s", "control_period_s", "follower_period_s",
                      "k_heading", "preview_s"):
             _finite(getattr(self, name), name)
+        if self.preview_s < 0:
+            raise ConfigError(f"preview_s must be non-negative, got {self.preview_s}")
         if self.speed_ref_mph is not None:
             _finite(self.speed_ref_mph, "speed_ref_mph")
         for name in ("q", "r"):

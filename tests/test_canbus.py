@@ -231,8 +231,9 @@ class TestTraceFormat:
     @settings(deadline=None, max_examples=300)
     @given(_mixed_trace(), st.sampled_from([1 << 17, 64, 8]))
     def test_mixed_paths_match_per_token_parser(self, text, block):
-        # both paths and their merge, in blocks that end inside and between
-        # lines; text and bytes give the same outcome
+        # a text of written lines takes the columnar pass, and one with any
+        # other line the per-line path; blocks end inside and between lines,
+        # and text and bytes give the same outcome
         expected = _outcome(parse_per_token, text)
         with mock.patch.object(canbus, "_BLOCK", block):
             assert _outcome(canbus.parse_trace, text) == expected
@@ -247,7 +248,8 @@ class TestTraceFormat:
         ("0 10 1 GG\n5 800 0\n", 1),
         ("5 10 9" + " 00" * 9 + "\n0 10\n", 1),
         ("0 10\n5 10 9" + " 00" * 9 + "\n", 1),
-        # order across the paths: lowercase bytes take the per-line path
+        # time order: the columnar pass reads lowercase bytes too, and a
+        # comment or a bad timestamp sends the text down the per-line path
         ("5 10 0\n4 10 1 aa\n", 2),
         ("5 10 1 aa\n4 10 0\n", 2),
         ("5 10 1 aa\n6 10 0\n5 10 1 aa\n", 3),

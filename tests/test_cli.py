@@ -317,6 +317,16 @@ class TestUserErrors:
             scn = tmp_path / "path.json"
             scn.write_text(json.dumps({"duration_s": 1.0, "path_file": str(path)}))
             return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "nan-path-file":
+            path = tmp_path / "path.txt"
+            path.write_text("0 0 0 1 0\n0.1 nan 0 1 0\n")
+            scn = tmp_path / "path.json"
+            scn.write_text(json.dumps({"duration_s": 1.0, "path_file": str(path)}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "negative-preview-scenario":
+            scn = tmp_path / "preview.json"
+            scn.write_text(json.dumps({"duration_s": 1.0, "oval": {}, "preview_s": -5}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
         if case == "endless-oval-scenario":
             scn = tmp_path / "endless.json"
             scn.write_text(json.dumps({"duration_s": 1.0, "oval": {
@@ -383,7 +393,8 @@ class TestUserErrors:
                                       "far-capture-inject", "far-capture-isolate",
                                       "day-long-fine-tick-scenario", "non-ascii-trace",
                                       "short-speed-frame", "short-shadow-target",
-                                      "short-tap-target", "past-int64-trace"])
+                                      "short-tap-target", "past-int64-trace",
+                                      "nan-path-file", "negative-preview-scenario"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -400,6 +411,8 @@ class TestUserErrors:
         "short-shadow-target": "0x11A frame at 200000 us has 2 data bytes, too short for byte 4",
         "short-tap-target": "0x11A frame at 200000 us has 2 data bytes, too short for byte 4",
         "past-int64-trace": "line 3: timestamp 99999999999999999999 does not fit 64 bits",
+        "nan-path-file": "line 2: a value is not finite",
+        "negative-preview-scenario": "preview_s must be non-negative, got -5",
     }
 
     @pytest.mark.parametrize("argv", [

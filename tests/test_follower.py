@@ -118,6 +118,11 @@ class TestPathIo:
         with pytest.raises(ValueError, match="line 2"):
             load_path(io.StringIO("0.0 0 0 0 0\nx 0 0 0 0\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_value_not_finite(self, value):
+        with pytest.raises(ValueError, match="line 2: a value is not finite"):
+            load_path(io.StringIO(f"0.0 0 0 0 0\n0.1 {value} 0 1 0\n"))
+
 
 class TestMakeOval:
     def test_starts_north_at_origin(self):
