@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections import deque
 from functools import partial
 from itertools import chain, repeat
 from operator import attrgetter
@@ -350,7 +351,7 @@ def _data_bytes(line_no: int, tokens: list[str]) -> bytes:
     or a token it rejects is a bad data byte.
     """
     try:
-        return bytes(int(tok, 16) for tok in tokens[3:])
+        return bytes(map(int, tokens[3:], repeat(16)))
     except ValueError:
         raise TraceParseError(line_no, "bad data byte") from None
 
@@ -553,18 +554,15 @@ def parse_trace(text: str | bytes) -> CanTrace:
     text's bytes straight into the four columns of a CanTrace, _BLOCK
     bytes of lines at a time, and builds no line string and no frame.
     Any other text (comments, blanks, other spellings, other line
-    breaks, an unterminated last line, non-ASCII text) goes through the
-    per-line path whole, which reads it token by token and returns a
-    trace of frames.  Both paths give the same frames and the same errors.
+    breaks, an unterminated last line) goes through the per-line path
+    whole, which reads it token by token and returns a trace of frames.
+    Both paths give the same frames and the same errors.  A str is read
+    as its UTF-8 bytes, so a non-ASCII character fails as its first byte.
     """
-    if isinstance(text, str):
-        if not text.isascii():  # int() reads non-ASCII digits too
-            return _per_line(text)
-        data = text.encode("ascii")
-    else:
-        data = text
-        if not data.isascii():
-            return _non_ascii(data)
+    # surrogatepass: a lone surrogate is a non-ASCII byte, not an encode error
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    if not data.isascii():
+        return _non_ascii(data)
     trace = _columnar(data)
     return _per_line(data.decode("ascii")) if trace is None else trace
 
@@ -612,9 +610,9 @@ class CanBus:
     the producing module and the wire; injected and replayed frames enter
     at the connector and are not tapped.
 
-    Injected frames wait in one list kept in that order.  A replayed
+    Injected frames wait in one deque kept in that order.  A replayed
     capture is already in time order, so each of its frames is appended
-    at the tail; ``step`` takes the due ones as one slice from the head.
+    at the tail; ``step`` pops the due ones from the head.
 
     The bus is fail-stop.  When a payload function, tap or listener
     raises, the error propagates from ``step`` and the trace ends at the
@@ -634,10 +632,8 @@ class CanBus:
         self._listeners: list[Listener] = []
         # entries (due, arb_id, origin, seq, frame, source), sorted; origin 1
         # ranks injected frames after periodic ones on a timestamp+id tie, and
-        # seq is unique, so no comparison reaches the frame.  Entries before
-        # _head are delivered; step drops them once they are half the list.
-        self._pending: list[tuple[int, int, int, int, CanFrame, str]] = []
-        self._head = 0
+        # seq is unique, so no comparison reaches the frame
+        self._pending: deque[tuple[int, int, int, int, CanFrame, str]] = deque()
         self._seq = 0
         self._now = 0
         # due time of the latest frame delivered or in delivery; every frame
@@ -686,10 +682,11 @@ class CanBus:
         item = (due_us, frame.arbitration_id, 1, self._seq, frame, source)
         self._seq += 1
         pending = self._pending
+        # a deque indexes in O(n/64), so in-order frames must not reach insort
         if not pending or pending[-1] < item:
             pending.append(item)
         else:
-            bisect.insort(pending, item, lo=self._head)
+            bisect.insort(pending, item)
 
     def feed_replay(self, frames: Iterable[CanFrame]) -> None:
         """Queue recorded frames at their own timestamps, tagged "replay"."""
@@ -703,8 +700,8 @@ class CanBus:
         if self._stopped is not None:
             return None
         due = self._periodic_due
-        if self._head < len(self._pending):
-            injected = self._pending[self._head][0]
+        if self._pending:
+            injected = self._pending[0][0]
             if due is None or injected < due:
                 return injected
         return due
@@ -749,19 +746,8 @@ class CanBus:
                 self._seq = seq
                 self._periodic_due = earliest
             pending = self._pending
-            head = self._head
-            if head < len(pending) and pending[head][0] <= now_us:
-                end = bisect.bisect_right(pending, (now_us + 1,), head)
-                batch += pending[head:end]
-                # drop delivered entries: a drained list is cleared, and a
-                # delivered prefix is cut once it is more than half the list
-                if end == len(pending):
-                    pending.clear()
-                    end = 0
-                elif end > len(pending) // 2:
-                    del pending[:end]
-                    end = 0
-                self._head = end
+            while pending and pending[0][0] <= now_us:
+                batch.append(pending.popleft())
             if not batch:
                 return []
             batch.sort()

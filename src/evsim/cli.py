@@ -120,9 +120,6 @@ def cmd_inject(args) -> int:
     else:
         schedule = None
         if args.target_period_ms is not None:
-            if args.id not in canbus.DEFAULT_SCHEDULE:
-                raise scenario.ConfigError(
-                    f"--target-period-ms: 0x{args.id:X} is not a stock broadcast id")
             schedule = dict(canbus.DEFAULT_SCHEDULE)
             schedule[args.id] = args.target_period_ms * 1000
         result = scenario.run_live_injection(

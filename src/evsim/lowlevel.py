@@ -220,11 +220,6 @@ class LongitudinalController:
         self.brake_pi = PiLoop(BRAKE_GAINS, (bpp_k(100.0), bpp_k(BPP_VERTEX_PCT)))
         self.mode = "accel"
 
-    def reset(self) -> None:
-        self.accel_pi.reset()
-        self.brake_pi.reset()
-        self.mode = "accel"
-
     def step(self, speed_ref_mph: float, speed_mph: float, dt: float) -> tuple[float, float]:
         """Returns (app_pct, bpp_pct); exactly one of them is nonzero."""
         error = speed_ref_mph - speed_mph
@@ -259,9 +254,6 @@ class LateralController:
         # mirrored branch is narrower: DUTY_MIN maps to 100 - DUTY_MIN
         lo = -steer_k(100.0 - DUTY_MIN)
         self.pi = PiLoop(STEER_GAINS, (lo, hi))
-
-    def reset(self) -> None:
-        self.pi.reset()
 
     def achievable_counts(self) -> tuple[float, float]:
         return self.pi.output_limits

@@ -535,9 +535,13 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
     The rig plant obeys the last 0x11A byte it saw, the driver pedal
     stays released, and the stock modules keep broadcasting, so the
     rig's own speed frames show the override taking physical effect.
-    schedule overrides the broadcast periods (microseconds per id).
+    schedule overrides the broadcast periods (microseconds per id).  A
+    target_id that no scheduled stock broadcast carries is a ConfigError.
     """
     _check_run_s(duration_s, "duration")
+    scheduled = canbus.DEFAULT_SCHEDULE if schedule is None else schedule
+    if target_id not in scheduled or target_id not in canbus.DEFAULT_SCHEDULE:
+        raise ConfigError(f"target id 0x{target_id:X} is not a scheduled stock broadcast id")
     rig, bus, rx, rule = _injection_rig(mode, target_id, byte_index, value_fn)
     ecus = SimulatedEcus(rig, pedal_fn=lambda: (0.0, 0.0), schedule=schedule)
     ecus.attach(bus)

@@ -273,6 +273,12 @@ class TestTraceFormat:
         # a fault on an earlier line wins
         (b"5 10 0\n4 10 0\n\xc3\n", (2, "timestamp 4 goes backwards")),
         (b"5 10 0\nbogus\xc3\n", (2, "non-ASCII byte 0xC3")),
+        # a str is read as its UTF-8 bytes: int() would take the Arabic-Indic one
+        ("\u0661 10 0\n", (1, "non-ASCII byte 0xD9")),
+        ("# caf\u00e9\n0 10 0\n", (1, "non-ASCII byte 0xC3")),
+        ("0 10 0\n\x85", (2, "non-ASCII byte 0xC2")),
+        ("0 10 0\n1 10 0\n\ud800", (3, "non-ASCII byte 0xED")),
+        ("5 10 0\n4 10 0\n\u00e9\n", (2, "timestamp 4 goes backwards")),
     ])
     def test_non_ascii_byte(self, data, fault):
         with pytest.raises(TraceParseError) as exc:
@@ -380,7 +386,7 @@ class TestTraceFormat:
 
 
 class HeapBus:
-    """Reference scheduler: the heap-queue CanBus the sorted-list queue replaced.
+    """Reference scheduler: CanBus with its waiting frames in a heap, not a sorted deque.
 
     Sources are dicts in insertion order; injected frames go through
     heapq.heappush, and each step pops the due ones and sorts the batch
@@ -765,15 +771,17 @@ class TestFailStop:
 
 
 class TestQueue:
-    """The sorted-list queue of CanBus against the heap it replaced."""
+    """The sorted deque of waiting frames in CanBus against the heap of HeapBus."""
 
     @staticmethod
-    def _delivered_half_at_most(bus):
-        assert 2 * bus._head <= len(bus._pending)
+    def _in_key_order(bus):
+        # every (due, id, origin, seq) key is distinct, so no comparison reaches a frame
+        pending = list(bus._pending)
+        assert pending == sorted(pending)
 
     @classmethod
     def _invariants(cls, bus):
-        cls._delivered_half_at_most(bus)
+        cls._in_key_order(bus)
         frames = bus.trace().frames
         CanTrace(frames)  # raises if the trace left time order
         assert all(f.data.__class__ is bytes for f in frames)
@@ -796,14 +804,35 @@ class TestQueue:
         assert (drive_bus(CanBus(), ops, self._invariants, listen=False, payload=payload)
                 == drive_bus(HeapBus(), ops, listen=False, payload=payload))
 
-    def test_drained_bus_holds_no_delivered_entries(self):
+    def test_drained_bus_holds_no_entry(self):
         bus = CanBus()
         bus.feed_replay(CanFrame(t, 0x10, b"") for t in range(1_000, 50_000, 1_000))
         for t in range(0, 60_000, 700):
             bus.step(t)
-            self._delivered_half_at_most(bus)
+            self._in_key_order(bus)
         assert len(bus.trace()) == 49
-        assert bus._pending == [] and bus._head == 0
+        assert not bus._pending
+
+    def test_echoes_into_a_long_replay_match_heap_scheduler(self):
+        # 3,000 replayed frames wait at once, and an echo 250 us after each
+        # 0x11A frame (the only id = 0 mod 3) goes into the middle of the
+        # queue, which the 30-op cases never reach; each step delivers one
+        # replayed timestamp, so every echo is due after the frames delivered
+        rng = random.Random(11)
+        times, t = [], 0
+        for _ in range(3_000):
+            t += rng.choice((0, 40, 100, 250))
+            times.append(t)
+        replay = [(t, rng.choice((0x10, 0x11, 0x13, 0x7D, 0x11A))) for t in times]
+        distinct = sorted(set(times))
+        ops = [("echo", 0, 250, 0x11A), ("replay", replay),
+               *(("step", b - a) for a, b in zip([0] + distinct, distinct)), ("step", 1_000)]
+        with mock.patch.object(canbus.bisect, "insort", wraps=canbus.bisect.insort) as insort:
+            ours = drive_bus(CanBus(), ops, self._in_key_order)
+        assert insort.call_count > 500
+        assert ours == drive_bus(HeapBus(), ops)
+        echoes = sum(arb_id == 0x11A for _, arb_id in replay)
+        assert len(ours[2]) == len(ours[1]) == 3_000 + echoes
 
     def test_feed_replay_calls_inject_at_per_frame(self, monkeypatch):
         calls = []

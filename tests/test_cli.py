@@ -336,6 +336,8 @@ class TestUserErrors:
             return ["make-oval", "--straight", "1e308"]
         if case == "live-delay-not-shorter-than-period":
             return ["inject", "--duration", "1", "--ramp", "0:10:1", "--delay-us", "100000"]
+        if case == "live-non-stock-id":
+            return ["inject", "--duration", "1", "--ramp", "0:10:1", "--id", "300"]
         if case == "replay-delay-not-shorter-than-period":
             return ["inject", "--trace", str(_replay_trace_file(tmp_path)),
                     "--ramp", "0:10:1", "--delay-us", "100000"]
@@ -394,7 +396,8 @@ class TestUserErrors:
                                       "day-long-fine-tick-scenario", "non-ascii-trace",
                                       "short-speed-frame", "short-shadow-target",
                                       "short-tap-target", "past-int64-trace",
-                                      "nan-path-file", "negative-preview-scenario"])
+                                      "nan-path-file", "negative-preview-scenario",
+                                      "live-non-stock-id"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -413,6 +416,7 @@ class TestUserErrors:
         "past-int64-trace": "line 3: timestamp 99999999999999999999 does not fit 64 bits",
         "nan-path-file": "line 2: a value is not finite",
         "negative-preview-scenario": "preview_s must be non-negative, got -5",
+        "live-non-stock-id": "target id 0x300 is not a scheduled stock broadcast id",
     }
 
     @pytest.mark.parametrize("argv", [
