@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: Errors caused by what the user passed in; main reports them in one line.
 _USER_ERRORS = (scenario.ConfigError, canbus.TraceParseError, canbus.ShortFrameError,
                 serial_link.FrameError, revtools.EmptyTraceError, follower.OvalError,
-                injection.DelayError, OSError)
+                injection.DelayError, lowlevel.GainsNotFiniteError, OSError)
 
 
 def main(argv=None) -> int:

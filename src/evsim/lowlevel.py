@@ -34,6 +34,10 @@ class UnachievableError(ValueError):
     """Demand outside what the actuator map can reach."""
 
 
+class GainsNotFiniteError(ValueError):
+    """The loop spec is so extreme that a designed gain overflows."""
+
+
 @dataclass(frozen=True)
 class LoopSpec:
     """Channel lag plus the target closed-loop damping and time constant."""
@@ -56,9 +60,15 @@ class PiGains:
 
 
 def design_pi(spec: LoopSpec) -> PiGains:
-    omega_n = 1.0 / (spec.zeta * spec.tau_target_s)
+    # zeta * tau_target may underflow to 0; the gains then overflow below
+    damping_time = spec.zeta * spec.tau_target_s
+    omega_n = 1.0 / damping_time if damping_time else math.inf
     kp = 2.0 * spec.zeta * omega_n * spec.tau_channel_s - 1.0
     ki = spec.tau_channel_s * omega_n * omega_n
+    if not (math.isfinite(kp) and math.isfinite(ki)):
+        raise GainsNotFiniteError(
+            f"gains overflow for tau_channel_s={spec.tau_channel_s!r}, zeta={spec.zeta!r}, "
+            f"tau_target_s={spec.tau_target_s!r}: kp = {kp!r}, ki = {ki!r}")
     return PiGains(kp, ki)
 
 

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import canbus
-from .canbus import CanTrace
+from .canbus import CanTrace, np
 from .injection import select_ids
 
 
@@ -129,8 +127,9 @@ def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
     Speed is resampled onto each frame's timestamp by holding the most
     recent broadcast (frames before the first broadcast take its value).
     Bytes beyond a frame's dlc count as zero.  Bytes with no variation,
-    and every byte when the speed never changes, are reported in
-    ``excluded`` instead of being ranked.  The default ranking uses
+    every byte when the speed never changes, and every byte of an id
+    whose frames all see one held speed are reported in ``excluded``
+    instead of being ranked, so no r is NaN.  The default ranking uses
     |r| so inverse relationships surface too; signed=True ranks by the
     signed coefficient, most positive first.
     """
@@ -159,11 +158,14 @@ def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
         idx = np.clip(np.searchsorted(speed_t, timestamps[rows], side="right") - 1,
                       0, len(speed_t) - 1)
         v = speed_v[idx]
+        flat_here = bool(np.all(v == v[0]))
         for b in range(8):
             if not varies[b]:
                 excluded.append((arb_id, b, "constant byte"))
             elif flat_speed:
                 excluded.append((arb_id, b, "speed reference is constant"))
+            elif flat_here:
+                excluded.append((arb_id, b, "speed constant over this id's frames"))
             else:
                 r = float(np.corrcoef(block[:, b].astype(np.float64), v)[0, 1])
                 ranked.append(ByteCorrelation(arb_id, b, r, len(rows), rank=0))

@@ -281,6 +281,17 @@ class TestCorrelate:
         assert code == 0
         assert "speed reference 0x99:" in out
 
+    def test_byte_under_a_held_speed_is_excluded_not_nan(self, tmp_path, capsys):
+        frames = [canbus.encode_speed(v, timestamp_us=t)
+                  for t, v in ((0, 0.0), (10, 0.0), (20, 5.0))]
+        frames += [CanFrame(1, 0x20, b"\x01"), CanFrame(2, 0x20, b"\x02")]
+        trace_file = tmp_path / "held.txt"
+        canbus.save_trace(CanTrace(sorted(frames, key=lambda f: f.timestamp_us)), trace_file)
+        code, out = run_cli(capsys, "correlate", "--trace", str(trace_file))
+        assert code == 0
+        assert "nan" not in out
+        assert "(0 ranked, 8 excluded)" in out
+
     def test_trace_is_required(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["correlate"])
@@ -383,6 +394,8 @@ class TestUserErrors:
             if case == "far-capture-inject":
                 return ["inject", "--trace", str(trace), "--ramp", "0:10:1"]
             return ["isolate", "--trace", str(trace)]
+        if case == "overflowing-gains":
+            return ["design-gains", "--tau-car", "1e200", "--tau-cl", "1e-200"]
         return ["packet", "--decode", "zz"]
 
     @pytest.mark.parametrize("case", ["tiny-scenario", "malformed-trace",
@@ -397,7 +410,7 @@ class TestUserErrors:
                                       "short-speed-frame", "short-shadow-target",
                                       "short-tap-target", "past-int64-trace",
                                       "nan-path-file", "negative-preview-scenario",
-                                      "live-non-stock-id"])
+                                      "live-non-stock-id", "overflowing-gains"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -417,6 +430,7 @@ class TestUserErrors:
         "nan-path-file": "line 2: a value is not finite",
         "negative-preview-scenario": "preview_s must be non-negative, got -5",
         "live-non-stock-id": "target id 0x300 is not a scheduled stock broadcast id",
+        "overflowing-gains": "kp = inf, ki = inf",
     }
 
     @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from evsim.lowlevel import (
     BRAKE_GAINS,
     STEER_GAINS,
     STEER_SPEC,
+    GainsNotFiniteError,
     LateralController,
     LongitudinalController,
     LoopSpec,
@@ -73,6 +74,12 @@ class TestGainDesign:
     def test_spec_rejects_non_positive_or_non_finite(self, spec):
         with pytest.raises(ValueError, match="positive finite"):
             LoopSpec(*spec)
+
+    @pytest.mark.parametrize("spec", [(1e200, 1.0, 1e-200), (1.0, 1.0, 1e-160),
+                                      (1.0, 1e-200, 1e-200)])
+    def test_overflowing_gains_raise(self, spec):
+        with pytest.raises(GainsNotFiniteError, match="gains overflow"):
+            design_pi(LoopSpec(*spec))
 
 
 class TestPiStep:

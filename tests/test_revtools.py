@@ -165,6 +165,8 @@ def correlate_bytes_by_id(trace, speed_id=canbus.SPEED_ID, signed=False):
                 excluded.append((arb_id, b, "constant byte"))
             elif flat_speed:
                 excluded.append((arb_id, b, "speed reference is constant"))
+            elif np.all(v == v[0]):
+                excluded.append((arb_id, b, "speed constant over this id's frames"))
             else:
                 r = float(np.corrcoef(series, v)[0, 1])
                 ranked.append(revtools.ByteCorrelation(arb_id, b, r, len(frames), rank=0))
@@ -179,10 +181,9 @@ def correlate_bytes_by_id(trace, speed_id=canbus.SPEED_ID, signed=False):
 
 
 def _report_outcome(correlate, trace, signed):
-    # repr compares every r bit for bit, nan included
+    # repr compares every r bit for bit
     try:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return repr(correlate(trace, signed=signed))
+        return repr(correlate(trace, signed=signed))
     except (EmptyTraceError, canbus.ShortFrameError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -277,6 +278,19 @@ class TestCorrelateBytes:
         assert report.ranked == ()
         reasons = {(i, b): why for i, b, why in report.excluded}
         assert reasons[(0x200, 0)] == "speed reference is constant"
+
+    def test_speed_held_over_one_ids_frames_excludes_its_bytes(self):
+        # 0x20's frames both see the 0 mph broadcast at 0 us; corrcoef of a
+        # constant series is nan, so the byte is reported, not ranked
+        frames = _speed_frames([(0, 0.0), (10, 0.0), (20, 5.0)])
+        frames += [CanFrame(1, 0x20, b"\x01"), CanFrame(2, 0x20, b"\x02")]
+        frames += [CanFrame(5, 0x200, b"\x00"), CanFrame(25, 0x200, b"\x05")]
+        frames.sort(key=lambda f: f.timestamp_us)
+        report = correlate_bytes(CanTrace(frames))
+        assert [(c.arb_id, c.byte_index) for c in report.ranked] == [(0x200, 0)]
+        reasons = {(i, b): why for i, b, why in report.excluded}
+        assert reasons[(0x20, 0)] == "speed constant over this id's frames"
+        assert reasons[(0x20, 1)] == "constant byte"
 
     def test_zoh_resampling_holds_last_broadcast(self):
         # candidate byte mirrors the held speed exactly mid-interval, so
