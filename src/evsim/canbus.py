@@ -16,7 +16,6 @@ so 0 mph sits at 0xB0D4 and each count is 1/54 mph.
 from __future__ import annotations
 
 import bisect
-import re
 from collections import deque
 from functools import partial
 from itertools import chain, repeat
@@ -349,62 +348,6 @@ def serialize_trace(trace: CanTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _data_bytes(line_no: int, tokens: list[str]) -> bytes:
-    """The data bytes of a trace line; each token is one byte in int(tok, 16) syntax.
-
-    int(tok, 16) also takes "F", "0x1F", "+F" and "1_0"; a value above 0xFF
-    or a token it rejects is a bad data byte.
-    """
-    try:
-        return bytes(map(int, tokens[3:], repeat(16)))
-    except ValueError:
-        raise TraceParseError(line_no, "bad data byte") from None
-
-
-def _parse_line(line_no: int, line: str) -> tuple[int, int, bytes] | None:
-    """The per-line path: one line split on whitespace and read token by token.
-
-    Returns None for a blank or comment line and (timestamp, id, data) for
-    a frame line.  Raises TraceParseError for malformed tokens; the order,
-    sign and range checks are _row_fault's.
-    """
-    tokens = line.split()
-    if not tokens or tokens[0][0] == "#":
-        return None
-    if len(tokens) < 3:
-        raise TraceParseError(line_no, "expected '<timestamp> <id> <dlc> <bytes...>'")
-    try:
-        t = int(tokens[0])
-    except ValueError:
-        raise TraceParseError(line_no, f"bad timestamp {tokens[0]!r}") from None
-    try:
-        arb_id = int(tokens[1], 16)
-    except ValueError:
-        raise TraceParseError(line_no, f"bad arbitration id {tokens[1]!r}") from None
-    try:
-        dlc = int(tokens[2])
-    except ValueError:
-        raise TraceParseError(line_no, f"bad dlc {tokens[2]!r}") from None
-    if len(tokens) - 3 != dlc:
-        raise TraceParseError(line_no, f"dlc {dlc} but {len(tokens) - 3} data bytes")
-    return t, arb_id, _data_bytes(line_no, tokens)
-
-
-def _row_fault(t: int, arb_id: int, dlc: int, last_t: int) -> str | None:
-    """What is wrong with a frame row that follows one stamped last_t, if anything."""
-    if t < last_t:
-        return f"timestamp {t} goes backwards"
-    if t < 0:
-        return f"negative timestamp {t}"
-    if t > _INT64_MAX:
-        return f"timestamp {t} does not fit 64 bits"
-    if not 0 <= arb_id <= 0x7FF:
-        return f"arbitration id 0x{arb_id:X} outside 11-bit range"
-    if dlc > 8:
-        return f"dlc {dlc} outside 0..8"
-    return None
-
-
 #: Each byte's value as a decimal or a hex digit; 255 for a byte that is not one.
 _DEC = bytes(int(chr(b)) if chr(b) in "0123456789" else 255 for b in range(256))
 _HEX = bytes(int(chr(b), 16) if chr(b) in "0123456789ABCDEFabcdef" else 255
@@ -488,9 +431,9 @@ def _scan(buf: np.ndarray) -> TraceColumns | None:
 def _columnar(data: bytes) -> CanTrace | None:
     """The columnar pass over ASCII data, _BLOCK bytes of lines at a time.
 
-    None unless _scan reads every block, which needs a final "\n".  Raises
-    TraceParseError for the first row that goes backwards; every line is
-    a row, so row k is on line k + 1.
+    None unless _scan reads every block, which needs a final "\n", and
+    the rows keep time order.  It reads the written spelling or declines,
+    and never raises for what it declines: naming a fault is _per_line's.
     """
     if data and not data.endswith(b"\n"):
         return None
@@ -511,37 +454,65 @@ def _columnar(data: bytes) -> CanTrace | None:
         n_rows = rows.stop
         lo = hi
     t = out.timestamps
-    back = np.flatnonzero(t[1:] < t[:-1])
-    if len(back):
-        row = int(back[0]) + 1
-        raise TraceParseError(row + 1, f"timestamp {int(t[row])} goes backwards")
-    return _columnar_trace(out)
+    return None if (t[1:] < t[:-1]).any() else _columnar_trace(out)
 
 
 def _per_line(text: str) -> CanTrace:
-    """Every line of text through the per-line path, in file order."""
+    """Every line of text read token by token into frames, in file order.
+
+    A blank line, or one whose first token starts with "#", is skipped.
+    The timestamp and dlc are read by int(token), the id and each data
+    byte by int(token, 16), so a byte may also be "F", "0x1F" or "+F".
+    Raises TraceParseError for the first faulty line.  A non-ASCII byte,
+    which parse_trace decodes to a lone surrogate, fails its line before
+    the tokens are read, and a malformed token before the frame's order,
+    sign and range are checked.
+    """
     frames = []
     last_t = -1
     for line_no, line in enumerate(text.splitlines(), start=1):
-        row = _parse_line(line_no, line)
-        if row is None:
+        if not line.isascii():
+            byte = ord(next(c for c in line if c > "\x7f")) - 0xDC00
+            raise TraceParseError(line_no, f"non-ASCII byte 0x{byte:02X}")
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        t, arb_id, payload = row
-        reason = _row_fault(t, arb_id, len(payload), last_t)
-        if reason:
-            raise TraceParseError(line_no, reason)
-        frames.append(_frame(t, arb_id, payload))
-        last_t = t
+        if len(tokens) < 3:
+            raise TraceParseError(line_no, "expected '<timestamp> <id> <dlc> <bytes...>'")
+        try:
+            t = int(tokens[0])
+        except ValueError:
+            raise TraceParseError(line_no, f"bad timestamp {tokens[0]!r}") from None
+        try:
+            arb_id = int(tokens[1], 16)
+        except ValueError:
+            raise TraceParseError(line_no, f"bad arbitration id {tokens[1]!r}") from None
+        try:
+            dlc = int(tokens[2])
+        except ValueError:
+            raise TraceParseError(line_no, f"bad dlc {tokens[2]!r}") from None
+        if len(tokens) - 3 != dlc:
+            raise TraceParseError(line_no, f"dlc {dlc} but {len(tokens) - 3} data bytes")
+        try:
+            payload = bytes(map(int, tokens[3:], repeat(16)))
+        except ValueError:  # a token int() rejects, or a value above 0xFF
+            raise TraceParseError(line_no, "bad data byte") from None
+        if t < last_t:
+            fault = f"timestamp {t} goes backwards"
+        elif t < 0:
+            fault = f"negative timestamp {t}"
+        elif t > _INT64_MAX:
+            fault = f"timestamp {t} does not fit 64 bits"
+        elif not 0 <= arb_id <= 0x7FF:
+            fault = f"arbitration id 0x{arb_id:X} outside 11-bit range"
+        elif dlc > 8:
+            fault = f"dlc {dlc} outside 0..8"
+        else:
+            frames.append(_frame(t, arb_id, payload))
+            last_t = t
+            continue
+        raise TraceParseError(line_no, fault)
     return _ordered_trace(frames)
-
-
-def _non_ascii(data: bytes) -> CanTrace:
-    """Raise for the first non-ASCII byte, unless a line before it fails first."""
-    at = re.search(rb"[\x80-\xff]", data).start()
-    head = data[:at].decode("ascii")
-    line_no = len((head + "x").splitlines())
-    parse_trace("".join(head.splitlines(keepends=True)[:line_no - 1]))
-    raise TraceParseError(line_no, f"non-ASCII byte 0x{data[at]:02X}")
 
 
 def parse_trace(text: str | bytes) -> CanTrace:
@@ -549,27 +520,24 @@ def parse_trace(text: str | bytes) -> CanTrace:
 
     Each line is ``<timestamp> <id> <dlc> <bytes...>``: a decimal
     timestamp, a hex id, a decimal dlc equal to the number of byte
-    tokens, and one hex token per byte.  Raises TraceParseError with the
-    1-indexed line number of the first malformed line, including
-    timestamps that go backwards, a negative timestamp or one past int64,
-    an id beyond 11 bits, more than 8 bytes and a byte that is not ASCII.
+    tokens, and one hex token per byte.  A str is read as its UTF-8
+    bytes.  Raises TraceParseError with the 1-indexed number of the first
+    faulty line: a malformed token, a timestamp that goes backwards, is
+    negative or does not fit 64 bits, an id beyond 11 bits, more than 8
+    bytes, or a byte that is not ASCII.
 
-    A text whose every line is in the spelling serialize_trace writes,
-    each ending in "\\n", goes through the columnar pass: it reads the
-    text's bytes straight into the four columns of a CanTrace, _BLOCK
-    bytes of lines at a time, and builds no line string and no frame.
-    Any other text (comments, blanks, other spellings, other line
-    breaks, an unterminated last line) goes through the per-line path
-    whole, which reads it token by token and returns a trace of frames.
-    Both paths give the same frames and the same errors.  A str is read
-    as its UTF-8 bytes, so a non-ASCII character fails as its first byte.
+    The columnar pass reads an ASCII text in the spelling serialize_trace
+    writes, with its rows in time order, straight into the columns of a
+    CanTrace, or declines it; it never rejects a text.  Every other text
+    goes whole through _per_line, which reads it token by token into
+    frames and is the one reader that raises TraceParseError.  So a
+    faulty capture in the written spelling pays for one full per-line
+    read before its error.
     """
     # surrogatepass: a lone surrogate is a non-ASCII byte, not an encode error
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
-    if not data.isascii():
-        return _non_ascii(data)
-    trace = _columnar(data)
-    return _per_line(data.decode("ascii")) if trace is None else trace
+    trace = _columnar(data) if data.isascii() else None
+    return _per_line(data.decode("ascii", "surrogateescape")) if trace is None else trace
 
 
 def load_trace(path) -> CanTrace:

@@ -40,11 +40,16 @@ _run_seconds = _finite_number(lambda v: 0.0 < v <= scenario.MAX_RUN_S,
                               f"a number > 0 and <= {scenario.MAX_RUN_S:g}")
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str, base: int = 10) -> int:
     try:
-        value = int(text)
+        return int(text, base)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        kind = "a hex number" if base == 16 else "an integer"
+        raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
@@ -76,14 +81,14 @@ def _parse_ramp(text: str) -> tuple[int, int, int]:
 
 
 def _hex_id(text: str) -> int:
-    value = int(text, 16)
+    value = _integer(text, 16)
     if not 0 <= value <= 0x7FF:
         raise argparse.ArgumentTypeError(f"id {text} is outside the 11-bit range 0..7FF")
     return value
 
 
 def _byte_1idx(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if not 1 <= value <= 8:
         raise argparse.ArgumentTypeError("byte position must be 1..8")
     return value
@@ -132,9 +137,8 @@ def cmd_inject(args) -> int:
         d = m["dominance"]
         print(f"dominance: {d['exact']} = {d['value']:.4f}")
     print(f"rig speed after run: {m['final_speed_mph']:.2f} mph")
-    if result.speed_series:
-        first, last = result.speed_series[0][1], result.speed_series[-1][1]
-        print(f"broadcast speed: {first:.2f} -> {last:.2f} mph")
+    if "speed_first_mph" in m:
+        print(f"broadcast speed: {m['speed_first_mph']:.2f} -> {m['speed_last_mph']:.2f} mph")
     if args.out:
         canbus.save_trace(result.trace, args.out)
         print(f"wrote {args.out}")
@@ -182,14 +186,12 @@ def cmd_design_gains(args) -> int:
     spec = lowlevel.LoopSpec(args.tau_car, args.zeta, args.tau_cl)
     gains = lowlevel.design_pi(spec)
     poles = lowlevel.closed_loop_poles(gains, spec.tau_channel_s)
+    weight = (f"b = {lowlevel.setpoint_weight(gains, spec.tau_target_s)!r}" if gains.kp
+              else "none (kp = 0)")
     print(f"kp = {gains.kp!r}")
     print(f"ki = {gains.ki!r}")
     print(f"closed-loop poles: {poles[0]:.6g}, {poles[1]:.6g}")
-    if gains.kp == 0.0:
-        print("setpoint weight for first-order tracking: none (kp = 0)")
-    else:
-        print(f"setpoint weight for first-order tracking: "
-              f"b = {gains.ki * spec.tau_target_s / gains.kp!r}")
+    print(f"setpoint weight for first-order tracking: {weight}")
     return 0
 
 

@@ -35,7 +35,7 @@ class UnachievableError(ValueError):
 
 
 class GainsNotFiniteError(ValueError):
-    """The loop spec is so extreme that a designed gain overflows."""
+    """The loop spec is so extreme that a designed gain or closed-loop pole overflows."""
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,44 @@ def design_pi(spec: LoopSpec) -> PiGains:
 
 
 def closed_loop_poles(gains: PiGains, tau_channel_s: float) -> tuple[complex, complex]:
-    """Roots of tau*s^2 + (1 + kp)*s + ki."""
-    b = 1.0 + gains.kp
-    disc = cmath.sqrt(b * b - 4.0 * tau_channel_s * gains.ki)
-    return ((-b + disc) / (2.0 * tau_channel_s),
-            (-b - disc) / (2.0 * tau_channel_s))
+    """Roots of tau*s^2 + (1 + kp)*s + ki.
+
+    The three coefficients are first scaled by one power of two, which
+    moves no root and, short of the subnormal range, changes no rounding,
+    so that squaring 1 + kp or multiplying tau by ki cannot overflow.
+    Raises GainsNotFiniteError when a root, or a ratio of two
+    coefficients, is past the float range.
+    """
+    a, b, c = tau_channel_s, 1.0 + gains.kp, gains.ki
+    exp = max(math.frexp(b)[1], (math.frexp(a)[1] + math.frexp(c)[1]) // 2)
+    try:
+        a, b, c = (math.ldexp(x, -exp) for x in (a, b, c))
+        disc = cmath.sqrt(b * b - a * c * 4.0)
+        poles = ((-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a))
+        if all(map(cmath.isfinite, poles)):
+            return poles
+    except (OverflowError, ZeroDivisionError):  # a scaled coefficient left the range
+        pass
+    raise GainsNotFiniteError(
+        f"closed-loop poles overflow for kp = {gains.kp!r}, ki = {gains.ki!r}, "
+        f"tau_channel_s = {tau_channel_s!r}")
+
+
+def setpoint_weight(gains: PiGains, tau_target_s: float) -> float:
+    """b = ki*tau_target/kp, the weight that cancels the closed-loop zero (kp != 0).
+
+    Formed from the mantissas and exponents of the three, which short of
+    the subnormal range changes no rounding, so it overflows only when b
+    does; GainsNotFiniteError then.
+    """
+    (m_ki, e_ki), (m_tau, e_tau), (m_kp, e_kp) = map(math.frexp,
+                                                     (gains.ki, tau_target_s, gains.kp))
+    try:
+        return math.ldexp(m_ki * m_tau / m_kp, e_ki + e_tau - e_kp)
+    except OverflowError:
+        raise GainsNotFiniteError(
+            f"setpoint weight overflows for kp = {gains.kp!r}, ki = {gains.ki!r}, "
+            f"tau_target_s = {tau_target_s!r}") from None
 
 
 ACCEL_SPEC = LoopSpec(7.0, 1.0, 0.5)
@@ -89,7 +122,7 @@ BRAKE_GAINS = design_pi(BRAKE_SPEC)   # (0.2, 1.2)
 STEER_GAINS = design_pi(STEER_SPEC)   # (0.2, 1.8)
 
 #: Setpoint weight that cancels the accel loop's closed-loop zero.
-ACCEL_B = ACCEL_GAINS.ki * ACCEL_SPEC.tau_target_s / ACCEL_GAINS.kp
+ACCEL_B = setpoint_weight(ACCEL_GAINS, ACCEL_SPEC.tau_target_s)
 #: Speed error that must be crossed before the pedal mode switches.
 HYSTERESIS_MPH = 0.5
 

@@ -317,12 +317,43 @@ class TestTraceFormat:
         press = recordings.press_recording()
         texts = [canbus.serialize_trace(CanTrace(frames)), canbus.serialize_trace(press)]
 
-        def per_line(line_no, line):
-            raise AssertionError(f"line {line_no} left the columnar pass")
+        def per_line(text):
+            raise AssertionError("a text in the written spelling left the columnar pass")
 
-        monkeypatch.setattr(canbus, "_parse_line", per_line)
+        monkeypatch.setattr(canbus, "_per_line", per_line)
         assert list(canbus.parse_trace(texts[0])) == frames
         assert list(canbus.parse_trace(texts[1])) == list(press)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 0x7FF), st.binary(max_size=8)),
+                    min_size=1, max_size=30),
+           st.sampled_from(["backwards", "id 800", "dlc 9", "19 digits"]),
+           st.integers(0, 30), st.integers(2**63, 10**19 - 1), st.sampled_from([1 << 17, 64]))
+    def test_columnar_pass_declines_and_per_line_names_the_fault(self, rows, fault, at, far,
+                                                                 block):
+        # a written-spelling text whose one fault only the per-line reader names:
+        # the columnar pass returns None, and parse_trace raises that reader's error
+        lines = []
+        t = 0
+        for gap, arb_id, data in rows:
+            t += gap
+            lines.append(_written_line(t, arb_id, data))
+        at = max(1, min(at, len(lines))) if fault == "backwards" else min(at, len(lines))
+        last_t = int(lines[at - 1].split()[0]) if at else 0
+        bad = {"backwards": _written_line(last_t - 1, 0x10, b"\x01"),
+               "id 800": _written_line(last_t, 0x800, b""),
+               "dlc 9": _written_line(last_t, 0x10, bytes(9)),
+               "19 digits": _written_line(far, 0x10, b"")}[fault]
+        good = "\n".join(lines) + "\n"
+        text = "\n".join(lines[:at] + [bad] + lines[at:]) + "\n"
+        with mock.patch.object(canbus, "_BLOCK", block):
+            assert canbus._columnar(good.encode()) is not None
+            assert canbus._columnar(text.encode()) is None
+            with pytest.raises(TraceParseError) as exc:
+                canbus.parse_trace(text)
+        assert exc.value.line_no == at + 1
+        assert (exc.value.line_no, exc.value.reason) == _outcome(canbus._per_line, text)
+        assert (exc.value.line_no, exc.value.reason) == _outcome(parse_per_token, text)
 
     def test_comments_and_blanks_skipped(self):
         text = "# header\n\n100 75 2 AA BB\n   \n# trailing\n"

@@ -4,10 +4,13 @@ Every test drives ``cli.main(argv)`` directly and inspects stdout, so
 exit codes and printed numbers are covered without spawning processes.
 """
 
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evsim import canbus, cli, follower, recordings, scenario
 from evsim.canbus import CanFrame, CanTrace
@@ -65,6 +68,34 @@ class TestDesignGains:
         assert code == 0
         assert "kp = 0.0" in out
         assert "none (kp = 0)" in out
+
+    def test_gains_past_1e154_keep_finite_poles(self, capsys):
+        # squaring 1 + kp = 2e200 would overflow; a critically damped pair sits at -1/tau_cl
+        code, out = run_cli(capsys, "design-gains", "--tau-car", "1e200", "--tau-cl", "1")
+        assert code == 0
+        assert "closed-loop poles: -1+0j, -1+0j" in out
+        assert "b = 0.5" in out
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(min_value=0.0, exclude_min=True), min_size=3, max_size=3))
+    def test_any_positive_spec_prints_finite_numbers_or_one_error(self, spec):
+        tau_car, zeta, tau_cl = map(repr, spec)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["design-gains", "--tau-car", tau_car, "--zeta", zeta,
+                                 "--tau-cl", tau_cl])
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert not err
+            assert out.count("\n") == 4
+            assert "nan" not in out and "inf" not in out
+        else:
+            assert code == 2
+            assert not out
+            assert err.startswith("evsim: error: ") and err.count("\n") == 1
 
     def test_requires_both_time_constants(self):
         with pytest.raises(SystemExit) as exc:
@@ -474,6 +505,21 @@ class TestUserErrors:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["inject", "--duration", "1", "--ramp", "0:10:1", "--id", "zz"],
+         "argument --id: not a hex number: 'zz'"),
+        (["correlate", "--trace", "capture.txt", "--speed-id", "zz"],
+         "argument --speed-id: not a hex number: 'zz'"),
+        (["inject", "--duration", "1", "--ramp", "0:10:1", "--byte", "x"],
+         "argument --byte: not an integer: 'x'"),
+    ])
+    def test_unreadable_number_names_the_argument_only(self, capsys, argv, message):
+        # not argparse's "invalid _hex_id value", which names a private function
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"evsim: error: {message}\n"
 
     def test_day_long_live_run_accepted(self):
         args = cli.build_parser().parse_args(

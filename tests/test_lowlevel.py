@@ -25,6 +25,7 @@ from evsim.lowlevel import (
     invert_k_bpp,
     invert_k_steer,
     pi_step,
+    setpoint_weight,
 )
 from evsim.plant import BPP_VERTEX_PCT, STEER_DUTY_MIN, VehiclePlant, VehicleState, bpp_k, steer_k
 
@@ -80,6 +81,28 @@ class TestGainDesign:
     def test_overflowing_gains_raise(self, spec):
         with pytest.raises(GainsNotFiniteError, match="gains overflow"):
             design_pi(LoopSpec(*spec))
+
+    @pytest.mark.parametrize("spec", [(1e200, 1.0, 1.0), (1e-10, 1.0, 1e-155),
+                                      (1e300, 1.0, 1e100)])
+    def test_poles_of_huge_gains_stay_finite(self, spec):
+        # squaring 1 + kp or forming tau * ki would overflow here; a critically
+        # damped design puts both poles at -1/tau_target
+        p1, p2 = closed_loop_poles(design_pi(LoopSpec(*spec)), spec[0])
+        assert p1 == pytest.approx(-1.0 / spec[2]) and p2 == pytest.approx(-1.0 / spec[2])
+
+    @pytest.mark.parametrize("kp, ki, tau", [(1e308, 1.0, 1e-10), (1e300, 1.0, 1e-300),
+                                             (0.0, 1e308, 5e-324)])
+    def test_pole_beyond_float_raises(self, kp, ki, tau):
+        with pytest.raises(GainsNotFiniteError, match="closed-loop poles overflow"):
+            closed_loop_poles(PiGains(kp, ki), tau)
+
+    def test_setpoint_weight(self):
+        assert setpoint_weight(ACCEL_GAINS, ACCEL_SPEC.tau_target_s) == 14 / 27
+        assert lowlevel.ACCEL_B == 14 / 27
+        # ki * tau_target overflows, and the weight does not
+        assert setpoint_weight(PiGains(2e290, 1e300), 1e10) == pytest.approx(5e19)
+        with pytest.raises(GainsNotFiniteError, match="setpoint weight overflows"):
+            setpoint_weight(PiGains(-1.0, 1e308), 1e90)
 
 
 class TestPiStep:
