@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -26,12 +26,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 class _Numpy:
     """numpy, imported on first use.
 
-    The package's one route to numpy: canbus and revtools both read it
+    The package's one route to numpy: canbus, revtools and scenario read it
     through the ``np`` instance below, and each attribute is imported
     and cached on first access.  Only reading a capture into columns
     touches it (``parse_trace``'s columnar pass, ``CanTrace.columns``,
     ``ids`` and ``select``, ``select_ids``, ``correlate_bytes`` and the
-    replay's dlc check), so ``simulate``, ``make-oval``,
+    replay's row split and merge), so ``simulate``, ``make-oval``,
     ``design-gains``, ``packet`` and building the synthetic captures
     never import numpy, which is most of a cold start's import time
     and about 11 MiB of resident memory.
@@ -165,10 +165,10 @@ class CanTrace:
     ``CanTrace(frames)`` checks the order and raises ValueError; the bus
     and the per-line path of parse_trace, which build their lists in
     order already, use ``_ordered_trace``.  The columnar pass of
-    parse_trace and ``select`` make a trace of columns: ``frames`` builds
-    its CanFrame list on first use and keeps it.  ``columns()`` of a trace
-    of frames derives the columns on first use and keeps them.  ``len``
-    builds neither.
+    parse_trace, ``select`` and ``_merged`` make a trace of columns:
+    ``frames`` builds its CanFrame list on first use and keeps it.
+    ``columns()`` of a trace of frames derives the columns on first use
+    and keeps them.  ``len`` builds neither.
     """
 
     __slots__ = ("_frames", "_columns")
@@ -234,6 +234,13 @@ class CanTrace:
         return _columnar_trace(TraceColumns(*(col[rows] for col in self.columns())))
 
 
+def _merged(first: CanTrace, second: CanTrace) -> CanTrace:
+    """Both traces' rows as columns, stably sorted by (timestamp, id): first's lead on a tie."""
+    columns = [np.concatenate(pair) for pair in zip(first.columns(), second.columns())]
+    order = np.lexsort((columns[1], columns[0]))
+    return _columnar_trace(TraceColumns(*(col[order] for col in columns)))
+
+
 def _ordered_trace(frames: list[CanFrame]) -> CanTrace:
     """CanTrace over frames the caller built in time order; the order is not re-checked."""
     trace = object.__new__(CanTrace)
@@ -266,38 +273,12 @@ def _columns_of(frames: list[CanFrame]) -> TraceColumns:
     return TraceColumns(timestamps, ids, dlc, data)
 
 
-#: One int object per 11-bit id, which the frames _frames_of builds share.
-_ID_INTS = tuple(range(0x800))
-
-
 def _frames_of(columns: TraceColumns) -> list[CanFrame]:
-    """The frames of columns, built unchecked.
-
-    Frames of one timestamp, id or payload share one object for it; in the
-    stock press capture 18,484 of 41,220 payloads are distinct.
-    """
+    """The frames of columns, built unchecked."""
     timestamps, ids, dlc, data = columns
-    n = len(timestamps)
-    if not n:
-        return []
     flat = data.tobytes()
-    distinct: dict[bytes, bytes] = {}
-    payloads = [distinct.setdefault(p, p) for p in
-                (flat[i:i + d] for i, d in zip(range(0, 8 * n, 8), dlc.tolist()))]
-    firsts = np.flatnonzero(np.diff(timestamps, prepend=-1))
-    runs = np.diff(firsts, append=n).tolist()
-    times = chain.from_iterable(map(repeat, timestamps[firsts].tolist(), runs))
-    shared_ids = np.array(_ID_INTS, object)[ids].tolist()
-    new = object.__new__
-    frames: list[CanFrame] = []
-    append = frames.append
-    for t, arb_id, payload in zip(times, shared_ids, payloads):
-        frame = new(CanFrame)
-        frame.timestamp_us = t
-        frame.arbitration_id = arb_id
-        frame.data = payload
-        append(frame)
-    return frames
+    return [_frame(t, arb_id, flat[i:i + d]) for t, arb_id, i, d in
+            zip(timestamps.tolist(), ids.tolist(), range(0, 8 * len(dlc), 8), dlc.tolist())]
 
 
 # --- speed codec -----------------------------------------------------------

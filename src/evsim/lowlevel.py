@@ -59,12 +59,26 @@ class PiGains:
     ki: float
 
 
+def _ldexp(mantissa: float, exponent: int) -> float:
+    """mantissa * 2**exponent for a positive mantissa; inf past the float range."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def design_pi(spec: LoopSpec) -> PiGains:
-    # zeta * tau_target may underflow to 0; the gains then overflow below
-    damping_time = spec.zeta * spec.tau_target_s
-    omega_n = 1.0 / damping_time if damping_time else math.inf
-    kp = 2.0 * spec.zeta * omega_n * spec.tau_channel_s - 1.0
-    ki = spec.tau_channel_s * omega_n * omega_n
+    """kp = 2*zeta*omega_n*tau_channel - 1 and ki = tau_channel*omega_n**2.
+
+    omega_n = 1/(zeta*tau_target).  Formed from mantissas and exponents, as
+    setpoint_weight is, so a gain overflows only when it is past the float
+    range, not when a partial product is; GainsNotFiniteError then.
+    """
+    (m_zeta, e_zeta), (m_tau, e_tau), (m_target, e_target) = map(
+        math.frexp, (spec.zeta, spec.tau_channel_s, spec.tau_target_s))
+    m_omega, e_omega = 1.0 / (m_zeta * m_target), -(e_zeta + e_target)
+    kp = _ldexp(2.0 * m_zeta * m_omega * m_tau, e_zeta + e_omega + e_tau) - 1.0
+    ki = _ldexp(m_tau * m_omega * m_omega, e_tau + 2 * e_omega)
     if not (math.isfinite(kp) and math.isfinite(ki)):
         raise GainsNotFiniteError(
             f"gains overflow for tau_channel_s={spec.tau_channel_s!r}, zeta={spec.zeta!r}, "

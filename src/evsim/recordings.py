@@ -97,7 +97,8 @@ def throttle_effect_oracle() -> Callable[[CanTrace], bool]:
         bus = CanBus()
         rx = ThrottleReceiver()
         bus.add_listener(rx)
-        # the receiver ignores every other id; the rig still runs the whole subset
+        # only the rows the receiver reads go on the bus, as in a replayed
+        # injection; the rig still runs past the subset's last frame
         bus.feed_replay(subset.select(subset.columns().ids == rx.arb_id))
         top_speed = rig_loop(bus, VehiclePlant(), rx, replay_ms(subset))
         return top_speed >= MIN_GAIN_MPH

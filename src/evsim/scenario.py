@@ -22,8 +22,9 @@ the due time of a frame.  run_scenario calls it once per control
 period.  The injection rigs run a receiver that obeys the last throttle
 command seen on the wire, against either live broadcasts plus a
 shadow/tap override or a recorded trace; rig_loop drives that rig
-through run_until, and the replay oracle in recordings shares it.  The
-press capture in recordings runs its pedal phases through run_until too.
+through run_until, and the replay oracle in recordings shares it; both
+replays put only the rows the receiver reads on the bus.  The press
+capture in recordings runs its pedal phases through run_until too.
 """
 
 from __future__ import annotations
@@ -567,7 +568,9 @@ def run_replay_injection(trace: canbus.CanTrace, value_fn,
     Shadow mode forges delayed copies of the replayed target frames; tap
     mode rewrites them up front, as if the tap had been in place when
     the recording was made.  A target frame too short for byte_index
-    raises ShortFrameError before the run, in both modes.
+    raises ShortFrameError before the run, in both modes.  Only the target
+    rows, the ones the receiver and the injector read, go on the bus; the
+    rest merge back into its trace in the order it would deliver them.
     """
     rig, bus, rx, rule = _injection_rig(mode, target_id, byte_index, value_fn)
     n_ms = replay_ms(trace)
@@ -579,17 +582,16 @@ def run_replay_injection(trace: canbus.CanTrace, value_fn,
         raise canbus.ShortFrameError(
             f"0x{target_id:X} frame at {timestamps[row]} us has {dlc[row]} data bytes, "
             f"too short for byte {byte_index + 1}")
+    replayed = trace.select(target)
     injector = None
     if mode == "shadow":
-        target_times = timestamps[target]
-        period = None
-        if len(target_times) >= 2:
-            deltas = target_times[1:] - target_times[:-1]
-            deltas.sort()
-            period = int(deltas[len(deltas) // 2])
+        deltas = canbus.np.sort(canbus.np.diff(timestamps[target]))
+        period = int(deltas[len(deltas) // 2]) if len(deltas) else None
         injector = inj.ShadowInjector(bus, rule, delay_us=delay_us, period_us=period)
-        bus.feed_replay(trace)
+        bus.feed_replay(replayed)
     else:
-        bus.feed_replay(map(rule.apply, trace))
+        bus.feed_replay(map(rule.apply, replayed))
 
-    return _run_injection(bus, rig, rx, injector, n_ms)
+    result = _run_injection(bus, rig, rx, injector, n_ms)
+    result.trace = canbus._merged(result.trace, trace.select(~target))
+    return result

@@ -8,11 +8,12 @@ tests pin what the tracer relies on.
 
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from evsim import canbus, plant, recordings, revtools, serial_link
+from evsim import canbus, cli, injection, plant, recordings, revtools, serial_link
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -61,6 +62,47 @@ def test_len_of_a_parsed_trace_builds_no_frame(monkeypatch):
     monkeypatch.setattr(canbus, "_frames_of", no_frames)
     # in the written spelling, as a capture is, so the columnar pass reads it
     assert len(canbus.parse_trace("0 10 0\n5 7FF 1 AA\n6 10 1 BB\n")) == 3
+
+
+def test_inject_replay_builds_only_target_frames_and_keeps_its_spans(tmp_path, monkeypatch,
+                                                                      capsys):
+    # a traced inject or isolate run requires these spans, so the rows the
+    # receiver reads must still reach it through feed_replay and inject_at
+    spans = {"canbus.inject_at": (canbus.CanBus, "inject_at"),
+             "injection.receiver": (injection.ThrottleReceiver, "__call__"),
+             "injection.shadow": (injection.ShadowInjector, "_on_frame"),
+             "injection.dominance": (injection, "dominance_fraction")}
+    required = _tracing().REQUIRED
+    assert set(spans) <= set(required["inject"])
+    assert {"canbus.inject_at", "injection.receiver"} <= set(required["isolate"])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, (owner, attr) in spans.items():
+        monkeypatch.setattr(owner, attr, counted(name, vars(owner)[attr]))
+    built = []
+    frames_of = canbus._frames_of
+
+    def recorded_frames_of(columns):
+        frames = frames_of(columns)
+        built.extend(frames)
+        return frames
+
+    monkeypatch.setattr(canbus, "_frames_of", recorded_frames_of)
+    ids = (0x10, 0x75, canbus.THROTTLE_ID, 0x7FF)
+    path = tmp_path / "capture.txt"
+    canbus.save_trace(canbus.CanTrace([canbus.CanFrame(t, arb_id, bytes(8))
+                                       for t in range(10_000, 210_000, 10_000)
+                                       for arb_id in ids]), path)
+    assert cli.main(["inject", "--trace", str(path), "--ramp", "0:200:1"]) == 0
+    assert "injected 20 frames (100 total on the bus)" in capsys.readouterr().out
+    assert [f.arbitration_id for f in built] == [canbus.THROTTLE_ID] * 20
+    assert all(calls[name] for name in spans), calls
 
 
 def test_isolate_reaches_select_ids_through_revtools_once_per_oracle_call(monkeypatch):

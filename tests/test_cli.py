@@ -427,6 +427,9 @@ class TestUserErrors:
             return ["isolate", "--trace", str(trace)]
         if case == "overflowing-gains":
             return ["design-gains", "--tau-car", "1e200", "--tau-cl", "1e-200"]
+        if case == "finite-gains-overflowing-poles":
+            return ["design-gains", "--tau-car", "1e-30", "--zeta", "1e300",
+                    "--tau-cl", "1e-310"]
         return ["packet", "--decode", "zz"]
 
     @pytest.mark.parametrize("case", ["tiny-scenario", "malformed-trace",
@@ -441,7 +444,8 @@ class TestUserErrors:
                                       "short-speed-frame", "short-shadow-target",
                                       "short-tap-target", "past-int64-trace",
                                       "nan-path-file", "negative-preview-scenario",
-                                      "live-non-stock-id", "overflowing-gains"])
+                                      "live-non-stock-id", "overflowing-gains",
+                                      "finite-gains-overflowing-poles"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -462,6 +466,7 @@ class TestUserErrors:
         "negative-preview-scenario": "preview_s must be non-negative, got -5",
         "live-non-stock-id": "target id 0x300 is not a scheduled stock broadcast id",
         "overflowing-gains": "kp = inf, ki = inf",
+        "finite-gains-overflowing-poles": "poles overflow for kp = 2.0000000000000065e+280",
     }
 
     @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evsim import canbus, follower, scenario
+from evsim import canbus, follower, injection, scenario
 from evsim.canbus import CanFrame, CanTrace
 from evsim.plant import MPH_TO_MPS
 from evsim.scenario import (
@@ -377,3 +377,82 @@ class TestReplayInjection:
             past = CanTrace([CanFrame(last_us, 0x11A, bytes(8))])
             with pytest.raises(ConfigError, match="past the limit"):
                 run_replay_injection(past, lambda t: 0)
+
+
+def _whole_capture_replay(trace, value_fn, target_id, byte_index, mode, delay_us):
+    """Reference replay that puts every row of the capture on the bus."""
+    rig, bus, rx, rule = scenario._injection_rig(mode, target_id, byte_index, value_fn)
+    n_ms = scenario.replay_ms(trace)
+    target = [f for f in trace if f.arbitration_id == target_id]
+    for f in target:
+        if f.dlc <= byte_index:
+            raise canbus.ShortFrameError(
+                f"0x{target_id:X} frame at {f.timestamp_us} us has {f.dlc} data bytes, "
+                f"too short for byte {byte_index + 1}")
+    injector = None
+    if mode == "shadow":
+        deltas = sorted(b.timestamp_us - a.timestamp_us for a, b in zip(target, target[1:]))
+        period = deltas[len(deltas) // 2] if deltas else None
+        injector = injection.ShadowInjector(bus, rule, delay_us=delay_us, period_us=period)
+        bus.feed_replay(trace)
+    else:
+        bus.feed_replay(map(rule.apply, trace))
+    return scenario._run_injection(bus, rig, rx, injector, n_ms)
+
+
+def _outcome(replay, trace, ramp, *args):
+    try:
+        return replay(trace, ramp_bytes(*ramp), *args)
+    except (canbus.ShortFrameError, injection.DelayError) as exc:
+        return type(exc), str(exc)
+
+
+_POOL = (0x05, 0x10, 0x11A, 0x7FF)
+
+@st.composite
+def _captures(draw):
+    """(capture frames, target id): ids from a small pool, about half of them the target.
+
+    A gap of 0 repeats a timestamp with the ids in any order.  Half the
+    captures hold only full payloads, so they get past the short-frame check.
+    """
+    target_id = draw(st.sampled_from(_POOL))
+    payloads = draw(st.sampled_from([st.binary(min_size=8, max_size=8), st.binary(max_size=8)]))
+    rows = draw(st.lists(st.tuples(st.one_of(st.just(0), st.integers(1, 150_000)),
+                                   st.one_of(st.just(target_id), st.sampled_from(_POOL)),
+                                   payloads),
+                         max_size=40))
+    t = 0
+    frames = []
+    for gap, arb_id, data in rows:
+        t += gap
+        frames.append(CanFrame(t, arb_id, data))
+    return frames, target_id
+
+
+class TestReplayMatchesWholeCaptureReplay:
+    """Feeding only the target rows and merging the rest back changes nothing."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_captures(), st.integers(0, 7), st.sampled_from(["shadow", "tap"]),
+           st.one_of(st.integers(1, 2_000), st.integers(1, 400_000)),
+           st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(1, 40)),
+           st.booleans())
+    def test_same_result(self, capture, byte_index, mode, delay_us, ramp, parsed):
+        frames, target_id = capture
+        trace = CanTrace(frames)
+        if parsed:  # a capture read from text is held as columns
+            trace = canbus.parse_trace(canbus.serialize_trace(trace))
+        start, end, step = ramp
+        ramp = (start, end, step if end >= start else -step)
+        args = (target_id, byte_index, mode, delay_us)
+        got = _outcome(run_replay_injection, trace, ramp, *args)
+        want = _outcome(_whole_capture_replay, trace, ramp, *args)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert canbus.serialize_trace(got.trace) == canbus.serialize_trace(want.trace)
+        assert got.deliveries == want.deliveries
+        assert got.dominance == want.dominance
+        assert got.injected == want.injected
+        assert got.final_speed_mph == want.final_speed_mph
