@@ -15,8 +15,7 @@ so 0 mph sits at 0xB0D4 and each count is 1/54 mph.
 
 from __future__ import annotations
 
-import bisect
-from collections import deque
+import heapq
 from functools import partial
 from itertools import repeat
 from operator import attrgetter
@@ -412,12 +411,13 @@ def _scan(buf: np.ndarray) -> TraceColumns | None:
 def _columnar(data: bytes) -> CanTrace | None:
     """The columnar pass over ASCII data, _BLOCK bytes of lines at a time.
 
-    None unless _scan reads every block, which needs a final "\n", and
-    the rows keep time order.  It reads the written spelling or declines,
-    and never raises for what it declines: naming a fault is _per_line's.
+    None unless _scan reads every block and the rows keep time order.  A
+    missing final "\n" is appended, as splitlines reads the last line.
+    It reads the written spelling or declines, and never raises for what
+    it declines: naming a fault is _per_line's.
     """
     if data and not data.endswith(b"\n"):
-        return None
+        data += b"\n"
     # the columns are allocated once, ahead of the blocks' temporaries
     n_lines = data.count(b"\n")
     out = TraceColumns(np.empty(n_lines, np.int64), np.empty(n_lines, np.uint16),
@@ -564,9 +564,9 @@ class CanBus:
     the producing module and the wire; injected and replayed frames enter
     at the connector and are not tapped.
 
-    Injected frames wait in one deque kept in that order.  A replayed
-    capture is already in time order, so each of its frames is appended
-    at the tail; ``step`` pops the due ones from the head.
+    Injected frames wait in one heap keyed in that order: ``inject_at``
+    pushes, and ``step`` pops the due ones.  A replay queues only the rows
+    its receiver reads, so the heap stays short.
 
     The bus is fail-stop.  When a payload function, tap or listener
     raises, the error propagates from ``step`` and the trace ends at the
@@ -584,10 +584,10 @@ class CanBus:
         self._periodic_due: int | None = None  # earliest next_due of the sources
         self._taps: list = []  # injection.FilterRule: .apply(frame) -> frame
         self._listeners: list[Listener] = []
-        # entries (due, arb_id, origin, seq, frame, source), sorted; origin 1
+        # heap of entries (due, arb_id, origin, seq, frame, source); origin 1
         # ranks injected frames after periodic ones on a timestamp+id tie, and
         # seq is unique, so no comparison reaches the frame
-        self._pending: deque[tuple[int, int, int, int, CanFrame, str]] = deque()
+        self._pending: list[tuple[int, int, int, int, CanFrame, str]] = []
         self._seq = 0
         self._now = 0
         # due time of the latest frame delivered or in delivery; every frame
@@ -633,14 +633,8 @@ class CanBus:
         if due_us < self._last_us:
             raise ValueError(
                 f"frame due at {due_us} us would follow one stamped {self._last_us} us")
-        item = (due_us, frame.arbitration_id, 1, self._seq, frame, source)
+        heapq.heappush(self._pending, (due_us, frame.arbitration_id, 1, self._seq, frame, source))
         self._seq += 1
-        pending = self._pending
-        # a deque indexes in O(n/64), so in-order frames must not reach insort
-        if not pending or pending[-1] < item:
-            pending.append(item)
-        else:
-            bisect.insort(pending, item)
 
     def feed_replay(self, frames: Iterable[CanFrame]) -> None:
         """Queue recorded frames at their own timestamps, tagged "replay"."""
@@ -701,7 +695,7 @@ class CanBus:
                 self._periodic_due = earliest
             pending = self._pending
             while pending and pending[0][0] <= now_us:
-                batch.append(pending.popleft())
+                batch.append(heapq.heappop(pending))
             if not batch:
                 return []
             batch.sort()

@@ -118,6 +118,9 @@ def cmd_inject(args) -> int:
     value_fn = scenario.ramp_bytes(start, end, step)
     byte_index = args.byte - 1
     if args.trace:
+        if args.target_period_ms is not None:
+            raise scenario.ConfigError(
+                "--target-period-ms applies to a live run (--duration), not to a --trace replay")
         trace = canbus.load_trace(args.trace)
         result = scenario.run_replay_injection(
             trace, value_fn, target_id=args.id, byte_index=byte_index,
@@ -198,18 +201,18 @@ def cmd_design_gains(args) -> int:
 def cmd_make_oval(args) -> int:
     speed_mps = args.speed
     path = follower.make_oval(args.straight, args.radius, speed_mps)
+    if args.scenario:  # validated before anything is printed or written
+        duration = int(args.laps * path.period_s / 0.1) * 0.1
+        scn = scenario.Scenario(
+            name=Path(args.scenario).stem, duration_s=round(duration, 6),
+            oval=scenario.OvalSpec(args.straight, args.radius, speed_mps / MPH_TO_MPS))
+        scn.validate()
     print(f"oval: {len(path)} samples, lap {path.period_s:.4f} s "
           f"at {speed_mps / MPH_TO_MPS:.2f} mph")
     if args.path:
         follower.save_path(path, args.path)
         print(f"wrote {args.path}")
     if args.scenario:
-        period = path.period_s
-        duration = int(args.laps * period / 0.1) * 0.1
-        scn = scenario.Scenario(
-            name=Path(args.scenario).stem, duration_s=round(duration, 6),
-            oval=scenario.OvalSpec(args.straight, args.radius, speed_mps / MPH_TO_MPS))
-        scn.validate()
         scenario.save_scenario(scn, args.scenario)
         print(f"wrote {args.scenario} ({args.laps} laps, {duration:.1f} s)")
     return 0

@@ -537,9 +537,13 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
     stays released, and the stock modules keep broadcasting, so the
     rig's own speed frames show the override taking physical effect.
     schedule overrides the broadcast periods (microseconds per id).  A
-    target_id that no scheduled stock broadcast carries is a ConfigError.
+    target_id that no scheduled stock broadcast carries, or a run shorter
+    than one 1 ms rig tick, is a ConfigError.
     """
     _check_run_s(duration_s, "duration")
+    n_ms = round(duration_s * 1000.0)
+    if n_ms == 0:
+        raise ConfigError(f"duration {duration_s:g} s is shorter than one 1 ms rig tick")
     scheduled = canbus.DEFAULT_SCHEDULE if schedule is None else schedule
     if target_id not in scheduled or target_id not in canbus.DEFAULT_SCHEDULE:
         raise ConfigError(f"target id 0x{target_id:X} is not a scheduled stock broadcast id")
@@ -553,7 +557,7 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
     else:
         bus.add_tap(rule)
 
-    result = _run_injection(bus, rig, rx, injector, round(duration_s * 1000.0))
+    result = _run_injection(bus, rig, rx, injector, n_ms)
     result.speed_series = [(f.timestamp_us, canbus.decode_speed(f))
                            for f in result.trace if f.arbitration_id == canbus.SPEED_ID]
     return result

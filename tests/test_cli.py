@@ -380,6 +380,11 @@ class TestUserErrors:
             return ["inject", "--duration", "1", "--ramp", "0:10:1", "--delay-us", "100000"]
         if case == "live-non-stock-id":
             return ["inject", "--duration", "1", "--ramp", "0:10:1", "--id", "300"]
+        if case == "live-sub-tick-run":
+            return ["inject", "--duration", "0.0004", "--ramp", "0:10:1"]
+        if case == "replay-target-period":
+            return ["inject", "--trace", str(_replay_trace_file(tmp_path)),
+                    "--ramp", "0:10:1", "--target-period-ms", "10"]
         if case == "replay-delay-not-shorter-than-period":
             return ["inject", "--trace", str(_replay_trace_file(tmp_path)),
                     "--ramp", "0:10:1", "--delay-us", "100000"]
@@ -445,7 +450,8 @@ class TestUserErrors:
                                       "short-tap-target", "past-int64-trace",
                                       "nan-path-file", "negative-preview-scenario",
                                       "live-non-stock-id", "overflowing-gains",
-                                      "finite-gains-overflowing-poles"])
+                                      "finite-gains-overflowing-poles", "live-sub-tick-run",
+                                      "replay-target-period"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -467,6 +473,8 @@ class TestUserErrors:
         "live-non-stock-id": "target id 0x300 is not a scheduled stock broadcast id",
         "overflowing-gains": "kp = inf, ki = inf",
         "finite-gains-overflowing-poles": "poles overflow for kp = 2.0000000000000065e+280",
+        "live-sub-tick-run": "duration 0.0004 s is shorter than one 1 ms rig tick",
+        "replay-target-period": "--target-period-ms applies to a live run",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -510,6 +518,17 @@ class TestUserErrors:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "x.json").exists()
+
+    def test_make_oval_rejects_before_writing(self, tmp_path, capsys):
+        scn, path = tmp_path / "s.json", tmp_path / "p.txt"
+        code = cli.main(["make-oval", "--laps", "100000", "--scenario", str(scn),
+                         "--path", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("evsim: error: duration ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not scn.exists() and not path.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["inject", "--duration", "1", "--ramp", "0:10:1", "--id", "zz"],
