@@ -320,12 +320,27 @@ def serialize_trace(trace: CanTrace) -> str:
 
     IDs are uppercase hex without prefix, the dlc is the number of data
     bytes, and each data byte is two uppercase hex digits.  A frame with
-    no data ends its line after the dlc.
+    no data ends its line after the dlc.  A trace of columns is written
+    from its columns, with no frame built.
     """
-    lines = [f"{f.timestamp_us} {f.arbitration_id:X} {len(f.data)} {f.data.hex(' ').upper()}"
-             if f.data else f"{f.timestamp_us} {f.arbitration_id:X} 0"
-             for f in trace]
+    if trace._frames is not None:
+        rows = ((f.timestamp_us, f.arbitration_id, len(f.data), f.data.hex(" ").upper())
+                for f in trace._frames)
+    else:
+        rows = _column_rows(trace._columns)
+    lines = [f"{t} {arb_id:X} {dlc} {payload}" if dlc else f"{t} {arb_id:X} 0"
+             for t, arb_id, dlc, payload in rows]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _column_rows(columns: TraceColumns):
+    """(timestamp, id, dlc, spaced uppercase hex payload) per row of columns."""
+    timestamps, ids, dlc, data = columns
+    # one hex string for the whole payload matrix: row i starts at 24 * i
+    hexed = data.tobytes().hex(" ").upper()
+    dlcs = dlc.tolist()
+    return zip(timestamps.tolist(), ids.tolist(), dlcs,
+               [hexed[i:i + 3 * d - 1] for i, d in zip(range(0, 24 * len(dlcs), 24), dlcs)])
 
 
 #: Each byte's value as a decimal or a hex digit; 255 for a byte that is not one.

@@ -35,7 +35,7 @@ class UnachievableError(ValueError):
 
 
 class GainsNotFiniteError(ValueError):
-    """The loop spec is so extreme that a designed gain or closed-loop pole overflows."""
+    """A loop spec so extreme that a designed gain or closed-loop pole overflows, or ki is 0."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,9 @@ def design_pi(spec: LoopSpec) -> PiGains:
 
     omega_n = 1/(zeta*tau_target).  Formed from mantissas and exponents, as
     setpoint_weight is, so a gain overflows only when it is past the float
-    range, not when a partial product is; GainsNotFiniteError then.
+    range, not when a partial product is; GainsNotFiniteError then.  A ki
+    that rounds to 0.0 would leave a PI loop with no integral action, so
+    it raises GainsNotFiniteError too.
     """
     (m_zeta, e_zeta), (m_tau, e_tau), (m_target, e_target) = map(
         math.frexp, (spec.zeta, spec.tau_channel_s, spec.tau_target_s))
@@ -83,6 +85,10 @@ def design_pi(spec: LoopSpec) -> PiGains:
         raise GainsNotFiniteError(
             f"gains overflow for tau_channel_s={spec.tau_channel_s!r}, zeta={spec.zeta!r}, "
             f"tau_target_s={spec.tau_target_s!r}: kp = {kp!r}, ki = {ki!r}")
+    if ki == 0.0:
+        raise GainsNotFiniteError(
+            f"ki underflows to 0.0 for tau_channel_s={spec.tau_channel_s!r}, zeta={spec.zeta!r}, "
+            f"tau_target_s={spec.tau_target_s!r}: the loop would have no integral action")
     return PiGains(kp, ki)
 
 

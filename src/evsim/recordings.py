@@ -92,16 +92,26 @@ def throttle_effect_oracle() -> Callable[[CanTrace], bool]:
     command seen on the bus.  The replayed frames keep their recorded
     timestamps; the rig runs a little past the last frame so a press at
     the end still shows up in the speed.
+
+    The answer is the one a run over that whole window gives, but the
+    rig runs only while the run can still change it.  A subset with no
+    frame of the receiver's id is answered False with no bus and no rig:
+    nothing then moves the throttle off 0, where app_k is 0, so the rig
+    stays at rest.  A replay ends once the rig's top speed reaches
+    MIN_GAIN_MPH, which makes the answer True.
     """
     def oracle(subset: CanTrace) -> bool:
-        bus = CanBus()
+        n_ms = replay_ms(subset)
         rx = ThrottleReceiver()
+        target = subset.columns().ids == rx.arb_id
+        if not target.any():  # the throttle, and so the rig, stays at rest
+            return False
+        bus = CanBus()
         bus.add_listener(rx)
         # only the rows the receiver reads go on the bus, as in a replayed
         # injection; the rig still runs past the subset's last frame
-        bus.feed_replay(subset.select(subset.columns().ids == rx.arb_id))
-        top_speed = rig_loop(bus, VehiclePlant(), rx, replay_ms(subset))
-        return top_speed >= MIN_GAIN_MPH
+        bus.feed_replay(subset.select(target))
+        return rig_loop(bus, VehiclePlant(), rx, n_ms, reach_mph=MIN_GAIN_MPH) >= MIN_GAIN_MPH
     return oracle
 
 

@@ -18,13 +18,16 @@ byte-identical.
 
 run_until is the one loop that runs a bus and a plant together.  It
 advances the plant in chunks of held inputs and steps the bus only at
-the due time of a frame.  run_scenario calls it once per control
-period.  The injection rigs run a receiver that obeys the last throttle
-command seen on the wire, against either live broadcasts plus a
-shadow/tap override or a recorded trace; rig_loop drives that rig
-through run_until, and the replay oracle in recordings shares it; both
-replays put only the rows the receiver reads on the bus.  The press
-capture in recordings runs its pedal phases through run_until too.
+the due time of a frame; an inputs() that returns None ends the run at
+that chunk boundary.  run_scenario calls it once per control period.
+The injection rigs run a receiver that obeys the last throttle command
+seen on the wire, against either live broadcasts plus a shadow/tap
+override or a recorded trace; rig_loop drives that rig through
+run_until, and the replay oracle in recordings shares it; both replays
+put only the rows the receiver reads on the bus.  The injection rigs
+run the whole window; the oracle passes rig_loop a reach_mph, so its
+replay ends once the rig's top speed reaches it.  The press capture in
+recordings runs its pedal phases through run_until too.
 """
 
 from __future__ import annotations
@@ -271,7 +274,9 @@ def run_until(bus: canbus.CanBus, plant: VehiclePlant, inputs, t_us: int, end_us
     may queue a frame for any later microsecond; the plant moves only
     on ticks.  Nothing is delivered at end_us itself: a frame due there
     is left to the next call or to a final bus.step.  t_us and end_us
-    lie on the physics grid.
+    lie on the physics grid.  An inputs() that returns None ends the run
+    there, before that chunk: the frames due by then are delivered and
+    the plant stays where it is.
     """
     ticks = 0
     while t_us < end_us:
@@ -279,9 +284,12 @@ def run_until(bus: canbus.CanBus, plant: VehiclePlant, inputs, t_us: int, end_us
         if due is not None and due <= t_us:
             bus.step(due)
             continue
+        held = inputs()
+        if held is None:
+            break
         boundary = end_us if due is None else min(end_us, -(-due // phys_us) * phys_us)
         n = (boundary - t_us) // phys_us
-        plant.advance(*inputs(), n, dt)
+        plant.advance(*held, n, dt)
         ticks += n
         t_us = boundary
     return ticks
@@ -471,7 +479,7 @@ class InjectionResult:
 
 
 def rig_loop(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
-             n_ms: int) -> float:
+             n_ms: int, reach_mph: float = math.inf) -> float:
     """Run the bus and a rig that obeys rx's throttle for n_ms 1 ms ticks.
 
     The rig runs one tick behind the bus: the frames due up to k ms
@@ -479,13 +487,21 @@ def rig_loop(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
     n_ms ms is delivered.  The brake stays released and the steering
     centred, so within a run_until chunk of held throttle the speed
     approaches app_k(throttle) monotonically and its peak lies at a
-    chunk end.  Returns the top rig speed in mph over every tick.
+    chunk end.  Returns the top rig speed in mph over every tick run.
+
+    The run ends early, at the first chunk end where the top speed has
+    reached reach_mph: from there a running maximum stays at or above
+    it, so a caller that only asks whether the rig reached reach_mph
+    gets the answer of the whole window.  The default never ends a run
+    early.
     """
     top_speed = 0.0
 
     def inputs():  # read at each chunk start, which is the previous chunk's end
         nonlocal top_speed
         top_speed = max(top_speed, rig.state.speed_mph)
+        if top_speed >= reach_mph:
+            return None
         return rx.app_pct, 0.0, 50.0
 
     run_until(bus, rig, inputs, 1000, (n_ms + 1) * 1000, 1000, 0.001)

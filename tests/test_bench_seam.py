@@ -99,10 +99,59 @@ def test_inject_replay_builds_only_target_frames_and_keeps_its_spans(tmp_path, m
     canbus.save_trace(canbus.CanTrace([canbus.CanFrame(t, arb_id, bytes(8))
                                        for t in range(10_000, 210_000, 10_000)
                                        for arb_id in ids]), path)
-    assert cli.main(["inject", "--trace", str(path), "--ramp", "0:200:1"]) == 0
+    out = tmp_path / "out.txt"
+    assert cli.main(["inject", "--trace", str(path), "--ramp", "0:200:1", "--out", str(out)]) == 0
     assert "injected 20 frames (100 total on the bus)" in capsys.readouterr().out
+    # the merged trace is written from its columns
     assert [f.arbitration_id for f in built] == [canbus.THROTTLE_ID] * 20
     assert all(calls[name] for name in spans), calls
+    assert len(canbus.load_trace(out)) == 100
+
+
+def test_isolate_keeps_its_spans_and_skips_probes_with_no_throttle_row(tmp_path, monkeypatch,
+                                                                        capsys):
+    # a traced isolate run requires these spans; only a probe that holds a
+    # throttle row builds a bus and moves a rig
+    spans = {"canbus.step": (canbus.CanBus, "step"),
+             "canbus.inject_at": (canbus.CanBus, "inject_at"),
+             "plant.advance": (plant.VehiclePlant, "advance"),
+             "injection.receiver": (injection.ThrottleReceiver, "__call__"),
+             "CanBus.__init__": (canbus.CanBus, "__init__")}
+    assert set(spans) - {"CanBus.__init__"} <= set(_tracing().REQUIRED["isolate"])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    path = tmp_path / "press.txt"
+    canbus.save_trace(recordings.press_recording(duration_s=2.5), path)
+    for name, (owner, attr) in spans.items():
+        monkeypatch.setattr(owner, attr, counted(name, vars(owner)[attr]))
+    probes = []
+    factory = recordings.throttle_effect_oracle
+
+    def recorded_factory():
+        oracle = factory()
+
+        def recorded(subset):
+            before = Counter(calls)
+            verdict = oracle(subset)
+            probes.append((canbus.THROTTLE_ID in subset.ids(), calls - before, verdict))
+            return verdict
+        return recorded
+
+    monkeypatch.setattr(recordings, "throttle_effect_oracle", recorded_factory)
+    assert cli.main(["isolate", "--trace", str(path)]) == 0
+    assert "control id: 0x11A" in capsys.readouterr().out
+    assert all(calls[name] for name in spans), calls
+    skipped = [used for has_throttle, used, _ in probes if not has_throttle]
+    assert skipped and not any(used["CanBus.__init__"] or used["plant.advance"]
+                               for used in skipped)
+    assert all(used["plant.advance"] and verdict
+               for has_throttle, used, verdict in probes if has_throttle)
 
 
 def test_isolate_reaches_select_ids_through_revtools_once_per_oracle_call(monkeypatch):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evsim import canbus, recordings
 from evsim.canbus import CanBus, CanFrame, CanTrace, TraceParseError
@@ -206,6 +206,28 @@ class TestTraceFormat:
             frames.append(CanFrame(t, arb_id, data))
         trace = CanTrace(frames)
         assert canbus.parse_trace(canbus.serialize_trace(trace)) == trace
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.integers(0, 10**12), st.integers(0, 0x7FF),
+                              st.binary(max_size=8), st.booleans()), max_size=30))
+    @example([(0, 0x10, b"", True), (7, 0x7FF, b"\x00\x01\xab\xcd\xef\x10\xfe\xff", True),
+              (7, 0x0, b"\x0a", False), (9, 0x11A, b"", True)])
+    def test_columnar_trace_serializes_as_its_frames(self, raw):
+        # a capture read by the columnar pass, then a row subset of it, as a replay selects
+        t = 0
+        rows = []
+        for gap, arb_id, data, keep in raw:
+            t += gap
+            rows.append((t, arb_id, data, keep))
+        parsed = canbus.parse_trace("".join(_written_line(t, arb_id, data) + "\n"
+                                            for t, arb_id, data, _ in rows))
+        trace = parsed.select([keep for *_, keep in rows])
+        assert trace._frames is None
+        text = canbus.serialize_trace(trace)
+        assert trace._frames is None  # written from the columns, no frame built
+        assert text == "".join(_written_line(t, arb_id, data) + "\n"
+                               for t, arb_id, data, keep in rows if keep)
+        assert text == canbus.serialize_trace(CanTrace(trace.frames))
 
     @settings(deadline=None, max_examples=400)
     @given(st.lists(_trace_line(), max_size=8))

@@ -435,6 +435,8 @@ class TestUserErrors:
         if case == "finite-gains-overflowing-poles":
             return ["design-gains", "--tau-car", "1e-30", "--zeta", "1e300",
                     "--tau-cl", "1e-310"]
+        if case == "underflowing-ki":  # ki = tau_car / tau_cl**2 is about 5e-600
+            return ["design-gains", "--tau-car", "5", "--tau-cl", "1e300"]
         return ["packet", "--decode", "zz"]
 
     @pytest.mark.parametrize("case", ["tiny-scenario", "malformed-trace",
@@ -451,7 +453,7 @@ class TestUserErrors:
                                       "nan-path-file", "negative-preview-scenario",
                                       "live-non-stock-id", "overflowing-gains",
                                       "finite-gains-overflowing-poles", "live-sub-tick-run",
-                                      "replay-target-period"])
+                                      "replay-target-period", "underflowing-ki"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -473,6 +475,7 @@ class TestUserErrors:
         "live-non-stock-id": "target id 0x300 is not a scheduled stock broadcast id",
         "overflowing-gains": "kp = inf, ki = inf",
         "finite-gains-overflowing-poles": "poles overflow for kp = 2.0000000000000065e+280",
+        "underflowing-ki": "ki underflows to 0.0",
         "live-sub-tick-run": "duration 0.0004 s is shorter than one 1 ms rig tick",
         "replay-target-period": "--target-period-ms applies to a live run",
     }

@@ -82,13 +82,20 @@ class TestGainDesign:
         with pytest.raises(GainsNotFiniteError, match="gains overflow"):
             design_pi(LoopSpec(*spec))
 
-    @pytest.mark.parametrize("spec", [(1e-30, 1e300, 1e-310), (4.7e220, 1.8e284, 2.6e122)])
+    @pytest.mark.parametrize("spec", [(1e-30, 1e300, 1e-310), (1e300, 1e155, 1e155)])
     def test_gains_past_an_overflowing_partial_product(self, spec):
         # 2 * zeta * omega_n overflows in the first, zeta * tau_target in the
         # second; kp = 2 * tau_channel / tau_target - 1 is finite in both
         tau_ch, _, tau_cl = spec
         assert design_pi(LoopSpec(*spec)).kp == pytest.approx(2.0 * tau_ch / tau_cl - 1.0)
         assert design_pi(LoopSpec(1e-30, 1e300, 1e-310)).ki == pytest.approx(1e-10)
+        assert design_pi(LoopSpec(1e300, 1e155, 1e155)).ki > 0.0  # 1e-320, subnormal
+
+    @pytest.mark.parametrize("spec", [(5.0, 1.0, 1e300), (4.7e220, 1.8e284, 2.6e122)])
+    def test_ki_that_rounds_to_zero_raises(self, spec):
+        # tau_channel * omega_n**2 is about 5e-600 and 2e-593: a PI with no integral action
+        with pytest.raises(GainsNotFiniteError, match="ki underflows to 0.0"):
+            design_pi(LoopSpec(*spec))
 
     @pytest.mark.parametrize("spec", [(1e200, 1.0, 1.0), (1e-10, 1.0, 1e-155),
                                       (1e300, 1.0, 1e100)])

@@ -4,12 +4,16 @@ The references below are the rig and press-capture loops as they were
 before run_until: the bus steps every millisecond and the plant advances
 one tick per call.  run_until only steps the bus where a frame falls due
 and advances the plant in chunks between, so each test checks that the
-chunking changes nothing a caller can see.
+chunking changes nothing a caller can see.  The replay oracle's reference
+is the oracle as it was before it learned to stop early: every probe runs
+the rig over its whole window.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evsim import canbus, recordings
 from evsim import injection as inj
@@ -46,6 +50,19 @@ def press_recording_per_tick(duration_s, seed):
         plant.advance(pedal["app"], 0.0, 50.0, 1, 0.001)
         bus.step(ms * 1000)
     return bus.trace()
+
+
+def oracle_full_window(subset):
+    """Reference oracle: the target rows on a fresh bus, the rig over the whole window.
+
+    Returns the verdict and the top speed it rests on.
+    """
+    bus = CanBus()
+    rx = inj.ThrottleReceiver()
+    bus.add_listener(rx)
+    bus.feed_replay(subset.select(subset.columns().ids == rx.arb_id))
+    top = rig_loop(bus, VehiclePlant(), rx, replay_ms(subset))
+    return top >= recordings.MIN_GAIN_MPH, top
 
 
 def _live_rig(mode, value_fn):
@@ -101,6 +118,14 @@ class TestRigLoop:
         ref = _outcome(rig_loop_per_ms, *_replay_rig(subset), n_ms)
         assert new == ref
         assert new[0] >= recordings.MIN_GAIN_MPH
+
+    def test_press_in_the_last_frame_peaks_at_the_window_end(self):
+        # the top speed is the rig's state after the last chunk, not a chunk start
+        press = CanTrace([CanFrame(*_throttle_row(250_500, 38))])
+        n_ms = replay_ms(press)
+        new = _outcome(rig_loop, *_replay_rig(press), n_ms)
+        assert new == _outcome(rig_loop_per_ms, *_replay_rig(press), n_ms)
+        assert new[0] == new[3].speed_mph > recordings.MIN_GAIN_MPH
 
     def test_throttle_frames_alone_move_the_rig_the_same(self, press):
         # the oracle feeds its bus only the ids its receiver reads
@@ -188,3 +213,101 @@ class TestRunUntil:
 
         run_until(bus, VehiclePlant(), inputs, 1000, 6000, 1000, 0.001)
         assert read == [0.0, 100 / canbus.PCT_TO_BYTE, 0.0]
+
+    def test_inputs_returning_none_ends_the_run(self):
+        bus, plant, seen = self._rig()
+        chunks = iter([self._inputs(), None])
+        # the first chunk ends where the frame falls due; that frame is
+        # still delivered before the None ends the run
+        assert run_until(bus, plant, lambda: next(chunks), 0, 10_000, 1000, 0.001) == 5
+        assert [t for t, _ in seen] == [5000]
+        at_stop = plant.state
+        assert run_until(bus, plant, lambda: None, 5000, 10_000, 1000, 0.001) == 0
+        assert plant.state is at_stop
+
+
+class TestReach:
+    def test_stops_at_the_first_chunk_end_that_reaches(self, press):
+        throttle = press.select(press.columns().ids == canbus.THROTTLE_ID)
+        n_ms = replay_ms(press)
+        bus, rig, rx = _replay_rig(throttle)
+        top = rig_loop(bus, rig, rx, n_ms, reach_mph=recordings.MIN_GAIN_MPH)
+        assert top == rig.state.speed_mph >= recordings.MIN_GAIN_MPH
+        # the run ended where the last frame it delivered fell due; at the
+        # chunk end before, where the frame before fell due, the rig was below
+        before_us = bus.trace().frames[-2].timestamp_us
+        assert rig_loop(*_replay_rig(throttle), before_us // 1000 - 1) < recordings.MIN_GAIN_MPH
+
+
+def _throttle_row(t_us, value, dlc=8):
+    data = bytearray(dlc)
+    if dlc > canbus.THROTTLE_BYTE_INDEX:
+        data[canbus.THROTTLE_BYTE_INDEX] = value
+    return t_us, canbus.THROTTLE_ID, bytes(data)
+
+
+#: Throttle bytes whose settle speed app_k lies near MIN_GAIN_MPH (1 mph at byte 7.47).
+_EDGE_BYTES = st.integers(6, 11)
+
+
+@st.composite
+def _synthetic_capture(draw):
+    """A short capture of one kind the oracle must answer as the full window does."""
+    kind = draw(st.sampled_from(["no target", "short target", "near edge", "short press",
+                                 "late press"]))
+    end_us = draw(st.integers(1, 3_000_000))
+    filler = [(draw(st.integers(0, end_us)), draw(st.sampled_from([0x10, 0x75, 0x204, 0x11B])),
+               draw(st.binary(max_size=8))) for _ in range(draw(st.integers(1, 6)))]
+    rows = []
+    if kind == "short target":  # the receiver ignores a frame too short for byte 4
+        rows = [(draw(st.integers(0, end_us)), canbus.THROTTLE_ID,
+                 draw(st.binary(max_size=canbus.THROTTLE_BYTE_INDEX)))
+                for _ in range(draw(st.integers(1, 4)))]
+    elif kind == "near edge":  # held near app_k = 1 mph, then maybe released
+        start, period = draw(st.integers(0, 500_000)), draw(st.integers(10_000, 100_000))
+        value = draw(_EDGE_BYTES)
+        rows = [_throttle_row(t, value) for t in range(start, end_us + 1, period)]
+        if draw(st.booleans()):
+            rows.append(_throttle_row(end_us, 0))
+    elif kind == "short press":  # far past 1 mph if held, released within ms
+        start = draw(st.integers(0, end_us))
+        press_us = draw(st.integers(0, 40_000))
+        rows = [_throttle_row(start, draw(st.integers(100, 255))),
+                _throttle_row(start + press_us, 0)]
+    elif kind == "late press":  # the press lands in the last 100 ms of the capture
+        rows = [_throttle_row(max(0, end_us - draw(st.integers(0, 100_000))),
+                              draw(st.integers(0, 255)))]
+        filler.append((end_us, 0x10, b""))
+    rows = sorted(rows + filler, key=lambda row: row[0])
+    return CanTrace(CanFrame(*row) for row in rows)
+
+
+class TestOracle:
+    """The oracle answers each probe as the full-window reference does.
+
+    The threshold is MIN_GAIN_MPH, or exactly the top speed the reference
+    reached, so a probe whose top lands on the threshold is drawn too.
+    """
+
+    @staticmethod
+    def _agrees(subset, at_top):
+        threshold = recordings.MIN_GAIN_MPH
+        if at_top:
+            top = oracle_full_window(subset)[1]
+            threshold = top if top > 0.0 else threshold
+        with mock.patch.object(recordings, "MIN_GAIN_MPH", threshold):
+            assert recordings.throttle_effect_oracle()(subset) == oracle_full_window(subset)[0]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), st.booleans())
+    def test_press_subsets(self, press, data, at_top):
+        ids = press.ids()
+        subset = data.draw(st.sets(st.sampled_from(ids), min_size=1))
+        if data.draw(st.booleans()):
+            subset.add(canbus.THROTTLE_ID)
+        self._agrees(inj.select_ids(press, subset), at_top)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_synthetic_capture(), st.booleans())
+    def test_synthetic_captures(self, capture, at_top):
+        self._agrees(capture, at_top)
