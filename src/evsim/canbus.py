@@ -73,7 +73,7 @@ class OutOfRangeError(ValueError):
 
 
 class BusStoppedError(RuntimeError):
-    """The bus stopped when a payload function, tap or listener raised in a step."""
+    """The bus stopped when a payload function (a live tap wraps one) or listener raised."""
 
 
 class TraceParseError(ValueError):
@@ -230,7 +230,9 @@ class CanTrace:
 
     def select(self, rows) -> CanTrace:
         """The frames at rows (a boolean mask or row indices), in order, as columns."""
-        return _columnar_trace(TraceColumns(*(col[rows] for col in self.columns())))
+        rows = np.asarray(rows)
+        idx = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp, copy=False)
+        return _columnar_trace(TraceColumns(*(np.take(c, idx, axis=0) for c in self.columns())))
 
 
 def _merged(first: CanTrace, second: CanTrace) -> CanTrace:
@@ -426,11 +428,13 @@ def _scan(buf: np.ndarray) -> TraceColumns | None:
 def _columnar(data: bytes) -> CanTrace | None:
     """The columnar pass over ASCII data, _BLOCK bytes of lines at a time.
 
-    None unless _scan reads every block and the rows keep time order.  A
-    missing final "\n" is appended, as splitlines reads the last line.
-    It reads the written spelling or declines, and never raises for what
-    it declines: naming a fault is _per_line's.
+    None unless _scan reads every block and the rows keep time order.
+    "\r\n" reads as "\n", and a missing final "\n" is appended, as
+    splitlines reads them.  It reads the written spelling or declines,
+    and never raises for what it declines: naming a fault is _per_line's.
     """
+    if b"\r" in data:  # a one-byte search; replace alone scans for the pair far slower
+        data = data.replace(b"\r\n", b"\n")
     if data and not data.endswith(b"\n"):
         data += b"\n"
     # the columns are allocated once, ahead of the blocks' temporaries
@@ -575,17 +579,17 @@ class CanBus:
     sorted by (timestamp, arbitration id, enqueue sequence): lower IDs win
     simultaneous arbitration, and an injected frame scheduled at the same
     microsecond as an observed one lands after it because its sequence
-    number is larger.  Tap rules rewrite periodic-source frames between
-    the producing module and the wire; injected and replayed frames enter
-    at the connector and are not tapped.
+    number is larger.  A tap-point filter wraps its module's payload function
+    (``injection.FilterRule.tap``), and every frame leaves ``step`` through
+    one loop that traces it and calls the listeners.
 
     Injected frames wait in one heap keyed in that order: ``inject_at``
     pushes, and ``step`` pops the due ones.  A replay queues only the rows
     its receiver reads, so the heap stays short.
 
-    The bus is fail-stop.  When a payload function, tap or listener
-    raises, the error propagates from ``step`` and the trace ends at the
-    frame in delivery; from then on every ``step``, ``inject_at`` and
+    The bus is fail-stop.  When a payload function or listener raises,
+    the error propagates from ``step`` and the trace ends at the frame in
+    delivery; from then on every ``step``, ``inject_at`` and
     ``add_periodic`` raises BusStoppedError, and ``trace()`` still reads.
     A ValueError from a check that changes nothing (a bad id or period, a
     step back in time, a mis-stamped or late ``inject_at`` outside a
@@ -597,7 +601,6 @@ class CanBus:
         # RNG, so the order of the calls shows in the frames
         self._periodic: list[_Periodic] = []
         self._periodic_due: int | None = None  # earliest next_due of the sources
-        self._taps: list = []  # injection.FilterRule: .apply(frame) -> frame
         self._listeners: list[Listener] = []
         # heap of entries (due, arb_id, origin, seq, frame, source); origin 1
         # ranks injected frames after periodic ones on a timestamp+id tie, and
@@ -626,10 +629,6 @@ class CanBus:
         self._periodic.append(_Periodic(arb_id, period_us, payload_fn, source, first_due))
         if self._periodic_due is None or first_due < self._periodic_due:
             self._periodic_due = first_due
-
-    def add_tap(self, rule) -> None:
-        """Pass each periodic frame through rule.apply, which keeps its timestamp."""
-        self._taps.append(rule)
 
     def add_listener(self, fn: Listener) -> None:
         self._listeners.append(fn)
@@ -672,7 +671,7 @@ class CanBus:
     def step(self, now_us: int) -> list[CanFrame]:
         """Deliver every frame due in (previous now, now_us].
 
-        A payload function, tap or listener that raises stops the bus.
+        A payload function or listener that raises stops the bus.
         """
         if self._stopped is not None:
             raise BusStoppedError(self._stopped)
@@ -682,7 +681,6 @@ class CanBus:
         try:
             batch: list[tuple[int, int, int, int, CanFrame, str]] = []
             if self._periodic_due is not None and self._periodic_due <= now_us:
-                taps = self._taps
                 append = batch.append
                 earliest = None
                 seq = self._seq
@@ -697,10 +695,7 @@ class CanBus:
                                 payload = bytes(payload)
                             if len(payload) > 8:
                                 raise ValueError(f"dlc {len(payload)} outside 0..8")
-                            frame = _frame(due, arb_id, payload)
-                            for tap in taps:
-                                frame = tap.apply(frame)
-                            append((due, frame.arbitration_id, 0, seq, frame, source))
+                            append((due, arb_id, 0, seq, _frame(due, arb_id, payload), source))
                             seq += 1
                             due += period
                         src.next_due = due
@@ -715,20 +710,18 @@ class CanBus:
                 return []
             batch.sort()
             self._last_us = batch[-1][0]
-            delivered = [item[4] for item in batch]
             listeners = self._listeners
-            if listeners:
-                trace_append = self._trace.append
-                for _, _, _, _, frame, source in batch:
-                    trace_append(frame)
-                    for listener in listeners:
-                        listener(frame, source)
-            else:
-                self._trace += delivered
+            trace = self._trace
+            start = len(trace)
+            trace_append = trace.append
+            for _, _, _, _, frame, source in batch:
+                trace_append(frame)
+                for listener in listeners:
+                    listener(frame, source)
         except BaseException as exc:
             self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
             raise
-        return delivered
+        return trace[start:]
 
     def trace(self) -> CanTrace:
         """Every frame delivered so far, in delivery order, which is time order."""

@@ -6,8 +6,8 @@ in one of two ways:
 
 * As a tap it sits between a producing module and the wire and rewrites
   matching frames in place (a man-in-the-middle tap).  Receivers never
-  see the genuine payload.  The same rule serves a live bus (as a tap)
-  and a recorded trace (applied to each frame before replay).
+  see the genuine payload.  It wraps a live module's payload function
+  (``tap``), or passes each recorded frame through ``apply`` before replay.
 * A ShadowInjector built on it leaves genuine frames alone and
   schedules a forged copy a fixed delay after each one.  Receivers that
   act on the most recent frame then spend delay/period of each cycle on
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import canbus
-from .canbus import CanBus, CanFrame, CanTrace
+from .canbus import CanBus, CanFrame, CanTrace, np
 
 
 class UnknownIdError(ValueError):
@@ -71,6 +71,12 @@ class FilterRule:
         if data == frame.data:
             return frame
         return canbus._frame(frame.timestamp_us, frame.arbitration_id, data)
+
+    def tap(self, payload_fn: Callable[[int], bytes]) -> Callable[[int], bytes]:
+        """payload_fn of the module that broadcasts arb_id, behind this rule as a tap."""
+        def tapped(due_us: int) -> bytes:
+            return self.apply(canbus._frame(due_us, self.arb_id, payload_fn(due_us))).data
+        return tapped
 
 
 class ShadowInjector:
@@ -165,7 +171,7 @@ def select_ids(trace: CanTrace, ids: Iterable[int]) -> CanTrace:
     """Subset of a trace containing only the given ids, order preserved, as columns."""
     wanted = set(ids)
     subset = trace.select(trace.rows_of(wanted))
-    missing = wanted.difference(subset.ids())
+    missing = wanted.difference(np.flatnonzero(np.bincount(subset.columns().ids)).tolist())
     if missing:
         raise UnknownIdError(
             "ids not in trace: " + ", ".join(f"0x{i:X}" for i in sorted(missing)))

@@ -175,6 +175,11 @@ def test_isolate_reaches_select_ids_through_revtools_once_per_oracle_call(monkey
     assert len(selections) == len(oracle_calls) == result.oracle_calls
 
 
+def test_revtools_select_ids_is_the_injection_function():
+    # the tracer patches both names; two functions would time only one of them
+    assert revtools.select_ids is injection.select_ids
+
+
 # The tracer counts canbus.frames_delivered and serial_link.packets from
 # len() of what CanBus.step and StreamDecoder.feed return, so each call must
 # return a list of its own holding exactly what it delivered or decoded.

@@ -1,7 +1,6 @@
 import heapq
 import random
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from evsim import canbus, recordings
 from evsim.canbus import CanBus, CanFrame, CanTrace, TraceParseError
+from evsim.injection import FilterRule
 from evsim.plant import SimulatedEcus, VehiclePlant
 
 
@@ -102,8 +102,10 @@ def _mixed_trace(draw):
     """Many lines in the written spelling among odd lines from _trace_line.
 
     The written lines mostly keep time order; a few go backwards, carry an
-    id beyond 7FF or a dlc of 9.
+    id beyond 7FF or a dlc of 9.  Lines end in "\n", in "\r\n", or each in
+    one of those, "\r\r\n" or a lone "\r".
     """
+    breaks = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n", "\r\r\n", "\r"]]))
     t = 0
     lines = []
     for _ in range(draw(st.integers(0, 40))):
@@ -116,7 +118,8 @@ def _mixed_trace(draw):
             lines.append(_written_line(t, arb_id, data))
         else:
             lines.append(draw(_trace_line()))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    text = "".join(line + draw(st.sampled_from(breaks)) for line in lines[:-1])
+    return text + "".join(lines[-1:]) + draw(st.sampled_from(["", *breaks]))
 
 
 class TestCanFrame:
@@ -244,6 +247,8 @@ class TestTraceFormat:
         "5 10 2 AABB ", "5 10 2  AABB", " 5 10 1 AA", "5 10 1 AA ", "5 10 2 AA\tBB",
         "5\t 10 2 AA BB", "5 10 0 ", "5 10 +2 AA BB", "5 10 2 aa bb",
         "5 10 2 AA BB\r\n6 10 1 CC\r", "5 10 0\r\n\r\n6 10 1 AA B\r",
+        "5 10 2 AA BB\r\n6 10 1 CC", "5 10 0\r\r\n6 10 1 CC\r", "5 10 0\r6 10 1 CC\r",
+        "5 10 0\r\n6 10 1 CC \r", "5 10 0\r\n\r6 10 1 CC\r", "5 10 0\r\n4 10 1 CC\r",
     ])
     @pytest.mark.parametrize("before", ["", "# header\n\n0 7FF 0\n"])
     def test_odd_tokens_match_per_token_parser(self, before, line):
@@ -279,6 +284,12 @@ class TestTraceFormat:
         ("# c\n\n5 10 1 aa\n5 10 0\n4 10 1 aa\n", 5),
         ("-1 10 0\n5 10 0\n", 1),
         ("1 10 0\n" + "9" * 30 + " 10 0\n5 10 0\n", 2),
+        # "\r\n" breaks stay on the columnar pass; "\r\r\n" and a lone "\r"
+        # leave it, and each "\r" also breaks a line for the per-line reader
+        ("5 10 0\r\n6 10 1 aa\r\n4 10 0\r\n", 3),
+        ("5 10 0\r\r\n6 10 1 aa\r\n4 10 0\r\n", 4),
+        ("5 10 0\r6 10 1 aa\n4 10 0", 3),
+        ("5 10 0\r\n6 800 0\r\n", 2),
     ])
     @pytest.mark.parametrize("as_bytes", [False, True])
     def test_first_fault_wins_across_paths(self, text, line_no, as_bytes):
@@ -329,6 +340,21 @@ class TestTraceFormat:
         assert len(trace) == 66_600
         assert peak < 4 * 2**20
 
+    def test_crlf_parse_peak_memory(self):
+        # "\r\n" breaks cost one copy of the text on top of the written text's
+        # bound, not the per-line reader's list of line strings
+        text = canbus.serialize_trace(recordings.correlation_recording()[0]).encode()
+        text = text.replace(b"\n", b"\r\n")
+        canbus.parse_trace(b"0 10 0\n")  # imports numpy outside the measurement
+        tracemalloc.start()
+        try:
+            trace = canbus.parse_trace(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace._frames is None and len(trace) == 66_600
+        assert peak < 4 * 2**20 + len(text)
+
     def test_written_spelling_never_reaches_the_per_token_branch(self, monkeypatch):
         rng = random.Random(5)
         t = 0
@@ -343,10 +369,11 @@ class TestTraceFormat:
             raise AssertionError("a text in the written spelling left the columnar pass")
 
         monkeypatch.setattr(canbus, "_per_line", per_line)
-        # with and without the final "\n"
+        # with and without the final "\n", with "\n" or "\r\n" breaks
         for text, expected in zip(texts, (frames, list(press))):
-            assert list(canbus.parse_trace(text)) == expected
-            assert list(canbus.parse_trace(text[:-1])) == expected
+            for text in (text, text.replace("\n", "\r\n")):
+                assert list(canbus.parse_trace(text)) == expected
+                assert list(canbus.parse_trace(text.rstrip("\r\n"))) == expected
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 0x7FF), st.binary(max_size=8)),
@@ -445,13 +472,12 @@ class HeapBus:
 
     Sources are dicts in insertion order; injected frames go through
     heapq.heappush, and each step pops the due ones and sorts the batch
-    by its (due, id, origin, seq) key.  A payload, tap or listener that
-    raises stops it, as it stops CanBus.
+    by its (due, id, origin, seq) key.  A payload or listener that raises
+    stops it, as it stops CanBus.
     """
 
     def __init__(self):
         self._periodic = []
-        self._taps = []
         self._listeners = []
         self._pending = []
         self._seq = 0
@@ -473,9 +499,6 @@ class HeapBus:
         self._periodic.append({"id": arb_id, "period": period_us, "payload": payload_fn,
                                "source": source,
                                "next_due": (self._now // period_us + 1) * period_us})
-
-    def add_tap(self, rule):
-        self._taps.append(rule)
 
     def add_listener(self, fn):
         self._listeners.append(fn)
@@ -511,11 +534,8 @@ class HeapBus:
                     payload = bytes(src["payload"](due))
                     if len(payload) > 8:
                         raise ValueError(f"dlc {len(payload)} outside 0..8")
-                    frame = canbus._frame(due, src["id"], payload)
-                    for tap in self._taps:
-                        frame = tap.apply(frame)
-                    batch.append((due, frame.arbitration_id, 0, self._seq, frame,
-                                  src["source"]))
+                    batch.append((due, src["id"], 0, self._seq,
+                                  canbus._frame(due, src["id"], payload), src["source"]))
                     self._seq += 1
                     src["next_due"] = due + src["period"]
             while self._pending and self._pending[0][0] <= now_us:
@@ -545,15 +565,8 @@ _BUS_OPS = st.one_of(
     st.tuples(st.just("replay"),
               st.lists(st.tuples(st.integers(-200, 4_000), _BUS_IDS), max_size=12)),
     st.tuples(st.just("echo"), st.integers(0, 2), st.integers(0, 1_500), _BUS_IDS),
-    st.tuples(st.just("tap"),),
     st.tuples(st.just("step"), st.integers(-100, 4_000)),
 )
-
-
-class _XorTap:
-    def apply(self, frame):
-        return canbus._frame(frame.timestamp_us, frame.arbitration_id,
-                             bytes(b ^ 0x5A for b in frame.data))
 
 
 def _random_payload(rng):
@@ -600,9 +613,6 @@ def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_pay
 
                 bus.add_listener(echo)
                 out = None
-            elif kind == "tap":
-                bus.add_tap(_XorTap())
-                out = None
             else:
                 out = bus.step(now + args[0])
                 now += args[0]
@@ -638,19 +648,6 @@ class TestBus:
         bus.inject_at(10_000, CanFrame(10_000, 0x75, b"\x02"))
         delivered = bus.step(10_000)
         assert [f.data for f in delivered] == [b"\x01", b"\x02"]
-
-    def test_taps_rewrite_periodic_only(self):
-        class Tap:
-            def apply(self, frame):
-                return CanFrame(frame.timestamp_us, frame.arbitration_id, b"\x99")
-        bus = CanBus()
-        bus.add_tap(Tap())
-        bus.add_periodic(0x75, 10_000, lambda now: b"\x01")
-        bus.inject_at(10_000, CanFrame(10_000, 0x77, b"\x02"))
-        delivered = bus.step(10_000)
-        by_id = {f.arbitration_id: f.data for f in delivered}
-        assert by_id[0x75] == b"\x99"
-        assert by_id[0x77] == b"\x02"
 
     def test_listener_sees_source(self):
         seen = []
@@ -756,9 +753,9 @@ class TestBus:
 
 def _stopped_bus(bus_type, where):
     """A bus that stops in its step to 10 us, at the 0x20 frame due at 8 us, where
-    the payload function, the tap, the listener, or ("inject") an inject_at of
-    the listener's behind the batch's last frame raises.  Returns the bus, the
-    frames its listener was handed and the error."""
+    the payload function, the tap that wraps it, the listener, or ("inject") an
+    inject_at of the listener's behind the batch's last frame raises.  Returns
+    the bus, the frames its listener was handed and the error."""
     bus, seen = bus_type(), []
 
     def fail(name, frame):
@@ -769,8 +766,10 @@ def _stopped_bus(bus_type, where):
         return frame
 
     bus.add_periodic(0x10, 3, lambda due: bytes([due]))
-    bus.add_periodic(0x20, 2, lambda due: fail("payload", CanFrame(due, 0x20, bytes([due]))).data)
-    bus.add_tap(SimpleNamespace(apply=lambda frame: fail("tap", frame)))
+    # the tap forges the byte the payload already holds, so it changes no frame
+    rule = FilterRule(0x20, 0, lambda due: fail("tap", CanFrame(due, 0x20, bytes([due]))).data[0])
+    bus.add_periodic(0x20, 2, rule.tap(
+        lambda due: fail("payload", CanFrame(due, 0x20, bytes([due]))).data))
     bus.add_listener(lambda frame, source: seen.append(frame)
                      or fail("listener", fail("inject", frame)))
     bus.feed_replay(CanFrame(t, 0x30, b"\x07") for t in (1, 4, 9))
@@ -782,7 +781,10 @@ def _stopped_bus(bus_type, where):
 
 @pytest.mark.parametrize("bus_type", [CanBus, HeapBus])
 class TestFailStop:
-    """A payload, tap or listener that raises stops the bus; a failed check does not."""
+    """A payload (or the tap that wraps it) or listener that raises stops the bus.
+
+    A failed check does not.
+    """
 
     # a payload or tap leaves the five frames of the step to 5 us; a listener
     # leaves the trace ending at the frame it was handed

@@ -61,14 +61,36 @@ class TestFilterRule:
         # filtering at the tap is indistinguishable from the ECU having
         # broadcast the forged value in the first place
         tapped = CanBus()
-        tapped.add_tap(FilterRule(0x11A, 3, lambda t: 77))
-        tapped.add_periodic(0x11A, 10_000, lambda now: bytes(8))
+        tapped.add_periodic(0x11A, 10_000, FilterRule(0x11A, 3, lambda t: 77).tap(
+            lambda now: bytes(8)))
         direct = CanBus()
         forged = bytes(3) + bytes([77]) + bytes(4)
         direct.add_periodic(0x11A, 10_000, lambda now: forged)
         tapped.step(100_000)
         direct.step(100_000)
         assert list(tapped.trace()) == list(direct.trace())
+
+    def test_live_tap_passes_short_frames_and_forges_once_per_target_frame(self):
+        calls = []
+
+        def value_fn(t):
+            calls.append(t)
+            return 0xC8
+
+        bus = CanBus()
+        # the module sends 8 bytes, then 2, by turns; byte 4 is forged on the long ones
+        bus.add_periodic(0x11A, 10_000, FilterRule(0x11A, 3, value_fn).tap(
+            lambda now: bytes(8 if now % 20_000 else 2)))
+        bus.add_periodic(0x75, 10_000, lambda now: bytes(8))
+        bus.inject_at(15_000, CanFrame(15_000, 0x11A, bytes(8)))
+        bus.step(60_000)
+        target = [f for f in bus.trace() if f.arbitration_id == 0x11A]
+        assert [(f.timestamp_us, f.data) for f in target] == [
+            (10_000, bytes(3) + b"\xc8" + bytes(4)), (15_000, bytes(8)), (20_000, bytes(2)),
+            (30_000, bytes(3) + b"\xc8" + bytes(4)), (40_000, bytes(2)),
+            (50_000, bytes(3) + b"\xc8" + bytes(4)), (60_000, bytes(2))]
+        assert calls == [10_000, 30_000, 50_000]
+        assert all(f.data == bytes(8) for f in bus.trace() if f.arbitration_id == 0x75)
 
 
 def _forge_one(rule, genuine: CanFrame) -> CanFrame:
@@ -199,6 +221,16 @@ class TestTraceTools:
     def test_select_unknown_id(self):
         with pytest.raises(UnknownIdError, match="0x7D"):
             select_ids(self._trace(), [0x75, 0x7D])
+        with pytest.raises(UnknownIdError, match="0x800, 0x11A0"):
+            select_ids(self._trace(), [0x11A, 0x800, 0x11A0])
+
+    @pytest.mark.parametrize("rows, indices", [([], []), ([0, 2], [0, 2]),
+                                               ([True, False, True], [0, 2]), ([False] * 3, [])])
+    def test_select_takes_a_mask_or_row_indices(self, rows, indices):
+        trace = self._trace()
+        subset = trace.select(rows)
+        assert subset.frames == [trace.frames[i] for i in indices]
+        assert [c.dtype for c in subset.columns()] == [c.dtype for c in trace.columns()]
 
 
 class TestThrottleReceiver:

@@ -66,15 +66,18 @@ def oracle_full_window(subset):
 
 
 def _live_rig(mode, value_fn):
+    """The rig run_live_injection builds: a tap wraps the throttle module's payload."""
     rig, bus, rx, rule = _injection_rig(mode, canbus.THROTTLE_ID,
                                         canbus.THROTTLE_BYTE_INDEX, value_fn)
     ecus = SimulatedEcus(rig, pedal_fn=lambda: (0.0, 0.0))
-    ecus.attach(bus)
+    payload_fns = ecus.payload_fns()
     if mode == "shadow":
         inj.ShadowInjector(bus, rule, delay_us=250,
                            period_us=ecus.schedule[canbus.THROTTLE_ID])
     else:
-        bus.add_tap(rule)
+        payload_fns[canbus.THROTTLE_ID] = rule.tap(payload_fns[canbus.THROTTLE_ID])
+    for arb_id, period in ecus.schedule.items():
+        bus.add_periodic(arb_id, period, payload_fns[arb_id], source="ecu")
     return bus, rig, rx
 
 
