@@ -3,13 +3,16 @@
 
 The manifest pins the SHA-256 of every reference output that
 tests/test_golden.py checks.  Regenerate it only when a change is meant
-to alter those outputs, and say why in CHANGES.md.
+to alter those outputs, and say why in CHANGES.md.  The script prints
+each digest it added, changed or dropped against the manifest it
+replaces, so the outputs that moved can be named.
 
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/regen_golden.py
 """
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -19,11 +22,27 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import test_golden  # noqa: E402
 
 
+def digest_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per digest added, changed or dropped from old to new, by name."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            lines.append(f"added {name}")
+        elif name not in new:
+            lines.append(f"dropped {name}")
+        elif old[name] != new[name]:
+            lines.append(f"changed {name}")
+    return lines
+
+
 def main() -> int:
+    path = test_golden.MANIFEST
+    old = json.loads(path.read_text(encoding="ascii"))["digests"] if path.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = test_golden.write_manifest(Path(tmp))
-    print(f"wrote {test_golden.MANIFEST} ({len(manifest['digests'])} digests, "
+        manifest = test_golden.write_manifest(Path(tmp), path)
+    print(f"wrote {path} ({len(manifest['digests'])} digests, "
           f"{manifest['platform']['platform']})")
+    print("\n".join(digest_changes(old, manifest["digests"])) or "no digest changed")
     return 0
 
 

@@ -329,7 +329,15 @@ class SimulatedEcus:
         self.plant = plant
         self.pedal_fn = pedal_fn or (lambda: (plant.last_inputs[0], plant.last_inputs[1]))
         self.schedule = dict(schedule) if schedule is not None else dict(canbus.DEFAULT_SCHEDULE)
-        unknown = set(self.schedule) - set(self.payload_fns())
+        #: what attach wires per id; wrap an entry (a tap, say) before attaching
+        self.payload_fns: dict[int, Callable[[int], bytes]] = {
+            canbus.SPEED_ID: self.speed_payload,
+            canbus.STEERING_ID: self.steering_payload,
+            canbus.APP_ID: self.app_payload,
+            canbus.BPP_ID: self.bpp_payload,
+            canbus.THROTTLE_ID: self.throttle_payload,
+        }
+        unknown = set(self.schedule) - set(self.payload_fns)
         if unknown:
             raise ValueError("no stock payload for scheduled id "
                              + ", ".join(f"0x{i:X}" for i in sorted(unknown)))
@@ -355,16 +363,6 @@ class SimulatedEcus:
         data[canbus.THROTTLE_BYTE_INDEX] = _pct_byte(self.pedal_fn()[0])
         return bytes(data)
 
-    def payload_fns(self) -> dict[int, Callable[[int], bytes]]:
-        return {
-            canbus.SPEED_ID: self.speed_payload,
-            canbus.STEERING_ID: self.steering_payload,
-            canbus.APP_ID: self.app_payload,
-            canbus.BPP_ID: self.bpp_payload,
-            canbus.THROTTLE_ID: self.throttle_payload,
-        }
-
     def attach(self, bus: canbus.CanBus) -> None:
-        fns = self.payload_fns()
         for arb_id, period in self.schedule.items():
-            bus.add_periodic(arb_id, period, fns[arb_id], source="ecu")
+            bus.add_periodic(arb_id, period, self.payload_fns[arb_id], source="ecu")

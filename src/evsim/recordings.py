@@ -58,6 +58,22 @@ def _walker_payload(rng: random.Random) -> Callable[[int], bytes]:
     return payload
 
 
+def _drive(bus: CanBus, plant: VehiclePlant, pedal: list[tuple[int, float]],
+           n_ms: int) -> None:
+    """Run the bus and the plant n_ms 1 ms ticks, then deliver the frames due at the end.
+
+    pedal lists (from_ms, app_pct) in time order, the first from 0; app_pct
+    holds from the tick ending at from_ms, so the phase before ends 1 ms earlier.
+    """
+    end_us = n_ms * 1000
+    ends = [min(end_us, from_ms * 1000 - 1000) for from_ms, _ in pedal[1:]] + [end_us]
+    t_us = 0
+    for (_, app_pct), phase_end_us in zip(pedal, ends):
+        run_until(bus, plant, lambda: (app_pct, 0.0, 50.0), t_us, phase_end_us, 1000, 0.001)
+        t_us = phase_end_us
+    bus.step(end_us)
+
+
 def press_recording(duration_s: float = 6.0, seed: int = 2024) -> CanTrace:
     """Capture of a single accelerator press among heavy filler traffic.
 
@@ -72,16 +88,8 @@ def press_recording(duration_s: float = 6.0, seed: int = 2024) -> CanTrace:
     for arb_id in _filler_ids(rng, N_FILLER):
         bus.add_periodic(arb_id, rng.choice(_FILLER_PERIODS_US),
                          _walker_payload(rng), source="filler")
-    end_us = round(duration_s * 1000.0) * 1000
-    # the tick ending at k ms is pressed for PRESS_START_S * 1000 <= k < PRESS_END_S * 1000
-    press_lo_us = min(end_us, round(PRESS_START_S * 1000.0) * 1000 - 1000)
-    press_hi_us = min(end_us, round(PRESS_END_S * 1000.0) * 1000 - 1000)
-    t_us = 0
-    for phase_end_us, app_pct in ((press_lo_us, 0.0), (press_hi_us, PRESS_APP_PCT),
-                                  (end_us, 0.0)):
-        run_until(bus, plant, lambda: (app_pct, 0.0, 50.0), t_us, phase_end_us, 1000, 0.001)
-        t_us = phase_end_us
-    bus.step(end_us)
+    _drive(bus, plant, [(0, 0.0), (round(PRESS_START_S * 1000.0), PRESS_APP_PCT),
+                        (round(PRESS_END_S * 1000.0), 0.0)], round(duration_s * 1000.0))
     return bus.trace()
 
 
@@ -115,12 +123,18 @@ def throttle_effect_oracle() -> Callable[[CanTrace], bool]:
     return oracle
 
 
-def _ema_status_payload(statuses: list[dict], ema: list[float]) -> Callable[[int], bytes]:
+def _lag_payload(plant: VehiclePlant, period_us: int, tau_s: float,
+                 affine: list[tuple[float, int]]) -> Callable[[int], bytes]:
+    """Status bytes: affine copies of a first-order lag of the speed, stepped per frame."""
+    gain = -math.expm1(-period_us / 1e6 / tau_s)  # exact over one period
+    lag = 0.0
+
     def payload(now_us: int) -> bytes:
+        nonlocal lag
+        lag += (plant.state.speed_mph - lag) * gain
         data = bytearray(8)
-        for spot, st in enumerate(statuses):
-            raw = round(st["scale"] * ema[st["ema"]] + st["offset"])
-            data[spot] = max(0, min(255, raw))
+        for spot, (scale, offset) in enumerate(affine):
+            data[spot] = max(0, min(255, round(scale * lag + offset)))
         return bytes(data)
     return payload
 
@@ -134,15 +148,15 @@ def correlation_recording(duration_s: float = 60.0,
     affine copy of the true speed (the needle the correlator should
     rank first), 16 status bytes carry coarser lightly filtered affine
     copies, a couple of ids never change, and the walkers are noise.
+    Each status id keeps its own first-order lag of the speed, stepped
+    in its payload function at each frame's due time.
 
     Returns the trace plus a key describing what was planted where.
     """
     rng = random.Random(seed)
     plant = VehiclePlant()
-    pedal = {"app": APP_LO_PCT}
     bus = CanBus()
-    ecus = SimulatedEcus(plant, pedal_fn=lambda: (pedal["app"], 0.0))
-    ecus.attach(bus)
+    SimulatedEcus(plant).attach(bus)
 
     ids = _filler_ids(rng, N_WALKERS + 7)
     walker_ids, rest = ids[:N_WALKERS], ids[N_WALKERS:]
@@ -156,18 +170,13 @@ def correlation_recording(duration_s: float = 60.0,
                      source="filler")
 
     # lightly filtered speed copies: 4 status ids x 4 affine bytes each
-    taus = [0.05, 0.08, 0.12, 0.2]
-    ema_gains = [1.0 - math.exp(-0.001 / tau) for tau in taus]
-    ema = [0.0, 0.0, 0.0, 0.0]
     status_key = []
-    for i, arb_id in enumerate(status_ids):
-        statuses = []
-        for b in range(4):
-            statuses.append({"ema": i, "scale": 2.0 + 0.5 * (4 * i + b) / 4.0,
-                             "offset": rng.randrange(0, 20)})
-            status_key.append((arb_id, b))
-        bus.add_periodic(arb_id, rng.choice((10_000, 20_000, 25_000)),
-                         _ema_status_payload(statuses, ema), source="filler")
+    for i, (arb_id, tau_s) in enumerate(zip(status_ids, (0.05, 0.08, 0.12, 0.2))):
+        affine = [(2.0 + 0.5 * (4 * i + b) / 4.0, rng.randrange(0, 20)) for b in range(4)]
+        status_key.extend((arb_id, b) for b in range(4))
+        period_us = rng.choice((10_000, 20_000, 25_000))
+        bus.add_periodic(arb_id, period_us, _lag_payload(plant, period_us, tau_s, affine),
+                         source="filler")
 
     # finest affine scale that stays inside one byte at the speeds this
     # drive reaches (~56 mph), so the copy never clips
@@ -183,21 +192,9 @@ def correlation_recording(duration_s: float = 60.0,
     bus.add_periodic(planted_id, 10_000, planted_payload, source="filler")
 
     half_ms = round(SQUARE_PERIOD_S * 500.0)
-    n_ticks = round(duration_s * 1000.0)
-    # per tick, not through run_until: the EMA speed mirrors read the speed
-    # every tick, and the benchmark gates this capture's build time (setup_s).
-    # Every period is a multiple of 5 ms, so most ticks have nothing to step.
-    due_us = bus.next_due_us()
-    for ms in range(1, n_ticks + 1):
-        pedal["app"] = APP_HI_PCT if (ms // half_ms) % 2 == 1 else APP_LO_PCT
-        plant.advance(pedal["app"], 0.0, 50.0, 1, 0.001)
-        speed_mph = plant.state.speed_mph
-        for i, gain in enumerate(ema_gains):
-            ema[i] += (speed_mph - ema[i]) * gain
-        now_us = ms * 1000
-        if due_us <= now_us:
-            bus.step(now_us)
-            due_us = bus.next_due_us()
+    n_ms = round(duration_s * 1000.0)
+    _drive(bus, plant, [(k * half_ms, APP_HI_PCT if k % 2 else APP_LO_PCT)
+                        for k in range(n_ms // half_ms + 1)], n_ms)
 
     key = {
         "planted": (planted_id, planted_byte),

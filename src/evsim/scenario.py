@@ -16,20 +16,19 @@ between ticks takes effect at the next one.  Everything is
 integer-microsecond bookkeeping, so runs are deterministic and replays
 byte-identical.
 
-run_until runs a bus and a plant together, save in
-recordings.correlation_recording, whose EMA speed mirrors read the
-speed every 1 ms tick.  It advances the plant in chunks of held inputs
-and steps the bus only at the due time of a frame; an inputs() that
-returns None ends the run at that chunk boundary.  run_scenario calls
-it once per control period.  The injection rigs run a receiver that
-obeys the last throttle command seen on the wire, against either live
-broadcasts plus a shadow/tap override or a recorded trace; rig_loop
-drives that rig through run_until, and the replay oracle in recordings
-shares it; both replays put only the rows the receiver reads on the
-bus.  The injection rigs run the whole window; the oracle passes
-rig_loop a reach_mph, so its replay ends once the rig's top speed
-reaches it.  The press capture in recordings runs its pedal phases
-through run_until too.
+run_until is the one loop that runs a bus and a plant together.  It
+advances the plant in chunks of held inputs and steps the bus only at
+the due time of a frame; an inputs() that returns None ends the run at
+that chunk boundary.  run_scenario calls it once per control period.
+The injection rigs run a receiver that obeys the last throttle command
+seen on the wire, against either live broadcasts plus a shadow/tap
+override or a recorded trace; rig_loop drives that rig through
+run_until, and the replay oracle in recordings shares it; both replays
+put only the rows the receiver reads on the bus.  The injection rigs
+run the whole window; the oracle passes rig_loop a reach_mph, so its
+replay ends once the rig's top speed reaches it.  The press and
+correlation captures in recordings run their pedal phases through
+run_until too.
 """
 
 from __future__ import annotations
@@ -567,15 +566,13 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
         raise ConfigError(f"target id 0x{target_id:X} is not a scheduled stock broadcast id")
     rig, bus, rx, rule = _injection_rig(mode, target_id, byte_index, value_fn)
     ecus = SimulatedEcus(rig, pedal_fn=lambda: (0.0, 0.0), schedule=schedule)
-    payload_fns = ecus.payload_fns()
     injector = None
     if mode == "shadow":
         injector = inj.ShadowInjector(bus, rule, delay_us=delay_us,
                                       period_us=ecus.schedule.get(target_id))
     else:  # the tap sits between the target id's module and the wire
-        payload_fns[target_id] = rule.tap(payload_fns[target_id])
-    for arb_id, period in ecus.schedule.items():
-        bus.add_periodic(arb_id, period, payload_fns[arb_id], source="ecu")
+        ecus.payload_fns[target_id] = rule.tap(ecus.payload_fns[target_id])
+    ecus.attach(bus)
 
     result = _run_injection(bus, rig, rx, injector, n_ms)
     result.speed_series = [(f.timestamp_us, canbus.decode_speed(f))

@@ -1,9 +1,13 @@
 """The maintenance scripts under scripts/ still import what they use.
 
 They run outside the test suite, so a script that imports a retired
-name would otherwise only fail when someone next runs it.
+name would otherwise only fail when someone next runs it.  The golden
+regenerator's report runs against a manifest under a temporary
+directory, never the real one.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -21,3 +25,28 @@ def test_calibrate_follower_help():
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "K_HEADING" in done.stdout
+
+
+def _regen_golden():
+    spec = importlib.util.spec_from_file_location("regen_golden",
+                                                  ROOT / "scripts" / "regen_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_regen_golden_names_the_digests_that_moved(tmp_path, monkeypatch, capsys):
+    regen = _regen_golden()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"platform": {}, "digests": {
+        "kept": "1", "moved": "2", "gone": "3"}}), encoding="ascii")
+    new = {"kept": "1", "moved": "4", "new": "5"}
+    monkeypatch.setattr(regen.test_golden, "MANIFEST", manifest)
+    monkeypatch.setattr(regen.test_golden, "compute_digests", lambda tmp: dict(new))
+    assert regen.main() == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "dropped gone", "changed moved", "added new"]
+    assert json.loads(manifest.read_text(encoding="ascii"))["digests"] == new
+
+    assert regen.main() == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["no digest changed"]

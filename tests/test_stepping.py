@@ -1,16 +1,22 @@
 """scenario.run_until against the per-tick loops it replaced.
 
-The references below are the rig and press-capture loops as they were
-before run_until: the bus steps every millisecond and the plant advances
-one tick per call.  run_until only steps the bus where a frame falls due
+The references below are the rig and capture loops as they were before
+run_until: the bus steps every millisecond and the plant advances one
+tick per call.  run_until only steps the bus where a frame falls due
 and advances the plant in chunks between, so each test checks that the
-chunking changes nothing a caller can see.  The replay oracle's reference
+chunking changes nothing a caller can see.  The correlation capture is
+the one exception: its status bytes now filter the speed once per frame
+instead of once per tick, so they may differ from the reference by one
+count, and nothing else may differ.  The replay oracle's reference
 is the oracle as it was before it learned to stop early: every probe runs
 the rig over its whole window.
 """
 
+import math
 import random
 from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +58,84 @@ def press_recording_per_tick(duration_s, seed):
     return bus.trace()
 
 
+def _ema_status_payload(statuses, ema):
+    def payload(now_us):
+        data = bytearray(8)
+        for spot, st in enumerate(statuses):
+            raw = round(st["scale"] * ema[st["ema"]] + st["offset"])
+            data[spot] = max(0, min(255, raw))
+        return bytes(data)
+    return payload
+
+
+def correlation_recording_per_tick(duration_s, seed):
+    """Reference correlation capture: one plant tick, then the bus, per millisecond.
+
+    The four status ids read shared lags of the speed, each stepped
+    every tick, and the pedal frames read a pedal the loop sets.
+    """
+    rng = random.Random(seed)
+    plant = VehiclePlant()
+    pedal = {"app": recordings.APP_LO_PCT}
+    bus = CanBus()
+    SimulatedEcus(plant, pedal_fn=lambda: (pedal["app"], 0.0)).attach(bus)
+
+    ids = recordings._filler_ids(rng, recordings.N_WALKERS + 7)
+    walker_ids, rest = ids[:recordings.N_WALKERS], ids[recordings.N_WALKERS:]
+    planted_id, const_a, const_b = rest[0], rest[1], rest[2]
+    status_ids = rest[3:7]
+    for arb_id in walker_ids:
+        bus.add_periodic(arb_id, rng.choice(recordings._FILLER_PERIODS_US),
+                         recordings._walker_payload(rng), source="filler")
+    bus.add_periodic(const_a, 20_000, lambda now: bytes([0x42] * 8), source="filler")
+    bus.add_periodic(const_b, 50_000, lambda now: b"\x10\x20\x30\x40\x00\x00\x00\x00",
+                     source="filler")
+
+    taus = [0.05, 0.08, 0.12, 0.2]
+    ema_gains = [1.0 - math.exp(-0.001 / tau) for tau in taus]
+    ema = [0.0, 0.0, 0.0, 0.0]
+    status_key = []
+    for i, arb_id in enumerate(status_ids):
+        statuses = []
+        for b in range(4):
+            statuses.append({"ema": i, "scale": 2.0 + 0.5 * (4 * i + b) / 4.0,
+                             "offset": rng.randrange(0, 20)})
+            status_key.append((arb_id, b))
+        bus.add_periodic(arb_id, rng.choice((10_000, 20_000, 25_000)),
+                         _ema_status_payload(statuses, ema), source="filler")
+
+    def planted_payload(now_us):
+        data = bytearray(8)
+        data[2] = max(0, min(255, round(plant.state.speed_mph * 4.0)))
+        data[5] = 0x7F
+        return bytes(data)
+
+    bus.add_periodic(planted_id, 10_000, planted_payload, source="filler")
+
+    half_ms = round(recordings.SQUARE_PERIOD_S * 500.0)
+    due_us = bus.next_due_us()
+    for ms in range(1, round(duration_s * 1000.0) + 1):
+        pedal["app"] = (recordings.APP_HI_PCT if (ms // half_ms) % 2 == 1
+                        else recordings.APP_LO_PCT)
+        plant.advance(pedal["app"], 0.0, 50.0, 1, 0.001)
+        speed_mph = plant.state.speed_mph
+        for i, gain in enumerate(ema_gains):
+            ema[i] += (speed_mph - ema[i]) * gain
+        now_us = ms * 1000
+        if due_us <= now_us:
+            bus.step(now_us)
+            due_us = bus.next_due_us()
+
+    key = {
+        "planted": (planted_id, 2),
+        "actuator": (canbus.THROTTLE_ID, canbus.THROTTLE_BYTE_INDEX),
+        "status": status_key,
+        "constant_ids": (const_a, const_b),
+        "walkers": tuple(walker_ids),
+    }
+    return bus.trace(), key
+
+
 def oracle_full_window(subset):
     """Reference oracle: the target rows on a fresh bus, the rig over the whole window.
 
@@ -70,14 +154,12 @@ def _live_rig(mode, value_fn):
     rig, bus, rx, rule = _injection_rig(mode, canbus.THROTTLE_ID,
                                         canbus.THROTTLE_BYTE_INDEX, value_fn)
     ecus = SimulatedEcus(rig, pedal_fn=lambda: (0.0, 0.0))
-    payload_fns = ecus.payload_fns()
     if mode == "shadow":
         inj.ShadowInjector(bus, rule, delay_us=250,
                            period_us=ecus.schedule[canbus.THROTTLE_ID])
     else:
-        payload_fns[canbus.THROTTLE_ID] = rule.tap(payload_fns[canbus.THROTTLE_ID])
-    for arb_id, period in ecus.schedule.items():
-        bus.add_periodic(arb_id, period, payload_fns[arb_id], source="ecu")
+        ecus.payload_fns[canbus.THROTTLE_ID] = rule.tap(ecus.payload_fns[canbus.THROTTLE_ID])
+    ecus.attach(bus)
     return bus, rig, rx
 
 
@@ -150,6 +232,31 @@ class TestPressRecording:
     def test_matches_per_tick_loop_other_seed(self):
         new = recordings.press_recording(duration_s=2.5, seed=5)
         assert list(new) == list(press_recording_per_tick(2.5, 5))
+
+
+class TestCorrelationRecording:
+    # the default capture, and a shorter one that ends inside a pedal phase
+    @pytest.fixture(scope="class", params=[(60.0, 77), (33.3, 18996)])
+    def captures(self, request):
+        duration_s, seed = request.param
+        return (recordings.correlation_recording(duration_s=duration_s, seed=seed),
+                correlation_recording_per_tick(duration_s, seed))
+
+    def test_same_key_and_rows(self, captures):
+        (new, key), (ref, ref_key) = captures
+        assert key == ref_key
+        a, b = new.columns(), ref.columns()
+        assert np.array_equal(a.timestamps, b.timestamps)
+        assert np.array_equal(a.ids, b.ids)
+        assert np.array_equal(a.dlc, b.dlc)
+
+    def test_only_status_bytes_differ_by_one_count(self, captures):
+        (new, key), (ref, _) = captures
+        a, b = new.columns(), ref.columns()
+        status = np.isin(a.ids, [arb_id for arb_id, _ in key["status"]])
+        assert np.array_equal(a.data[~status], b.data[~status])
+        gap = np.abs(a.data[status].astype(int) - b.data[status].astype(int))
+        assert gap.max() <= 1
 
 
 class TestRunUntil:
