@@ -16,9 +16,10 @@ so 0 mph sits at 0xB0D4 and each count is 1/54 mph.
 from __future__ import annotations
 
 import heapq
+import struct
 from functools import partial
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 
@@ -302,12 +303,16 @@ def decode_speed(frame: CanFrame, arb_id: int = SPEED_ID) -> float:
     return decode_speed_raw((frame.data[6] << 8) + frame.data[7])
 
 
+#: Six zero bytes, then the speed field big-endian in bytes 7 and 8.
+_SPEED = struct.Struct(">6xH")
+
+
 def speed_data(speed_mph: float) -> bytes:
     """The 8 data bytes of a speed broadcast; bytes other than 7/8 are zero."""
     raw = round(SPEED_OFFSET + SPEED_COUNTS_PER_MPH * speed_mph)
     if not 0 <= raw <= 0xFFFF:
         raise OutOfRangeError(f"speed {speed_mph} mph does not fit the 16-bit field")
-    return bytes((0, 0, 0, 0, 0, 0, raw >> 8, raw & 0xFF))
+    return _SPEED.pack(raw)
 
 
 def encode_speed(speed_mph: float, timestamp_us: int = 0) -> CanFrame:
@@ -555,11 +560,13 @@ def save_trace(trace: CanTrace, path) -> None:
 PayloadFn = Callable[[int], bytes]
 Listener = Callable[[CanFrame, str], None]
 
+_FRAME_AND_SOURCE = itemgetter(4, 5)  # of a heap entry
+
 
 class _Periodic:
     """One periodic source: emit payload(due) on arb_id at next_due, then every period."""
 
-    __slots__ = ("arb_id", "period", "payload", "source", "next_due")
+    __slots__ = ("arb_id", "period", "payload", "source", "next_due", "rank")
 
     def __init__(self, arb_id: int, period: int, payload: PayloadFn, source: str,
                  next_due: int):
@@ -568,6 +575,22 @@ class _Periodic:
         self.payload = payload
         self.source = source
         self.next_due = next_due
+        self.rank = 0  # position in the bus's (arb_id, insertion) order
+
+
+class _Routes(dict):
+    """Listeners per arbitration id, each route built on first use from the wiring."""
+
+    __slots__ = ("listeners",)
+
+    def __init__(self, listeners: list[tuple[Listener, frozenset[int] | None]]):
+        super().__init__()
+        self.listeners = listeners
+
+    def __missing__(self, arb_id: int) -> tuple[Listener, ...]:
+        route = self[arb_id] = tuple(fn for fn, ids in self.listeners
+                                     if ids is None or arb_id in ids)
+        return route
 
 
 class CanBus:
@@ -581,7 +604,13 @@ class CanBus:
     microsecond as an observed one lands after it because its sequence
     number is larger.  A tap-point filter wraps its module's payload function
     (``injection.FilterRule.tap``), and every frame leaves ``step`` through
-    one loop that traces it and calls the listeners.
+    one loop that traces it and hands it to the listeners of its id.
+
+    A listener names the ids it reads, as a node's acceptance filter
+    does (SocketCAN's ``CAN_RAW_FILTER``, python-can's ``set_filters``);
+    one that names none reads every frame.  The listeners of each id are
+    kept as one tuple, in the order they were added, built when a frame
+    of that id first meets the current wiring.
 
     Injected frames wait in one heap keyed in that order: ``inject_at``
     pushes, and ``step`` pops the due ones.  A replay queues only the rows
@@ -600,8 +629,12 @@ class CanBus:
         # called in insertion order: payload functions may share a seeded
         # RNG, so the order of the calls shows in the frames
         self._periodic: list[_Periodic] = []
+        # the sources' names in (arb_id, insertion) order, which is the order
+        # their frames of one due time go out in; None until a step needs it
+        self._ranked: list[str] | None = None
         self._periodic_due: int | None = None  # earliest next_due of the sources
-        self._listeners: list[Listener] = []
+        self._listeners: list[tuple[Listener, frozenset[int] | None]] = []
+        self._routes = _Routes(self._listeners)
         # heap of entries (due, arb_id, origin, seq, frame, source); origin 1
         # ranks injected frames after periodic ones on a timestamp+id tie, and
         # seq is unique, so no comparison reaches the frame
@@ -627,11 +660,18 @@ class CanBus:
             raise ValueError("period must be positive")
         first_due = (self._now // period_us + 1) * period_us
         self._periodic.append(_Periodic(arb_id, period_us, payload_fn, source, first_due))
+        self._ranked = None
         if self._periodic_due is None or first_due < self._periodic_due:
             self._periodic_due = first_due
 
-    def add_listener(self, fn: Listener) -> None:
-        self._listeners.append(fn)
+    def add_listener(self, fn: Listener, ids: Iterable[int] | None = None) -> None:
+        """Call fn(frame, source) for every delivered frame whose id is in ids.
+
+        ids=None reads every id.  A listener added while a step delivers
+        reads the frames after the one in delivery.
+        """
+        self._listeners.append((fn, None if ids is None else frozenset(ids)))
+        self._routes.clear()
 
     def inject_at(self, due_us: int, frame: CanFrame, source: str = "inject") -> None:
         """Queue a frame stamped due_us for delivery once the bus reaches due_us.
@@ -671,7 +711,14 @@ class CanBus:
     def step(self, now_us: int) -> list[CanFrame]:
         """Deliver every frame due in (previous now, now_us].
 
-        A payload function or listener that raises stops the bus.
+        Payload functions are called in insertion order before any frame
+        goes out.  Most steps need no sort: a step to the sources'
+        earliest due time with no injected frame due, as run_until takes,
+        sends their frames in the sources' (arb_id, insertion) order, and
+        injected frames alone go out in the order they leave the heap.
+        Any other step, one that mixes the two or reaches past the
+        earliest due time, sorts its batch.  A payload function or
+        listener that raises stops the bus.
         """
         if self._stopped is not None:
             raise BusStoppedError(self._stopped)
@@ -679,49 +726,97 @@ class CanBus:
             raise ValueError("bus time must not go backwards")
         self._now = now_us
         try:
-            batch: list[tuple[int, int, int, int, CanFrame, str]] = []
-            if self._periodic_due is not None and self._periodic_due <= now_us:
-                append = batch.append
-                earliest = None
-                seq = self._seq
-                for src in self._periodic:
-                    due = src.next_due
-                    if due <= now_us:
-                        arb_id, period, payload_fn, source = (src.arb_id, src.period,
-                                                              src.payload, src.source)
-                        while due <= now_us:
-                            payload = payload_fn(due)
-                            if payload.__class__ is not bytes:
-                                payload = bytes(payload)
-                            if len(payload) > 8:
-                                raise ValueError(f"dlc {len(payload)} outside 0..8")
-                            append((due, arb_id, 0, seq, _frame(due, arb_id, payload), source))
-                            seq += 1
-                            due += period
-                        src.next_due = due
-                    if earliest is None or due < earliest:
-                        earliest = due
-                self._seq = seq
-                self._periodic_due = earliest
             pending = self._pending
-            while pending and pending[0][0] <= now_us:
-                batch.append(heapq.heappop(pending))
-            if not batch:
-                return []
-            batch.sort()
-            self._last_us = batch[-1][0]
-            listeners = self._listeners
+            injected = pending and pending[0][0] <= now_us
+            due = self._periodic_due
+            if due == now_us and not injected:
+                deliveries = self._emit_due(now_us)
+            else:
+                periodic = due is not None and due <= now_us
+                if not (periodic or injected):
+                    return []
+                batch = self._emit_all(now_us) if periodic else []
+                while pending and pending[0][0] <= now_us:
+                    batch.append(heapq.heappop(pending))
+                if periodic:
+                    batch.sort()
+                self._last_us = batch[-1][0]
+                deliveries = map(_FRAME_AND_SOURCE, batch)
+            routes = self._routes
             trace = self._trace
             start = len(trace)
             trace_append = trace.append
-            for _, _, _, _, frame, source in batch:
+            for frame, source in deliveries:
+                if frame is None:  # a source not due in this step
+                    continue
                 trace_append(frame)
-                for listener in listeners:
+                for listener in routes[frame.arbitration_id]:
                     listener(frame, source)
         except BaseException as exc:
             self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
             raise
         return trace[start:]
+
+    def _emit_due(self, now_us: int) -> Iterator[tuple[CanFrame | None, str]]:
+        """(frame, source) per source in rank order, the frame None for a source not due.
+
+        now_us is the earliest due time, so each due source emits once:
+        its next frame falls after now_us.
+        """
+        ranked = self._ranked or self._rank()
+        slots = [None] * len(ranked)
+        earliest = None
+        for src in self._periodic:
+            due = src.next_due
+            if due == now_us:
+                payload = src.payload(due)
+                if payload.__class__ is not bytes:
+                    payload = bytes(payload)
+                if len(payload) > 8:
+                    raise ValueError(f"dlc {len(payload)} outside 0..8")
+                slots[src.rank] = _frame(due, src.arb_id, payload)
+                due += src.period
+                src.next_due = due
+            if earliest is None or due < earliest:
+                earliest = due
+        self._periodic_due = earliest
+        self._last_us = now_us
+        return zip(slots, ranked)
+
+    def _rank(self) -> list[str]:
+        """Set each source's rank in (arb_id, insertion) order; returns their names in it."""
+        ranked = sorted(self._periodic, key=attrgetter("arb_id"))  # stable: insertion on a tie
+        for rank, src in enumerate(ranked):
+            src.rank = rank
+        self._ranked = [src.source for src in ranked]
+        return self._ranked
+
+    def _emit_all(self, now_us: int) -> list[tuple[int, int, int, int, CanFrame, str]]:
+        """A heap entry for every periodic frame due by now_us, unsorted, in emission order."""
+        batch = []
+        append = batch.append
+        earliest = None
+        seq = self._seq
+        for src in self._periodic:
+            due = src.next_due
+            if due <= now_us:
+                arb_id, period, payload_fn, source = (src.arb_id, src.period,
+                                                      src.payload, src.source)
+                while due <= now_us:
+                    payload = payload_fn(due)
+                    if payload.__class__ is not bytes:
+                        payload = bytes(payload)
+                    if len(payload) > 8:
+                        raise ValueError(f"dlc {len(payload)} outside 0..8")
+                    append((due, arb_id, 0, seq, _frame(due, arb_id, payload), source))
+                    seq += 1
+                    due += period
+                src.next_due = due
+            if earliest is None or due < earliest:
+                earliest = due
+        self._seq = seq
+        self._periodic_due = earliest
+        return batch
 
     def trace(self) -> CanTrace:
         """Every frame delivered so far, in delivery order, which is time order."""

@@ -15,6 +15,10 @@ in one of two ways:
 
 Dominance is that duty cycle measured on a receiver's delivery
 timeline, kept exact as a Fraction of integer microseconds.
+
+The shadow injector and the throttle receiver each read one id, and
+each is wired to the bus with that id as its acceptance filter
+(``CanBus.add_listener``'s ids), so neither tests a frame's id itself.
 """
 
 from __future__ import annotations
@@ -87,8 +91,8 @@ class ShadowInjector:
     genuine period (DelayError otherwise), or the forged frame would land
     after (or with) the next genuine one and lose the last-writer race it
     is meant to win.
-    The injector tags its own frames and skips them when listening, so
-    it never chases itself.
+    The injector listens to rule.arb_id only, and it tags its own frames
+    and skips them when listening, so it never chases itself.
     """
 
     SOURCE = "shadow"
@@ -104,10 +108,10 @@ class ShadowInjector:
         self.rule = rule
         self.delay_us = delay_us
         self.injected = 0
-        bus.add_listener(self._on_frame)
+        bus.add_listener(self._on_frame, ids=(rule.arb_id,))
 
     def _on_frame(self, frame: CanFrame, source: str) -> None:
-        if frame.arbitration_id != self.rule.arb_id or source == self.SOURCE:
+        if source == self.SOURCE:
             return
         due = frame.timestamp_us + self.delay_us
         payload = self.rule.forged_payload(frame)
@@ -122,6 +126,8 @@ class ThrottleReceiver:
     """Drive-module view of the throttle command: last frame wins.
 
     Keeps the full delivery log so dominance can be measured afterwards.
+    It reads every frame it is handed that is long enough for its byte,
+    so wire it with ``bus.add_listener(rx, ids=(rx.arb_id,))``.
     """
 
     def __init__(self, arb_id: int = canbus.THROTTLE_ID,
@@ -132,7 +138,7 @@ class ThrottleReceiver:
         self.deliveries: list[tuple[int, str, float]] = []
 
     def __call__(self, frame: CanFrame, source: str) -> None:
-        if frame.arbitration_id != self.arb_id or frame.dlc <= self.byte_index:
+        if len(frame.data) <= self.byte_index:
             return
         self.app_pct = frame.data[self.byte_index] / canbus.PCT_TO_BYTE
         self.deliveries.append((frame.timestamp_us, source, self.app_pct))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -312,7 +313,18 @@ def sensors_from_inputs(app_pct: float, bpp_pct: float, steer_duty: float) -> Se
 # --- stock ECU broadcasts ------------------------------------------------------
 
 def _pct_byte(pct: float) -> int:
-    return max(0, min(255, round(pct * canbus.PCT_TO_BYTE)))
+    """The byte of a pedal percentage, clamped to 0..255 by compares, cheaper than min/max."""
+    value = round(pct * canbus.PCT_TO_BYTE)
+    return value if 0 <= value <= 255 else (0 if value < 0 else 255)
+
+
+#: The payloads of the pedal broadcasts (byte 1) and of the throttle command
+#: (byte 4), one for each value of that byte; every other byte is zero.
+_PEDAL_PAYLOADS = tuple(bytes([b]) + bytes(7) for b in range(256))
+_THROTTLE_PAYLOADS = tuple(bytes(canbus.THROTTLE_BYTE_INDEX) + bytes([b])
+                           + bytes(7 - canbus.THROTTLE_BYTE_INDEX) for b in range(256))
+#: Steering counts as a signed big-endian 16-bit field, then six zero bytes.
+_STEERING = struct.Struct(">h6x")
 
 
 class SimulatedEcus:
@@ -349,19 +361,18 @@ class SimulatedEcus:
 
     def steering_payload(self, now_us: int) -> bytes:
         counts = round(self.plant.state.steer_counts)
-        counts = max(-32768, min(32767, counts))
-        return (counts & 0xFFFF).to_bytes(2, "big") + bytes(6)
+        if not -32768 <= counts <= 32767:
+            counts = -32768 if counts < 0 else 32767
+        return _STEERING.pack(counts)
 
     def app_payload(self, now_us: int) -> bytes:
-        return bytes([_pct_byte(self.pedal_fn()[0])]) + bytes(7)
+        return _PEDAL_PAYLOADS[_pct_byte(self.pedal_fn()[0])]
 
     def bpp_payload(self, now_us: int) -> bytes:
-        return bytes([_pct_byte(self.pedal_fn()[1])]) + bytes(7)
+        return _PEDAL_PAYLOADS[_pct_byte(self.pedal_fn()[1])]
 
     def throttle_payload(self, now_us: int) -> bytes:
-        data = bytearray(8)
-        data[canbus.THROTTLE_BYTE_INDEX] = _pct_byte(self.pedal_fn()[0])
-        return bytes(data)
+        return _THROTTLE_PAYLOADS[_pct_byte(self.pedal_fn()[0])]
 
     def attach(self, bus: canbus.CanBus) -> None:
         for arb_id, period in self.schedule.items():

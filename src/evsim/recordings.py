@@ -115,7 +115,7 @@ def throttle_effect_oracle() -> Callable[[CanTrace], bool]:
         if not target.any():  # the throttle, and so the rig, stays at rest
             return False
         bus = CanBus()
-        bus.add_listener(rx)
+        bus.add_listener(rx, ids=(rx.arb_id,))
         # only the rows the receiver reads go on the bus, as in a replayed
         # injection; the rig still runs past the subset's last frame
         bus.feed_replay(subset.select(target))

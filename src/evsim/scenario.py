@@ -120,6 +120,7 @@ class Scenario:
             _finite(getattr(self, name), name)
         if self.preview_s < 0:
             raise ConfigError(f"preview_s must be non-negative, got {self.preview_s}")
+        _check_run_s(self.preview_s, "preview_s")
         if self.speed_ref_mph is not None:
             _finite(self.speed_ref_mph, "speed_ref_mph")
         for name in ("q", "r"):
@@ -527,7 +528,7 @@ def _injection_rig(mode: str, target_id: int, byte_index: int, value_fn):
         raise ValueError(f"mode must be 'shadow' or 'tap', got {mode!r}")
     bus = canbus.CanBus()
     rx = inj.ThrottleReceiver(target_id, byte_index)
-    bus.add_listener(rx)
+    bus.add_listener(rx, ids=(target_id,))
     return VehiclePlant(), bus, rx, inj.FilterRule(target_id, byte_index, value_fn)
 
 

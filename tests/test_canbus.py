@@ -472,8 +472,10 @@ class HeapBus:
 
     Sources are dicts in insertion order; injected frames go through
     heapq.heappush, and each step pops the due ones and sorts the batch
-    by its (due, id, origin, seq) key.  A payload or listener that raises
-    stops it, as it stops CanBus.
+    by its (due, id, origin, seq) key.  Each frame goes to the listeners
+    whose id set holds its id (or that have none), as they stand when
+    the frame's delivery starts.  A payload or listener that raises stops
+    it, as it stops CanBus.
     """
 
     def __init__(self):
@@ -500,8 +502,8 @@ class HeapBus:
                                "source": source,
                                "next_due": (self._now // period_us + 1) * period_us})
 
-    def add_listener(self, fn):
-        self._listeners.append(fn)
+    def add_listener(self, fn, ids=None):
+        self._listeners.append((fn, None if ids is None else set(ids)))
 
     def inject_at(self, due_us, frame, source="inject"):
         self._check_running()
@@ -545,8 +547,9 @@ class HeapBus:
                 self._last_us = batch[-1][0]
             for _, _, _, _, frame, source in batch:
                 self._trace.append(frame)
-                for listener in self._listeners:
-                    listener(frame, source)
+                for listener, ids in list(self._listeners):
+                    if ids is None or frame.arbitration_id in ids:
+                        listener(frame, source)
         except BaseException as exc:
             self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
             raise
@@ -556,16 +559,24 @@ class HeapBus:
         return canbus._ordered_trace(list(self._trace))
 
 
-# bus operations for the queue property; few ids, so that ties are common
+# bus operations for the queue property; few ids, so that ties are common,
+# and periods and offsets on a 250 us grid, so that sources share due times
+# and injected frames land on them
 _BUS_IDS = st.sampled_from([0x10, 0x11, 0x75, 0x7FF]) | st.integers(0, 0x800)
+_GRID = st.sampled_from([250, 500, 1_000])
+# the ids a listener reads: None for every id
+_LISTEN_IDS = st.none() | st.frozensets(_BUS_IDS, max_size=3)
 _BUS_OPS = st.one_of(
-    st.tuples(st.just("periodic"), _BUS_IDS, st.integers(0, 3_000)),
-    st.tuples(st.just("inject"), _BUS_IDS, st.integers(-500, 3_000),
+    st.tuples(st.just("periodic"), _BUS_IDS, _GRID | st.integers(0, 3_000)),
+    st.tuples(st.just("inject"), _BUS_IDS,
+              st.sampled_from([0, 250, 500]) | st.integers(-500, 3_000),
               st.sampled_from([0, 0, 0, 1])),
     st.tuples(st.just("replay"),
               st.lists(st.tuples(st.integers(-200, 4_000), _BUS_IDS), max_size=12)),
-    st.tuples(st.just("echo"), st.integers(0, 2), st.integers(0, 1_500), _BUS_IDS),
-    st.tuples(st.just("step"), st.integers(-100, 4_000)),
+    st.tuples(st.just("echo"), st.integers(0, 2), st.integers(0, 1_500), _BUS_IDS, _LISTEN_IDS),
+    st.tuples(st.just("listen"), _LISTEN_IDS),
+    st.tuples(st.just("step"), _GRID | st.integers(-100, 4_000)),
+    st.tuples(st.just("next")),
 )
 
 
@@ -577,8 +588,10 @@ def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_pay
     """Apply ops to bus; returns every outcome, next due time, delivery and the trace.
 
     listen=False adds no recording listener, so steps before the first
-    echo op run with no listener at all; payload(rng) builds each
-    periodic payload.
+    echo or listen op run with no listener at all; payload(rng) builds
+    each periodic payload.  A "next" op steps to the next due time, as
+    run_until does, and a "listen" op adds a recording listener on its
+    ids.
     """
     rng = random.Random(7)  # shared by the payloads, so their call order shows
     deliveries = []
@@ -602,17 +615,25 @@ def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_pay
                                 for offset, arb_id in args[0])
                 out = None
             elif kind == "echo":
-                # while a step delivers, queue an answer to every frame whose id
-                # has this remainder mod 3, except to answers
-                rem, delay, arb_id = args
+                # while a step delivers, queue an answer to every frame of its
+                # ids whose id has this remainder mod 3, except to answers
+                rem, delay, arb_id, ids = args
 
                 def echo(frame, source, rem=rem, delay=delay, arb_id=arb_id, tag=f"e{i}"):
                     if frame.arbitration_id % 3 == rem and not source.startswith("e"):
                         due = frame.timestamp_us + delay
                         bus.inject_at(due, CanFrame(due, arb_id, b"\xee"), tag)
 
-                bus.add_listener(echo)
+                bus.add_listener(echo, ids)
                 out = None
+            elif kind == "listen":
+                bus.add_listener(lambda frame, source, tag=f"l{i}":
+                                 deliveries.append((tag, frame, source)), args[0])
+                out = None
+            elif kind == "next":
+                due = bus.next_due_us()
+                out = None if due is None else bus.step(due)
+                now = now if due is None else due
             else:
                 out = bus.step(now + args[0])
                 now += args[0]
@@ -741,6 +762,33 @@ class TestBus:
         bus.add_periodic(0x20, 3, lambda now: b"")
         assert [f.timestamp_us for f in bus.step(6)] == [5, 5, 6, 6, 6]
 
+    def test_listener_reads_only_its_ids(self):
+        seen = []
+        bus = CanBus()
+        for arb_id in (0x75, 0x10, 0x204):
+            bus.add_periodic(arb_id, 10_000, lambda now: b"")
+        bus.inject_at(10_000, CanFrame(10_000, 0x10, b"\x01"), source="attack")
+        bus.add_listener(lambda f, src: seen.append(("all", f.arbitration_id, src)))
+        bus.add_listener(lambda f, src: seen.append(("0x10", f.arbitration_id, src)), ids=[0x10])
+        bus.add_listener(lambda f, src: seen.append(("none", f.arbitration_id, src)), ids=())
+        bus.step(10_000)
+        assert seen == [("all", 0x10, "ecu"), ("0x10", 0x10, "ecu"),
+                        ("all", 0x10, "attack"), ("0x10", 0x10, "attack"),
+                        ("all", 0x75, "ecu"), ("all", 0x204, "ecu")]
+
+    def test_listener_added_during_a_step_reads_the_frames_after(self):
+        seen = []
+        bus = CanBus()
+        for arb_id in (0x10, 0x20, 0x30):
+            bus.add_periodic(arb_id, 10, lambda now: b"")
+        # at the 0x10 frame of each step, add one more listener on 0x10 and 0x30
+        bus.add_listener(lambda frame, source: bus.add_listener(
+            lambda f, src: seen.append(f.arbitration_id), ids=(0x10, 0x30)), ids=(0x10,))
+        bus.step(10)
+        assert seen == [0x30]
+        bus.step(20)
+        assert seen == [0x30, 0x10, 0x30, 0x30]
+
     def test_source_added_during_a_step_starts_after_it(self):
         bus = CanBus()
         bus.add_periodic(0x10, 4, lambda now: b"")
@@ -753,9 +801,10 @@ class TestBus:
 
 def _stopped_bus(bus_type, where):
     """A bus that stops in its step to 10 us, at the 0x20 frame due at 8 us, where
-    the payload function, the tap that wraps it, the listener, or ("inject") an
-    inject_at of the listener's behind the batch's last frame raises.  Returns
-    the bus, the frames its listener was handed and the error."""
+    the payload function, the tap that wraps it, the listener, a listener that
+    reads only 0x20 ("routed"), or ("inject") an inject_at of the listener's
+    behind the batch's last frame raises.  Returns the bus, the frames its
+    listener was handed and the error."""
     bus, seen = bus_type(), []
 
     def fail(name, frame):
@@ -772,6 +821,12 @@ def _stopped_bus(bus_type, where):
         lambda due: fail("payload", CanFrame(due, 0x20, bytes([due]))).data))
     bus.add_listener(lambda frame, source: seen.append(frame)
                      or fail("listener", fail("inject", frame)))
+
+    def routed(frame, source):
+        assert frame.arbitration_id == 0x20, "the route handed over another id"
+        fail("routed", frame)
+
+    bus.add_listener(routed, ids=(0x20,))
     bus.feed_replay(CanFrame(t, 0x30, b"\x07") for t in (1, 4, 9))
     bus.step(5)
     with pytest.raises((RuntimeError, ValueError)) as exc:
@@ -789,7 +844,7 @@ class TestFailStop:
     # a payload or tap leaves the five frames of the step to 5 us; a listener
     # leaves the trace ending at the frame it was handed
     @pytest.mark.parametrize("where, kept", [("payload", 5), ("tap", 5), ("listener", 8),
-                                             ("inject", 8)])
+                                             ("routed", 8), ("inject", 8)])
     def test_stop_keeps_the_trace_to_the_frame_in_delivery(self, bus_type, where, kept):
         bus, seen, error = _stopped_bus(bus_type, where)
         trace = list(bus.trace())
@@ -872,7 +927,8 @@ class TestQueue:
 
     def test_echoes_into_a_long_replay_match_heap_scheduler(self):
         # 3,000 replayed frames wait at once, and an echo 250 us after each
-        # 0x11A frame (the only id = 0 mod 3) goes into the middle of the
+        # 0x11A frame (the only id = 0 mod 3, and the one id the echo reads)
+        # goes into the middle of the
         # queue, which the 30-op cases never reach; each step delivers one
         # replayed timestamp, so every echo is due after the frames delivered
         rng = random.Random(11)
@@ -882,7 +938,7 @@ class TestQueue:
             times.append(t)
         replay = [(t, rng.choice((0x10, 0x11, 0x13, 0x7D, 0x11A))) for t in times]
         distinct = sorted(set(times))
-        ops = [("echo", 0, 250, 0x11A), ("replay", replay),
+        ops = [("echo", 0, 250, 0x11A, {0x11A}), ("replay", replay),
                *(("step", b - a) for a, b in zip([0] + distinct, distinct)), ("step", 1_000)]
         ours = drive_bus(CanBus(), ops, self._in_key_order)
         assert ours == drive_bus(HeapBus(), ops)

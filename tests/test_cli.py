@@ -369,6 +369,11 @@ class TestUserErrors:
             scn = tmp_path / "preview.json"
             scn.write_text(json.dumps({"duration_s": 1.0, "oval": {}, "preview_s": -5}))
             return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "endless-preview-scenario":  # sample_at's int(inf) raised OverflowError
+            scn = tmp_path / "preview.json"
+            scn.write_text(json.dumps({"duration_s": 0.05, "oval": {
+                "straight_m": 1e-12, "radius_m": 1, "speed_mph": 1}, "preview_s": 1.7e308}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
         if case == "endless-oval-scenario":
             scn = tmp_path / "endless.json"
             scn.write_text(json.dumps({"duration_s": 1.0, "oval": {
@@ -453,7 +458,8 @@ class TestUserErrors:
                                       "nan-path-file", "negative-preview-scenario",
                                       "live-non-stock-id", "overflowing-gains",
                                       "finite-gains-overflowing-poles", "live-sub-tick-run",
-                                      "replay-target-period", "underflowing-ki"])
+                                      "replay-target-period", "underflowing-ki",
+                                      "endless-preview-scenario"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -472,6 +478,7 @@ class TestUserErrors:
         "past-int64-trace": "line 3: timestamp 99999999999999999999 does not fit 64 bits",
         "nan-path-file": "line 2: a value is not finite",
         "negative-preview-scenario": "preview_s must be non-negative, got -5",
+        "endless-preview-scenario": "preview_s 1.7e+308 s is too long: the limit is 86400 s",
         "live-non-stock-id": "target id 0x300 is not a scheduled stock broadcast id",
         "overflowing-gains": "kp = inf, ki = inf",
         "finite-gains-overflowing-poles": "poles overflow for kp = 2.0000000000000065e+280",

@@ -1,8 +1,10 @@
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from evsim import canbus, injection
+from evsim import canbus, injection, scenario
 from evsim.canbus import CanBus, CanFrame, CanTrace
 from evsim.injection import (
     FilterRule,
@@ -128,7 +130,7 @@ def _shadow_rig(delay_us=250, stop_us=100_000):
     bus = CanBus()
     bus.add_periodic(0x11A, 10_000, lambda now: bytes(8), source="ecu")
     rx = ThrottleReceiver()
-    bus.add_listener(rx)
+    bus.add_listener(rx, ids=(rx.arb_id,))
     inj = ShadowInjector(bus, FilterRule(0x11A, 3, lambda t: 200),
                          delay_us=delay_us, period_us=10_000)
     t = 0
@@ -240,7 +242,39 @@ class TestThrottleReceiver:
         assert rx.app_pct == pytest.approx(40.0, abs=0.01)
 
     def test_ignores_other_ids_and_short_frames(self):
+        # the bus route keeps other ids away; the receiver skips short frames
+        bus = CanBus()
         rx = ThrottleReceiver()
-        rx(CanFrame(0, 0x75, bytes(8)), "ecu")
-        rx(CanFrame(0, 0x11A, bytes(2)), "ecu")
+        bus.add_listener(rx, ids=(rx.arb_id,))
+        bus.feed_replay([CanFrame(0, 0x75, bytes(8)), CanFrame(0, 0x11A, bytes(2))])
+        bus.step(0)
+        assert len(bus.trace()) == 2
         assert rx.deliveries == []
+
+
+class TestListenerRoutes:
+    """The live rig's listeners hear only the throttle id, and the wire is as before."""
+
+    #: sha256 of the serialized trace of the live run below, recorded when
+    #: every listener still heard every frame and tested the id itself
+    LIVE_TRACE_SHA256 = "fe9a898b07e4c63cc39942a942869157edf352cde7c43d287c735e7107385eff"
+
+    def test_live_run_calls_the_receiver_per_throttle_frame(self, monkeypatch):
+        calls = Counter()
+        receive = ThrottleReceiver.__call__
+
+        def counted(rx, frame, source):
+            calls[frame.arbitration_id, source] += 1
+            receive(rx, frame, source)
+
+        monkeypatch.setattr(ThrottleReceiver, "__call__", counted)
+        schedule = dict(canbus.DEFAULT_SCHEDULE)
+        schedule[canbus.THROTTLE_ID] = 10_000  # inject --target-period-ms 10
+        result = scenario.run_live_injection(20.0, scenario.ramp_bytes(0, 200, 5),
+                                             schedule=schedule)
+        # the 2,000th forged frame falls due after the rig's last tick
+        assert calls == {(0x11A, "ecu"): 2_000, (0x11A, "shadow"): 1_999}
+        assert result.injected == 2_000
+        assert result.metrics()["frames_on_bus"] == 11_999
+        text = canbus.serialize_trace(result.trace)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.LIVE_TRACE_SHA256

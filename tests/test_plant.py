@@ -1,5 +1,6 @@
 import logging
 import math
+import types
 
 import pytest
 
@@ -327,3 +328,91 @@ class TestSimulatedEcus:
         speeds = [f for f in delivered if f.arbitration_id == 0x75]
         assert len(speeds) == 1
         assert canbus.decode_speed(speeds[0]) == pytest.approx(10.0, abs=1 / 54)
+
+
+def _old_pct_byte(pct):
+    return max(0, min(255, round(pct * canbus.PCT_TO_BYTE)))
+
+
+def _around(x, ulps=2):
+    """x and its float neighbours up to ulps steps either side."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+class TestPayloadTables:
+    """The table-built and struct-packed payloads against the constructions they replaced."""
+
+    # every byte boundary and round tie of _pct_byte, from below the 0 clamp to past 100 %
+    PCTS = sorted({p for b in range(-2, 259) for x in (b, b - 0.5, b + 0.5)
+                   for p in _around(x / canbus.PCT_TO_BYTE)}
+                  | {-1e6, -1.0, -0.0, 0.0, 100.0, 100.5, 150.0, 1e6})
+    # round ties either side of zero, and the clamps at -32768 and 32767
+    COUNTS = sorted({c for x in (-32769.5, -32768.5, -32768, -32767.5, -2.5, -1.5, -0.5,
+                                 0.0, 0.5, 1.5, 2.5, 32766.5, 32767, 32767.5, 32768, 32768.5)
+                     for c in _around(float(x))} | {-1e9, 1e9})
+
+    @staticmethod
+    def _ecus(pct=0.0, speed_mph=0.0, steer_counts=0.0):
+        stub = types.SimpleNamespace(state=types.SimpleNamespace(
+            speed_mph=speed_mph, steer_counts=steer_counts))
+        return SimulatedEcus(stub, pedal_fn=lambda: (pct, pct))
+
+    def test_pedal_payloads(self):
+        assert any(p * canbus.PCT_TO_BYTE % 1 == 0.5 for p in self.PCTS)  # exact ties
+        for pct in self.PCTS:
+            ecus = self._ecus(pct=pct)
+            byte = _old_pct_byte(pct)
+            old_pedal = bytes([byte]) + bytes(7)
+            old_throttle = bytearray(8)
+            old_throttle[canbus.THROTTLE_BYTE_INDEX] = byte
+            assert ecus.app_payload(0) == old_pedal, pct
+            assert ecus.bpp_payload(0) == old_pedal, pct
+            assert ecus.throttle_payload(0) == bytes(old_throttle), pct
+            assert plant._pct_byte(pct) == byte, pct
+        clamped = {_old_pct_byte(p) for p in (-1e6, -1.0, 100.5, 1e6)}
+        assert clamped == {0, 255}
+
+    def test_steering_payload(self):
+        for counts in self.COUNTS:
+            old = max(-32768, min(32767, round(counts)))
+            expected = (old & 0xFFFF).to_bytes(2, "big") + bytes(6)
+            assert self._ecus(steer_counts=counts).steering_payload(0) == expected, counts
+
+    def test_speed_payload(self):
+        def old(mph):
+            raw = round(canbus.SPEED_OFFSET + canbus.SPEED_COUNTS_PER_MPH * mph)
+            if not 0 <= raw <= 0xFFFF:
+                raise OutOfRangeError(f"speed {mph} mph does not fit the 16-bit field")
+            return bytes((0, 0, 0, 0, 0, 0, raw >> 8, raw & 0xFF))
+
+        def mph_of(raw):
+            return (raw - canbus.SPEED_OFFSET) / canbus.SPEED_COUNTS_PER_MPH
+
+        grid = [m for raw in (-1, -0.5, 0, 0.5, 1, 45268, 45268.5, 65534.5, 65535, 65535.5,
+                              65536)
+                for m in _around(mph_of(raw))]
+        outcomes = set()
+        for mph in grid:
+            try:
+                expected = old(mph)
+            except OutOfRangeError as exc:
+                with pytest.raises(OutOfRangeError, match="does not fit the 16-bit field"):
+                    self._ecus(speed_mph=mph).speed_payload(0)
+                outcomes.add("error")
+                continue
+            assert self._ecus(speed_mph=mph).speed_payload(0) == expected, mph
+            assert canbus.speed_data(mph) == expected, mph
+            outcomes.add(expected[6:])
+        # both ends of the field are reached and one count past either end raises
+        assert {b"\x00\x00", b"\xff\xff", "error"} <= outcomes
+        for raw in (-1, 0x10000):
+            with pytest.raises(OutOfRangeError):
+                canbus.speed_data(mph_of(raw))
+        assert canbus.speed_data(mph_of(0)) == bytes(8)
+        assert canbus.speed_data(mph_of(0xFFFF)) == bytes(6) + b"\xff\xff"

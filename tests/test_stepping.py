@@ -143,7 +143,7 @@ def oracle_full_window(subset):
     """
     bus = CanBus()
     rx = inj.ThrottleReceiver()
-    bus.add_listener(rx)
+    bus.add_listener(rx, ids=(rx.arb_id,))
     bus.feed_replay(subset.select(subset.columns().ids == rx.arb_id))
     top = rig_loop(bus, VehiclePlant(), rx, replay_ms(subset))
     return top >= recordings.MIN_GAIN_MPH, top
@@ -166,7 +166,7 @@ def _live_rig(mode, value_fn):
 def _replay_rig(frames):
     bus = CanBus()
     rx = inj.ThrottleReceiver()
-    bus.add_listener(rx)
+    bus.add_listener(rx, ids=(rx.arb_id,))
     bus.feed_replay(frames)
     return bus, VehiclePlant(), rx
 
@@ -311,7 +311,7 @@ class TestRunUntil:
     def test_inputs_read_after_each_delivery(self):
         bus = CanBus()
         rx = inj.ThrottleReceiver()
-        bus.add_listener(rx)
+        bus.add_listener(rx, ids=(rx.arb_id,))
         bus.feed_replay(CanTrace([
             CanFrame(t, canbus.THROTTLE_ID, bytes([0, 0, 0, value, 0, 0, 0, 0]))
             for t, value in ((2000, 100), (4000, 0))]))
