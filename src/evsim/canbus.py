@@ -327,33 +327,41 @@ def serialize_trace(trace: CanTrace) -> str:
 
     IDs are uppercase hex without prefix, the dlc is the number of data
     bytes, and each data byte is two uppercase hex digits.  A frame with
-    no data ends its line after the dlc.  A trace of columns is written
-    from its columns, with no frame built.
+    no data ends its line after the dlc.  One loop writes the
+    (timestamp, id, payload) rows of the frames or, for a trace of
+    columns, of the columns, with no frame built.  Each distinct
+    (id, payload) tail is formatted once, and a timestamp's text is
+    reused while it repeats.
     """
     if trace._frames is not None:
-        rows = ((f.timestamp_us, f.arbitration_id, len(f.data), f.data.hex(" ").upper())
-                for f in trace._frames)
+        rows = map(attrgetter("timestamp_us", "arbitration_id", "data"), trace._frames)
     else:
-        rows = _column_rows(trace._columns)
-    lines = [f"{t} {arb_id:X} {dlc} {payload}" if dlc else f"{t} {arb_id:X} 0"
-             for t, arb_id, dlc, payload in rows]
-    return "\n".join(lines) + ("\n" if lines else "")
+        timestamps, ids, dlc, data = trace._columns
+        flat = data.tobytes()  # row i's payload starts at 8 * i
+        rows = zip(timestamps.tolist(), ids.tolist(),
+                   [flat[i:i + d] for i, d in zip(range(0, len(flat), 8), dlc.tolist())])
+    tails = {}
+    parts = []
+    append = parts.append
+    last_t = None
+    for t, arb_id, payload in rows:
+        if t != last_t:
+            last_t = t
+            stamp = f"{t} "
+        append(stamp)
+        tail = tails.get((arb_id, payload))
+        if tail is None:
+            tail = tails[arb_id, payload] = (
+                f"{arb_id:X} {len(payload)} {payload.hex(' ').upper()}\n" if payload
+                else f"{arb_id:X} 0\n")
+        append(tail)
+    del tails  # the join's peak holds the parts and the text, not the table
+    return "".join(parts)
 
 
-def _column_rows(columns: TraceColumns):
-    """(timestamp, id, dlc, spaced uppercase hex payload) per row of columns."""
-    timestamps, ids, dlc, data = columns
-    # one hex string for the whole payload matrix: row i starts at 24 * i
-    hexed = data.tobytes().hex(" ").upper()
-    dlcs = dlc.tolist()
-    return zip(timestamps.tolist(), ids.tolist(), dlcs,
-               [hexed[i:i + 3 * d - 1] for i, d in zip(range(0, 24 * len(dlcs), 24), dlcs)])
-
-
-#: Each byte's value as a decimal or a hex digit; 255 for a byte that is not one.
-_DEC = bytes(int(chr(b)) if chr(b) in "0123456789" else 255 for b in range(256))
-_HEX = bytes(int(chr(b), 16) if chr(b) in "0123456789ABCDEFabcdef" else 255
-             for b in range(256))
+#: Each byte's code: a hex digit's value, 16 for a space, 255 for any other byte.
+_CODE = bytes(int(chr(b), 16) if chr(b) in "0123456789ABCDEFabcdef" else 16 if b == 32 else 255
+              for b in range(256))
 
 #: Bytes of text the columnar pass reads at a time; its temporaries scale with it.
 _BLOCK = 1 << 17
@@ -363,80 +371,90 @@ _MAX_TIME_DIGITS = 18
 _INT64_MAX = 2**63 - 1
 
 
-def _blocks(widths: np.ndarray):
-    """(width, the rows of that width) for each width in widths."""
-    for width in np.flatnonzero(np.bincount(widths)).tolist():
-        yield width, np.flatnonzero(widths == width)
+def _number(code: np.ndarray, last: np.ndarray, widths: np.ndarray, base: int):
+    """Per row, the widths digits that end at last, in base, as int64; None for a non-digit.
+
+    Reads one digit column at a time, right to left; a row's column past
+    its width reads as 0.
+    """
+    value = np.zeros(len(last), np.int64)
+    fixed = int(widths.min())
+    for k in range(int(widths.max())):
+        digit = code.take(last - k, mode="clip")
+        if k >= fixed:
+            digit *= widths > k
+        if digit.max() >= base:
+            return None
+        value += digit * np.int64(base) ** k
+    return value
 
 
-def _scan(buf: np.ndarray) -> TraceColumns | None:
+def _scan(buf: np.ndarray, code: np.ndarray) -> TraceColumns | None:
     """The columns of an ASCII text whose every line ends in "\n", or None.
 
-    None unless every line is in the spelling serialize_trace writes
-    (1-18 decimal digits, 1-3 hex digits, a dlc digit and dlc pairs of
-    hex digits, each field after one space) with an id up to 7FF and a
-    dlc up to 8.  Every byte is checked, and the order of the rows is
-    not.  Positions are int32 for a text under 2 GiB, and each field is
-    read as a block of rows of one width.
+    code is buf through _CODE.  None unless every line is in the
+    spelling serialize_trace writes (1-18 decimal digits, 1-3 hex
+    digits, a dlc digit and dlc pairs of hex digits, each field after
+    one space) with an id up to 7FF and a dlc up to 8.  Every byte is
+    checked, and the order of the rows is not.  Positions are int32 for
+    a text under 2 GiB.  The timestamp and the id are read one digit
+    column at a time, and the payload one pair column at a time, each
+    with np.take on code; a decimal digit is a code up to 9.
     """
     pos = np.int32 if len(buf) < 2**31 else np.int64
-    windows = np.lib.stride_tricks.sliding_window_view
-    dec, hexd = np.frombuffer(_DEC, np.uint8), np.frombuffer(_HEX, np.uint8)
     ends = np.flatnonzero(buf == 10).astype(pos)
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     # a line of dlc d holds d + 2 spaces and ends in the digit d and d pairs
     # (a count past 255 wraps round, and the checks below reject that line)
-    dlc = np.add.reduceat(buf == 32, starts, dtype=np.uint8).astype(pos) - 2
+    dlc = np.add.reduceat(code == 16, starts, dtype=np.uint8).astype(pos) - 2
     if dlc.min() < 0 or dlc.max() > 8:
         return None
     at_dlc = ends - 3 * dlc - 1
     # reads before the text's start land on lines that fail a later check
-    take = partial(np.take, buf, mode="clip")
+    take = partial(code.take, mode="clip")
     # the space ahead of the id, which is 1 to 3 hex digits
-    at_id = np.where(take(at_dlc - 3) == 32, at_dlc - 3,
-                     np.where(take(at_dlc - 4) == 32, at_dlc - 4, at_dlc - 5))
+    at_id = np.where(take(at_dlc - 3) == 16, at_dlc - 3,
+                     np.where(take(at_dlc - 4) == 16, at_dlc - 4, at_dlc - 5))
     n_time = at_id - starts
-    if not ((take(at_dlc) == dlc + 48) & (take(at_dlc - 1) == 32) & (take(at_id) == 32)
+    if not ((take(at_dlc) == dlc) & (take(at_dlc - 1) == 16) & (take(at_id) == 16)
             & (n_time >= 1) & (n_time <= _MAX_TIME_DIGITS)).all():
         return None
 
     # every field lies inside its line
-    timestamps = np.zeros(len(ends), np.int64)
-    ids = np.zeros(len(ends), np.int64)
-    for at, widths, table, base, out in ((starts, n_time, dec, 10, timestamps),
-                                         (at_id + 1, at_dlc - 2 - at_id, hexd, 16, ids)):
-        for width, sel in _blocks(widths):
-            digits = table[windows(buf, width)[at[sel]]]  # 255 for a non-digit
-            if digits.max() > 15:
-                return None
-            value = np.zeros(len(sel), np.int64)
-            for column in digits.T:
-                value = value * base + column
-            out[sel] = value
-    if ids.max() > 0x7FF:
+    timestamps = _number(code, at_id - 1, n_time, 10)
+    ids = _number(code, at_dlc - 2, at_dlc - 2 - at_id, 16)
+    if timestamps is None or ids is None or ids.max() > 0x7FF:
         return None
+    # a line holds dlc + 2 spaces, two of them ahead of the dlc, and every
+    # other byte ahead of the payload is a checked digit: so once each pair
+    # holds two hex digits, the dlc bytes left are the spaces between them
     data = np.zeros((len(ends), 8), np.uint8)
-    for width, sel in _blocks(dlc):
-        if not width:
-            continue
-        chars = windows(buf, 3 * width)[at_dlc[sel] + 1]  # a space and two digits a pair
-        digits = hexd[chars]
-        high, low = digits[:, 1::3], digits[:, 2::3]
-        if (chars[:, ::3] != 32).any() or (high | low).max() > 15:
+    fixed = int(dlc.min())
+    for j in range(int(dlc.max())):
+        high, low = take(at_dlc + 3 * j + 2), take(at_dlc + 3 * j + 3)
+        digits = high | low
+        pair = high << 4 | low
+        if j >= fixed:
+            live = dlc > j
+            digits *= live
+            pair *= live
+        if digits.max() > 15:
             return None
-        data[sel, :width] = high << 4 | low
+        data[:, j] = pair
     return TraceColumns(timestamps, ids.astype(np.uint16), dlc.astype(np.uint8), data)
 
 
 def _columnar(data: bytes) -> CanTrace | None:
     """The columnar pass over ASCII data, _BLOCK bytes of lines at a time.
 
-    None unless _scan reads every block and the rows keep time order.
-    "\r\n" reads as "\n", and a missing final "\n" is appended, as
-    splitlines reads them.  It reads the written spelling or declines,
-    and never raises for what it declines: naming a fault is _per_line's.
+    Each block is translated once through _CODE, so the temporaries
+    scale with _BLOCK and not with the text.  None unless _scan reads
+    every block and the rows keep time order.  "\r\n" reads as "\n", and
+    a missing final "\n" is appended, as splitlines reads them.  It reads
+    the written spelling or declines, and never raises for what it
+    declines: naming a fault is _per_line's.
     """
     if b"\r" in data:  # a one-byte search; replace alone scans for the pair far slower
         data = data.replace(b"\r\n", b"\n")
@@ -450,7 +468,9 @@ def _columnar(data: bytes) -> CanTrace | None:
     while lo < len(data):
         # whole lines of about _BLOCK bytes, or one longer line
         hi = data.rfind(b"\n", lo, lo + _BLOCK) + 1 or data.find(b"\n", lo) + 1
-        block = _scan(np.frombuffer(data, np.uint8, hi - lo, lo))
+        text = data[lo:hi]
+        block = _scan(np.frombuffer(text, np.uint8),
+                      np.frombuffer(text.translate(_CODE), np.uint8))
         if block is None:
             return None
         rows = slice(n_rows, n_rows + len(block.ids))

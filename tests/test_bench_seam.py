@@ -53,6 +53,20 @@ def test_load_trace_calls_parse_trace_through_the_module(tmp_path, monkeypatch):
     assert seen == [b"0 10 0\n"]  # the file's bytes, undecoded
 
 
+def test_save_trace_calls_serialize_trace_through_the_module(tmp_path, monkeypatch):
+    # the traced oval requires the canbus.serialize_trace span, recorded by
+    # replacing the attribute
+    path = tmp_path / "t.txt"
+    trace = canbus.CanTrace([canbus.CanFrame(0, 0x10, b"")])
+    serialize = canbus.serialize_trace
+    seen = []
+    monkeypatch.setattr(canbus, "serialize_trace",
+                        lambda trace: seen.append(trace) or serialize(trace))
+    canbus.save_trace(trace, path)
+    assert len(seen) == 1 and seen[0] is trace
+    assert path.read_bytes() == b"0 10 0\n"
+
+
 def test_len_of_a_parsed_trace_builds_no_frame(monkeypatch):
     # the tracer counts canbus.parse_trace.frames with len(result), inside
     # the parse span of a correlate run that never builds a frame

@@ -97,6 +97,10 @@ def _written_line(t, arb_id, data):
     return f"{t} {arb_id:X} {len(data)}" + "".join(f" {b:02X}" for b in data)
 
 
+#: A few payloads, so that rows repeat an (id, payload) tail; dlc 0 among them.
+_PAYLOADS = [b"", b"\x00", b"\xab\xcd", bytes(range(8)), b"\xff" * 8, b"\x0f\xf0\x10"]
+
+
 @st.composite
 def _mixed_trace(draw):
     """Many lines in the written spelling among odd lines from _trace_line.
@@ -231,6 +235,24 @@ class TestTraceFormat:
         assert text == "".join(_written_line(t, arb_id, data) + "\n"
                                for t, arb_id, data, keep in rows if keep)
         assert text == canbus.serialize_trace(CanTrace(trace.frames))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, 9, 10, 4095, 10**17, 10**18 - 1]),
+                              st.integers(0, 0x7FF), st.sampled_from(_PAYLOADS)), max_size=40),
+           st.sampled_from([1 << 17, 64]))
+    @example([(5, 0x1, b""), (10**17, 0x10, b"\x01"), (10**17, 0x7FF, b"\xab\xcd")], 1 << 17)
+    @example([(5, 0x1, b""), (10**17, 0x10, b"\x01"), (10**17, 0x7FF, b"\xab\xcd")], 64)
+    def test_written_text_is_the_written_line_of_each_row(self, rows, block):
+        # rows share timestamps and (id, payload) tails, which the writer formats once;
+        # the trace of frames, of its columns and of the text read back write alike
+        rows.sort(key=lambda row: row[0])
+        expected = "".join(_written_line(t, arb_id, data) + "\n" for t, arb_id, data in rows)
+        frames = CanTrace([CanFrame(t, arb_id, data) for t, arb_id, data in rows])
+        with mock.patch.object(canbus, "_BLOCK", block):
+            parsed = canbus.parse_trace(expected)
+        assert parsed._frames is None  # the columnar pass read it
+        for trace in (frames, canbus._columnar_trace(frames.columns()), parsed):
+            assert canbus.serialize_trace(trace) == expected
 
     @settings(deadline=None, max_examples=400)
     @given(st.lists(_trace_line(), max_size=8))
