@@ -50,6 +50,8 @@ np = _Numpy()
 SPEED_ID = 0x75
 SPEED_OFFSET = 45268
 SPEED_COUNTS_PER_MPH = 54
+#: Fastest road speed the broadcast carries, at the field's top count 0xFFFF (about 375.3 mph).
+MAX_SPEED_MPH = (0xFFFF - SPEED_OFFSET) / SPEED_COUNTS_PER_MPH
 
 THROTTLE_ID = 0x11A
 APP_ID = 0x204

@@ -92,7 +92,8 @@ class ShadowInjector:
     after (or with) the next genuine one and lose the last-writer race it
     is meant to win.
     The injector listens to rule.arb_id only, and it tags its own frames
-    and skips them when listening, so it never chases itself.
+    and skips them when listening, so it never chases itself.  injected
+    counts the forged frames the bus delivered, not those still queued.
     """
 
     SOURCE = "shadow"
@@ -112,12 +113,12 @@ class ShadowInjector:
 
     def _on_frame(self, frame: CanFrame, source: str) -> None:
         if source == self.SOURCE:
+            self.injected += 1
             return
         due = frame.timestamp_us + self.delay_us
         payload = self.rule.forged_payload(frame)
         self.bus.inject_at(due, canbus._frame(due, frame.arbitration_id, payload),
                            source=self.SOURCE)
-        self.injected += 1
 
 
 # --- receiver-side bookkeeping ---------------------------------------------------

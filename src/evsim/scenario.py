@@ -45,7 +45,7 @@ from . import follower as fl
 from . import injection as inj
 from . import lowlevel as ll
 from . import serial_link
-from .plant import MPH_TO_MPS, SimulatedEcus, VehiclePlant
+from .plant import MPH_TO_MPS, MPS_TO_MPH, SimulatedEcus, VehiclePlant
 
 
 class ConfigError(ValueError):
@@ -136,6 +136,9 @@ class Scenario:
                 _finite(value, f"oval.{name}")
             if self.oval.straight_m < 0 or self.oval.radius_m <= 0 or self.oval.speed_mph <= 0:
                 raise ConfigError("oval needs straight_m >= 0, radius_m > 0 and speed_mph > 0")
+            if self.oval.speed_mph > canbus.MAX_SPEED_MPH:
+                raise ConfigError(f"oval.speed_mph {self.oval.speed_mph:g} is above the "
+                                  f"{canbus.MAX_SPEED_MPH:.1f} mph the speed broadcast carries")
             try:
                 fl.oval_lap_s(self.oval.straight_m, self.oval.radius_m,
                               self.oval.speed_mph * MPH_TO_MPS)
@@ -258,9 +261,15 @@ def _build_path(scn: Scenario) -> fl.TargetPath | None:
                             scn.oval.speed_mph * MPH_TO_MPS)
     if scn.path_file is not None:
         try:
-            return fl.load_path(scn.path_file)
+            path = fl.load_path(scn.path_file)
         except ValueError as exc:  # malformed table, NonMonotoneTimeError included
             raise ConfigError(f"path_file {scn.path_file}: {exc}") from exc
+        for sample in path.samples:
+            if math.hypot(sample.v_n, sample.v_e) * MPS_TO_MPH > canbus.MAX_SPEED_MPH:
+                raise ConfigError(
+                    f"path_file {scn.path_file}: the speed at t = {sample.t_s:g} s is above "
+                    f"the {canbus.MAX_SPEED_MPH:.1f} mph the speed broadcast carries")
+        return path
     return None
 
 

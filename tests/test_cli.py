@@ -164,7 +164,7 @@ class TestInject:
             "--target-period-ms", "10")
         assert code == 0
         assert "dominance: 39/40 = 0.9750" in out
-        assert "injected 100 frames" in out
+        assert "injected 99 frames" in out  # the 100th falls due after the last tick
         assert "broadcast speed:" in out
 
     def test_live_tap_injects_nothing(self, capsys):
@@ -374,6 +374,17 @@ class TestUserErrors:
             scn.write_text(json.dumps({"duration_s": 0.05, "oval": {
                 "straight_m": 1e-12, "radius_m": 1, "speed_mph": 1}, "preview_s": 1.7e308}))
             return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "too-fast-oval-scenario":  # logged "mean_err_m": Infinity
+            scn = tmp_path / "fast.json"
+            scn.write_text(json.dumps({"duration_s": 2, "oval": {
+                "straight_m": 1e300, "radius_m": 1, "speed_mph": 1.7e308}}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "too-fast-path-file":  # logged inf speed references
+            path = tmp_path / "path.txt"
+            path.write_text("0 0 0 1e308 1e308\n0.1 0 0 1e308 1e308\n")
+            scn = tmp_path / "path.json"
+            scn.write_text(json.dumps({"duration_s": 1.0, "path_file": str(path)}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
         if case == "endless-oval-scenario":
             scn = tmp_path / "endless.json"
             scn.write_text(json.dumps({"duration_s": 1.0, "oval": {
@@ -459,7 +470,8 @@ class TestUserErrors:
                                       "live-non-stock-id", "overflowing-gains",
                                       "finite-gains-overflowing-poles", "live-sub-tick-run",
                                       "replay-target-period", "underflowing-ki",
-                                      "endless-preview-scenario"])
+                                      "endless-preview-scenario", "too-fast-oval-scenario",
+                                      "too-fast-path-file"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -479,6 +491,8 @@ class TestUserErrors:
         "nan-path-file": "line 2: a value is not finite",
         "negative-preview-scenario": "preview_s must be non-negative, got -5",
         "endless-preview-scenario": "preview_s 1.7e+308 s is too long: the limit is 86400 s",
+        "too-fast-oval-scenario": "oval.speed_mph 1.7e+308 is above the 375.3 mph",
+        "too-fast-path-file": "the speed at t = 0 s is above the 375.3 mph",
         "live-non-stock-id": "target id 0x300 is not a scheduled stock broadcast id",
         "overflowing-gains": "kp = inf, ki = inf",
         "finite-gains-overflowing-poles": "poles overflow for kp = 2.0000000000000065e+280",

@@ -157,6 +157,19 @@ class TestScenarioConfig:
         Scenario("s", scenario.MAX_PHYSICS_TICKS * 1e-6, physics_dt_s=1e-6,
                  speed_ref_mph=10.0).validate()
 
+    def test_speed_cap_is_what_the_broadcast_carries(self, tmp_path):
+        # the fastest oval the 0x75 field carries loads, and the next float up does not
+        top = canbus.MAX_SPEED_MPH
+        assert canbus.speed_data(top)[6:] == b"\xff\xff"
+        Scenario("s", 1.0, oval=OvalSpec(100.0, 20.0, top)).validate()
+        with pytest.raises(ConfigError, match="oval.speed_mph 375.3.* is above the 375.3 mph"):
+            Scenario("s", 1.0, oval=OvalSpec(100.0, 20.0, math.nextafter(top, 1e9))).validate()
+        # 168 m/s is about 375.8 mph; the error names the first such sample
+        path = tmp_path / "path.txt"
+        path.write_text("0 0 0 1 0\n0.1 0 0 1 0\n0.2 0 0 168 0\n0.3 0 0 168 0\n")
+        with pytest.raises(ConfigError, match=r"the speed at t = 0\.2 s is above"):
+            scenario._build_path(Scenario("s", 1.0, path_file=str(path)))
+
     def test_oval_table_cap(self):
         # just under the cap builds, just over it raises before any sample is made
         speed = (2.0 * 100.0 + 2.0 * math.pi * 20.0) / (follower.MAX_OVAL_SAMPLES * 0.1)
@@ -306,7 +319,7 @@ class TestLiveInjection:
     def test_shadow_dominance_default_schedule(self):
         result = run_live_injection(2.0, lambda t: 200)
         assert result.dominance == Fraction(399, 400)
-        assert result.injected == 20
+        assert result.injected == 19  # the 20th falls due after the last tick
 
     def test_shadow_dominance_fast_target_period(self):
         schedule = dict(canbus.DEFAULT_SCHEDULE)
