@@ -343,22 +343,20 @@ def serialize_trace(trace: CanTrace) -> str:
         rows = zip(timestamps.tolist(), ids.tolist(),
                    [flat[i:i + d] for i, d in zip(range(0, len(flat), 8), dlc.tolist())])
     tails = {}
-    parts = []
-    append = parts.append
+    lines = []
     last_t = None
     for t, arb_id, payload in rows:
         if t != last_t:
             last_t = t
             stamp = f"{t} "
-        append(stamp)
         tail = tails.get((arb_id, payload))
         if tail is None:
             tail = tails[arb_id, payload] = (
                 f"{arb_id:X} {len(payload)} {payload.hex(' ').upper()}\n" if payload
                 else f"{arb_id:X} 0\n")
-        append(tail)
-    del tails  # the join's peak holds the parts and the text, not the table
-    return "".join(parts)
+        lines.append(stamp + tail)
+    del tails  # the join's peak holds the lines and the text, not the table
+    return "".join(lines)
 
 
 #: Each byte's code: a hex digit's value, 16 for a space, 255 for any other byte.
