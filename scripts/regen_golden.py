@@ -5,15 +5,13 @@ The manifest pins the SHA-256 of every reference output that
 tests/test_golden.py checks.  Regenerate it only when a change is meant
 to alter those outputs, and say why in CHANGES.md.  The script prints
 each digest it added, changed or dropped against the manifest it
-replaces, so the outputs that moved can be named.  With --check it
-prints the same lines, writes nothing, and exits 1 if any digest moved.
+replaces, so the outputs that moved can be named.
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 scripts/regen_golden.py [--check]
+    PYTHONPATH=src python3 scripts/regen_golden.py
 """
 
-import argparse
 import json
 import sys
 import tempfile
@@ -37,25 +35,16 @@ def digest_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
     return lines
 
 
-def main(argv=()) -> int:
-    parser = argparse.ArgumentParser(description="Rewrite tests/golden/manifest.json.")
-    parser.add_argument("--check", action="store_true",
-                        help="print the digests that would move, write nothing, "
-                             "and exit 1 if any moved")
-    check = parser.parse_args(argv).check
+def main() -> int:
     path = test_golden.MANIFEST
     old = json.loads(path.read_text(encoding="ascii"))["digests"] if path.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        if check:
-            new = test_golden.compute_digests(Path(tmp))
-        else:
-            manifest = test_golden.write_manifest(Path(tmp), path)
-            new = manifest["digests"]
-            print(f"wrote {path} ({len(new)} digests, {manifest['platform']['platform']})")
-    changes = digest_changes(old, new)
-    print("\n".join(changes) or "no digest changed")
-    return 1 if check and changes else 0
+        manifest = test_golden.write_manifest(Path(tmp), path)
+    print(f"wrote {path} ({len(manifest['digests'])} digests, "
+          f"{manifest['platform']['platform']})")
+    print("\n".join(digest_changes(old, manifest["digests"])) or "no digest changed")
+    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

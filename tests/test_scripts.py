@@ -50,22 +50,3 @@ def test_regen_golden_names_the_digests_that_moved(tmp_path, monkeypatch, capsys
 
     assert regen.main() == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["no digest changed"]
-
-
-def test_regen_golden_check_names_the_digests_that_would_move_and_writes_nothing(
-        tmp_path, monkeypatch, capsys):
-    regen = _regen_golden()
-    manifest = tmp_path / "manifest.json"
-    text = json.dumps({"platform": {}, "digests": {"kept": "1", "moved": "2", "gone": "3"}})
-    manifest.write_text(text, encoding="ascii")
-    new = {"kept": "1", "moved": "4", "new": "5"}
-    monkeypatch.setattr(regen.test_golden, "MANIFEST", manifest)
-    monkeypatch.setattr(regen.test_golden, "compute_digests", lambda tmp: dict(new))
-    assert regen.main(["--check"]) == 1
-    assert capsys.readouterr().out.splitlines() == ["dropped gone", "changed moved", "added new"]
-    assert manifest.read_text(encoding="ascii") == text
-
-    new = {"kept": "1", "moved": "2", "gone": "3"}
-    assert regen.main(["--check"]) == 0
-    assert capsys.readouterr().out.splitlines() == ["no digest changed"]
-    assert manifest.read_text(encoding="ascii") == text
