@@ -27,6 +27,13 @@ module reads it from here, and VehiclePlant.advance reads it directly.
 The float expressions in advance keep a fixed form and order: the
 golden digests in tests/golden/manifest.json pin every value they
 produce, so a reordered product or sum shows up there.
+
+advance moves a chunk of ticks with held inputs, and computes once per
+chunk what those inputs fix: the tan of a held steering angle, and with
+straight wheels the cos and sin of a heading that cannot turn.  Each is
+the value every tick would compute from the same operands, so the
+result is bit for bit that of the plain per-tick loop, which
+tests/test_kernels.py keeps as the reference.
 """
 
 from __future__ import annotations
@@ -149,8 +156,10 @@ class FirstOrderChannel:
 class VehiclePlant:
     """Holds the vehicle state and advances it on the physics tick.
 
-    advance is the per-tick loop, with the three channel lags (alphas)
-    cached per tick size, since a scenario sets its own physics_dt_s.
+    advance runs a chunk of ticks with held inputs, with the three
+    channel lags (alphas) cached per tick size, since a scenario sets
+    its own physics_dt_s, and the terms the chunk holds fixed computed
+    once per call.
     dynamics_step runs it and then restores the pose; pose_step is a
     plain pose update, kept as the reference that advance's fused pose
     arithmetic is tested against.
@@ -166,8 +175,6 @@ class VehiclePlant:
         self.last_inputs = (0.0, 0.0, 50.0)
 
     def _clamped_inputs(self, app_pct: float, bpp_pct: float, steer_duty: float) -> tuple:
-        if 0.0 <= app_pct <= 100.0 and 0.0 <= bpp_pct <= 100.0 and 0.0 <= steer_duty <= 100.0:
-            return app_pct, bpp_pct, steer_duty
         clamped = []
         for name, value in (("app_pct", app_pct), ("bpp_pct", bpp_pct),
                             ("steer_duty", steer_duty)):
@@ -184,9 +191,25 @@ class VehiclePlant:
 
         Each tick applies the exact first-order channel updates and then
         the kinematic bicycle pose update using the post-update speed
-        and steering angle.
+        and steering angle.  The loop runs in one of two bodies, chosen
+        by what the held inputs fix for the whole chunk:
+
+        - steering duty outside the deadband: every tick moves the
+          angle, so it takes tan, cos and sin;
+        - duty inside the deadband: the angle holds, so tan(delta) is
+          the same every tick and is computed once.  If it is a zero
+          (straight wheels) and the brake is off, the speed only blends
+          toward the accelerator's settle speed, so from a finite speed
+          and a finite dt >= 0 it stays finite; then the heading step
+          v / wheelbase * tan * dt is a signed zero, and adding a zero
+          leaves every heading but -0.0 as it is.  So for such a
+          chunk cos and sin of the heading are computed once, and a tick
+          updates only decel, speed, p_n and p_e.  Any other held chunk
+          steps the heading every tick as written.
         """
-        app_pct, bpp_pct, steer_duty = self._clamped_inputs(app_pct, bpp_pct, steer_duty)
+        if not (0.0 <= app_pct <= 100.0 and 0.0 <= bpp_pct <= 100.0
+                and 0.0 <= steer_duty <= 100.0):
+            app_pct, bpp_pct, steer_duty = self._clamped_inputs(app_pct, bpp_pct, steer_duty)
         alphas = self._alpha_cache.get(dt)
         if alphas is None:
             alphas = self._alpha_cache[dt] = (-math.expm1(-dt / APP_TAU_S),
@@ -194,8 +217,10 @@ class VehiclePlant:
                                               -math.expm1(-dt / STEER_TAU_S))
         alpha_app, alpha_bpp, alpha_steer = alphas
 
-        k_app = app_k(app_pct)
-        k_bpp = bpp_k(bpp_pct)
+        k_app = APP_GAIN * app_pct + APP_OFFSET  # app_k and bpp_k, inlined
+        if not k_app > 0.0:
+            k_app = 0.0
+        k_bpp = (BPP_QUAD * bpp_pct) * bpp_pct + BPP_LIN * bpp_pct + BPP_CONST
         braking = bpp_pct > BRAKE_ACTIVE_PCT
         if steer_duty > DEADBAND_HI:
             steer_target = steer_k(min(STEER_DUTY_MAX, max(STEER_DUTY_MIN, steer_duty)))
@@ -204,30 +229,50 @@ class VehiclePlant:
         else:
             steer_target = None  # inside the deadband the angle holds
 
-        decel_to_mph_s = DECEL_TO_MPH_S
-        mph_to_ms = MPH_TO_MPS
-        counts_per_rad = COUNTS_PER_RAD
-        steer_ratio = STEER_RATIO
-        wheelbase = WHEELBASE_M
-        tan, sin, cos = math.tan, math.sin, math.cos
+        decel_to_mph_s, mph_to_ms, wheelbase = DECEL_TO_MPH_S, MPH_TO_MPS, WHEELBASE_M
+        sin, cos = math.sin, math.cos
         st = self.state
         speed, decel, counts = st.speed_mph, st.decel, st.steer_counts
         heading, p_n, p_e = st.heading_rad, st.p_n, st.p_e
-        for _ in range(n_ticks):
-            decel = decel + alpha_bpp * (k_bpp - decel)
-            if braking:
-                speed = speed + decel * decel_to_mph_s * dt
-            else:
-                speed = speed + alpha_app * (k_app - speed)
-            if speed < 0.0:
-                speed = 0.0
-            if steer_target is not None:
+        if steer_target is not None:
+            tan, counts_per_rad, steer_ratio = math.tan, COUNTS_PER_RAD, STEER_RATIO
+            for _ in range(n_ticks):
+                decel = decel + alpha_bpp * (k_bpp - decel)
+                if braking:
+                    speed = speed + decel * decel_to_mph_s * dt
+                else:
+                    speed = speed + alpha_app * (k_app - speed)
+                if speed < 0.0:
+                    speed = 0.0
                 counts = counts + alpha_steer * (steer_target - counts)
-            v_ms = speed * mph_to_ms
-            delta = counts / counts_per_rad / steer_ratio
-            heading = heading + v_ms / wheelbase * tan(delta) * dt
-            p_n = p_n + v_ms * cos(heading) * dt
-            p_e = p_e + v_ms * sin(heading) * dt
+                v_ms = speed * mph_to_ms
+                delta = counts / counts_per_rad / steer_ratio
+                heading = heading + v_ms / wheelbase * tan(delta) * dt
+                p_n = p_n + v_ms * cos(heading) * dt
+                p_e = p_e + v_ms * sin(heading) * dt
+        elif n_ticks > 0:
+            tan_delta = math.tan(counts / COUNTS_PER_RAD / STEER_RATIO)
+            # speed - speed is 0.0 only for a finite speed; copysign tells 0.0
+            # from -0.0 (cos of an infinite heading raises here, as on a tick)
+            turning = not (tan_delta == 0.0 and not braking and 0.0 <= dt < math.inf
+                           and speed - speed == 0.0
+                           and (heading or math.copysign(1.0, heading) > 0.0))
+            if not turning:
+                cos_h, sin_h = cos(heading), sin(heading)
+            for _ in range(n_ticks):
+                decel = decel + alpha_bpp * (k_bpp - decel)
+                if braking:
+                    speed = speed + decel * decel_to_mph_s * dt
+                else:
+                    speed = speed + alpha_app * (k_app - speed)
+                if speed < 0.0:
+                    speed = 0.0
+                v_ms = speed * mph_to_ms
+                if turning:
+                    heading = heading + v_ms / wheelbase * tan_delta * dt
+                    cos_h, sin_h = cos(heading), sin(heading)
+                p_n = p_n + v_ms * cos_h * dt
+                p_e = p_e + v_ms * sin_h * dt
 
         self.state = VehicleState(speed, decel, counts, heading, p_n, p_e)
         self.last_inputs = (app_pct, bpp_pct, steer_duty)
