@@ -460,11 +460,8 @@ def _columnar(data: bytes) -> CanTrace | None:
         data = data.replace(b"\r\n", b"\n")
     if data and not data.endswith(b"\n"):
         data += b"\n"
-    # the columns are allocated once, ahead of the blocks' temporaries
-    n_lines = data.count(b"\n")
-    out = TraceColumns(np.empty(n_lines, np.int64), np.empty(n_lines, np.uint16),
-                       np.empty(n_lines, np.uint8), np.empty((n_lines, 8), np.uint8))
-    n_rows = lo = 0
+    blocks = []
+    lo = 0
     while lo < len(data):
         # whole lines of about _BLOCK bytes, or one longer line
         hi = data.rfind(b"\n", lo, lo + _BLOCK) + 1 or data.find(b"\n", lo) + 1
@@ -473,11 +470,15 @@ def _columnar(data: bytes) -> CanTrace | None:
                       np.frombuffer(text.translate(_CODE), np.uint8))
         if block is None:
             return None
-        rows = slice(n_rows, n_rows + len(block.ids))
-        for column, part in zip(out, block):
-            column[rows] = part
-        n_rows = rows.stop
+        blocks.append(block)
         lo = hi
+    if not blocks:
+        return _columnar_trace(_columns_of([]))
+    # one column at a time, each column's parts freed once it is joined, so
+    # the peak is the columns plus the largest one, not two of every column
+    parts = [list(column) for column in zip(*blocks)]
+    del blocks, block, text
+    out = TraceColumns(*(np.concatenate(parts.pop(0)) for _ in range(len(parts))))
     t = out.timestamps
     return None if (t[1:] < t[:-1]).any() else _columnar_trace(out)
 
