@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 #: Errors caused by what the user passed in; main reports them in one line.
 _USER_ERRORS = (scenario.ConfigError, canbus.TraceParseError, canbus.ShortFrameError,
                 serial_link.FrameError, revtools.EmptyTraceError, follower.OvalError,
-                injection.DelayError, lowlevel.GainsNotFiniteError, OSError)
+                follower.CommandNotFiniteError, injection.DelayError,
+                lowlevel.GainsNotFiniteError, OSError)
 
 
 def main(argv=None) -> int:

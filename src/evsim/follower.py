@@ -43,6 +43,10 @@ class SingularRError(ValueError):
     """Control weight R must be positive definite."""
 
 
+class CommandNotFiniteError(ValueError):
+    """A follower command that is not a finite number: the path or gains are too large."""
+
+
 class OvalError(ValueError):
     """Oval geometry that no target table can be built for."""
 
@@ -347,6 +351,11 @@ class PathFollower:
         else:
             counts = self.gains.k_heading * heading_d
         counts += self._feedforward_counts(t_s)
+        if not (math.isfinite(speed_mph) and math.isfinite(counts)):
+            name, value, unit = (("speed", speed_mph, "mph") if not math.isfinite(speed_mph)
+                                 else ("steering", counts, "counts"))
+            raise CommandNotFiniteError(f"the follower's {name} command at t = {t_s:g} s is "
+                                        f"{value} {unit}: the path or the gains are too large")
         if self.counts_limits is not None:
             lo, hi = self.counts_limits
             counts = min(hi, max(lo, counts))

@@ -385,6 +385,16 @@ class TestUserErrors:
             scn = tmp_path / "path.json"
             scn.write_text(json.dumps({"duration_s": 1.0, "path_file": str(path)}))
             return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "far-path-file":  # logged inf speed references and "mean_err_m": Infinity
+            path = tmp_path / "path.txt"
+            path.write_text("0 1e308 1e308 1 0\n0.1 1e308 1e308 1 0\n")
+            scn = tmp_path / "path.json"
+            scn.write_text(json.dumps({"duration_s": 1.0, "path_file": str(path)}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case == "overflowing-lqr-weights":  # logged inf speed references
+            scn = tmp_path / "weights.json"
+            scn.write_text(json.dumps({"duration_s": 5, "oval": {}, "q": 1e308, "r": 1e-308}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
         if case == "endless-oval-scenario":
             scn = tmp_path / "endless.json"
             scn.write_text(json.dumps({"duration_s": 1.0, "oval": {
@@ -471,7 +481,8 @@ class TestUserErrors:
                                       "finite-gains-overflowing-poles", "live-sub-tick-run",
                                       "replay-target-period", "underflowing-ki",
                                       "endless-preview-scenario", "too-fast-oval-scenario",
-                                      "too-fast-path-file"])
+                                      "too-fast-path-file", "far-path-file",
+                                      "overflowing-lqr-weights"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -493,6 +504,8 @@ class TestUserErrors:
         "endless-preview-scenario": "preview_s 1.7e+308 s is too long: the limit is 86400 s",
         "too-fast-oval-scenario": "oval.speed_mph 1.7e+308 is above the 375.3 mph",
         "too-fast-path-file": "the speed at t = 0 s is above the 375.3 mph",
+        "far-path-file": "the follower's speed command at t = 0 s is inf mph",
+        "overflowing-lqr-weights": "the follower's speed command at t = 0.1 s is inf mph",
         "live-non-stock-id": "target id 0x300 is not a scheduled stock broadcast id",
         "overflowing-gains": "kp = inf, ki = inf",
         "finite-gains-overflowing-poles": "poles overflow for kp = 2.0000000000000065e+280",

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from evsim.follower import (
+    CommandNotFiniteError,
     FollowerCommand,
     FollowerGains,
     NonMonotoneTimeError,
@@ -305,3 +306,15 @@ class TestPathFollower:
         anchor = path.position_at(t, held=False)
         assert plain.step(t, *anchor, 0.0).steer_counts == pytest.approx(0.0, abs=1e-9)
         assert preview.step(t, *anchor, 0.0).steer_counts > 100.0
+
+    @pytest.mark.parametrize("p_n, k_heading, named", [
+        (1e308, 4000.0, "speed command at t = 0.2 s is inf mph"),
+        (math.nan, 4000.0, "speed command at t = 0.2 s is nan mph"),
+        (1.0, math.inf, "steering command at t = 0.2 s is nan counts"),
+    ])
+    def test_non_finite_command_raises(self, p_n, k_heading, named):
+        # checked once per follower step, before the counts clamp hides a nan
+        f = PathFollower(_line_path(), FollowerGains(k_heading=k_heading),
+                         counts_limits=(-3000.0, 3000.0))
+        with pytest.raises(CommandNotFiniteError, match=named):
+            f.step(0.2, p_n, 0.0, 0.0)
