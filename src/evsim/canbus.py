@@ -460,8 +460,8 @@ def _columnar(data: bytes) -> CanTrace | None:
         data = data.replace(b"\r\n", b"\n")
     if data and not data.endswith(b"\n"):
         data += b"\n"
-    blocks = []
-    lo = 0
+    out = None
+    n_rows = lo = 0
     while lo < len(data):
         # whole lines of about _BLOCK bytes, or one longer line
         hi = data.rfind(b"\n", lo, lo + _BLOCK) + 1 or data.find(b"\n", lo) + 1
@@ -470,15 +470,24 @@ def _columnar(data: bytes) -> CanTrace | None:
                       np.frombuffer(text.translate(_CODE), np.uint8))
         if block is None:
             return None
-        blocks.append(block)
+        rows = slice(n_rows, n_rows + len(block.ids))
+        if out is None or rows.stop > len(out.ids):
+            # the columns are allocated ahead of the later blocks' temporaries,
+            # with room for the rest of the text at the line density read so
+            # far and an eighth more; a denser block moves them once more
+            size = rows.stop + (len(data) - hi) * rows.stop * 9 // (8 * hi)
+            grown = TraceColumns(*(np.empty((size, *part.shape[1:]), part.dtype)
+                                   for part in block))
+            for column, old in zip(grown, out or ()):
+                column[:n_rows] = old[:n_rows]
+            out = grown
+        for column, part in zip(out, block):
+            column[rows] = part
+        n_rows = rows.stop
         lo = hi
-    if not blocks:
+    if out is None:
         return _columnar_trace(_columns_of([]))
-    # one column at a time, each column's parts freed once it is joined, so
-    # the peak is the columns plus the largest one, not two of every column
-    parts = [list(column) for column in zip(*blocks)]
-    del blocks, block, text
-    out = TraceColumns(*(np.concatenate(parts.pop(0)) for _ in range(len(parts))))
+    out = TraceColumns(*(column[:n_rows] for column in out))
     t = out.timestamps
     return None if (t[1:] < t[:-1]).any() else _columnar_trace(out)
 

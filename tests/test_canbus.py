@@ -227,10 +227,12 @@ class TestTraceFormat:
               (0, 0x7FF, b"\xab\xcd", True)], 1 << 17)
     @example([(5, 0x1, b"", True), (10**17, 0x10, b"\x01", True),
               (0, 0x7FF, b"\xab\xcd", True)], 64)
+    @example([(0, 0x7FF, bytes(8), True)] * 2 + [(1, 0x1, b"", True)] * 12, 64)
     def test_columnar_trace_serializes_as_its_frames(self, raw, block):
         # a capture read by the columnar pass, then a row subset of it, as a replay selects;
-        # rows share timestamps and (id, payload) tails, which the writer formats once, and
-        # a block of 64 bytes ends inside lines
+        # rows share timestamps and (id, payload) tails, which the writer formats once, a
+        # block of 64 bytes ends inside lines, and short lines after long ones outgrow the
+        # columns sized from the first block
         t = 0
         rows = []
         for gap, arb_id, data, keep in raw:
