@@ -96,9 +96,10 @@ def _byte_1idx(text: str) -> int:
 
 def cmd_simulate(args) -> int:
     scn = scenario.load_scenario(args.scenario)
-    result = scenario.run_scenario(scn)
     outdir = Path(args.outdir) if args.outdir else Path("out") / scn.name
-    paths = scenario.emit_logs(result, outdir)
+    with scenario.StateFormatter() as formatter:  # reaped on every way out
+        result = scenario.run_scenario(scn, on_chunk=formatter.send)
+        paths = scenario.emit_logs(result, outdir, formatter)
     m = result.metrics
     print(f"scenario '{scn.name}': {m['control_steps']} control steps, "
           f"{m['frames_on_bus']} frames on the bus")

@@ -212,9 +212,10 @@ class VehiclePlant:
             app_pct, bpp_pct, steer_duty = self._clamped_inputs(app_pct, bpp_pct, steer_duty)
         alphas = self._alpha_cache.get(dt)
         if alphas is None:
-            alphas = self._alpha_cache[dt] = (-math.expm1(-dt / APP_TAU_S),
-                                              -math.expm1(-dt / BPP_TAU_S),
-                                              -math.expm1(-dt / STEER_TAU_S))
+            alphas = (-math.expm1(-dt / APP_TAU_S), -math.expm1(-dt / BPP_TAU_S),
+                      -math.expm1(-dt / STEER_TAU_S))
+            if dt == dt:  # a nan key never matches, so storing it would add one per call
+                self._alpha_cache[dt] = alphas
         alpha_app, alpha_bpp, alpha_steer = alphas
 
         k_app = APP_GAIN * app_pct + APP_OFFSET  # app_k and bpp_k, inlined

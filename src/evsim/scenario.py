@@ -29,13 +29,24 @@ run the whole window; the oracle passes rig_loop a reach_mph, so its
 replay ends once the rig's top speed reaches it.  The press and
 correlation captures in recordings run their pedal phases through
 run_until too.
+
+write_state_csv formats state.csv in process, chunk by chunk; it is what
+library callers and the tests use.  evsim simulate moves that float repr
+off the run's critical path: a StateFormatter forks one child before the
+run, run_scenario hands it each chunk of rows as it completes, the child
+formats them with write_state_csv's own chunk code on another core, and
+emit_logs copies the finished text into state.csv.  The bytes are the
+same either way.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import math
 import numbers
+import os
+import shutil
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -113,8 +124,11 @@ class Scenario:
     preview_s: float = fl.PREVIEW_S
 
     def validate(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
+        # the name is the log directory under out/, so it must stay one plain component
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c in self.name for c in "/\\\0")):
+            raise ConfigError("name must be one plain directory name: a non-empty string "
+                              f"with no '/', '\\' or NUL, not '.' or '..'; got {self.name!r}")
         for name in ("duration_s", "physics_dt_s", "control_period_s", "follower_period_s",
                      "k_heading", "preview_s"):
             _finite(getattr(self, name), name)
@@ -223,22 +237,149 @@ LOG_COLUMNS = (
 
 #: One state.csv line: %r writes a float as repr does, which is what csv writes.
 _ROW_FORMAT = ",".join(["%r"] * len(LOG_COLUMNS)) + "\r\n"
+_STATE_HEADER = ",".join(LOG_COLUMNS) + "\r\n"
 #: Rows formatted and written per file write; a chunk holds about 270 kB.
 _ROWS_PER_WRITE = 1024
+
+
+def _state_lines(rows) -> str:
+    """The state.csv lines of rows, byte for byte as csv.writer writes them.
+
+    csv writes a float through repr and None as an empty field.  %r writes
+    None as "None", which no number's repr contains, so deleting it from
+    the formatted lines leaves csv's empty field.
+    """
+    return "".join([_ROW_FORMAT % row for row in rows]).replace("None", "")
 
 
 def write_state_csv(fh, rows) -> None:
     """Write the header and rows to the text file fh, byte for byte as csv.writer does.
 
-    csv writes a float through repr and None as an empty field.  %r writes
-    None as "None", which no number's repr contains, so deleting it from a
-    formatted chunk leaves csv's empty field.  Rows go out in chunks, so
-    the whole file is never held as one string.
+    Rows go out in chunks, so the whole file is never held as one string.
     """
-    fh.write(",".join(LOG_COLUMNS) + "\r\n")
-    fmt = _ROW_FORMAT
+    fh.write(_STATE_HEADER)
     for i in range(0, len(rows), _ROWS_PER_WRITE):
-        fh.write("".join([fmt % row for row in rows[i:i + _ROWS_PER_WRITE]]).replace("None", ""))
+        fh.write(_state_lines(rows[i:i + _ROWS_PER_WRITE]))
+
+
+#: Bytes of the size that leads each marshalled chunk of rows; a size of 0 ends the rows.
+_SIZE_BYTES = 8
+
+
+def _format_rows(rows_fd: int, text_fd: int) -> None:
+    """The formatter child's work: format each chunk of rows read from rows_fd,
+    then, once the rows have ended, write the whole state.csv text to text_fd."""
+    text = [_STATE_HEADER.encode("ascii")]
+    with open(rows_fd, "rb") as rows_in:
+        while True:
+            size = rows_in.read(_SIZE_BYTES)
+            if len(size) < _SIZE_BYTES:  # the parent closed the pipe early: the run failed
+                raise EOFError("the rows ended without their end frame")
+            if not any(size):
+                break
+            chunk = marshal.loads(rows_in.read(int.from_bytes(size, "little")))
+            text.append(_state_lines(chunk).encode("ascii"))
+    with open(text_fd, "wb") as text_out:
+        text_out.writelines(text)
+
+
+def _other_cpus() -> set[int]:
+    """The CPUs this process may run on besides the one it runs on now; empty off Linux."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except (AttributeError, OSError):
+        return set()
+
+
+class StateFormatter:
+    """A forked child that formats state.csv while a run goes on (POSIX).
+
+    send() hands the child one chunk of rows as a marshal frame, which
+    keeps a float's bits, an int and None exactly; the child formats it
+    with write_state_csv's chunk code while the parent runs on.  end()
+    ends the rows, write_to() copies the child's finished text, header
+    included, into a binary file in bounded pieces, and wait() reaps the
+    child.  The child writes nothing before it has read the end of the
+    rows, so neither pipe can fill while the other waits; it opens no
+    file and always ends through os._exit.  close(), also on leaving a
+    with block, ends a child that still runs (its rows end, its text
+    loses its reader) and reaps it.
+
+    The child moves off the CPU its parent runs on: a kernel that
+    balances no load between CPUs, as under a cpuset with
+    sched_load_balance off, would keep it there, and the two would take
+    turns instead of running side by side.
+    """
+
+    def __init__(self):
+        others = _other_cpus()
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        rows_in, rows_out, text_in, text_out = fds
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(rows_out)
+                os.close(text_in)
+                if others:
+                    os.sched_setaffinity(0, others)
+                _format_rows(rows_in, text_out)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(rows_in)
+        os.close(text_out)
+        self._rows = open(rows_out, "wb")
+        self._text = open(text_in, "rb")
+
+    def send(self, rows) -> None:
+        data = marshal.dumps(rows)
+        self._rows.write(len(data).to_bytes(_SIZE_BYTES, "little"))
+        self._rows.write(data)
+        self._rows.flush()
+
+    def end(self) -> None:
+        """Tell the child that every row has been sent."""
+        self._rows.write(bytes(_SIZE_BYTES))
+        self._rows.close()
+
+    def write_to(self, fh) -> None:
+        """Copy the child's state.csv text into the binary file fh; call end() first."""
+        shutil.copyfileobj(self._text, fh)
+
+    def wait(self) -> None:
+        """Reap the child; a child that failed may have cut its text short."""
+        status = self._reap()
+        if status:
+            raise ChildProcessError(f"the state.csv formatter exited with status {status}")
+
+    def _reap(self) -> int:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        return os.waitstatus_to_exitcode(status)
+
+    def close(self) -> None:
+        try:
+            self._text.close()
+            self._rows.close()  # flushes what a failed send left, which may fail again
+        finally:
+            if self.pid:
+                self._reap()
+
+    def __enter__(self) -> "StateFormatter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 @dataclass
@@ -306,7 +447,9 @@ def run_until(bus: canbus.CanBus, plant: VehiclePlant, inputs, t_us: int, end_us
     return ticks
 
 
-def run_scenario(scn: Scenario) -> ScenarioResult:
+def run_scenario(scn: Scenario, on_chunk=None) -> ScenarioResult:
+    """Run scn closed loop; on_chunk, if given, gets each _ROWS_PER_WRITE rows
+    as they complete and then the shorter last chunk, if there is one."""
     scn.validate()
     phys_us = _to_us(scn.physics_dt_s, "physics_dt_s")
     ctl_us = _to_us(scn.control_period_s, "control_period_s")
@@ -373,6 +516,10 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
                      st.p_e, app_pct, bpp_pct, duty_raw, duty_plant, speed_ref,
                      counts_ref, tgt_n, tgt_e, path_err,
                      speed_ref - st.speed_mph))
+        if on_chunk is not None and len(rows) % _ROWS_PER_WRITE == 0:
+            on_chunk(rows[-_ROWS_PER_WRITE:])
+    if on_chunk is not None and len(rows) % _ROWS_PER_WRITE:
+        on_chunk(rows[-(len(rows) % _ROWS_PER_WRITE):])
     bus.step(n_ctl * ctl_us)  # frames due at the last boundary
 
     trace = bus.trace()
@@ -419,11 +566,13 @@ def _scenario_metrics(scn: Scenario, rows, path, frames_on_bus, physics_ticks, n
     return metrics
 
 
-def emit_logs(result: ScenarioResult, outdir) -> dict[str, Path]:
+def emit_logs(result: ScenarioResult, outdir,
+              formatter: StateFormatter | None = None) -> dict[str, Path]:
     """Write state.csv, trace.txt, and metrics.json; returns the paths.
 
     Floats are written through repr, so reruns of a deterministic
-    scenario produce byte-identical files.
+    scenario produce byte-identical files.  state.csv is formatted here,
+    or copied from formatter, which was sent every row of the run.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -432,12 +581,19 @@ def emit_logs(result: ScenarioResult, outdir) -> dict[str, Path]:
         "trace": outdir / "trace.txt",
         "metrics": outdir / "metrics.json",
     }
-    with open(paths["state"], "w", newline="", encoding="ascii") as fh:
-        write_state_csv(fh, result.rows)
+    if formatter is not None:  # the child formats its last rows while the other logs are written
+        formatter.end()
     canbus.save_trace(result.trace, paths["trace"])
     with open(paths["metrics"], "w", encoding="ascii") as fh:
         json.dump(result.metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if formatter is None:
+        with open(paths["state"], "w", newline="", encoding="ascii") as fh:
+            write_state_csv(fh, result.rows)
+    else:
+        with open(paths["state"], "wb") as fh:
+            formatter.write_to(fh)
+        formatter.wait()
     return paths
 
 

@@ -8,12 +8,13 @@ tests pin what the tracer relies on.
 
 import importlib.util
 import inspect
+import io
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from evsim import canbus, cli, injection, plant, recordings, revtools, serial_link
+from evsim import canbus, cli, injection, plant, recordings, revtools, scenario, serial_link
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -65,6 +66,44 @@ def test_save_trace_calls_serialize_trace_through_the_module(tmp_path, monkeypat
     canbus.save_trace(trace, path)
     assert len(seen) == 1 and seen[0] is trace
     assert path.read_bytes() == b"0 10 0\n"
+
+
+def test_simulate_spans_see_complete_logs(tmp_path, monkeypatch, capsys):
+    # the traced oval requires both spans, recorded by replacing the module
+    # attributes, and _log_bytes stats the three paths the moment emit_logs
+    # returns, while the state.csv formatter child may still be exiting
+    tracing = _tracing()
+    assert {"scenario.run_scenario", "scenario.emit_logs"} <= set(tracing.REQUIRED["oval"])
+    run, emit = scenario.run_scenario, scenario.emit_logs
+    seen = {}
+
+    def traced_run(*args, **kwargs):
+        seen["result"] = run(*args, **kwargs)
+        return seen["result"]
+
+    def traced_emit(*args, **kwargs):
+        paths = emit(*args, **kwargs)
+        seen["at_return"] = {kind: path.read_bytes() for kind, path in paths.items()}
+        counts = Counter()
+        tracing._log_bytes(counts, args, kwargs, paths)
+        seen["log_bytes"] = counts["scenario.log_bytes"]
+        return paths
+
+    monkeypatch.setattr(scenario, "run_scenario", traced_run)
+    monkeypatch.setattr(scenario, "emit_logs", traced_emit)
+    scn_file = tmp_path / "oval.json"
+    oval = scenario.OvalSpec(10.0, 10.0, 10.0)
+    scenario.save_scenario(scenario.Scenario("oval", 12.0, oval=oval), scn_file)
+    outdir = tmp_path / "logs"
+    assert cli.main(["simulate", str(scn_file), "--outdir", str(outdir)]) == 0
+    capsys.readouterr()
+    final = {kind: (outdir / name).read_bytes() for kind, name in
+             (("state", "state.csv"), ("trace", "trace.txt"), ("metrics", "metrics.json"))}
+    assert seen["at_return"] == final
+    assert seen["log_bytes"] == sum(map(len, final.values()))
+    expected = io.StringIO(newline="")
+    scenario.write_state_csv(expected, seen["result"].rows)
+    assert final["state"] == expected.getvalue().encode("ascii")
 
 
 def test_len_of_a_parsed_trace_builds_no_frame(monkeypatch):

@@ -7,12 +7,14 @@ exit codes and printed numbers are covered without spawning processes.
 import contextlib
 import io
 import json
+import os
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evsim import canbus, cli, follower, recordings, scenario
+from evsim import canbus, cli, follower, lowlevel, recordings, scenario
 from evsim.canbus import CanFrame, CanTrace
 
 
@@ -147,6 +149,112 @@ class TestSimulate:
         assert "final speed" in out
         for name in ("state.csv", "trace.txt", "metrics.json"):
             assert (outdir / name).is_file()
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestSimulateFormatsStateInAChild:
+    """evsim simulate formats state.csv in a forked child; the bytes are write_state_csv's."""
+
+    @pytest.mark.parametrize("steps", [1, 1023, 1024, 1025, 2049])
+    def test_state_csv_equals_write_state_csv(self, tmp_path, capsys, steps):
+        # a JSON integer speed reaches the rows as an int and is written as 20, not 20.0
+        scn_file = tmp_path / "hold.json"
+        scn_file.write_text(json.dumps({
+            "name": "hold", "duration_s": steps / 100, "physics_dt_s": 0.01,
+            "control_period_s": 0.01, "speed_ref_mph": 20}))
+        outdir = tmp_path / "logs"
+        code, out = run_cli(capsys, "simulate", str(scn_file), "--outdir", str(outdir))
+        assert code == 0 and f"{steps} control steps" in out
+        assert _no_child_left()
+        result = scenario.run_scenario(scenario.load_scenario(scn_file))
+        expected = io.StringIO(newline="")
+        scenario.write_state_csv(expected, result.rows)
+        written = (outdir / "state.csv").read_bytes()
+        assert written == expected.getvalue().encode("ascii")
+        rows = written.decode("ascii").split("\r\n")[1:-1]
+        assert len(rows) == steps
+        assert all(row.split(",")[10:15] == ["20", "0.0", "", "", ""] for row in rows)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(st.tuples(*[st.floats() | st.none() | st.integers(-2**70, 2**70)]
+                              * len(scenario.LOG_COLUMNS)), max_size=5),
+           st.integers(1, 3))
+    def test_formatter_keeps_every_field(self, rows, chunk):
+        expected = io.StringIO(newline="")
+        scenario.write_state_csv(expected, rows)
+        got = io.BytesIO()
+        with scenario.StateFormatter() as formatter:
+            for i in range(0, len(rows), chunk):
+                formatter.send(rows[i:i + chunk])
+            formatter.end()
+            formatter.write_to(got)
+            formatter.wait()
+        assert got.getvalue() == expected.getvalue().encode("ascii")
+        assert _no_child_left()
+
+    def test_a_failed_child_is_reported(self, tmp_path, monkeypatch, capsys):
+        # the child, forked after the patch, fails once the rows have ended:
+        # its text is cut short, so the run must not exit 0
+        def slow_failure(rows):
+            time.sleep(0.2)
+            raise MemoryError
+
+        monkeypatch.setattr(scenario, "_state_lines", slow_failure)
+        scn_file = tmp_path / "hold.json"
+        scenario.save_scenario(scenario.Scenario("hold", 1.0, speed_ref_mph=5.0), scn_file)
+        code = cli.main(["simulate", str(scn_file), "--outdir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "evsim: error: the state.csv formatter exited with status 1\n"
+        assert _no_child_left()
+
+    def test_failed_run_writes_nothing_and_leaves_no_child(self, tmp_path, capsys):
+        argv = TestUserErrors._argv(tmp_path, "far-path-file")
+        assert cli.main(argv) == 2
+        assert "inf mph" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("raised", [scenario.ConfigError, KeyboardInterrupt])
+    def test_error_after_rows_were_sent_leaves_no_child(self, tmp_path, monkeypatch, capsys,
+                                                        raised):
+        # the child has formatted two chunks when the run fails
+        scn_file = tmp_path / "hold.json"
+        scenario.save_scenario(scenario.Scenario("hold", 30.0, speed_ref_mph=5.0), scn_file)
+        deadband = lowlevel.deadband_compensate
+        calls = []
+
+        def failing(duty):
+            calls.append(duty)
+            if len(calls) == 2100:
+                raise raised("stopped mid-run")
+            return deadband(duty)
+
+        monkeypatch.setattr(lowlevel, "deadband_compensate", failing)
+        argv = ["simulate", str(scn_file), "--outdir", str(tmp_path / "out")]
+        if raised is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == 2
+        assert not (tmp_path / "out").exists()
+        assert _no_child_left()
+
+    def test_outdir_error_leaves_no_child(self, tmp_path, capsys):
+        scn_file = tmp_path / "hold.json"
+        scenario.save_scenario(scenario.Scenario("hold", 1.0, speed_ref_mph=5.0), scn_file)
+        (tmp_path / "file").write_text("")
+        code = cli.main(["simulate", str(scn_file), "--outdir", str(tmp_path / "file" / "logs")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.startswith("evsim: error: ")
+        assert _no_child_left()
 
 
 def _replay_trace_file(tmp_path, n=10, period_us=100_000):
@@ -400,6 +508,11 @@ class TestUserErrors:
             scn.write_text(json.dumps({"duration_s": 1.0, "oval": {
                 "straight_m": 1e308, "radius_m": 1, "speed_mph": 1}}))
             return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
+        if case in ("escaping-name-scenario", "dot-name-scenario"):  # wrote ./escaped or out/
+            scn = tmp_path / "named.json"
+            name = "../escaped" if case == "escaping-name-scenario" else "."
+            scn.write_text(json.dumps({"name": name, "duration_s": 1.0, "speed_ref_mph": 5}))
+            return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
         if case == "endless-oval":
             return ["make-oval", "--straight", "1e308"]
         if case == "live-delay-not-shorter-than-period":
@@ -482,7 +595,8 @@ class TestUserErrors:
                                       "replay-target-period", "underflowing-ki",
                                       "endless-preview-scenario", "too-fast-oval-scenario",
                                       "too-fast-path-file", "far-path-file",
-                                      "overflowing-lqr-weights"])
+                                      "overflowing-lqr-weights", "escaping-name-scenario",
+                                      "dot-name-scenario"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -506,6 +620,8 @@ class TestUserErrors:
         "too-fast-path-file": "the speed at t = 0 s is above the 375.3 mph",
         "far-path-file": "the follower's speed command at t = 0 s is inf mph",
         "overflowing-lqr-weights": "the follower's speed command at t = 0.1 s is inf mph",
+        "escaping-name-scenario": "name must be one plain directory name",
+        "dot-name-scenario": "name must be one plain directory name",
         "live-non-stock-id": "target id 0x300 is not a scheduled stock broadcast id",
         "overflowing-gains": "kp = inf, ki = inf",
         "finite-gains-overflowing-poles": "poles overflow for kp = 2.0000000000000065e+280",

@@ -237,6 +237,14 @@ class TestInputClamping:
         assert p.last_inputs == tuple(inputs)
         assert len(caplog.records) == (0 if value == fixed else 1)
 
+    def test_nan_tick_size_adds_no_cache_entry(self):
+        p = VehiclePlant()
+        p.advance(30.0, 0.0, 50.0, 1, 0.001)
+        before = len(p._alpha_cache)
+        for _ in range(5):
+            p.advance(30.0, 0.0, 50.0, 1, math.nan)
+        assert len(p._alpha_cache) <= before
+
     def test_reset(self):
         p = VehiclePlant()
         p.advance(50.0, 0.0, 60.0, 100, 0.001)

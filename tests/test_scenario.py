@@ -95,6 +95,12 @@ class TestScenarioConfig:
         ({"name": 5}, "name"),
         ({"name": None}, "name"),
         ({"name": ""}, "name"),
+        ({"name": "../escaped"}, "name"),
+        ({"name": "a/b"}, "name"),
+        ({"name": "a\\b"}, "name"),
+        ({"name": "a\0b"}, "name"),
+        ({"name": "."}, "name"),
+        ({"name": ".."}, "name"),
         ({"duration_s": 10 ** 400}, "duration_s"),
         ({"k_heading": None}, "k_heading"),
         ({"oval": {"straight_m": 1e308, "radius_m": 1, "speed_mph": 1}}, "lap time"),
