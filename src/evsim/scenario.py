@@ -299,8 +299,8 @@ class StateFormatter:
     send() hands the child one chunk of rows as a marshal frame, which
     keeps a float's bits, an int and None exactly; the child formats it
     with write_state_csv's chunk code while the parent runs on.  end()
-    ends the rows, write_to() copies the child's finished text, header
-    included, into a binary file in bounded pieces, and wait() reaps the
+    ends the rows, and write_to() copies the child's finished text,
+    header included, into a binary file in bounded pieces and reaps the
     child.  The child writes nothing before it has read the end of the
     rows, so neither pipe can fill while the other waits; it opens no
     file and always ends through os._exit.  close(), also on leaving a
@@ -353,11 +353,11 @@ class StateFormatter:
         self._rows.close()
 
     def write_to(self, fh) -> None:
-        """Copy the child's state.csv text into the binary file fh; call end() first."""
-        shutil.copyfileobj(self._text, fh)
+        """Copy the child's state.csv text into the binary file fh and reap the child.
 
-    def wait(self) -> None:
-        """Reap the child; a child that failed may have cut its text short."""
+        Call end() first.  A child that failed may have cut its text short.
+        """
+        shutil.copyfileobj(self._text, fh)
         status = self._reap()
         if status:
             raise ChildProcessError(f"the state.csv formatter exited with status {status}")
@@ -581,7 +581,7 @@ def emit_logs(result: ScenarioResult, outdir,
         "trace": outdir / "trace.txt",
         "metrics": outdir / "metrics.json",
     }
-    if formatter is not None:  # the child formats its last rows while the other logs are written
+    if formatter is not None:  # the child formats its last rows while these logs are written
         formatter.end()
     canbus.save_trace(result.trace, paths["trace"])
     with open(paths["metrics"], "w", encoding="ascii") as fh:
@@ -593,7 +593,6 @@ def emit_logs(result: ScenarioResult, outdir,
     else:
         with open(paths["state"], "wb") as fh:
             formatter.write_to(fh)
-        formatter.wait()
     return paths
 
 

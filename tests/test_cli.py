@@ -195,7 +195,6 @@ class TestSimulateFormatsStateInAChild:
                 formatter.send(rows[i:i + chunk])
             formatter.end()
             formatter.write_to(got)
-            formatter.wait()
         assert got.getvalue() == expected.getvalue().encode("ascii")
         assert _no_child_left()
 
