@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .canbus import OutOfRangeError
-from .plant import (APP_GAIN, APP_OFFSET, BPP_CONST, BPP_LIN, BPP_QUAD, BPP_VERTEX_PCT,
-                    DEADBAND_HI, DEADBAND_LO, STEER_CONST, STEER_DUTY_MAX, STEER_DUTY_MIN,
-                    STEER_LIN, STEER_QUAD, app_k, bpp_k, steer_k)
+from .plant import (APP_GAIN, APP_OFFSET, APP_TAU_S, BPP_CONST, BPP_LIN, BPP_QUAD, BPP_TAU_S,
+                    BPP_VERTEX_PCT, DEADBAND_HI, DEADBAND_LO, STEER_CONST, STEER_DUTY_MAX,
+                    STEER_DUTY_MIN, STEER_LIN, STEER_QUAD, STEER_TAU_S, app_k, bpp_k, steer_k)
 
 
 class UnachievableError(ValueError):
@@ -133,9 +133,9 @@ def setpoint_weight(gains: PiGains, tau_target_s: float) -> float:
             f"tau_target_s = {tau_target_s!r}") from None
 
 
-ACCEL_SPEC = LoopSpec(7.0, 1.0, 0.5)
-BRAKE_SPEC = LoopSpec(0.3, 1.0, 0.5)
-STEER_SPEC = LoopSpec(0.2, 1.0, 1.0 / 3.0)
+ACCEL_SPEC = LoopSpec(APP_TAU_S, 1.0, 0.5)
+BRAKE_SPEC = LoopSpec(BPP_TAU_S, 1.0, 0.5)
+STEER_SPEC = LoopSpec(STEER_TAU_S, 1.0, 1.0 / 3.0)
 
 ACCEL_GAINS = design_pi(ACCEL_SPEC)   # (27, 28)
 BRAKE_GAINS = design_pi(BRAKE_SPEC)   # (0.2, 1.2)
@@ -180,16 +180,13 @@ class PiLoop:
         self.gains = gains
         self.output_limits = output_limits
         self.integral = 0.0
-        self.last_output = 0.0
 
     def reset(self) -> None:
         self.integral = 0.0
-        self.last_output = 0.0
 
     def step(self, error: float, dt: float, p_error: float | None = None) -> float:
         lo, hi = self.output_limits
         out, self.integral = pi_step(error, self.integral, self.gains, dt, lo, hi, p_error)
-        self.last_output = out
         return out
 
 

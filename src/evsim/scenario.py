@@ -479,6 +479,11 @@ def run_scenario(scn: Scenario, on_chunk=None) -> ScenarioResult:
     serial_roundtrips = 0
     follower_steps = 0
     physics_ticks = 0
+    # path error totals, each a plain += from the int 0 in row order as rows complete:
+    # the same floats on every Python, where sum() is compensated from 3.12 on
+    period = path.period_s if path is not None else None
+    laps: dict[int, list] = {}  # lap index -> [samples, error sum, max error]
+    err_sum = 0
 
     for c in range(n_ctl):
         start_us = c * ctl_us
@@ -510,12 +515,22 @@ def run_scenario(scn: Scenario, on_chunk=None) -> ScenarioResult:
         if path is not None:
             tgt_n, tgt_e = path.position_at(t_s, held=False)
             path_err = math.hypot(st.p_n - tgt_n, st.p_e - tgt_e)
+            err_sum += path_err
+            lap = int(t_s / period)
+            totals = laps.get(lap)
+            if totals is None:
+                totals = laps[lap] = [0, 0, path_err]
+            totals[0] += 1
+            totals[1] += path_err
+            if path_err > totals[2]:
+                totals[2] = path_err
         else:
             tgt_n = tgt_e = path_err = None
-        rows.append((t_s, st.speed_mph, st.steer_counts, st.heading_rad, st.p_n,
-                     st.p_e, app_pct, bpp_pct, duty_raw, duty_plant, speed_ref,
-                     counts_ref, tgt_n, tgt_e, path_err,
-                     speed_ref - st.speed_mph))
+        row = (t_s, st.speed_mph, st.steer_counts, st.heading_rad, st.p_n,
+               st.p_e, app_pct, bpp_pct, duty_raw, duty_plant, speed_ref,
+               counts_ref, tgt_n, tgt_e, path_err,
+               speed_ref - st.speed_mph)
+        rows.append(row)
         if on_chunk is not None and len(rows) % _ROWS_PER_WRITE == 0:
             on_chunk(rows[-_ROWS_PER_WRITE:])
     if on_chunk is not None and len(rows) % _ROWS_PER_WRITE:
@@ -523,13 +538,6 @@ def run_scenario(scn: Scenario, on_chunk=None) -> ScenarioResult:
     bus.step(n_ctl * ctl_us)  # frames due at the last boundary
 
     trace = bus.trace()
-    metrics = _scenario_metrics(scn, rows, path, len(trace), physics_ticks, n_ctl,
-                                follower_steps, serial_roundtrips)
-    return ScenarioResult(scn, rows, trace, metrics, path)
-
-
-def _scenario_metrics(scn: Scenario, rows, path, frames_on_bus, physics_ticks, n_ctl,
-                      follower_steps, serial_roundtrips) -> dict:
     metrics: dict = {
         "name": scn.name,
         "duration_s": scn.duration_s,
@@ -537,33 +545,20 @@ def _scenario_metrics(scn: Scenario, rows, path, frames_on_bus, physics_ticks, n
         "control_steps": n_ctl,
         "follower_steps": follower_steps,
         "serial_roundtrips": serial_roundtrips,
-        "frames_on_bus": frames_on_bus,
+        "frames_on_bus": len(trace),
+        "final_speed_mph": row[1],
+        "final_p_n": row[4],
+        "final_p_e": row[5],
     }
-    if rows:
-        last = rows[-1]
-        metrics["final_speed_mph"] = last[1]
-        metrics["final_p_n"] = last[4]
-        metrics["final_p_e"] = last[5]
     if path is not None:
-        period = path.period_s
         metrics["lap_period_s"] = period
-        metrics["laps_completed"] = int(rows[-1][0] / period) if rows else 0
-        per_lap: dict[int, list[float]] = {}
-        for row in rows:
-            lap = int(row[0] / period)
-            per_lap.setdefault(lap, []).append(row[14])
-        laps = {}
-        for lap, errs in sorted(per_lap.items()):
-            laps[str(lap + 1)] = {
-                "samples": len(errs),
-                "mean_err_m": sum(errs) / len(errs),
-                "max_err_m": max(errs),
-            }
-        metrics["lap_errors"] = laps
-        all_errs = [row[14] for row in rows]
-        metrics["mean_err_m"] = sum(all_errs) / len(all_errs)
-        metrics["max_err_m"] = max(all_errs)
-    return metrics
+        metrics["laps_completed"] = int(row[0] / period)
+        metrics["lap_errors"] = {
+            str(lap + 1): {"samples": n, "mean_err_m": total / n, "max_err_m": top}
+            for lap, (n, total, top) in laps.items()}
+        metrics["mean_err_m"] = err_sum / n_ctl
+        metrics["max_err_m"] = max(top for _, _, top in laps.values())
+    return ScenarioResult(scn, rows, trace, metrics, path)
 
 
 def emit_logs(result: ScenarioResult, outdir,

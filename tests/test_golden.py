@@ -9,9 +9,12 @@ platform that produced them; ``scripts/regen_golden.py`` rewrites that
 file, and only a change that means to alter the reference output should
 run it.
 
-The logs depend on libm ``sin``/``cos``/``tan``, so a mismatch on a
-platform other than the recorded one is a finding about cross-machine
-reproducibility, not a reason to loosen the digests.
+The logs go through libm ``sin``, ``cos``, ``tan``, ``atan``, ``atan2``,
+``exp``, ``expm1`` and ``hypot``, so a mismatch on a platform other than
+the recorded one is a finding about cross-machine reproducibility, not a
+reason to loosen the digests.  ``metrics.json`` does not depend on the
+Python version's float ``sum()``: its path error statistics are plain
+left-to-right sums, taken as the run goes.
 """
 
 from __future__ import annotations

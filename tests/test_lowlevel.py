@@ -153,7 +153,7 @@ class TestPiStep:
         loop.step(1.0, 0.1)
         assert loop.integral != 0.0
         loop.reset()
-        assert loop.integral == 0.0 and loop.last_output == 0.0
+        assert loop.integral == 0.0
 
     def test_loop_limit_validation(self):
         with pytest.raises(ValueError):

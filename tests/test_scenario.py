@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import json
 import math
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -215,6 +217,26 @@ class TestScenarioConfig:
         assert (saved["k_heading"], saved["preview_s"]) == (follower.K_HEADING, follower.PREVIEW_S)
 
 
+def _assert_sums_left_to_right(result) -> None:
+    """metrics.json's path error statistics equal those of result.rows, each sum a plain +=."""
+    col = scenario.LOG_COLUMNS.index("path_err_m")
+    period = result.metrics["lap_period_s"]
+    by_lap: dict[str, list] = {}
+    for row in result.rows:
+        by_lap.setdefault(str(int(row[0] / period) + 1), []).append(row[col])
+
+    def stats(errs):
+        total = 0
+        for err in errs:
+            total += err
+        return {"samples": len(errs), "mean_err_m": total / len(errs), "max_err_m": max(errs)}
+
+    run = stats([row[col] for row in result.rows])
+    assert result.metrics["lap_errors"] == {lap: stats(errs) for lap, errs in by_lap.items()}
+    assert (result.metrics["mean_err_m"], result.metrics["max_err_m"]) == (
+        run["mean_err_m"], run["max_err_m"])
+
+
 @pytest.fixture(scope="module")
 def hold():
     return run_scenario(Scenario("hold", 6.0, speed_ref_mph=10.0))
@@ -253,6 +275,19 @@ class TestRunScenario:
         assert "1" in laps and "2" in laps  # second lap just started
         assert laps["1"]["samples"] > 0
         assert result.metrics["max_err_m"] >= result.metrics["mean_err_m"]
+        _assert_sums_left_to_right(result)
+
+        # a path error of 1e16 at the first step and 1.0 after it: a left-to-right
+        # sum loses every 1.0 to rounding, a compensated one (math.fsum) keeps them
+        errs = itertools.chain([1e16], itertools.repeat(1.0))
+        fake_math = types.SimpleNamespace(**vars(math))
+        fake_math.hypot = lambda *args: next(errs)
+        with mock.patch.object(scenario, "math", fake_math):
+            result = run_scenario(scn)
+        n = result.metrics["control_steps"]
+        assert result.metrics["mean_err_m"] == 1e16 / n
+        assert math.fsum([1e16] + [1.0] * (n - 1)) / n != 1e16 / n
+        _assert_sums_left_to_right(result)
 
 
 # state.csv fields: floats (edge values included), None for an empty field,

@@ -1,9 +1,10 @@
 """The maintenance scripts under scripts/ still import what they use.
 
 They run outside the test suite, so a script that imports a retired
-name would otherwise only fail when someone next runs it.  The golden
-regenerator's report runs against a manifest under a temporary
-directory, never the real one.
+name would otherwise only fail when someone next runs it.  The
+calibration script's lap errors are checked against the golden oval's
+metrics.json.  The golden regenerator's report runs against a manifest
+under a temporary directory, never the real one.
 """
 
 import importlib.util
@@ -27,16 +28,23 @@ def test_calibrate_follower_help():
     assert "K_HEADING" in done.stdout
 
 
-def _regen_golden():
-    spec = importlib.util.spec_from_file_location("regen_golden",
-                                                  ROOT / "scripts" / "regen_golden.py")
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_calibrate_follower_reads_the_reference_oval_laps():
+    calibrate = _load_script("calibrate_follower")
+    follower = calibrate.follower
+    # lap 1 and lap 2 means and the lap 2 maximum of the golden oval's metrics.json
+    assert calibrate.lap2_error(follower.K_HEADING, follower.PREVIEW_S) == (
+        0.2914256699874433, 0.12474197738307019, 0.6710649060962399)
+
+
 def test_regen_golden_names_the_digests_that_moved(tmp_path, monkeypatch, capsys):
-    regen = _regen_golden()
+    regen = _load_script("regen_golden")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"platform": {}, "digests": {
         "kept": "1", "moved": "2", "gone": "3"}}), encoding="ascii")
