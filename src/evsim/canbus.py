@@ -590,7 +590,7 @@ def save_trace(trace: CanTrace, path) -> None:
 PayloadFn = Callable[[int], bytes]
 Listener = Callable[[CanFrame, str], None]
 
-_FRAME_AND_SOURCE = itemgetter(4, 5)  # of a heap entry
+_FRAME_AND_SOURCE = itemgetter(3, 4)  # of a heap entry
 
 
 class _Periodic:
@@ -627,14 +627,15 @@ class CanBus:
     """Single-threaded bus scheduler with deterministic arbitration.
 
     Periodic sources emit at k*period for k >= 1; one added after or while
-    the bus steps to t starts at the first multiple after t.  Frames that
-    fall due in the window covered by one ``step`` call are delivered
-    sorted by (timestamp, arbitration id, enqueue sequence): lower IDs win
-    simultaneous arbitration, and an injected frame scheduled at the same
-    microsecond as an observed one lands after it because its sequence
-    number is larger.  A tap-point filter wraps its module's payload function
-    (``injection.FilterRule.tap``), and every frame leaves ``step`` through
-    one loop that traces it and hands it to the listeners of its id.
+    the bus steps to t starts at the first multiple after t.  ``step``
+    delivers one due time at a time, in time order, so a step to t does
+    what steps to each due time up to t in turn would.  The frames of one
+    due time go out by arbitration id: lower IDs win simultaneous
+    arbitration, and an injected frame scheduled at the same microsecond
+    and id as an observed one lands after it.  A tap-point filter wraps
+    its module's payload function (``injection.FilterRule.tap``), and
+    every frame leaves ``step`` through one loop that traces it and hands
+    it to the listeners of its id.
 
     A listener names the ids it reads, as a node's acceptance filter
     does (SocketCAN's ``CAN_RAW_FILTER``, python-can's ``set_filters``);
@@ -642,9 +643,9 @@ class CanBus:
     kept as one tuple, in the order they were added, built when a frame
     of that id first meets the current wiring.
 
-    Injected frames wait in one heap keyed in that order: ``inject_at``
-    pushes, and ``step`` pops the due ones.  A replay queues only the rows
-    its receiver reads, so the heap stays short.
+    Injected frames wait in one heap keyed by (due, id, enqueue sequence):
+    ``inject_at`` pushes, and ``step`` pops the due ones.  A replay queues
+    only the rows its receiver reads, so the heap stays short.
 
     The bus is fail-stop.  When a payload function or listener raises,
     the error propagates from ``step`` and the trace ends at the frame in
@@ -665,10 +666,9 @@ class CanBus:
         self._periodic_due: int | None = None  # earliest next_due of the sources
         self._listeners: list[tuple[Listener, frozenset[int] | None]] = []
         self._routes = _Routes(self._listeners)
-        # heap of entries (due, arb_id, origin, seq, frame, source); origin 1
-        # ranks injected frames after periodic ones on a timestamp+id tie, and
-        # seq is unique, so no comparison reaches the frame
-        self._pending: list[tuple[int, int, int, int, CanFrame, str]] = []
+        # heap of injected entries (due, arb_id, seq, frame, source); seq is
+        # unique, so no comparison reaches the frame
+        self._pending: list[tuple[int, int, int, CanFrame, str]] = []
         self._seq = 0
         self._now = 0
         # due time of the latest frame delivered or in delivery; every frame
@@ -717,7 +717,7 @@ class CanBus:
         if due_us < self._last_us:
             raise ValueError(
                 f"frame due at {due_us} us would follow one stamped {self._last_us} us")
-        heapq.heappush(self._pending, (due_us, frame.arbitration_id, 1, self._seq, frame, source))
+        heapq.heappush(self._pending, (due_us, frame.arbitration_id, self._seq, frame, source))
         self._seq += 1
 
     def feed_replay(self, frames: Iterable[CanFrame]) -> None:
@@ -739,49 +739,44 @@ class CanBus:
         return due
 
     def step(self, now_us: int) -> list[CanFrame]:
-        """Deliver every frame due in (previous now, now_us].
+        """Deliver every frame due in (previous now, now_us], one due time at a time.
 
-        Payload functions are called in insertion order before any frame
-        goes out.  Most steps need no sort: a step to the sources'
-        earliest due time with no injected frame due, as run_until takes,
-        sends their frames in the sources' (arb_id, insertion) order, and
-        injected frames alone go out in the order they leave the heap.
-        Any other step, one that mixes the two or reaches past the
-        earliest due time, sorts its batch.  A payload function or
-        listener that raises stops the bus.
+        At each due time the due sources' payload functions are called in
+        insertion order, after the listeners of every earlier frame have
+        run, and then that time's frames go out.  Periodic frames alone go
+        out in the sources' (arb_id, insertion) order, and injected frames
+        alone in the order they leave the heap; only a time with both
+        sorts its frames, stably by id.  A frame a listener queues for a
+        time up to now_us goes out in this step, so afterwards the next
+        due time is past now_us.  A payload function or listener that
+        raises stops the bus.
         """
         if self._stopped is not None:
             raise BusStoppedError(self._stopped)
         if now_us < self._now:
             raise ValueError("bus time must not go backwards")
         self._now = now_us
+        pending = self._pending
+        routes = self._routes
+        trace = self._trace
+        start = len(trace)
+        trace_append = trace.append
         try:
-            pending = self._pending
-            injected = pending and pending[0][0] <= now_us
-            due = self._periodic_due
-            if due == now_us and not injected:
-                deliveries = self._emit_due(now_us)
-            else:
-                periodic = due is not None and due <= now_us
-                if not (periodic or injected):
-                    return []
-                batch = self._emit_all(now_us) if periodic else []
-                while pending and pending[0][0] <= now_us:
-                    batch.append(heapq.heappop(pending))
-                if periodic:
-                    batch.sort()
-                self._last_us = batch[-1][0]
-                deliveries = map(_FRAME_AND_SOURCE, batch)
-            routes = self._routes
-            trace = self._trace
-            start = len(trace)
-            trace_append = trace.append
-            for frame, source in deliveries:
-                if frame is None:  # a source not due in this step
-                    continue
-                trace_append(frame)
-                for listener in routes[frame.arbitration_id]:
-                    listener(frame, source)
+            while True:
+                due = self._periodic_due
+                injected = pending and (due is None or pending[0][0] <= due)
+                if injected:
+                    due = pending[0][0]
+                if due is None or due > now_us:
+                    break
+                self._last_us = due
+                deliveries = self._emit_injected(due) if injected else self._emit_due(due)
+                for frame, source in deliveries:
+                    if frame is None:  # a source not due at this time
+                        continue
+                    trace_append(frame)
+                    for listener in routes[frame.arbitration_id]:
+                        listener(frame, source)
         except BaseException as exc:
             self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
             raise
@@ -810,8 +805,24 @@ class CanBus:
             if earliest is None or due < earliest:
                 earliest = due
         self._periodic_due = earliest
-        self._last_us = now_us
         return zip(slots, ranked)
+
+    def _emit_injected(self, now_us: int) -> list[tuple[CanFrame, str]]:
+        """(frame, source) for a due time with injected frames, the periodic ones first.
+
+        The periodic frames due at now_us are built first; then the
+        injected frames due then leave the heap, in (id, sequence) order,
+        and a stable sort by id merges the two.
+        """
+        periodic = self._periodic_due == now_us
+        batch = ([pair for pair in self._emit_due(now_us) if pair[0] is not None]
+                 if periodic else [])
+        pending = self._pending
+        while pending and pending[0][0] == now_us:
+            batch.append(_FRAME_AND_SOURCE(heapq.heappop(pending)))
+        if periodic:
+            batch.sort(key=lambda delivery: delivery[0].arbitration_id)
+        return batch
 
     def _rank(self) -> list[str]:
         """Set each source's rank in (arb_id, insertion) order; returns their names in it."""
@@ -820,33 +831,6 @@ class CanBus:
             src.rank = rank
         self._ranked = [src.source for src in ranked]
         return self._ranked
-
-    def _emit_all(self, now_us: int) -> list[tuple[int, int, int, int, CanFrame, str]]:
-        """A heap entry for every periodic frame due by now_us, unsorted, in emission order."""
-        batch = []
-        append = batch.append
-        earliest = None
-        seq = self._seq
-        for src in self._periodic:
-            due = src.next_due
-            if due <= now_us:
-                arb_id, period, payload_fn, source = (src.arb_id, src.period,
-                                                      src.payload, src.source)
-                while due <= now_us:
-                    payload = payload_fn(due)
-                    if payload.__class__ is not bytes:
-                        payload = bytes(payload)
-                    if len(payload) > 8:
-                        raise ValueError(f"dlc {len(payload)} outside 0..8")
-                    append((due, arb_id, 0, seq, _frame(due, arb_id, payload), source))
-                    seq += 1
-                    due += period
-                src.next_due = due
-            if earliest is None or due < earliest:
-                earliest = due
-        self._seq = seq
-        self._periodic_due = earliest
-        return batch
 
     def trace(self) -> CanTrace:
         """Every frame delivered so far, in delivery order, which is time order."""

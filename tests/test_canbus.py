@@ -485,14 +485,17 @@ class TestTraceFormat:
 
 
 class HeapBus:
-    """Reference scheduler: CanBus as plain code, with no cached due time or fast path.
+    """Reference scheduler: CanBus as plain code, with no cached due time or ranks.
 
     Sources are dicts in insertion order; injected frames go through
-    heapq.heappush, and each step pops the due ones and sorts the batch
-    by its (due, id, origin, seq) key.  Each frame goes to the listeners
-    whose id set holds its id (or that have none), as they stand when
-    the frame's delivery starts.  A payload or listener that raises stops
-    it, as it stops CanBus.
+    heapq.heappush.  A step visits each due time up to its end in turn:
+    it calls the due sources' payloads in insertion order, pops the
+    injected frames due then, and delivers that batch sorted by its
+    (due, id, origin, seq) key, origin 0 for a periodic frame and 1 for
+    an injected one.  Each frame goes to the listeners whose id set holds
+    its id (or that have none), as they stand when the frame's delivery
+    starts.  A payload or listener that raises stops it, as it stops
+    CanBus.
     """
 
     def __init__(self):
@@ -545,32 +548,33 @@ class HeapBus:
         if now_us < self._now:
             raise ValueError("bus time must not go backwards")
         self._now = now_us
+        delivered = []
         try:
-            batch = []
-            for src in self._periodic:
-                while src["next_due"] <= now_us:
-                    due = src["next_due"]
-                    payload = bytes(src["payload"](due))
-                    if len(payload) > 8:
-                        raise ValueError(f"dlc {len(payload)} outside 0..8")
-                    batch.append((due, src["id"], 0, self._seq,
-                                  canbus._frame(due, src["id"], payload), src["source"]))
-                    self._seq += 1
-                    src["next_due"] = due + src["period"]
-            while self._pending and self._pending[0][0] <= now_us:
-                batch.append(heapq.heappop(self._pending))
-            batch.sort(key=lambda item: item[:4])
-            if batch:
-                self._last_us = batch[-1][0]
-            for _, _, _, _, frame, source in batch:
-                self._trace.append(frame)
-                for listener, ids in list(self._listeners):
-                    if ids is None or frame.arbitration_id in ids:
-                        listener(frame, source)
+            while (due := self.next_due_us()) is not None and due <= now_us:
+                self._last_us = due
+                batch = []
+                for src in self._periodic:
+                    if src["next_due"] == due:
+                        payload = bytes(src["payload"](due))
+                        if len(payload) > 8:
+                            raise ValueError(f"dlc {len(payload)} outside 0..8")
+                        batch.append((due, src["id"], 0, self._seq,
+                                      canbus._frame(due, src["id"], payload), src["source"]))
+                        self._seq += 1
+                        src["next_due"] = due + src["period"]
+                while self._pending and self._pending[0][0] == due:
+                    batch.append(heapq.heappop(self._pending))
+                batch.sort(key=lambda item: item[:4])
+                for _, _, _, _, frame, source in batch:
+                    self._trace.append(frame)
+                    delivered.append(frame)
+                    for listener, ids in list(self._listeners):
+                        if ids is None or frame.arbitration_id in ids:
+                            listener(frame, source)
         except BaseException as exc:
             self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
             raise
-        return [item[4] for item in batch]
+        return delivered
 
     def trace(self):
         return canbus._ordered_trace(list(self._trace))
@@ -601,14 +605,24 @@ def _random_payload(rng):
     return rng.randbytes(rng.randrange(9))
 
 
-def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_payload):
+def _checked_step(bus, now_us):
+    """bus.step(now_us), checking that nothing is left due by now_us."""
+    delivered = bus.step(now_us)
+    due = bus.next_due_us()
+    assert due is None or due > now_us
+    return delivered
+
+
+def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_payload,
+              step=_checked_step):
     """Apply ops to bus; returns every outcome, next due time, delivery and the trace.
 
     listen=False adds no recording listener, so steps before the first
     echo or listen op run with no listener at all; payload(rng) builds
-    each periodic payload.  A "next" op steps to the next due time, as
-    run_until does, and a "listen" op adds a recording listener on its
-    ids.
+    each periodic payload, and step(bus, now_us) makes each step, by
+    default one bus.step checked to leave nothing due.  A "next" op
+    steps to the next due time, as run_until does, and a "listen" op
+    adds a recording listener on its ids.
     """
     rng = random.Random(7)  # shared by the payloads, so their call order shows
     deliveries = []
@@ -649,16 +663,29 @@ def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_pay
                 out = None
             elif kind == "next":
                 due = bus.next_due_us()
-                out = None if due is None else bus.step(due)
+                out = None if due is None else step(bus, due)
                 now = now if due is None else due
             else:
-                out = bus.step(now + args[0])
+                out = step(bus, now + args[0])
                 now += args[0]
         except (ValueError, canbus.BusStoppedError) as exc:
             out = (type(exc).__name__, str(exc))
         check(bus)
         log.append((out, bus.next_due_us()))
     return log, deliveries, list(bus.trace())
+
+
+def _step_by_due_times(bus, now_us):
+    """Checked steps to each due time up to now_us in turn, then to now_us.
+
+    A frame queued for a time the bus has passed goes out in a step to
+    the bus's own time; a step back in time is made as asked, and fails.
+    """
+    delivered = []
+    while (now_us >= bus._now and (due := bus.next_due_us()) is not None
+           and due <= now_us):
+        delivered += _checked_step(bus, max(due, bus._now))
+    return delivered + _checked_step(bus, now_us)
 
 
 class TestBus:
@@ -747,7 +774,7 @@ class TestBus:
         assert [f.timestamp_us for f in bus.trace()] == [10_000, 10_000, 20_000]
 
     def test_listener_injection_during_a_step(self):
-        # allowed when it follows the batch in delivery (TestFailStop has one that does not)
+        # allowed when it follows the frame in delivery (TestFailStop has one that does not)
         bus = CanBus()
         bus.inject_at(1_500, CanFrame(1_500, 0x10, b""))
         bus.inject_at(1_600, CanFrame(1_600, 0x20, b""))
@@ -806,6 +833,24 @@ class TestBus:
         bus.step(20)
         assert seen == [0x30, 0x10, 0x30, 0x30]
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_a_step_delivers_what_steps_to_each_due_time_do(self, periodic):
+        # the listener of the frame at 1 us queues one for 5 us, which a step
+        # to 10 us delivers in turn, with or without a source due at 10 us
+        traces = []
+        for steps in ((1, 5, 10), (10,)):
+            bus = CanBus()
+            if periodic:
+                bus.add_periodic(0x10, 10, lambda due: b"")
+            bus.inject_at(1, CanFrame(1, 0x20, b""))
+            bus.add_listener(lambda frame, source, bus=bus:
+                             bus.inject_at(5, CanFrame(5, 0x30, b"")), ids=(0x20,))
+            for t in steps:
+                _checked_step(bus, t)
+            traces.append([(f.timestamp_us, f.arbitration_id) for f in bus.trace()])
+        expected = [(1, 0x20), (5, 0x30)] + [(10, 0x10)] * periodic
+        assert traces == [expected, expected]
+
     def test_source_added_during_a_step_starts_after_it(self):
         bus = CanBus()
         bus.add_periodic(0x10, 4, lambda now: b"")
@@ -820,7 +865,7 @@ def _stopped_bus(bus_type, where):
     """A bus that stops in its step to 10 us, at the 0x20 frame due at 8 us, where
     the payload function, the tap that wraps it, the listener, a listener that
     reads only 0x20 ("routed"), or ("inject") an inject_at of the listener's
-    behind the batch's last frame raises.  Returns the bus, the frames its
+    behind the frame in delivery raises.  Returns the bus, the frames its
     listener was handed and the error."""
     bus, seen = bus_type(), []
 
@@ -858,9 +903,9 @@ class TestFailStop:
     A failed check does not.
     """
 
-    # a payload or tap leaves the five frames of the step to 5 us; a listener
-    # leaves the trace ending at the frame it was handed
-    @pytest.mark.parametrize("where, kept", [("payload", 5), ("tap", 5), ("listener", 8),
+    # a payload or tap leaves the frames due before 8 us, the two at 6 us
+    # included; a listener leaves the trace ending at the frame it was handed
+    @pytest.mark.parametrize("where, kept", [("payload", 7), ("tap", 7), ("listener", 8),
                                              ("routed", 8), ("inject", 8)])
     def test_stop_keeps_the_trace_to_the_frame_in_delivery(self, bus_type, where, kept):
         bus, seen, error = _stopped_bus(bus_type, where)
@@ -904,7 +949,7 @@ class TestQueue:
 
     @staticmethod
     def _in_key_order(bus):
-        # every (due, id, origin, seq) key is distinct, so no comparison reaches a frame
+        # every (due, id, seq) key is distinct, so no comparison reaches a frame
         pending = bus._pending
         assert all(pending[(i - 1) // 2] < pending[i] for i in range(1, len(pending)))
 
@@ -932,6 +977,21 @@ class TestQueue:
 
         assert (drive_bus(CanBus(), ops, self._invariants, listen=False, payload=payload)
                 == drive_bus(HeapBus(), ops, listen=False, payload=payload))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_BUS_OPS, max_size=30))
+    def test_trace_does_not_depend_on_step_size(self, ops):
+        # every step split into steps to each due time in turn: the same
+        # deliveries, trace and next due times, and the same error type at
+        # the same frame (a stopped bus names the step it stopped in, which
+        # the split moves, so only the type is compared)
+        def outcomes(log):
+            return [(out[0] if isinstance(out, tuple) else out, due) for out, due in log]
+
+        whole = drive_bus(CanBus(), ops)
+        split = drive_bus(CanBus(), ops, step=_step_by_due_times)
+        assert outcomes(whole[0]) == outcomes(split[0])
+        assert whole[1:] == split[1:]
 
     def test_drained_bus_holds_no_entry(self):
         bus = CanBus()

@@ -3,14 +3,15 @@ import io
 import itertools
 import json
 import math
+import tempfile
 import types
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from evsim import canbus, follower, injection, scenario
+from evsim import canbus, cli, follower, injection, scenario
 from evsim.canbus import CanFrame, CanTrace
 from evsim.plant import MPH_TO_MPS
 from evsim.scenario import (
@@ -288,6 +289,87 @@ class TestRunScenario:
         assert result.metrics["mean_err_m"] == 1e16 / n
         assert math.fsum([1e16] + [1.0] * (n - 1)) / n != 1e16 / n
         _assert_sums_left_to_right(result)
+
+
+def _mostly(common, rare):
+    """A draw of common in about nine cases of ten, of rare in the tenth."""
+    return st.sampled_from([common] * 9 + [rare]).flatmap(lambda strategy: strategy)
+
+
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+#: Ordinary and extreme sizes, for the scenario keys, and signed values, for
+#: path files; a few negative or not finite, which the checks must reject.
+_SIZE = _mostly(st.floats(min_value=0.0, allow_infinity=False)
+                | st.sampled_from([5e-324, 1e-12, 0.5, 1.0, 20.0, 1e12, 1e300, 1.7e308]),
+                st.sampled_from([-1.0, -1.7e308]) | _NOT_FINITE)
+_SIGNED = _mostly(st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 1.7e308]), _NOT_FINITE)
+#: Tick and period lengths, mostly valid, and ones each check rejects.  No
+#: period under 1 ms or tick under 10 us, which keeps every run short.
+_PERIOD = _mostly(st.sampled_from([0.001, 0.01, 0.02, 0.1, 0.2]),
+                  st.sampled_from([0.0, -0.01, 0.0105, 1e-9, 1e300]) | _NOT_FINITE)
+_SCENARIO_KEYS = st.fixed_dictionaries(
+    {"duration_s": _mostly(st.sampled_from([0.05, 0.2, 0.3]),
+                           st.sampled_from([0.0, -1.0, 1e-9]) | _NOT_FINITE)},
+    optional={"physics_dt_s": _PERIOD | st.sampled_from([1e-4, 1e-5]),
+              "control_period_s": _PERIOD, "follower_period_s": _PERIOD,
+              "q": _SIZE | st.lists(_SIZE, min_size=2, max_size=2),
+              "r": _SIZE | st.lists(_SIZE, min_size=2, max_size=2),
+              "k_heading": _SIGNED, "preview_s": _mostly(st.floats(0.0, 10.0), _SIZE),
+              "heading_mode": st.sampled_from(["relative", "absolute"])})
+#: The reference source: a speed, an oval, or a path file given as its
+#: sample spacing and rows of (n, e, v_n, v_e).
+_SOURCE = st.one_of(
+    st.tuples(st.just("speed_ref_mph"), _SIGNED),
+    st.tuples(st.just("oval"), st.fixed_dictionaries({}, optional=dict.fromkeys(
+        ("straight_m", "radius_m", "speed_mph"), _SIZE))),
+    st.tuples(st.just("path"), st.tuples(
+        _mostly(st.sampled_from([0.01, 0.1, 1.0]), _SIGNED),
+        st.lists(st.tuples(_SIGNED, _SIGNED, *[_mostly(st.floats(-150.0, 150.0), _SIGNED)] * 2),
+                 min_size=1, max_size=4))))
+
+
+def _reject_constant(name):
+    pytest.fail(f"metrics.json holds {name}")
+
+
+class TestFiniteOutput:
+    @settings(deadline=None, max_examples=200)
+    @given(keys=_SCENARIO_KEYS, source=_SOURCE)
+    @example(keys={"duration_s": 0.05, "preview_s": 1.7e308},
+             source=("oval", {"straight_m": 1e-12, "radius_m": 1, "speed_mph": 1}))
+    @example(keys={"duration_s": 0.05},
+             source=("oval", {"straight_m": 1e300, "radius_m": 1, "speed_mph": 1.7e308}))
+    @example(keys={"duration_s": 0.05}, source=("path", (0.1, [(0, 0, 1e308, 1e308)] * 2)))
+    @example(keys={"duration_s": 0.05}, source=("path", (0.1, [(1e308, 1e308, 1, 0)] * 2)))
+    def test_a_run_writes_only_finite_numbers_or_fails_first(self, keys, source):
+        # the four inputs that once wrote inf or never ended: a preview past the
+        # run cap, an oval and a path faster than the speed broadcast carries,
+        # and a path so far out that the follower's command overflows
+        kind, value = source
+        raw = {"name": "s", **keys}
+        chunks = []
+        with tempfile.TemporaryDirectory() as tmp:
+            if kind != "path":
+                raw[kind] = value
+            else:
+                spacing, samples = value
+                raw["path_file"] = f"{tmp}/path.txt"
+                with open(raw["path_file"], "w", encoding="ascii") as fh:
+                    fh.writelines(" ".join(map(repr, (i * spacing, *sample))) + "\n"
+                                  for i, sample in enumerate(samples))
+            try:
+                result = run_scenario(Scenario.from_dict(raw), on_chunk=chunks.append)
+            except cli._USER_ERRORS:
+                assert not chunks  # no row left the run
+                return
+            paths = emit_logs(result, tmp)
+            with open(paths["state"], encoding="ascii") as fh:
+                next(fh)  # the header
+                numbers = [float(x) for line in fh for x in line.rstrip("\n").split(",") if x]
+            with open(paths["metrics"], encoding="ascii") as fh:
+                json.load(fh, parse_constant=_reject_constant)
+        assert all(map(math.isfinite, numbers))
 
 
 # state.csv fields: floats (edge values included), None for an empty field,
