@@ -74,6 +74,12 @@ MAX_RUN_S = 86_400.0
 MAX_PHYSICS_TICKS = round(MAX_RUN_S * 1000)
 
 
+#: Farthest a path file's sample may lie from the origin: past any frame
+#: fixed to the Earth (UTM and ECEF coordinates included), and near enough
+#: that no path error, nor the sum of a run's errors, overflows a float.
+MAX_PATH_RANGE_M = 1e9
+
+
 def _check_run_s(seconds: float, what: str) -> None:
     if not seconds <= MAX_RUN_S:
         raise ConfigError(f"{what} {seconds:g} s is too long: the limit is {MAX_RUN_S:g} s")
@@ -410,6 +416,10 @@ def _build_path(scn: Scenario) -> fl.TargetPath | None:
                 raise ConfigError(
                     f"path_file {scn.path_file}: the speed at t = {sample.t_s:g} s is above "
                     f"the {canbus.MAX_SPEED_MPH:.1f} mph the speed broadcast carries")
+            if not math.hypot(sample.p_n, sample.p_e) <= MAX_PATH_RANGE_M:
+                raise ConfigError(
+                    f"path_file {scn.path_file}: the position at t = {sample.t_s:g} s is more "
+                    f"than {MAX_PATH_RANGE_M:g} m from the origin")
         return path
     return None
 

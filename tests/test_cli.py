@@ -217,7 +217,7 @@ class TestSimulateFormatsStateInAChild:
         assert _no_child_left()
 
     def test_failed_run_writes_nothing_and_leaves_no_child(self, tmp_path, capsys):
-        argv = TestUserErrors._argv(tmp_path, "far-path-file")
+        argv = TestUserErrors._argv(tmp_path, "overflowing-lqr-weights")
         assert cli.main(argv) == 2
         assert "inf mph" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -627,7 +627,7 @@ class TestUserErrors:
         "endless-preview-scenario": "preview_s 1.7e+308 s is too long: the limit is 86400 s",
         "too-fast-oval-scenario": "oval.speed_mph 1.7e+308 is above the 375.3 mph",
         "too-fast-path-file": "the speed at t = 0 s is above the 375.3 mph",
-        "far-path-file": "the follower's speed command at t = 0 s is inf mph",
+        "far-path-file": "the position at t = 0 s is more than 1e+09 m from the origin",
         "overflowing-lqr-weights": "the follower's speed command at t = 0.1 s is inf mph",
         "escaping-name-scenario": "name must be one plain directory name",
         "dot-name-scenario": "name must be one plain directory name",

@@ -179,6 +179,19 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=r"the speed at t = 0\.2 s is above"):
             scenario._build_path(Scenario("s", 1.0, path_file=str(path)))
 
+    def test_path_range_cap(self, tmp_path):
+        # a sample at the cap loads; one a float past it, or one whose distance
+        # overflows, is named in the error
+        top = scenario.MAX_PATH_RANGE_M
+        path = tmp_path / "path.txt"
+        path.write_text(f"0 0 {top!r} 0 0\n")
+        assert scenario._build_path(Scenario("s", 1.0, path_file=str(path))).samples[0].p_e == top
+        for far in (f"0 0 0 1 0\n0.1 {math.nextafter(top, 2e9)!r} 0 0 0\n",
+                    "0 0 0 1 0\n0.1 1.7e308 1.7e308 0 0\n"):
+            path.write_text(far)
+            with pytest.raises(ConfigError, match=r"position at t = 0\.1 s is more than 1e\+09 m"):
+                scenario._build_path(Scenario("s", 1.0, path_file=str(path)))
+
     def test_oval_table_cap(self):
         # just under the cap builds, just over it raises before any sample is made
         speed = (2.0 * 100.0 + 2.0 * math.pi * 20.0) / (follower.MAX_OVAL_SAMPLES * 0.1)
@@ -342,10 +355,15 @@ class TestFiniteOutput:
              source=("oval", {"straight_m": 1e300, "radius_m": 1, "speed_mph": 1.7e308}))
     @example(keys={"duration_s": 0.05}, source=("path", (0.1, [(0, 0, 1e308, 1e308)] * 2)))
     @example(keys={"duration_s": 0.05}, source=("path", (0.1, [(1e308, 1e308, 1, 0)] * 2)))
+    @example(keys={"duration_s": 0.05, "q": 0.0}, source=("path", (0.01, [(0, 1.7e308, 0, 0)])))
+    @example(keys={"duration_s": 0.05, "q": 0.0},
+             source=("path", (0.01, [(1.7e308, 1.7e308, 0, 0)])))
     def test_a_run_writes_only_finite_numbers_or_fails_first(self, keys, source):
-        # the four inputs that once wrote inf or never ended: a preview past the
-        # run cap, an oval and a path faster than the speed broadcast carries,
-        # and a path so far out that the follower's command overflows
+        # the inputs that once wrote inf or never ended: a preview past the run
+        # cap, an oval and a path faster than the speed broadcast carries, a path
+        # so far out that the follower's command overflows, and, with the
+        # follower's position weight at zero, one whose error sum overflows and
+        # one whose every error does
         kind, value = source
         raw = {"name": "s", **keys}
         chunks = []
