@@ -227,10 +227,6 @@ class CanTrace:
         ids, first = np.unique(self.columns().ids, return_index=True)
         return ids[np.argsort(first)].tolist()
 
-    def rows_of(self, ids: Iterable[int]) -> np.ndarray:
-        """Boolean mask of the rows whose arbitration id is in ids."""
-        return np.isin(self.columns().ids, list(ids))
-
     def select(self, rows) -> CanTrace:
         """The frames at rows (a boolean mask or row indices), in order, as columns."""
         rows = np.asarray(rows)
@@ -500,8 +496,9 @@ def _per_line(text: str) -> CanTrace:
     byte by int(token, 16), so a byte may also be "F", "0x1F" or "+F".
     Raises TraceParseError for the first faulty line.  A non-ASCII byte,
     which parse_trace decodes to a lone surrogate, fails its line before
-    the tokens are read, and a malformed token before the frame's order,
-    sign and range are checked.
+    the tokens are read, and a malformed token before the frame's order
+    and range are checked.  CanFrame checks the sign, id and dlc, and its
+    ValueError message is the TraceParseError's reason.
     """
     frames = []
     last_t = -1
@@ -533,20 +530,14 @@ def _per_line(text: str) -> CanTrace:
         except ValueError:  # a token int() rejects, or a value above 0xFF
             raise TraceParseError(line_no, "bad data byte") from None
         if t < last_t:
-            fault = f"timestamp {t} goes backwards"
-        elif t < 0:
-            fault = f"negative timestamp {t}"
-        elif t > _INT64_MAX:
-            fault = f"timestamp {t} does not fit 64 bits"
-        elif not 0 <= arb_id <= 0x7FF:
-            fault = f"arbitration id 0x{arb_id:X} outside 11-bit range"
-        elif dlc > 8:
-            fault = f"dlc {dlc} outside 0..8"
-        else:
-            frames.append(_frame(t, arb_id, payload))
-            last_t = t
-            continue
-        raise TraceParseError(line_no, fault)
+            raise TraceParseError(line_no, f"timestamp {t} goes backwards")
+        if t > _INT64_MAX:
+            raise TraceParseError(line_no, f"timestamp {t} does not fit 64 bits")
+        try:
+            frames.append(CanFrame(t, arb_id, payload))
+        except ValueError as exc:  # its sign, id or dlc check
+            raise TraceParseError(line_no, str(exc)) from None
+        last_t = t
     return _ordered_trace(frames)
 
 
@@ -671,9 +662,9 @@ class CanBus:
         self._pending: list[tuple[int, int, int, CanFrame, str]] = []
         self._seq = 0
         self._now = 0
-        # due time of the latest frame delivered or in delivery; every frame
-        # carries its due time, so the trace is in time order
-        self._last_us = -1
+        # earliest due time inject_at accepts: the due time in delivery during
+        # a step, else the bus time; so the trace stays in time order
+        self._floor_us = 0
         self._trace: list[CanFrame] = []
         self._stopped: str | None = None  # the BusStoppedError message once stopped
 
@@ -706,17 +697,19 @@ class CanBus:
     def inject_at(self, due_us: int, frame: CanFrame, source: str = "inject") -> None:
         """Queue a frame stamped due_us for delivery once the bus reaches due_us.
 
-        Raises ValueError for a due time earlier than a frame already
-        delivered, or in delivery by the current ``step``: the frame would
-        reach the wire after that later one and break the trace order.
+        Raises ValueError for a due time the bus has passed: before the bus
+        time, or during a step before the due time in delivery.  The frame
+        would break the trace order, or wait for a step back in time.
         """
         if self._stopped is not None:
             raise BusStoppedError(self._stopped)
         if frame.timestamp_us != due_us:
             raise ValueError(f"frame stamped {frame.timestamp_us} us queued for {due_us} us")
-        if due_us < self._last_us:
+        if due_us < self._floor_us:
+            last = self._trace[-1].timestamp_us if self._trace else -1
             raise ValueError(
-                f"frame due at {due_us} us would follow one stamped {self._last_us} us")
+                f"frame due at {due_us} us would follow one stamped {last} us" if due_us < last
+                else f"frame due at {due_us} us is before the bus time, {self._floor_us} us")
         heapq.heappush(self._pending, (due_us, frame.arbitration_id, self._seq, frame, source))
         self._seq += 1
 
@@ -769,7 +762,7 @@ class CanBus:
                     due = pending[0][0]
                 if due is None or due > now_us:
                     break
-                self._last_us = due
+                self._floor_us = due
                 deliveries = self._emit_injected(due) if injected else self._emit_due(due)
                 for frame, source in deliveries:
                     if frame is None:  # a source not due at this time
@@ -780,6 +773,7 @@ class CanBus:
         except BaseException as exc:
             self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
             raise
+        self._floor_us = now_us
         return trace[start:]
 
     def _emit_due(self, now_us: int) -> Iterator[tuple[CanFrame | None, str]]:

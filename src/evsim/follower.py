@@ -109,37 +109,29 @@ class TargetPath:
         idx = int(t_s / self.dt_s) % len(self.samples)
         return self.samples[idx]
 
-    def position_at(self, t_s: float, held: bool = True) -> tuple[float, float]:
-        """Target position at t; held=False interpolates within the slot."""
+    def position_at(self, t_s: float) -> tuple[float, float]:
+        """Target position at t: the held sample carried forward by its velocity within the slot."""
         s = self.sample_at(t_s)
-        if held:
-            return (s.p_n, s.p_e)
         frac = t_s % self.period_s - s.t_s
         return (s.p_n + s.v_n * frac, s.p_e + s.v_e * frac)
 
 
 def save_path(path: TargetPath, file) -> None:
-    """Write ``t p_n p_e v_n v_e`` rows; repr keeps the floats exact."""
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    fh = open(file, "w", encoding="ascii") if own else file
-    try:
+    """Write ``t p_n p_e v_n v_e`` rows to the file at path file; repr keeps the floats exact."""
+    with open(file, "w", encoding="ascii") as fh:
         fh.write("# t_s p_n p_e v_n v_e\n")
         for s in path.samples:
             fh.write(f"{s.t_s!r} {s.p_n!r} {s.p_e!r} {s.v_n!r} {s.v_e!r}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def load_path(file) -> TargetPath:
-    """Read the save_path format; commas and extra whitespace are tolerated.
+    """Read the save_path format from the file at path file.
 
-    Raises ValueError naming the line of a malformed row, nan and inf included.
+    Commas and extra whitespace are tolerated.  Raises ValueError naming
+    the line of a malformed row, nan and inf included.
     """
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    fh = open(file, "r", encoding="ascii") if own else file
-    try:
-        samples = []
+    samples = []
+    with open(file, "r", encoding="ascii") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -154,10 +146,7 @@ def load_path(file) -> TargetPath:
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"line {line_no}: a value is not finite")
             samples.append(TargetSample(*values))
-        return TargetPath(samples)
-    finally:
-        if own:
-            fh.close()
+    return TargetPath(samples)
 
 
 def oval_lap_s(straight_m: float, radius_m: float, speed_mps: float) -> float:
@@ -341,7 +330,7 @@ class PathFollower:
         target = self.path.sample_at(t_s)
         # the held sample's position is up to one slot stale by now; its
         # velocity carries it forward to the actual query time
-        anchor_n, anchor_e = self.path.position_at(t_s, held=False)
+        anchor_n, anchor_e = self.path.position_at(t_s)
         u_n = target.v_n - self.gains.k_n * (p_n - anchor_n)
         u_e = target.v_e - self.gains.k_e * (p_e - anchor_e)
         speed_mph = math.hypot(u_n, u_e) * MPS_TO_MPH

@@ -177,7 +177,7 @@ def dominance_fraction(deliveries: Sequence[tuple[int, str]], start_us: int,
 def select_ids(trace: CanTrace, ids: Iterable[int]) -> CanTrace:
     """Subset of a trace containing only the given ids, order preserved, as columns."""
     wanted = set(ids)
-    subset = trace.select(trace.rows_of(wanted))
+    subset = trace.select(np.isin(trace.columns().ids, list(wanted)))
     missing = wanted.difference(np.flatnonzero(np.bincount(subset.columns().ids)).tolist())
     if missing:
         raise UnknownIdError(

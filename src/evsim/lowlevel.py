@@ -16,6 +16,7 @@ b cancels that zero against one pole so the reference response is
 exactly first order with time constant tau_target.  The brake and
 steering loops drive a channel that is not the controlled output
 itself, where the cancellation does not apply, so they stay plain PI.
+Each loop is a PiLoop, and PiLoop.step is the one PI update.
 """
 
 from __future__ import annotations
@@ -147,31 +148,8 @@ ACCEL_B = setpoint_weight(ACCEL_GAINS, ACCEL_SPEC.tau_target_s)
 HYSTERESIS_MPH = 0.5
 
 
-def pi_step(error: float, integral: float, gains: PiGains, dt: float,
-            out_lo: float, out_hi: float,
-            p_error: float | None = None) -> tuple[float, float]:
-    """One PI update with clamping anti-windup.
-
-    When the output saturates, the integral is back-calculated so the
-    unsaturated sum sits exactly on the limit.  p_error, when given,
-    feeds only the proportional term (setpoint weighting); the integral
-    always accumulates the true error.
-    """
-    if p_error is None:
-        p_error = error
-    integral = integral + error * dt
-    out = gains.kp * p_error + gains.ki * integral
-    if out > out_hi:
-        integral = (out_hi - gains.kp * p_error) / gains.ki
-        out = out_hi
-    elif out < out_lo:
-        integral = (out_lo - gains.kp * p_error) / gains.ki
-        out = out_lo
-    return out, integral
-
-
 class PiLoop:
-    """Stateful wrapper around pi_step."""
+    """PI loop with clamping anti-windup; the integral is its one state."""
 
     def __init__(self, gains: PiGains, output_limits: tuple[float, float]):
         lo, hi = output_limits
@@ -185,8 +163,26 @@ class PiLoop:
         self.integral = 0.0
 
     def step(self, error: float, dt: float, p_error: float | None = None) -> float:
+        """One PI update; returns the output, clamped to the output limits.
+
+        When the output saturates, the integral is back-calculated so the
+        unsaturated sum sits exactly on the limit.  p_error, when given,
+        feeds only the proportional term (setpoint weighting); the integral
+        always accumulates the true error.
+        """
+        gains = self.gains
+        if p_error is None:
+            p_error = error
+        integral = self.integral + error * dt
+        out = gains.kp * p_error + gains.ki * integral
         lo, hi = self.output_limits
-        out, self.integral = pi_step(error, self.integral, self.gains, dt, lo, hi, p_error)
+        if out > hi:
+            integral = (hi - gains.kp * p_error) / gains.ki
+            out = hi
+        elif out < lo:
+            integral = (lo - gains.kp * p_error) / gains.ki
+            out = lo
+        self.integral = integral
         return out
 
 

@@ -523,7 +523,7 @@ def run_scenario(scn: Scenario, on_chunk=None) -> ScenarioResult:
         t_s = end_us / 1e6
         st = plant.state
         if path is not None:
-            tgt_n, tgt_e = path.position_at(t_s, held=False)
+            tgt_n, tgt_e = path.position_at(t_s)
             path_err = math.hypot(st.p_n - tgt_n, st.p_e - tgt_e)
             err_sum += path_err
             lap = int(t_s / period)

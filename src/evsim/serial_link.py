@@ -4,6 +4,8 @@ Wire frame: 0xFA start byte, payload length byte, payload, CRC16 big-endian.
 The command payload is three big-endian 16-bit fixed-point fields in
 (accelerator, brake, steering) order, each round(x * 65535) for x in [0, 1],
 so a command frame is always 10 bytes.  The CRC covers the payload only.
+decode_packet is the one check of a frame; StreamDecoder finds the frame
+boundaries in a raw byte stream and hands each candidate to it.
 """
 
 from __future__ import annotations
@@ -60,15 +62,6 @@ def _command(app: float, bpp: float, steer: float) -> CommandPacket:
     return pkt
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Decoded wire frame before payload interpretation."""
-
-    length: int
-    payload: bytes
-    crc: int
-
-
 def crc16_ccitt(data: bytes) -> int:
     """CRC16/CCITT-FALSE of data.
 
@@ -93,39 +86,31 @@ def encode_packet(app: float, bpp: float, steer: float) -> bytes:
     return bytes((START_BYTE, COMMAND_PAYLOAD_LEN)) + payload + crc.to_bytes(2, "big")
 
 
-def parse_frame(buf: bytes) -> Frame:
-    """Validate framing and CRC; the payload is not interpreted."""
-    if len(buf) < 2:
-        raise BadLengthError(f"frame truncated at {len(buf)} bytes")
+def decode_packet(buf: bytes) -> CommandPacket:
+    """Check a command frame and unpack its three fields.
+
+    The first check that fails raises, in this order: at least 2 bytes,
+    the start byte, the length byte against the frame's size, the CRC,
+    and a 6-byte command payload.  The error types tell framing noise
+    (BadStartError, BadLengthError) from corruption (BadCrcError).
+    """
+    size = len(buf)
+    if size < 2:
+        raise BadLengthError(f"frame truncated at {size} bytes")
     if buf[0] != START_BYTE:
         raise BadStartError(f"expected start byte 0x{START_BYTE:02X}, got 0x{buf[0]:02X}")
     length = buf[1]
-    if len(buf) != length + 4:
-        raise BadLengthError(f"length byte {length} but frame is {len(buf)} bytes")
-    payload = buf[2:2 + length]
-    crc = int.from_bytes(buf[2 + length:], "big")
-    if crc != crc16_ccitt(payload):
-        raise BadCrcError(f"crc mismatch: frame 0x{crc:04X}, computed 0x{crc16_ccitt(payload):04X}")
-    return Frame(length, payload, crc)
-
-
-def decode_packet(buf: bytes) -> CommandPacket:
-    """Parse and interpret a command frame.
-
-    Raises BadStartError / BadLengthError / BadCrcError so the caller can
-    tell framing noise from corruption.  A valid command frame is checked
-    and unpacked in place; anything else goes through parse_frame, which
-    raises the error it would have raised first.
-    """
-    if (len(buf) == COMMAND_FRAME_LEN and buf[0] == START_BYTE
-            and buf[1] == COMMAND_PAYLOAD_LEN
-            and crc_hqx(buf[2:8], 0xFFFF) == (buf[8] << 8 | buf[9])):
-        app, bpp, steer = _COMMAND_FIELDS.unpack_from(buf, 2)
-        return _command(app / FIXED_POINT_FULL_SCALE, bpp / FIXED_POINT_FULL_SCALE,
-                        steer / FIXED_POINT_FULL_SCALE)
-    frame = parse_frame(buf)
-    # framing and CRC passed, so the payload is not a command's 6 bytes
-    raise BadLengthError(f"command payload must be {COMMAND_PAYLOAD_LEN} bytes, got {frame.length}")
+    if size != length + 4:
+        raise BadLengthError(f"length byte {length} but frame is {size} bytes")
+    crc = buf[-2] << 8 | buf[-1]
+    computed = crc_hqx(buf[2:-2], 0xFFFF)  # crc16_ccitt, without the call
+    if crc != computed:
+        raise BadCrcError(f"crc mismatch: frame 0x{crc:04X}, computed 0x{computed:04X}")
+    if length != COMMAND_PAYLOAD_LEN:
+        raise BadLengthError(f"command payload must be {COMMAND_PAYLOAD_LEN} bytes, got {length}")
+    app, bpp, steer = _COMMAND_FIELDS.unpack_from(buf, 2)
+    return _command(app / FIXED_POINT_FULL_SCALE, bpp / FIXED_POINT_FULL_SCALE,
+                    steer / FIXED_POINT_FULL_SCALE)
 
 
 class StreamDecoder:

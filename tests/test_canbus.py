@@ -504,7 +504,7 @@ class HeapBus:
         self._pending = []
         self._seq = 0
         self._now = 0
-        self._last_us = -1
+        self._floor_us = 0  # the due time in delivery during a step, else the bus time
         self._trace = []
         self._stopped = None
 
@@ -529,9 +529,12 @@ class HeapBus:
         self._check_running()
         if frame.timestamp_us != due_us:
             raise ValueError(f"frame stamped {frame.timestamp_us} us queued for {due_us} us")
-        if due_us < self._last_us:
+        if due_us < self._floor_us:
+            last = self._trace[-1].timestamp_us if self._trace else -1
+            if due_us < last:
+                raise ValueError(f"frame due at {due_us} us would follow one stamped {last} us")
             raise ValueError(
-                f"frame due at {due_us} us would follow one stamped {self._last_us} us")
+                f"frame due at {due_us} us is before the bus time, {self._floor_us} us")
         heapq.heappush(self._pending, (due_us, frame.arbitration_id, 1, self._seq, frame, source))
         self._seq += 1
 
@@ -551,7 +554,7 @@ class HeapBus:
         delivered = []
         try:
             while (due := self.next_due_us()) is not None and due <= now_us:
-                self._last_us = due
+                self._floor_us = due
                 batch = []
                 for src in self._periodic:
                     if src["next_due"] == due:
@@ -574,6 +577,7 @@ class HeapBus:
         except BaseException as exc:
             self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
             raise
+        self._floor_us = now_us
         return delivered
 
     def trace(self):
@@ -678,13 +682,12 @@ def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_pay
 def _step_by_due_times(bus, now_us):
     """Checked steps to each due time up to now_us in turn, then to now_us.
 
-    A frame queued for a time the bus has passed goes out in a step to
-    the bus's own time; a step back in time is made as asked, and fails.
+    No due time is before the bus time, so a step back in time is made as
+    asked, and fails.
     """
     delivered = []
-    while (now_us >= bus._now and (due := bus.next_due_us()) is not None
-           and due <= now_us):
-        delivered += _checked_step(bus, max(due, bus._now))
+    while (due := bus.next_due_us()) is not None and due <= now_us:
+        delivered += _checked_step(bus, due)
     return delivered + _checked_step(bus, now_us)
 
 
@@ -943,6 +946,38 @@ class TestFailStop:
             (7, 0x20), (8, 0x40), (9, 0x30)]
         assert bus.next_due_us() == 12
 
+    def test_inject_before_the_bus_time_fails_between_steps(self, bus_type):
+        # a due time the bus has passed would leave next_due_us in the past,
+        # and the step to it would go back in time
+        bus = bus_type()
+        bus.add_periodic(0x10, 10, lambda due: b"")
+        bus.step(15)
+        with pytest.raises(ValueError, match="frame due at 12 us is before the bus time, 15 us"):
+            bus.inject_at(12, CanFrame(12, 0x20, b""))
+        assert bus.next_due_us() == 20
+        bus.inject_at(15, CanFrame(15, 0x20, b""))  # due at the bus time itself
+        assert bus.next_due_us() == 15
+        assert [(f.timestamp_us, f.arbitration_id) for f in bus.step(20)] == [
+            (15, 0x20), (20, 0x10)]
+
+    def test_inject_before_the_bus_time_fails_with_no_source(self, bus_type):
+        bus = bus_type()
+        bus.step(100)
+        with pytest.raises(ValueError, match="frame due at 50 us is before the bus time, 100 us"):
+            bus.inject_at(50, CanFrame(50, 0x20, b""))
+        assert bus.next_due_us() is None
+        bus.inject_at(100, CanFrame(100, 0x20, b""))
+        assert [f.timestamp_us for f in bus.step(100)] == [100]
+
+    def test_listener_queues_before_the_step_end(self, bus_type):
+        # during a step the floor is the due time in delivery, not the step's end
+        bus = bus_type()
+        bus.inject_at(10, CanFrame(10, 0x10, b""))
+        bus.add_listener(lambda frame, source: bus.inject_at(30, CanFrame(30, 0x20, b"")),
+                         ids=(0x10,))
+        assert [f.timestamp_us for f in bus.step(100)] == [10, 30]
+        assert bus.next_due_us() is None
+
 
 class TestQueue:
     """The heap of waiting frames in CanBus against the plain scheduler of HeapBus."""
@@ -959,6 +994,8 @@ class TestQueue:
         frames = bus.trace().frames
         CanTrace(frames)  # raises if the trace left time order
         assert all(f.data.__class__ is bytes for f in frames)
+        due = bus.next_due_us()
+        assert due is None or due >= bus._now  # nothing waits for a time the bus has passed
 
     @settings(deadline=None, max_examples=300)
     @given(st.lists(_BUS_OPS, max_size=30))

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -87,9 +86,9 @@ class TestTargetPath:
 
     def test_position_interpolates_within_slot(self):
         path = _line_path(speed=5.0)
-        held = path.position_at(0.16, held=True)
-        moving = path.position_at(0.16, held=False)
-        assert held == (0.5, 0.0)
+        held = path.sample_at(0.16)
+        moving = path.position_at(0.16)
+        assert (held.p_n, held.p_e) == (0.5, 0.0)
         assert moving[0] == pytest.approx(0.5 + 5.0 * 0.06)
 
 
@@ -101,28 +100,33 @@ class TestPathIo:
         back = load_path(p)
         assert back.samples == path.samples  # repr floats survive exactly
 
-    def test_stream_io(self):
-        buf = io.StringIO()
-        save_path(_line_path(), buf)
-        buf.seek(0)
-        assert len(load_path(buf)) == 10
+    def test_save_then_load(self, tmp_path):
+        p = tmp_path / "line.txt"
+        save_path(_line_path(), str(p))
+        assert len(load_path(str(p))) == 10
 
-    def test_commas_tolerated(self):
-        back = load_path(io.StringIO("0.0, 1.0, 2.0, 3.0, 4.0\n"))
+    def test_commas_tolerated(self, tmp_path):
+        back = load_path(_path_file(tmp_path, "0.0, 1.0, 2.0, 3.0, 4.0\n"))
         assert back.samples[0].v_e == 4.0
 
-    def test_field_count_checked(self):
+    def test_field_count_checked(self, tmp_path):
         with pytest.raises(ValueError, match="line 1"):
-            load_path(io.StringIO("0.0 1.0 2.0\n"))
+            load_path(_path_file(tmp_path, "0.0 1.0 2.0\n"))
 
-    def test_bad_number(self):
+    def test_bad_number(self, tmp_path):
         with pytest.raises(ValueError, match="line 2"):
-            load_path(io.StringIO("0.0 0 0 0 0\nx 0 0 0 0\n"))
+            load_path(_path_file(tmp_path, "0.0 0 0 0 0\nx 0 0 0 0\n"))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_value_not_finite(self, value):
+    def test_value_not_finite(self, tmp_path, value):
         with pytest.raises(ValueError, match="line 2: a value is not finite"):
-            load_path(io.StringIO(f"0.0 0 0 0 0\n0.1 {value} 0 1 0\n"))
+            load_path(_path_file(tmp_path, f"0.0 0 0 0 0\n0.1 {value} 0 1 0\n"))
+
+
+def _path_file(tmp_path, text):
+    p = tmp_path / "path.txt"
+    p.write_text(text)
+    return p
 
 
 class TestMakeOval:
@@ -282,7 +286,7 @@ class TestPathFollower:
         t = math.floor(t / path.dt_s) * path.dt_s
         s = path.sample_at(t)
         heading = math.atan2(s.v_e, s.v_n)
-        anchor = path.position_at(t, held=False)
+        anchor = path.position_at(t)
         cmd = f.step(t, anchor[0], anchor[1], heading)
         expected = math.atan(2.7 * (speed / radius) / speed) * 15.0 * (2000.0 / math.pi)
         assert cmd.steer_counts == pytest.approx(expected, rel=0.02)
@@ -291,7 +295,7 @@ class TestPathFollower:
         path = make_oval(100.0, 20.0, 8.9408)
         f = PathFollower(path, FollowerGains(k_heading=4000.0, preview_s=0.0))
         t = 10 * path.dt_s  # well inside the first straight
-        anchor = path.position_at(t, held=False)
+        anchor = path.position_at(t)
         cmd = f.step(t, anchor[0], anchor[1], 0.0)
         assert cmd.steer_counts == pytest.approx(0.0, abs=1e-9)
 
@@ -303,7 +307,7 @@ class TestPathFollower:
         # just before the corner the previewing follower already steers
         t = 100.0 / speed - 0.3
         t = math.floor(t / path.dt_s) * path.dt_s
-        anchor = path.position_at(t, held=False)
+        anchor = path.position_at(t)
         assert plain.step(t, *anchor, 0.0).steer_counts == pytest.approx(0.0, abs=1e-9)
         assert preview.step(t, *anchor, 0.0).steer_counts > 100.0
 

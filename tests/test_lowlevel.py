@@ -24,7 +24,6 @@ from evsim.lowlevel import (
     invert_k_app,
     invert_k_bpp,
     invert_k_steer,
-    pi_step,
     setpoint_weight,
 )
 from evsim.plant import BPP_VERTEX_PCT, STEER_DUTY_MIN, VehiclePlant, VehicleState, bpp_k, steer_k
@@ -120,33 +119,72 @@ class TestGainDesign:
             setpoint_weight(PiGains(-1.0, 1e308), 1e90)
 
 
+def _reference_pi_step(error, integral, gains, dt, out_lo, out_hi, p_error=None):
+    """One PI update with clamping anti-windup, as the loop's update was first written."""
+    if p_error is None:
+        p_error = error
+    integral = integral + error * dt
+    out = gains.kp * p_error + gains.ki * integral
+    if out > out_hi:
+        integral = (out_hi - gains.kp * p_error) / gains.ki
+        out = out_hi
+    elif out < out_lo:
+        integral = (out_lo - gains.kp * p_error) / gains.ki
+        out = out_lo
+    return out, integral
+
+
+def _loop(gains, lo, hi, integral=0.0):
+    loop = PiLoop(gains, (lo, hi))
+    loop.integral = integral
+    return loop
+
+
+_FLOATS = st.floats(-1e6, 1e6)
+
+
 class TestPiStep:
     def test_plain_update(self):
-        out, integral = pi_step(2.0, 1.0, PiGains(3.0, 0.5), 0.1, -1e9, 1e9)
-        assert integral == 1.0 + 2.0 * 0.1
-        assert out == 3.0 * 2.0 + 0.5 * integral
+        loop = _loop(PiGains(3.0, 0.5), -1e9, 1e9, integral=1.0)
+        out = loop.step(2.0, 0.1)
+        assert loop.integral == 1.0 + 2.0 * 0.1
+        assert out == 3.0 * 2.0 + 0.5 * loop.integral
 
     def test_setpoint_weighted_proportional(self):
-        out, integral = pi_step(2.0, 0.0, PiGains(3.0, 0.5), 0.1, -1e9, 1e9,
-                                p_error=0.5)
-        assert integral == 0.2  # integral always accumulates the true error
+        loop = _loop(PiGains(3.0, 0.5), -1e9, 1e9)
+        out = loop.step(2.0, 0.1, p_error=0.5)
+        assert loop.integral == 0.2  # integral always accumulates the true error
         assert out == 3.0 * 0.5 + 0.5 * 0.2
 
     def test_anti_windup_back_calculation(self):
         gains = PiGains(27.0, 28.0)
-        out, integral = pi_step(50.0, 0.0, gains, 0.01, 0.0, 100.0)
-        assert out == 100.0
+        loop = _loop(gains, 0.0, 100.0)
+        assert loop.step(50.0, 0.01) == 100.0
         # unsaturated sum recomputes to exactly the limit
-        assert gains.kp * 50.0 + gains.ki * integral == 100.0
+        assert gains.kp * 50.0 + gains.ki * loop.integral == 100.0
 
     def test_no_windup_on_reversal(self):
-        gains = PiGains(1.0, 10.0)
-        integral = 0.0
+        loop = _loop(PiGains(1.0, 10.0), 0.0, 5.0)
         for _ in range(100):
-            out, integral = pi_step(10.0, integral, gains, 0.1, 0.0, 5.0)
+            out = loop.step(10.0, 0.1)
         assert out == 5.0
-        out, integral = pi_step(-1.0, integral, gains, 0.1, 0.0, 5.0)
-        assert out < 5.0  # leaves the limit on the first opposing error
+        assert loop.step(-1.0, 0.1) < 5.0  # leaves the limit on the first opposing error
+
+    @given(st.lists(st.tuples(_FLOATS, st.none() | _FLOATS), min_size=1, max_size=20),
+           st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-4, 1.0),
+           _FLOATS, _FLOATS)
+    def test_update_matches_reference_bit_for_bit(self, errors, kp, ki, dt, limit_a, limit_b):
+        # the output and the integral of every step, saturated or not, to the last bit
+        gains = PiGains(kp, ki)
+        lo, hi = sorted((limit_a, limit_b))
+        if lo == hi:
+            hi = lo + 1.0
+        loop = _loop(gains, lo, hi)
+        integral = 0.0
+        for error, p_error in errors:
+            out, integral = _reference_pi_step(error, integral, gains, dt, lo, hi, p_error)
+            got = loop.step(error, dt, p_error)
+            assert (got.hex(), loop.integral.hex()) == (out.hex(), integral.hex())
 
     def test_loop_wrapper_state(self):
         loop = PiLoop(PiGains(1.0, 1.0), (-10.0, 10.0))

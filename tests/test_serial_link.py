@@ -14,7 +14,6 @@ from evsim.serial_link import (
     crc16_ccitt,
     decode_packet,
     encode_packet,
-    parse_frame,
 )
 
 
@@ -75,36 +74,47 @@ class TestPacketCodec:
             assert abs(sent - got) <= half_step + 1e-12
 
 
+#: A valid command frame, FA 06 19 9A 33 33 4C CC 47 F3.
+_WIRE = encode_packet(0.1, 0.2, 0.3)
+
+
+def _with(index: int, value: int) -> bytes:
+    buf = bytearray(_WIRE)
+    buf[index] = value
+    return bytes(buf)
+
+
 class TestFrameErrors:
-    def test_bad_start(self):
-        buf = bytearray(encode_packet(0.1, 0.2, 0.3))
-        buf[0] = 0xFB
-        with pytest.raises(BadStartError):
-            parse_frame(bytes(buf))
-
-    def test_bad_length_byte(self):
-        buf = bytearray(encode_packet(0.1, 0.2, 0.3))
-        buf[1] = 7
-        with pytest.raises(BadLengthError):
-            parse_frame(bytes(buf))
-
-    def test_truncated(self):
-        with pytest.raises(BadLengthError):
-            parse_frame(encode_packet(0.1, 0.2, 0.3)[:-1])
-
-    def test_bad_crc(self):
-        buf = bytearray(encode_packet(0.1, 0.2, 0.3))
-        buf[-1] ^= 0x01
-        with pytest.raises(BadCrcError):
-            parse_frame(bytes(buf))
-
-    def test_non_command_length(self):
-        payload = b"\xab"
-        crc = crc16_ccitt(payload)
-        buf = bytes([serial_link.START_BYTE, 1]) + payload + crc.to_bytes(2, "big")
-        parse_frame(buf)  # framing is fine
-        with pytest.raises(BadLengthError):
+    # every input faults one check or more; the first check in the order
+    # truncation, start byte, length byte, CRC, command length names it
+    @pytest.mark.parametrize("buf, error, message", [
+        (b"", BadLengthError, "frame truncated at 0 bytes"),
+        (b"\xfa", BadLengthError, "frame truncated at 1 bytes"),
+        (b"\x00", BadLengthError, "frame truncated at 1 bytes"),
+        (_with(0, 0xFB), BadStartError, "expected start byte 0xFA, got 0xFB"),
+        (_with(0, 0x00)[:3], BadStartError, "expected start byte 0xFA, got 0x00"),
+        (_with(1, 7), BadLengthError, "length byte 7 but frame is 10 bytes"),
+        (_WIRE[:-1], BadLengthError, "length byte 6 but frame is 9 bytes"),
+        (_WIRE + b"\x00", BadLengthError, "length byte 6 but frame is 11 bytes"),
+        (_with(9, 0xF2), BadCrcError, "crc mismatch: frame 0x47F2, computed 0x47F3"),
+        (_with(2, 0x18), BadCrcError, "crc mismatch: frame 0x47F3, computed 0x0253"),
+        (bytes.fromhex("FA 05 00 01 02 03 04 1C 0F"), BadLengthError,
+         "command payload must be 6 bytes, got 5"),
+        (bytes.fromhex("FA 00 FF FF"), BadLengthError, "command payload must be 6 bytes, got 0"),
+        (bytes.fromhex("FA 05 00 01 02 03 04 1C 0E"), BadCrcError,
+         "crc mismatch: frame 0x1C0E, computed 0x1C0F"),
+    ], ids=["empty", "start-only", "one-byte", "bad-start", "bad-start-short", "length-byte",
+            "truncated", "trailing-byte", "bad-crc", "bad-payload-crc", "five-byte-payload",
+            "empty-payload", "five-byte-bad-crc"])
+    def test_first_fault_named(self, buf, error, message):
+        with pytest.raises(FrameError) as exc:
             decode_packet(buf)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_valid_frames_decode(self):
+        assert decode_packet(_WIRE) == CommandPacket(6554 / 65535, 13107 / 65535, 19660 / 65535)
+        assert decode_packet(bytearray(_WIRE)) == decode_packet(_WIRE)
 
     def test_every_single_bit_flip_detected(self):
         rng = random.Random(41)
