@@ -5,7 +5,9 @@ The manifest pins the SHA-256 of every reference output that
 tests/test_golden.py checks.  Regenerate it only when a change is meant
 to alter those outputs, and say why in CHANGES.md.  The script prints
 each digest it added, changed or dropped against the manifest it
-replaces, so the outputs that moved can be named.
+replaces, so the outputs that moved can be named.  The manifest's
+platform also records a libm fingerprint (test_golden.libm_fingerprint),
+so a later mismatch can say whether libm differs from this platform's.
 
 Run from the repository root:
 
@@ -40,8 +42,9 @@ def main() -> int:
     old = json.loads(path.read_text(encoding="ascii"))["digests"] if path.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         manifest = test_golden.write_manifest(Path(tmp), path)
-    print(f"wrote {path} ({len(manifest['digests'])} digests, "
-          f"{manifest['platform']['platform']})")
+    stamp = manifest["platform"]
+    print(f"wrote {path} ({len(manifest['digests'])} digests, {stamp['platform']}, "
+          f"libm fingerprint {stamp['libm_fingerprint'][:16]})")
     print("\n".join(digest_changes(old, manifest["digests"])) or "no digest changed")
     return 0
 

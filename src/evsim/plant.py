@@ -34,6 +34,16 @@ straight wheels the cos and sin of a heading that cannot turn.  Each is
 the value every tick would compute from the same operands, so the
 result is bit for bit that of the plain per-tick loop, which
 tests/test_kernels.py keeps as the reference.
+
+A chunk on straight wheels can also sit at a fixed point: at rest under
+a throttle whose settle speed is 0, with the brake released and its
+channel settled, a tick gives back the very bits it was given.  With
+the heading held, such a tick is a pure function of decel, speed, p_n
+and p_e and of values the chunk fixes, so once one tick leaves those
+four bit for bit unchanged (-0.0 is not 0.0), every later tick would
+too, and advance skips them.  A chunk that starts at speed 0 runs one
+tick alone to find out; a tick that changes anything sends the chunk on
+as usual.
 """
 
 from __future__ import annotations
@@ -153,6 +163,11 @@ class FirstOrderChannel:
 
 # --- integrated plant ---------------------------------------------------------
 
+#: decel, speed, p_n and p_e as bytes: equal bytes are the same float bits,
+#: so -0.0 is not 0.0, and a nan matches only a nan with the same bits
+_HELD_FIELDS = struct.Struct("4d")
+
+
 class VehiclePlant:
     """Holds the vehicle state and advances it on the physics tick.
 
@@ -206,6 +221,14 @@ class VehiclePlant:
           chunk cos and sin of the heading are computed once, and a tick
           updates only decel, speed, p_n and p_e.  Any other held chunk
           steps the heading every tick as written.
+
+        A tick of that last body is a pure function of decel, speed,
+        p_n and p_e, so a chunk of it that starts at speed 0 runs one
+        tick first: if that tick leaves all four bit for bit as they
+        were, it is a fixed point, and the chunk's other ticks are
+        skipped, since each would leave them as they are.  A rig at
+        rest under a throttle that cannot move it costs one tick a
+        chunk.
         """
         if not (0.0 <= app_pct <= 100.0 and 0.0 <= bpp_pct <= 100.0
                 and 0.0 <= steer_duty <= 100.0):
@@ -260,20 +283,32 @@ class VehiclePlant:
                            and (heading or math.copysign(1.0, heading) > 0.0))
             if not turning:
                 cos_h, sin_h = cos(heading), sin(heading)
-            for _ in range(n_ticks):
-                decel = decel + alpha_bpp * (k_bpp - decel)
-                if braking:
-                    speed = speed + decel * decel_to_mph_s * dt
-                else:
-                    speed = speed + alpha_app * (k_app - speed)
-                if speed < 0.0:
-                    speed = 0.0
-                v_ms = speed * mph_to_ms
-                if turning:
-                    heading = heading + v_ms / wheelbase * tan_delta * dt
-                    cos_h, sin_h = cos(heading), sin(heading)
-                p_n = p_n + v_ms * cos_h * dt
-                p_e = p_e + v_ms * sin_h * dt
+            # at rest on straight wheels, run one tick alone: if it leaves every
+            # bit of decel, speed, p_n and p_e as it was, so would all the rest
+            probe = not turning and speed == 0.0 and n_ticks > 1
+            if probe:
+                before = _HELD_FIELDS.pack(decel, speed, p_n, p_e)
+            while n_ticks:
+                span = 1 if probe else n_ticks
+                for _ in range(span):
+                    decel = decel + alpha_bpp * (k_bpp - decel)
+                    if braking:
+                        speed = speed + decel * decel_to_mph_s * dt
+                    else:
+                        speed = speed + alpha_app * (k_app - speed)
+                    if speed < 0.0:
+                        speed = 0.0
+                    v_ms = speed * mph_to_ms
+                    if turning:
+                        heading = heading + v_ms / wheelbase * tan_delta * dt
+                        cos_h, sin_h = cos(heading), sin(heading)
+                    p_n = p_n + v_ms * cos_h * dt
+                    p_e = p_e + v_ms * sin_h * dt
+                n_ticks -= span
+                if probe:
+                    if _HELD_FIELDS.pack(decel, speed, p_n, p_e) == before:
+                        break
+                    probe = False
 
         self.state = VehicleState(speed, decel, counts, heading, p_n, p_e)
         self.last_inputs = (app_pct, bpp_pct, steer_duty)

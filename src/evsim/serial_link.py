@@ -132,7 +132,7 @@ class StreamDecoder:
             try:
                 return [decode_packet(data)]
             except FrameError:
-                pass
+                data = data[1:]  # the scan would check it again, then drop byte 0
         self._buf.extend(data)
         out: list[CommandPacket] = []
         while True:

@@ -344,8 +344,9 @@ class TestTraceFormat:
         assert (exc.value.line_no, exc.value.reason) == (2, f"timestamp {t} does not fit 64 bits")
 
     def test_parse_peak_memory(self):
-        # 2.35 MiB measured on the 2.4 MiB text of this 66,600-frame capture
-        # (numpy 2.4, CPython 3.11): its columns and one block's temporaries
+        # 2.62 MiB measured on the 2.4 MiB text of this 66,600-frame capture
+        # (numpy 2.4, CPython 3.11): its 1.4 MiB of columns and one 256 KiB
+        # block's temporaries
         text = canbus.serialize_trace(recordings.correlation_recording()[0]).encode()
         canbus.parse_trace(b"0 10 0\n")  # imports numpy outside the measurement
         tracemalloc.start()

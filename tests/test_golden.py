@@ -12,7 +12,9 @@ run it.
 The logs go through libm ``sin``, ``cos``, ``tan``, ``atan``, ``atan2``,
 ``exp``, ``expm1`` and ``hypot``, so a mismatch on a platform other than
 the recorded one is a finding about cross-machine reproducibility, not a
-reason to loosen the digests.  ``metrics.json`` does not depend on the
+reason to loosen the digests.  The manifest's platform holds a libm
+fingerprint, a digest of those functions on a fixed grid, and a mismatch
+says whether libm or the Python version differs from the recorded one.  ``metrics.json`` does not depend on the
 Python version's float ``sum()``: its path error statistics are plain
 left-to-right sums, taken as the run goes.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import platform
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -33,13 +36,38 @@ MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
 RAMP = "0:200:5"
 
 
+#: Headings over two laps either way, and the steering angles, tick
+#: exponents and small differences the runs take, both in radians.
+_LIBM_GRID = [i / 32.0 for i in range(-512, 513)] + [i / 4096.0 for i in range(-512, 513)]
+
+
+def libm_fingerprint() -> str:
+    """SHA-256 of float.hex of every libm function the logs use, over _LIBM_GRID."""
+    values = []
+    for x in _LIBM_GRID:
+        values += (math.sin(x), math.cos(x), math.tan(x), math.atan(x), math.exp(x),
+                   math.expm1(x), math.atan2(x, 0.75), math.atan2(-0.75, x), math.hypot(x, 0.75))
+    return _sha256(" ".join(map(float.hex, values)).encode("ascii"))
+
+
 def platform_stamp() -> dict:
     """Where the digests were produced; libm ships with the C library."""
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "libm": " ".join(platform.libc_ver()).strip() or "unknown",
+        "libm_fingerprint": libm_fingerprint(),
     }
+
+
+def platform_drift(recorded: dict, now: dict) -> list[str]:
+    """What differs between the recorded platform and now that can move a digest."""
+    causes = []
+    if recorded.get("libm_fingerprint") != now["libm_fingerprint"]:
+        causes.append("libm differs from the recorded platform")
+    if recorded.get("python") != now["python"]:
+        causes.append("Python differs")
+    return causes
 
 
 def _sha256(data: bytes) -> str:
@@ -112,6 +140,21 @@ def test_golden_digests(tmp_path):
     changed = sorted(name for name in manifest["digests"]
                      if actual.get(name) != manifest["digests"][name])
     assert set(actual) == set(manifest["digests"]), "golden case list changed"
-    assert not changed, (
-        f"outputs differ from the golden manifest: {changed} "
-        f"(recorded on {manifest['platform']}, now {platform_stamp()})")
+    if changed:
+        now = platform_stamp()
+        causes = platform_drift(manifest["platform"], now) or [
+            "libm and Python match the recorded platform, so the code moved them"]
+        raise AssertionError(
+            f"outputs differ from the golden manifest: {changed}; {'; '.join(causes)} "
+            f"(recorded on {manifest['platform']}, now {now})")
+
+
+def test_platform_drift_names_the_cause():
+    now = platform_stamp()
+    assert platform_drift(dict(now), now) == []
+    assert platform_drift(dict(now, libm_fingerprint="0" * 64), now) == [
+        "libm differs from the recorded platform"]
+    assert platform_drift(dict(now, python="3.0.0"), now) == ["Python differs"]
+    assert platform_drift({}, now) == ["libm differs from the recorded platform",
+                                       "Python differs"]
+

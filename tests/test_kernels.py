@@ -5,11 +5,13 @@ properties the plant relies on: a fused span equals the same ticks run
 one at a time, speed floors at zero, the deadband holds the angle, and
 advance, which computes once per chunk what held inputs fix, equals the
 plain per-tick loop below on every float, signed zeros and non-finite
-values included.
+values included.  A chunk at rest, where a tick changes no bit, runs one
+tick and skips the rest.
 """
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -91,7 +93,8 @@ _EDGES = st.sampled_from([0.0, -0.0, 1e308, -1e308, INF, -INF, NAN])
 _STATE = st.builds(
     VehicleState,
     speed_mph=st.one_of(st.floats(0.0, 400.0), _EDGES),
-    decel=st.one_of(st.floats(-20.0, 5.0), _EDGES),
+    # bpp_k(0.0) is the released brake's settled decel, where a rest chunk is a fixed point
+    decel=st.one_of(st.floats(-20.0, 5.0), _EDGES, st.just(bpp_k(0.0))),
     # a zero or a subnormal count is a straight wheel: its tan is a zero
     steer_counts=st.one_of(st.floats(-4000.0, 4000.0),
                            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, INF, NAN])),
@@ -140,6 +143,24 @@ _STRAIGHT = st.tuples(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(4
          app=20.0, bpp=0.0, duty=50.0, n_ticks=3, dt=0.001, straight=None)
 @example(state=VehicleState(10.0, -0.3768, INF, 0.0, 0.0, 0.0),
          app=20.0, bpp=0.0, duty=50.0, n_ticks=0, dt=0.001, straight=None)
+# 60-tick chunks at rest, where a tick that changes no bit ends the chunk:
+# a -0.0 speed turns 0.0 on the first tick, and so does a -0.0 position
+# where the step v * cos * dt is +0.0; a nan decel; a throttle that
+# clamps to a settle speed of 0 (2.0) beside one that moves (3.0); braking
+@example(state=VehicleState(-0.0, -0.3768, 0.0, 0.0, 0.0, 0.0),
+         app=0.0, bpp=0.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+@example(state=VehicleState(0.0, -0.3768, 0.0, 0.0, -0.0, -0.0),
+         app=0.0, bpp=0.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+@example(state=VehicleState(0.0, -0.3768, 0.0, 3.0, -0.0, -0.0),
+         app=0.0, bpp=0.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+@example(state=VehicleState(0.0, NAN, 0.0, 0.0, 0.0, 0.0),
+         app=0.0, bpp=0.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+@example(state=VehicleState(0.0, -0.3768, 0.0, 0.0, 0.0, 0.0),
+         app=2.0, bpp=0.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+@example(state=VehicleState(0.0, -0.3768, 0.0, 0.0, 0.0, 0.0),
+         app=3.0, bpp=0.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+@example(state=VehicleState(0.0, -0.3768, 0.0, 0.0, 0.0, 0.0),
+         app=0.0, bpp=30.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
 def test_advance_equals_the_per_tick_loop(state, app, bpp, duty, n_ticks, dt, straight):
     if straight is not None:
         state.steer_counts, duty = straight
@@ -148,18 +169,57 @@ def test_advance_equals_the_per_tick_loop(state, app, bpp, duty, n_ticks, dt, st
     assert _outcome(lambda: plant.advance(app, bpp, duty, n_ticks, dt)) == expected
 
 
-@pytest.mark.parametrize("duty, counts", [(58.0, 0.0), (50.0, 1234.5), (50.0, 0.0)],
-                         ids=["steering", "held", "straight"])
-def test_fused_equals_split(duty, counts):
+@pytest.mark.parametrize("duty, counts, speed, app",
+                         [(58.0, 0.0, 12.0, 40.0), (50.0, 1234.5, 12.0, 40.0),
+                          (50.0, 0.0, 12.0, 40.0), (50.0, 0.0, 0.0, 2.0)],
+                         ids=["steering", "held", "straight", "rest"])
+def test_fused_equals_split(duty, counts, speed, app):
     # one advance(n=500) must equal 500 single steps exactly
-    start = VehicleState(12.0, -0.3768, counts, 0.3, 0.0, 0.0)
+    start = VehicleState(speed, -0.3768, counts, 0.3, 0.0, 0.0)
     a = VehiclePlant(dataclasses.replace(start))
     b = VehiclePlant(dataclasses.replace(start))
-    a.advance(40.0, 0.0, duty, 500, 0.001)
+    a.advance(app, 0.0, duty, 500, 0.001)
     for _ in range(500):
-        b.advance(40.0, 0.0, duty, 1, 0.001)
-    assert a.state == b.state
-    assert a.state.p_n != start.p_n
+        b.advance(app, 0.0, duty, 1, 0.001)
+    assert _outcome(lambda: a.state) == _outcome(lambda: b.state)
+    if speed:
+        assert a.state.p_n != start.p_n
+    else:  # a fixed point: nothing moves, to the bit
+        assert _outcome(lambda: a.state) == _outcome(lambda: start)
+
+
+def _advance_lines(plant: VehiclePlant, *args) -> int:
+    """Line events VehiclePlant.advance traces over one call with args."""
+    code, lines = VehiclePlant.advance.__code__, 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not code:
+            return None
+        lines += event == "line"
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        plant.advance(*args)
+    finally:
+        sys.settrace(old)
+    return lines
+
+
+def test_a_rest_chunk_costs_one_tick():
+    # at rest under a throttle that cannot move the car, a 1,000-tick chunk
+    # runs the lines a 2-tick one does, and still ends where 1,000 ticks do
+    short, long = VehiclePlant(), VehiclePlant()
+    assert _advance_lines(long, 2.0, 0.0, 50.0, 1000, 0.001) == \
+        _advance_lines(short, 2.0, 0.0, 50.0, 2, 0.001)
+    expected = _outcome(lambda: reference_advance(VehicleState.at_rest(), 2.0, 0.0, 50.0,
+                                                  1000, 0.001))
+    assert _outcome(lambda: long.state) == expected == _outcome(lambda: VehicleState.at_rest())
+    # a throttle that moves the car runs every tick
+    moving = VehiclePlant()
+    assert _advance_lines(moving, 3.0, 0.0, 50.0, 1000, 0.001) > 1000
 
 
 def test_backend_reported():

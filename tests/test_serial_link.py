@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from evsim import serial_link
 from evsim.serial_link import (
+    COMMAND_FRAME_LEN,
     BadCrcError,
     BadLengthError,
     BadStartError,
@@ -82,6 +83,20 @@ def _with(index: int, value: int) -> bytes:
     buf = bytearray(_WIRE)
     buf[index] = value
     return bytes(buf)
+
+
+def _flipped(frame: bytes, bit: int) -> bytes:
+    buf = bytearray(frame)
+    buf[bit // 8] ^= 1 << (bit % 8)
+    return bytes(buf)
+
+
+_FRAME = st.builds(lambda a, b, s: encode_packet(a / 65535, b / 65535, s / 65535),
+                   st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+#: stream pieces: noise, whole frames, frames with one bit flipped, lone start bytes
+_SEGMENT = st.one_of(st.binary(max_size=12), _FRAME,
+                     st.builds(_flipped, _FRAME, st.integers(0, 8 * COMMAND_FRAME_LEN - 1)),
+                     st.just(bytes([serial_link.START_BYTE])))
 
 
 class TestFrameErrors:
@@ -173,6 +188,33 @@ class TestStreamDecoder:
         # the pending 0xFA is stale garbage; the real frame still decodes
         out = dec.feed(frame)
         assert len(out) == 1
+
+    def test_corrupt_whole_frame_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(buf):
+            calls.append(bytes(buf))
+            return decode_packet(buf)
+
+        monkeypatch.setattr(serial_link, "decode_packet", counting)
+        dec = StreamDecoder()
+        assert dec.feed(_with(4, _WIRE[4] ^ 0x01)) == []  # one payload bit flipped
+        assert len(calls) == 1
+        assert dec.feed(_WIRE) == [decode_packet(_WIRE)]
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_SEGMENT, max_size=8),
+           st.lists(st.one_of(st.just(COMMAND_FRAME_LEN), st.integers(1, 25)), max_size=12))
+    def test_any_split_decodes_as_byte_at_a_time(self, segments, sizes):
+        stream = b"".join(segments)
+        one = StreamDecoder()
+        expected = [pkt for i in range(len(stream)) for pkt in one.feed(stream[i:i + 1])]
+        dec = StreamDecoder()
+        got, pos = [], 0
+        for size in sizes + [len(stream)]:  # the last chunk takes what is left
+            got += dec.feed(stream[pos:pos + size])
+            pos += size
+        assert got == expected
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.binary(max_size=32), max_size=8))
