@@ -33,9 +33,10 @@ run_until too.
 write_state_csv formats state.csv in process, chunk by chunk; it is what
 library callers and the tests use.  evsim simulate moves that float repr
 off the run's critical path: a StateFormatter forks one child before the
-run, run_scenario hands it each chunk of rows as it completes, the child
-formats them with write_state_csv's own chunk code on another core, and
-emit_logs copies the finished text into state.csv.  The bytes are the
+run, run_scenario hands it each chunk of rows as it completes, and the
+child formats each with write_state_csv's own chunk code on another core
+and writes it at once to an unnamed temporary file.  emit_logs copies
+that file into state.csv once the child has exited 0.  The bytes are the
 same either way.
 """
 
@@ -246,6 +247,8 @@ _ROW_FORMAT = ",".join(["%r"] * len(LOG_COLUMNS)) + "\r\n"
 _STATE_HEADER = ",".join(LOG_COLUMNS) + "\r\n"
 #: Rows formatted and written per file write; a chunk holds about 270 kB.
 _ROWS_PER_WRITE = 1024
+#: Bytes of the size that leads each marshalled chunk of rows; a size of 0 ends the rows.
+_SIZE_BYTES = 8
 
 
 def _state_lines(rows) -> str:
@@ -263,30 +266,22 @@ def write_state_csv(fh, rows) -> None:
 
     Rows go out in chunks, so the whole file is never held as one string.
     """
+    _write_chunks(fh, (rows[i:i + _ROWS_PER_WRITE] for i in range(0, len(rows), _ROWS_PER_WRITE)))
+
+
+def _write_chunks(fh, chunks) -> None:
+    """Write the header, then the lines of each chunk of rows as it comes."""
     fh.write(_STATE_HEADER)
-    for i in range(0, len(rows), _ROWS_PER_WRITE):
-        fh.write(_state_lines(rows[i:i + _ROWS_PER_WRITE]))
+    for chunk in chunks:
+        fh.write(_state_lines(chunk))
 
 
-#: Bytes of the size that leads each marshalled chunk of rows; a size of 0 ends the rows.
-_SIZE_BYTES = 8
-
-
-def _format_rows(rows_fd: int, text_fd: int) -> None:
-    """The formatter child's work: format each chunk of rows read from rows_fd,
-    then, once the rows have ended, write the whole state.csv text to text_fd."""
-    text = [_STATE_HEADER.encode("ascii")]
-    with open(rows_fd, "rb") as rows_in:
-        while True:
-            size = rows_in.read(_SIZE_BYTES)
-            if len(size) < _SIZE_BYTES:  # the parent closed the pipe early: the run failed
-                raise EOFError("the rows ended without their end frame")
-            if not any(size):
-                break
-            chunk = marshal.loads(rows_in.read(int.from_bytes(size, "little")))
-            text.append(_state_lines(chunk).encode("ascii"))
-    with open(text_fd, "wb") as text_out:
-        text_out.writelines(text)
+def _received_chunks(rows_in):
+    """The chunks of rows marshalled into the binary file rows_in, up to the end frame."""
+    while (size := rows_in.read(_SIZE_BYTES)) != bytes(_SIZE_BYTES):
+        if len(size) < _SIZE_BYTES:  # the parent closed the pipe early: the run failed
+            raise EOFError("the rows ended without their end frame")
+        yield marshal.loads(rows_in.read(int.from_bytes(size, "little")))
 
 
 def _other_cpus() -> set[int]:
@@ -303,15 +298,12 @@ class StateFormatter:
     """A forked child that formats state.csv while a run goes on (POSIX).
 
     send() hands the child one chunk of rows as a marshal frame, which
-    keeps a float's bits, an int and None exactly; the child formats it
-    with write_state_csv's chunk code while the parent runs on.  end()
-    ends the rows, and write_to() copies the child's finished text,
-    header included, into a binary file in bounded pieces and reaps the
-    child.  The child writes nothing before it has read the end of the
-    rows, so neither pipe can fill while the other waits; it opens no
-    file and always ends through os._exit.  close(), also on leaving a
-    with block, ends a child that still runs (its rows end, its text
-    loses its reader) and reaps it.
+    keeps a float's bits, an int and None exactly.  The child formats
+    each chunk with write_state_csv's own code as it arrives, and writes
+    it to an unnamed temporary file the two processes share.  end() ends
+    the rows; write_to() waits for the child and copies the file.
+    close(), also on leaving a with block, ends the rows of a child that
+    still runs, reaps it and closes the file.
 
     The child moves off the CPU its parent runs on: a kernel that
     balances no load between CPUs, as under a cpuset with
@@ -320,32 +312,33 @@ class StateFormatter:
     """
 
     def __init__(self):
+        import tempfile  # here, not at module level: it costs a cold start about 5 ms
         others = _other_cpus()
+        # line buffered: each write of the child ends a line, so it reaches the file whole
+        self._file = tempfile.TemporaryFile("w+", buffering=1, encoding="ascii", newline="")
+        self._status = None  # the child's exit code, once reaped
         fds = []
         try:
-            fds += os.pipe()
             fds += os.pipe()
             self.pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
+            self._file.close()
             raise
-        rows_in, rows_out, text_in, text_out = fds
+        rows_in, rows_out = fds
         if self.pid == 0:
-            status = 1
             try:
                 os.close(rows_out)
-                os.close(text_in)
                 if others:
                     os.sched_setaffinity(0, others)
-                _format_rows(rows_in, text_out)
-                status = 0
+                with open(rows_in, "rb") as pipe:
+                    _write_chunks(self._file, _received_chunks(pipe))
+                os._exit(0)
             finally:
-                os._exit(status)
+                os._exit(1)
         os.close(rows_in)
-        os.close(text_out)
         self._rows = open(rows_out, "wb")
-        self._text = open(text_in, "rb")
 
     def send(self, rows) -> None:
         data = marshal.dumps(rows)
@@ -358,28 +351,26 @@ class StateFormatter:
         self._rows.write(bytes(_SIZE_BYTES))
         self._rows.close()
 
+    def wait(self) -> None:
+        """Reap the child, after end(); a child that failed raises ChildProcessError."""
+        if self._status is None:
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if self._status:
+            raise ChildProcessError(f"the state.csv formatter exited with status {self._status}")
+
     def write_to(self, fh) -> None:
-        """Copy the child's state.csv text into the binary file fh and reap the child.
-
-        Call end() first.  A child that failed may have cut its text short.
-        """
-        shutil.copyfileobj(self._text, fh)
-        status = self._reap()
-        if status:
-            raise ChildProcessError(f"the state.csv formatter exited with status {status}")
-
-    def _reap(self) -> int:
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = 0
-        return os.waitstatus_to_exitcode(status)
+        """Copy state.csv, header included, into the binary file fh once wait() returns."""
+        self.wait()
+        self._file.seek(0)  # the child's writes moved the offset the two processes share
+        shutil.copyfileobj(self._file.buffer, fh)
 
     def close(self) -> None:
         try:
-            self._text.close()
             self._rows.close()  # flushes what a failed send left, which may fail again
         finally:
-            if self.pid:
-                self._reap()
+            if self._status is None:
+                os.waitpid(self.pid, 0)
+            self._file.close()
 
     def __enter__(self) -> "StateFormatter":
         return self
@@ -596,6 +587,7 @@ def emit_logs(result: ScenarioResult, outdir,
         with open(paths["state"], "w", newline="", encoding="ascii") as fh:
             write_state_csv(fh, result.rows)
     else:
+        formatter.wait()  # a failed child leaves no state.csv
         with open(paths["state"], "wb") as fh:
             formatter.write_to(fh)
     return paths
@@ -759,20 +751,23 @@ def run_replay_injection(trace: canbus.CanTrace, value_fn,
     Shadow mode forges delayed copies of the replayed target frames; tap
     mode rewrites them up front, as if the tap had been in place when
     the recording was made.  A target frame too short for byte_index
-    raises ShortFrameError before the run, in both modes.  Only the target
+    raises ShortFrameError before the run, in both modes, and a target_id
+    that no frame of the capture carries is a ConfigError.  Only the target
     rows, the ones the receiver and the injector read, go on the bus; the
     rest merge back into its trace in the order it would deliver them.
     """
-    rig, bus, rx, rule = _injection_rig(mode, target_id, byte_index, value_fn)
     n_ms = replay_ms(trace)
     timestamps, ids, dlc, _ = trace.columns()
     target = ids == target_id
+    if not target.any():
+        raise ConfigError(f"target id 0x{target_id:X} has no frame in the capture")
     short = target & (dlc <= byte_index)
     if short.any():
         row = short.argmax()
         raise canbus.ShortFrameError(
             f"0x{target_id:X} frame at {timestamps[row]} us has {dlc[row]} data bytes, "
             f"too short for byte {byte_index + 1}")
+    rig, bus, rx, rule = _injection_rig(mode, target_id, byte_index, value_fn)
     replayed = trace.select(target)
     injector = None
     if mode == "shadow":

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import re
+import sys
 import time
 
 import pytest
@@ -199,9 +200,38 @@ class TestSimulateFormatsStateInAChild:
         assert got.getvalue() == expected.getvalue().encode("ascii")
         assert _no_child_left()
 
+    def test_each_chunk_reaches_the_file_before_the_end(self):
+        rows = [(k / 3,) * len(scenario.LOG_COLUMNS) for k in range(5)]
+        expected = io.StringIO(newline="")
+        scenario.write_state_csv(expected, rows)
+        want = expected.getvalue().encode("ascii")
+        with scenario.StateFormatter() as formatter:
+            formatter.send(rows)
+            fd = formatter._file.fileno()
+            deadline = time.monotonic() + 10.0
+            while os.fstat(fd).st_size < len(want) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert os.pread(fd, len(want) + 1, 0) == want
+            formatter.end()
+            got = io.BytesIO()
+            formatter.write_to(got)
+        assert got.getvalue() == want
+        assert _no_child_left()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+    def test_a_failed_fork_leaves_no_descriptor_open(self, monkeypatch):
+        def failing_fork():
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="fork failed"):
+            scenario.StateFormatter()
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_a_failed_child_is_reported(self, tmp_path, monkeypatch, capsys):
-        # the child, forked after the patch, fails once the rows have ended:
-        # its text is cut short, so the run must not exit 0
+        # the child, forked after the patch, fails at its first chunk, which
+        # is all its rows, so the run must not exit 0 nor leave a state.csv
         def slow_failure(rows):
             time.sleep(0.2)
             raise MemoryError
@@ -214,6 +244,7 @@ class TestSimulateFormatsStateInAChild:
         assert code == 2
         # or a broken pipe, should the child die before it is sent the end of the rows
         assert captured.err.startswith("evsim: error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out" / "state.csv").exists()
         assert _no_child_left()
 
     def test_failed_run_writes_nothing_and_leaves_no_child(self, tmp_path, capsys):
@@ -533,6 +564,9 @@ class TestUserErrors:
         if case == "replay-target-period":
             return ["inject", "--trace", str(_replay_trace_file(tmp_path)),
                     "--ramp", "0:10:1", "--target-period-ms", "10"]
+        if case in ("replay-absent-id-shadow", "replay-absent-id-tap"):
+            return ["inject", "--trace", str(_replay_trace_file(tmp_path)), "--ramp", "0:10:1",
+                    "--id", "7FF", "--mode", case.rsplit("-", 1)[1]]
         if case == "replay-delay-not-shorter-than-period":
             return ["inject", "--trace", str(_replay_trace_file(tmp_path)),
                     "--ramp", "0:10:1", "--delay-us", "100000"]
@@ -605,7 +639,8 @@ class TestUserErrors:
                                       "endless-preview-scenario", "too-fast-oval-scenario",
                                       "too-fast-path-file", "far-path-file",
                                       "overflowing-lqr-weights", "escaping-name-scenario",
-                                      "dot-name-scenario"])
+                                      "dot-name-scenario", "replay-absent-id-shadow",
+                                      "replay-absent-id-tap"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -637,6 +672,8 @@ class TestUserErrors:
         "underflowing-ki": "ki underflows to 0.0",
         "live-sub-tick-run": "duration 0.0004 s is shorter than one 1 ms rig tick",
         "replay-target-period": "--target-period-ms applies to a live run",
+        "replay-absent-id-shadow": "target id 0x7FF has no frame in the capture",
+        "replay-absent-id-tap": "target id 0x7FF has no frame in the capture",
     }
 
     @pytest.mark.parametrize("argv", [

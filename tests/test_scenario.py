@@ -538,6 +538,8 @@ def _whole_capture_replay(trace, value_fn, target_id, byte_index, mode, delay_us
     rig, bus, rx, rule = scenario._injection_rig(mode, target_id, byte_index, value_fn)
     n_ms = scenario.replay_ms(trace)
     target = [f for f in trace if f.arbitration_id == target_id]
+    if not target:
+        raise ConfigError(f"target id 0x{target_id:X} has no frame in the capture")
     for f in target:
         if f.dlc <= byte_index:
             raise canbus.ShortFrameError(
@@ -557,7 +559,7 @@ def _whole_capture_replay(trace, value_fn, target_id, byte_index, mode, delay_us
 def _outcome(replay, trace, ramp, *args):
     try:
         return replay(trace, ramp_bytes(*ramp), *args)
-    except (canbus.ShortFrameError, injection.DelayError) as exc:
+    except (ConfigError, canbus.ShortFrameError, injection.DelayError) as exc:
         return type(exc), str(exc)
 
 
