@@ -224,14 +224,29 @@ class CanTrace:
 
     def ids(self) -> list[int]:
         """Distinct arbitration ids in first-seen order."""
-        ids, first = np.unique(self.columns().ids, return_index=True)
-        return ids[np.argsort(first)].tolist()
+        return _id_groups(self.columns().ids)[1].tolist()
 
     def select(self, rows) -> CanTrace:
         """The frames at rows (a boolean mask or row indices), in order, as columns."""
         rows = np.asarray(rows)
         idx = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp, copy=False)
         return _columnar_trace(TraceColumns(*(np.take(c, idx, axis=0) for c in self.columns())))
+
+
+def _id_groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the id column grouped by id, in first-seen order of the ids.
+
+    Returns (order, group_ids, starts, stops): order[starts[k]:stops[k]]
+    are the rows of id group_ids[k], in time order.  The sort is stable,
+    and numpy sorts a uint16 column by radix.
+    """
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids)
+    present = np.flatnonzero(counts)
+    stops = np.cumsum(counts[present])
+    starts = stops - counts[present]
+    seen = np.argsort(order[starts])
+    return order, present[seen], starts[seen], stops[seen]
 
 
 def _merged(first: CanTrace, second: CanTrace) -> CanTrace:

@@ -201,12 +201,14 @@ def cmd_design_gains(args) -> int:
 
 def cmd_make_oval(args) -> int:
     speed_mps = args.speed
+    # validated before anything is printed or written, as simulate would validate it
+    oval = scenario.OvalSpec(args.straight, args.radius, speed_mps / MPH_TO_MPS)
+    oval.validate()
     path = follower.make_oval(args.straight, args.radius, speed_mps)
-    if args.scenario:  # validated before anything is printed or written
+    if args.scenario:
         duration = int(args.laps * path.period_s / 0.1) * 0.1
-        scn = scenario.Scenario(
-            name=Path(args.scenario).stem, duration_s=round(duration, 6),
-            oval=scenario.OvalSpec(args.straight, args.radius, speed_mps / MPH_TO_MPS))
+        scn = scenario.Scenario(name=Path(args.scenario).stem,
+                                duration_s=round(duration, 6), oval=oval)
         scn.validate()
     print(f"oval: {len(path)} samples, lap {path.period_s:.4f} s "
           f"at {speed_mps / MPH_TO_MPS:.2f} mph")

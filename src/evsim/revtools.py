@@ -134,7 +134,8 @@ def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
     signed coefficient, most positive first.
     """
     timestamps, ids, dlc, data = trace.columns()
-    speed_rows = np.flatnonzero(ids == speed_id)
+    is_speed = ids == speed_id
+    speed_rows = np.flatnonzero(is_speed)
     if not len(speed_rows):
         raise EmptyTraceError(f"no frames of the speed id 0x{speed_id:X} in the trace")
     if len(speed_rows) == len(ids):
@@ -143,21 +144,30 @@ def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
     if len(short):
         raise canbus.ShortFrameError(
             f"speed frame needs 8 bytes, got {int(dlc[speed_rows[short[0]]])}")
-    speed_t = timestamps[speed_rows]
     speed_v = canbus.decode_speed_raw((data[speed_rows, 6].astype(np.int64) << 8)
                                       + data[speed_rows, 7])
     flat_speed = bool(np.all(speed_v == speed_v[0]))
+    # each row holds the last broadcast stamped at or before it, so a row
+    # that shares a broadcast's timestamp holds it even when listed first:
+    # count the broadcasts up to the last row of each timestamp
+    stamp_ends = np.flatnonzero(np.append(timestamps[1:] != timestamps[:-1], True))
+    held = np.repeat(np.cumsum(is_speed, dtype=np.int32)[stamp_ends],
+                     np.diff(stamp_ends, prepend=-1))
+    held -= 1
+    np.maximum(held, 0, out=held)
+    order, group_ids, starts, stops = canbus._id_groups(ids)
     ranked: list[ByteCorrelation] = []
     excluded: list[tuple[int, int, str]] = []
-    for arb_id in trace.ids():
+    for arb_id, lo, hi in zip(group_ids.tolist(), starts.tolist(), stops.tolist()):
         if arb_id == speed_id:
             continue
-        rows = np.flatnonzero(ids == arb_id)
+        rows = order[lo:hi]
         block = data[rows]
-        varies = (block != block[0]).any(axis=0)
-        idx = np.clip(np.searchsorted(speed_t, timestamps[rows], side="right") - 1,
-                      0, len(speed_t) - 1)
-        v = speed_v[idx]
+        # a byte varies where some row differs from the first; XOR and OR
+        # act byte by byte, so the word's bytes keep the payload's order
+        words = block.view(np.uint64)
+        varies = (np.bitwise_or.reduce(words ^ words[0]).view(np.uint8) != 0).tolist()
+        v = speed_v[held[rows]]
         flat_here = bool(np.all(v == v[0]))
         for b in range(8):
             if not varies[b]:
@@ -168,7 +178,7 @@ def correlate_bytes(trace: CanTrace, speed_id: int = canbus.SPEED_ID,
                 excluded.append((arb_id, b, "speed constant over this id's frames"))
             else:
                 r = float(np.corrcoef(block[:, b].astype(np.float64), v)[0, 1])
-                ranked.append(ByteCorrelation(arb_id, b, r, len(rows), rank=0))
+                ranked.append(ByteCorrelation(arb_id, b, r, hi - lo, rank=0))
 
     if signed:
         ranked.sort(key=lambda c: (-c.r, c.arb_id, c.byte_index))

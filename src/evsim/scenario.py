@@ -111,6 +111,20 @@ class OvalSpec:
     radius_m: float = 20.0
     speed_mph: float = 20.0
 
+    def validate(self) -> None:
+        """ConfigError unless the oval can be tabulated at a speed the speed broadcast carries."""
+        for name, value in asdict(self).items():
+            _finite(value, f"oval.{name}")
+        if self.straight_m < 0 or self.radius_m <= 0 or self.speed_mph <= 0:
+            raise ConfigError("oval needs straight_m >= 0, radius_m > 0 and speed_mph > 0")
+        if self.speed_mph > canbus.MAX_SPEED_MPH:
+            raise ConfigError(f"oval.speed_mph {self.speed_mph:g} is above the "
+                              f"{canbus.MAX_SPEED_MPH:.1f} mph the speed broadcast carries")
+        try:
+            fl.oval_lap_s(self.straight_m, self.radius_m, self.speed_mph * MPH_TO_MPS)
+        except fl.OvalError as exc:
+            raise ConfigError(f"oval: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -153,18 +167,7 @@ class Scenario:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.oval is not None:
-            for name, value in asdict(self.oval).items():
-                _finite(value, f"oval.{name}")
-            if self.oval.straight_m < 0 or self.oval.radius_m <= 0 or self.oval.speed_mph <= 0:
-                raise ConfigError("oval needs straight_m >= 0, radius_m > 0 and speed_mph > 0")
-            if self.oval.speed_mph > canbus.MAX_SPEED_MPH:
-                raise ConfigError(f"oval.speed_mph {self.oval.speed_mph:g} is above the "
-                                  f"{canbus.MAX_SPEED_MPH:.1f} mph the speed broadcast carries")
-            try:
-                fl.oval_lap_s(self.oval.straight_m, self.oval.radius_m,
-                              self.oval.speed_mph * MPH_TO_MPS)
-            except fl.OvalError as exc:
-                raise ConfigError(f"oval: {exc}") from exc
+            self.oval.validate()
         if self.path_file is not None and not isinstance(self.path_file, str):
             raise ConfigError(f"path_file must be a string, got {self.path_file!r}")
         if self.duration_s <= 0:
@@ -301,7 +304,9 @@ class StateFormatter:
     keeps a float's bits, an int and None exactly.  The child formats
     each chunk with write_state_csv's own code as it arrives, and writes
     it to an unnamed temporary file the two processes share.  end() ends
-    the rows; write_to() waits for the child and copies the file.
+    the rows; write_to() waits for the child and copies the file.  A send()
+    or end() that finds the child gone reaps it and raises
+    ChildProcessError with its exit status.
     close(), also on leaving a with block, ends the rows of a child that
     still runs, reaps it and closes the file.
 
@@ -342,14 +347,22 @@ class StateFormatter:
 
     def send(self, rows) -> None:
         data = marshal.dumps(rows)
-        self._rows.write(len(data).to_bytes(_SIZE_BYTES, "little"))
-        self._rows.write(data)
-        self._rows.flush()
+        try:
+            self._rows.write(len(data).to_bytes(_SIZE_BYTES, "little"))
+            self._rows.write(data)
+            self._rows.flush()
+        except BrokenPipeError:
+            self.wait()  # the child is gone: ChildProcessError gives its exit status
+            raise
 
     def end(self) -> None:
         """Tell the child that every row has been sent."""
-        self._rows.write(bytes(_SIZE_BYTES))
-        self._rows.close()
+        try:
+            self._rows.write(bytes(_SIZE_BYTES))
+            self._rows.close()
+        except BrokenPipeError:
+            self.wait()
+            raise
 
     def wait(self) -> None:
         """Reap the child, after end(); a child that failed raises ChildProcessError."""
@@ -367,6 +380,8 @@ class StateFormatter:
     def close(self) -> None:
         try:
             self._rows.close()  # flushes what a failed send left, which may fail again
+        except BrokenPipeError:
+            pass  # the child is gone; send, end and wait report its exit status
         finally:
             if self._status is None:
                 os.waitpid(self.pid, 0)
@@ -570,6 +585,8 @@ def emit_logs(result: ScenarioResult, outdir,
     scenario produce byte-identical files.  state.csv is formatted here,
     or copied from formatter, which was sent every row of the run.
     """
+    if formatter is not None:  # the child formats its last rows while the other logs are written
+        formatter.end()  # before the outdir is made, so a child found dead here leaves none
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -577,8 +594,6 @@ def emit_logs(result: ScenarioResult, outdir,
         "trace": outdir / "trace.txt",
         "metrics": outdir / "metrics.json",
     }
-    if formatter is not None:  # the child formats its last rows while these logs are written
-        formatter.end()
     canbus.save_trace(result.trace, paths["trace"])
     with open(paths["metrics"], "w", encoding="ascii") as fh:
         json.dump(result.metrics, fh, indent=2, sort_keys=True)

@@ -242,9 +242,34 @@ class TestSimulateFormatsStateInAChild:
         code = cli.main(["simulate", str(scn_file), "--outdir", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 2
-        # or a broken pipe, should the child die before it is sent the end of the rows
-        assert captured.err.startswith("evsim: error: ") and captured.err.count("\n") == 1
+        assert captured.err == "evsim: error: the state.csv formatter exited with status 1\n"
         assert not (tmp_path / "out" / "state.csv").exists()
+        assert _no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="waits on the child with waitid")
+    def test_a_child_dead_before_the_end_frame_is_reported_by_its_status(
+            self, tmp_path, monkeypatch, capsys):
+        # the child fails at its first chunk, which is all its rows, and the
+        # end frame is written only once it has exited, into a pipe with no
+        # reader: its status is reported, not the broken pipe, and no outdir is made
+        def failure(rows):
+            raise MemoryError
+
+        end = scenario.StateFormatter.end
+
+        def end_after_the_child_exited(formatter):
+            os.waitid(os.P_PID, formatter.pid, os.WEXITED | os.WNOWAIT)  # leaves it to reap
+            end(formatter)
+
+        monkeypatch.setattr(scenario, "_state_lines", failure)
+        monkeypatch.setattr(scenario.StateFormatter, "end", end_after_the_child_exited)
+        scn_file = tmp_path / "hold.json"
+        scenario.save_scenario(scenario.Scenario("hold", 1.0, speed_ref_mph=5.0), scn_file)
+        code = cli.main(["simulate", str(scn_file), "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "evsim: error: the state.csv formatter exited with status 1\n")
+        assert not (tmp_path / "out").exists()
         assert _no_child_left()
 
     def test_failed_run_writes_nothing_and_leaves_no_child(self, tmp_path, capsys):
@@ -717,6 +742,21 @@ class TestUserErrors:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("speed, message", [
+        ("400mph", "oval.speed_mph 400 is above the 375.3 mph the speed broadcast carries"),
+        ("1e308", "oval.speed_mph must be a finite number, got inf"),  # m/s; inf in mph
+    ])
+    def test_make_oval_rejects_a_speed_the_broadcast_cannot_carry(self, tmp_path, capsys,
+                                                                  speed, message):
+        # the path file would be one that simulate then rejects
+        path = tmp_path / "p.txt"
+        code = cli.main(["make-oval", "--speed", speed, "--path", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"evsim: error: {message}\n"
+        assert captured.out == ""
+        assert not path.exists()
 
     def test_make_oval_rejects_before_writing(self, tmp_path, capsys):
         scn, path = tmp_path / "s.json", tmp_path / "p.txt"

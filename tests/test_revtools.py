@@ -180,6 +180,59 @@ def correlate_bytes_by_id(trace, speed_id=canbus.SPEED_ID, signed=False):
                                       tuple(excluded))
 
 
+def correlate_bytes_per_id_scan(trace, speed_id=canbus.SPEED_ID, signed=False):
+    """Reference: the per-id scan that grouping the rows by id once replaced.
+
+    Each id finds its rows with a mask over the whole capture, its held
+    speeds with a searchsorted over the broadcasts' timestamps, and its
+    varying bytes by comparing every row with its first.
+    """
+    timestamps, ids, dlc, data = trace.columns()
+    speed_rows = np.flatnonzero(ids == speed_id)
+    if not len(speed_rows):
+        raise EmptyTraceError(f"no frames of the speed id 0x{speed_id:X} in the trace")
+    if len(speed_rows) == len(ids):
+        raise EmptyTraceError("no candidate ids besides the speed reference")
+    short = np.flatnonzero(dlc[speed_rows] < 8)
+    if len(short):
+        raise canbus.ShortFrameError(
+            f"speed frame needs 8 bytes, got {int(dlc[speed_rows[short[0]]])}")
+    speed_t = timestamps[speed_rows]
+    speed_v = canbus.decode_speed_raw((data[speed_rows, 6].astype(np.int64) << 8)
+                                      + data[speed_rows, 7])
+    flat_speed = bool(np.all(speed_v == speed_v[0]))
+    ranked = []
+    excluded = []
+    for arb_id in trace.ids():
+        if arb_id == speed_id:
+            continue
+        rows = np.flatnonzero(ids == arb_id)
+        block = data[rows]
+        varies = (block != block[0]).any(axis=0)
+        idx = np.clip(np.searchsorted(speed_t, timestamps[rows], side="right") - 1,
+                      0, len(speed_t) - 1)
+        v = speed_v[idx]
+        flat_here = bool(np.all(v == v[0]))
+        for b in range(8):
+            if not varies[b]:
+                excluded.append((arb_id, b, "constant byte"))
+            elif flat_speed:
+                excluded.append((arb_id, b, "speed reference is constant"))
+            elif flat_here:
+                excluded.append((arb_id, b, "speed constant over this id's frames"))
+            else:
+                r = float(np.corrcoef(block[:, b].astype(np.float64), v)[0, 1])
+                ranked.append(revtools.ByteCorrelation(arb_id, b, r, len(rows), rank=0))
+    if signed:
+        ranked.sort(key=lambda c: (-c.r, c.arb_id, c.byte_index))
+    else:
+        ranked.sort(key=lambda c: (-abs(c.r), c.arb_id, c.byte_index))
+    ranked = [revtools.ByteCorrelation(c.arb_id, c.byte_index, c.r, c.n_samples, i + 1)
+              for i, c in enumerate(ranked)]
+    return revtools.CorrelationReport(speed_id, len(speed_rows), tuple(ranked),
+                                      tuple(excluded))
+
+
 def _report_outcome(correlate, trace, signed):
     # repr compares every r bit for bit
     try:
@@ -210,7 +263,47 @@ def _speed_traces(draw):
     return CanTrace(frames)
 
 
+@st.composite
+def _held_speed_traces(draw):
+    """Traces with every case of the held speed and of the byte checks.
+
+    Each holds a frame before the first broadcast, frames that share the
+    last broadcast's timestamp listed before and after it, frames with
+    fewer than 8 bytes, constant bytes, and 0x7FF with one frame.  The
+    speed is constant in some draws; other frames land on a broadcast's
+    timestamp on either side of it.
+    """
+    stamps = sorted(draw(st.lists(st.integers(1, 20), min_size=2, max_size=6, unique=True)))
+    raws = draw(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=3))
+    # (timestamp, place among the frames of that timestamp, id, payload);
+    # the broadcasts take place 1
+    keyed = [(t, 1, canbus.SPEED_ID, bytes(6) + draw(st.sampled_from(raws)).to_bytes(2, "big"))
+             for t in stamps]
+    keyed += [(0, 0, 0x200, b"\x01"), (stamps[-1], 0, 0x200, b"\x02"),
+              (stamps[-1], 2, 0x200, b"\x03"),
+              (draw(st.integers(0, 21)), draw(st.integers(0, 2)), 0x7FF,
+               bytes(draw(st.lists(st.integers(0, 255), max_size=8))))]
+    for _ in range(draw(st.integers(0, 30))):
+        keyed.append((draw(st.integers(0, 21)), draw(st.integers(0, 2)),
+                      draw(st.sampled_from([0x10, 0x200])),
+                      bytes(draw(st.lists(st.sampled_from([0, 1, 255]), max_size=8)))))
+    keyed.sort(key=lambda k: k[:2])
+    return CanTrace(CanFrame(t, arb_id, data) for t, _, arb_id, data in keyed)
+
+
 class TestCorrelateBytes:
+    @settings(deadline=None, max_examples=300)
+    @given(_held_speed_traces(), st.booleans())
+    def test_matches_the_per_id_scan(self, trace, signed):
+        assert correlate_bytes(trace, signed=signed) == correlate_bytes_per_id_scan(
+            trace, signed=signed)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_the_per_id_scan_on_the_captures(self, rec, press, signed):
+        for capture in (rec[0], press):
+            assert (correlate_bytes(capture, signed=signed)
+                    == correlate_bytes_per_id_scan(capture, signed=signed))
+
     def test_byte_matrix_matches_per_frame_loop(self):
         rng = random.Random(3)
         frames = [CanFrame(k, 0x200, rng.randbytes(rng.randrange(9))) for k in range(200)]
@@ -360,6 +453,11 @@ class TestPressRecording:
 @pytest.fixture(scope="module", params=[77, 18996])
 def rec(request):
     return recordings.correlation_recording(seed=request.param)
+
+
+@pytest.fixture(scope="module")
+def press():
+    return recordings.press_recording()
 
 
 class TestCorrelationRecording:
