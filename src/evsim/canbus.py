@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import heapq
 import struct
+from array import array
 from functools import partial
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 
@@ -31,10 +32,10 @@ class _Numpy:
     and cached on first access.  Only reading a capture into columns
     touches it (``parse_trace``'s columnar pass, ``CanTrace.columns``,
     ``ids`` and ``select``, ``select_ids``, ``correlate_bytes`` and the
-    replay's row split and merge), so ``simulate``, ``make-oval``,
-    ``design-gains``, ``packet`` and building the synthetic captures
-    never import numpy, which is most of a cold start's import time
-    and about 11 MiB of resident memory.
+    replay's row split and merge), so ``simulate``, a live ``inject``,
+    ``make-oval``, ``design-gains``, ``packet`` and building the synthetic
+    captures never import numpy, which is most of a cold start's import
+    time and about 11 MiB of resident memory.
     """
 
     def __getattr__(self, name):
@@ -153,7 +154,7 @@ DEFAULT_SCHEDULE = {
 
 
 class TraceColumns(NamedTuple):
-    """A trace as four arrays with one row per frame."""
+    """A trace's columns as numpy arrays, with one row per frame."""
 
     timestamps: np.ndarray  # int64 microseconds
     ids: np.ndarray  # uint16 arbitration ids
@@ -161,47 +162,41 @@ class TraceColumns(NamedTuple):
     data: np.ndarray  # (n, 8) uint8 payloads; the bytes past a row's dlc are zero
 
 
-class CanTrace:
-    """A time-ordered sequence of frames, held as frames, as columns, or both.
+#: Zero bytes that pad a payload of each length to 8.
+_PAD = [bytes(8 - d) for d in range(9)]
 
-    ``CanTrace(frames)`` checks the order and raises ValueError; the bus
-    and the per-line path of parse_trace, which build their lists in
-    order already, use ``_ordered_trace``.  The columnar pass of
-    parse_trace, ``select`` and ``_merged`` make a trace of columns:
-    ``frames`` builds its CanFrame list on first use and keeps it.
-    ``columns()`` of a trace of frames derives the columns on first use
-    and keeps them.  ``len`` builds neither.
+
+class CanTrace:
+    """A time-ordered sequence of frames, held as four columns and nothing else.
+
+    One row per frame: int64 timestamps, uint16 ids, uint8 dlc, and 8
+    payload bytes, zero past the dlc.  The bus and ``CanTrace(frames)``
+    hold ``array``s, the payloads flat; the columnar pass of parse_trace,
+    ``select`` and ``_merged`` numpy arrays, the payloads (n, 8).
+    ``CanTrace(frames)`` raises ValueError out of time order and
+    OutOfRangeError past int64.  ``frames``, iteration and ``==`` build
+    new frames on each use; ``len``, ``last_us`` and serialize_trace
+    build none.  Only ``columns()`` and what uses it import numpy.
     """
 
-    __slots__ = ("_frames", "_columns")
+    __slots__ = ("_columns",)
 
     def __init__(self, frames: Iterable[CanFrame] = ()):
-        frames = list(frames)
-        last = -1
-        for f in frames:
-            if f.timestamp_us < last:
-                raise ValueError("trace timestamps must be non-decreasing")
-            last = f.timestamp_us
-        self._frames: list[CanFrame] | None = frames
-        self._columns: TraceColumns | None = None
+        self._columns = _columns_of(list(frames))
 
     @property
     def frames(self) -> list[CanFrame]:
-        """The frames in time order, built from the columns on first use."""
-        if self._frames is None:
-            self._frames = _frames_of(self._columns)
-        return self._frames
+        """The frames in time order, built from the columns."""
+        return _frames_of(self._columns)
 
     def columns(self) -> TraceColumns:
-        """The trace as columns, derived from the frames on first use."""
-        if self._columns is None:
-            self._columns = _columns_of(self._frames)
-        return self._columns
+        """The columns as numpy arrays; numpy-held ones come back as they are held."""
+        timestamps, ids, dlc, data = self._columns
+        return TraceColumns(np.asarray(timestamps), np.asarray(ids), np.asarray(dlc),
+                            np.asarray(data).reshape(-1, 8))
 
     def __len__(self):
-        if self._frames is not None:
-            return len(self._frames)
-        return len(self._columns.timestamps)
+        return len(self._columns[0])
 
     def __iter__(self) -> Iterator[CanFrame]:
         return iter(self.frames)
@@ -217,17 +212,15 @@ class CanTrace:
         return f"CanTrace(frames={self.frames!r})"
 
     def last_us(self) -> int:
-        """Timestamp of the last frame; read from the frames, at any size, when there are some."""
-        if self._frames is not None:
-            return self._frames[-1].timestamp_us
-        return int(self._columns.timestamps[-1])
+        """Timestamp of the last frame."""
+        return int(self._columns[0][-1])
 
     def ids(self) -> list[int]:
         """Distinct arbitration ids in first-seen order."""
         return _id_groups(self.columns().ids)[1].tolist()
 
     def select(self, rows) -> CanTrace:
-        """The frames at rows (a boolean mask or row indices), in order, as columns."""
+        """The frames at rows (a boolean mask or row indices), in order, as numpy columns."""
         rows = np.asarray(rows)
         idx = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp, copy=False)
         return _columnar_trace(TraceColumns(*(np.take(c, idx, axis=0) for c in self.columns())))
@@ -256,44 +249,33 @@ def _merged(first: CanTrace, second: CanTrace) -> CanTrace:
     return _columnar_trace(TraceColumns(*(col[order] for col in columns)))
 
 
-def _ordered_trace(frames: list[CanFrame]) -> CanTrace:
-    """CanTrace over frames the caller built in time order; the order is not re-checked."""
+def _columnar_trace(columns: tuple) -> CanTrace:
+    """CanTrace over four columns in time order; the order is not re-checked."""
     trace = object.__new__(CanTrace)
-    trace._frames = frames
-    trace._columns = None
-    return trace
-
-
-def _columnar_trace(columns: TraceColumns) -> CanTrace:
-    """CanTrace over columns in time order, with no frame built yet."""
-    trace = object.__new__(CanTrace)
-    trace._frames = None
     trace._columns = columns
     return trace
 
 
-def _columns_of(frames: list[CanFrame]) -> TraceColumns:
-    """The columns of frames; OutOfRangeError for a timestamp beyond int64."""
-    n = len(frames)
-    datas = list(map(attrgetter("data"), frames))
-    dlc = np.fromiter(map(len, datas), np.uint8, n)
-    data = np.zeros((n, 8), np.uint8)
-    # a boolean mask fills row by row, which is the order of the joined bytes
-    data[dlc[:, None] > np.arange(8)] = np.frombuffer(b"".join(datas), np.uint8)
+def _columns_of(frames: list[CanFrame]) -> tuple[array, array, array, array]:
+    """The array columns of frames; ValueError out of time order, OutOfRangeError past int64."""
+    times = list(map(attrgetter("timestamp_us"), frames))
+    if any(map(lt, times[1:], times)):
+        raise ValueError("trace timestamps must be non-decreasing")
     try:
-        timestamps = np.fromiter(map(attrgetter("timestamp_us"), frames), np.int64, n)
+        timestamps = array("q", times)
     except OverflowError:
         raise OutOfRangeError("a trace timestamp does not fit 64 bits") from None
-    ids = np.fromiter(map(attrgetter("arbitration_id"), frames), np.uint16, n)
-    return TraceColumns(timestamps, ids, dlc, data)
+    datas = list(map(attrgetter("data"), frames))
+    return (timestamps, array("H", map(attrgetter("arbitration_id"), frames)),
+            array("B", map(len, datas)), array("B", b"".join(d + _PAD[len(d)] for d in datas)))
 
 
-def _frames_of(columns: TraceColumns) -> list[CanFrame]:
+def _frames_of(columns: tuple) -> list[CanFrame]:
     """The frames of columns, built unchecked."""
     timestamps, ids, dlc, data = columns
-    flat = data.tobytes()
+    flat = bytes(data)  # row i's payload starts at 8 * i
     return [_frame(t, arb_id, flat[i:i + d]) for t, arb_id, i, d in
-            zip(timestamps.tolist(), ids.tolist(), range(0, 8 * len(dlc), 8), dlc.tolist())]
+            zip(timestamps.tolist(), ids.tolist(), range(0, len(flat), 8), dlc.tolist())]
 
 
 # --- speed codec -----------------------------------------------------------
@@ -333,6 +315,17 @@ def encode_speed(speed_mph: float, timestamp_us: int = 0) -> CanFrame:
     return _frame(timestamp_us, SPEED_ID, speed_data(speed_mph))
 
 
+def _speed_series(trace: CanTrace) -> list[tuple[int, float]]:
+    """(timestamp, mph) of each speed broadcast, read from the columns as decode_speed reads it."""
+    timestamps, ids, dlc, data = trace._columns
+    rows = [row for row, arb_id in enumerate(ids.tolist()) if arb_id == SPEED_ID]
+    short = [dlc[row] for row in rows if dlc[row] < 8]
+    if short:
+        raise ShortFrameError(f"speed frame needs 8 bytes, got {short[0]}")
+    return [(int(timestamps[row]), decode_speed_raw(_SPEED.unpack_from(data, 8 * row)[0]))
+            for row in rows]
+
+
 # --- trace text format ------------------------------------------------------
 
 def serialize_trace(trace: CanTrace) -> str:
@@ -340,19 +333,15 @@ def serialize_trace(trace: CanTrace) -> str:
 
     IDs are uppercase hex without prefix, the dlc is the number of data
     bytes, and each data byte is two uppercase hex digits.  A frame with
-    no data ends its line after the dlc.  One loop writes the
-    (timestamp, id, payload) rows of the frames or, for a trace of
-    columns, of the columns, with no frame built.  Each distinct
-    (id, payload) tail is formatted once, and a timestamp's text is
-    reused while it repeats.
+    no data ends its line after the dlc.  One loop writes the rows of
+    the columns, with no frame built.  Each distinct (id, payload) tail
+    is formatted once, and a timestamp's text is reused while it repeats.
     """
-    if trace._frames is not None:
-        rows = map(attrgetter("timestamp_us", "arbitration_id", "data"), trace._frames)
-    else:
-        timestamps, ids, dlc, data = trace._columns
-        flat = data.tobytes()  # row i's payload starts at 8 * i
-        rows = zip(timestamps.tolist(), ids.tolist(),
-                   [flat[i:i + d] for i, d in zip(range(0, len(flat), 8), dlc.tolist())])
+    timestamps, ids, dlc, data = trace._columns
+    flat = bytes(data)  # row i's payload starts at 8 * i
+    # one row at a time: no list of every row's fields is held
+    rows = zip(memoryview(timestamps), memoryview(ids),
+               (flat[i:i + d] for i, d in zip(range(0, len(flat), 8), memoryview(dlc))))
     tails = {}
     lines = []
     last_t = None
@@ -554,7 +543,7 @@ def _per_line(text: str) -> CanTrace:
         except ValueError as exc:  # its sign, id or dlc check
             raise TraceParseError(line_no, str(exc)) from None
         last_t = t
-    return _ordered_trace(frames)
+    return CanTrace(frames)
 
 
 def parse_trace(text: str | bytes) -> CanTrace:
@@ -596,8 +585,6 @@ def save_trace(trace: CanTrace, path) -> None:
 
 PayloadFn = Callable[[int], bytes]
 Listener = Callable[[CanFrame, str], None]
-
-_FRAME_AND_SOURCE = itemgetter(3, 4)  # of a heap entry
 
 
 class _Periodic:
@@ -641,8 +628,8 @@ class CanBus:
     arbitration, and an injected frame scheduled at the same microsecond
     and id as an observed one lands after it.  A tap-point filter wraps
     its module's payload function (``injection.FilterRule.tap``), and
-    every frame leaves ``step`` through one loop that traces it and hands
-    it to the listeners of its id.
+    every frame leaves ``step`` through one loop that appends it to the
+    trace's columns and builds it as a CanFrame only for its id's listeners.
 
     A listener names the ids it reads, as a node's acceptance filter
     does (SocketCAN's ``CAN_RAW_FILTER``, python-can's ``set_filters``);
@@ -650,9 +637,10 @@ class CanBus:
     kept as one tuple, in the order they were added, built when a frame
     of that id first meets the current wiring.
 
-    Injected frames wait in one heap keyed by (due, id, enqueue sequence):
-    ``inject_at`` pushes, and ``step`` pops the due ones.  A replay queues
-    only the rows its receiver reads, so the heap stays short.
+    Injected payloads wait in one heap keyed by (due, id, enqueue
+    sequence): ``inject_at`` pushes, and ``step`` pops the due ones.  A
+    replay queues only the rows its receiver reads, so the heap stays
+    short.
 
     The bus is fail-stop.  When a payload function or listener raises,
     the error propagates from ``step`` and the trace ends at the frame in
@@ -667,21 +655,23 @@ class CanBus:
         # called in insertion order: payload functions may share a seeded
         # RNG, so the order of the calls shows in the frames
         self._periodic: list[_Periodic] = []
-        # the sources' names in (arb_id, insertion) order, which is the order
-        # their frames of one due time go out in; None until a step needs it
-        self._ranked: list[str] | None = None
+        # the sources' ids and names in (arb_id, insertion) order, which is the
+        # order their frames of one due time go out in; None until a step needs it
+        self._ranked: tuple[list[int], list[str]] | None = None
         self._periodic_due: int | None = None  # earliest next_due of the sources
         self._listeners: list[tuple[Listener, frozenset[int] | None]] = []
         self._routes = _Routes(self._listeners)
-        # heap of injected entries (due, arb_id, seq, frame, source); seq is
-        # unique, so no comparison reaches the frame
-        self._pending: list[tuple[int, int, int, CanFrame, str]] = []
+        # heap of injected entries (due, arb_id, seq, payload, source); seq is
+        # unique, so no comparison reaches the payload
+        self._pending: list[tuple[int, int, int, bytes, str]] = []
         self._seq = 0
         self._now = 0
         # earliest due time inject_at accepts: the due time in delivery during
         # a step, else the bus time; so the trace stays in time order
         self._floor_us = 0
-        self._trace: list[CanFrame] = []
+        # the trace's columns, and their appends bound once: a step reads them as locals
+        timestamps, ids, dlc, data = self._trace = (array("q"), array("H"), array("B"), array("B"))
+        self._appends = (timestamps.append, ids.append, dlc.append, data.frombytes)
         self._stopped: str | None = None  # the BusStoppedError message once stopped
 
     # -- wiring --------------------------------------------------------------
@@ -722,11 +712,12 @@ class CanBus:
         if frame.timestamp_us != due_us:
             raise ValueError(f"frame stamped {frame.timestamp_us} us queued for {due_us} us")
         if due_us < self._floor_us:
-            last = self._trace[-1].timestamp_us if self._trace else -1
+            last = self._trace[0][-1] if self._trace[0] else -1
             raise ValueError(
                 f"frame due at {due_us} us would follow one stamped {last} us" if due_us < last
                 else f"frame due at {due_us} us is before the bus time, {self._floor_us} us")
-        heapq.heappush(self._pending, (due_us, frame.arbitration_id, self._seq, frame, source))
+        heapq.heappush(self._pending,
+                       (due_us, frame.arbitration_id, self._seq, frame.data, source))
         self._seq += 1
 
     def feed_replay(self, frames: Iterable[CanFrame]) -> None:
@@ -747,7 +738,7 @@ class CanBus:
                 return injected
         return due
 
-    def step(self, now_us: int) -> list[CanFrame]:
+    def step(self, now_us: int) -> range:
         """Deliver every frame due in (previous now, now_us], one due time at a time.
 
         At each due time the due sources' payload functions are called in
@@ -758,7 +749,8 @@ class CanBus:
         sorts its frames, stably by id.  A frame a listener queues for a
         time up to now_us goes out in this step, so afterwards the next
         due time is past now_us.  A payload function or listener that
-        raises stops the bus.
+        raises stops the bus.  Returns the rows of ``trace()`` that this
+        step appended.
         """
         if self._stopped is not None:
             raise BusStoppedError(self._stopped)
@@ -767,9 +759,9 @@ class CanBus:
         self._now = now_us
         pending = self._pending
         routes = self._routes
-        trace = self._trace
-        start = len(trace)
-        trace_append = trace.append
+        timestamps = self._trace[0]
+        start = len(timestamps)
+        append_t, append_id, append_dlc, extend_data = self._appends
         try:
             while True:
                 due = self._periodic_due
@@ -780,26 +772,33 @@ class CanBus:
                     break
                 self._floor_us = due
                 deliveries = self._emit_injected(due) if injected else self._emit_due(due)
-                for frame, source in deliveries:
-                    if frame is None:  # a source not due at this time
+                for arb_id, payload, source in deliveries:
+                    if payload is None:  # a source not due at this time
                         continue
-                    trace_append(frame)
-                    for listener in routes[frame.arbitration_id]:
-                        listener(frame, source)
+                    dlc = len(payload)
+                    append_t(due)
+                    append_id(arb_id)
+                    append_dlc(dlc)
+                    extend_data(payload if dlc == 8 else payload + _PAD[dlc])
+                    route = routes[arb_id]
+                    if route:
+                        frame = _frame(due, arb_id, payload)
+                        for listener in route:
+                            listener(frame, source)
         except BaseException as exc:
             self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
             raise
         self._floor_us = now_us
-        return trace[start:]
+        return range(start, len(timestamps))
 
-    def _emit_due(self, now_us: int) -> Iterator[tuple[CanFrame | None, str]]:
-        """(frame, source) per source in rank order, the frame None for a source not due.
+    def _emit_due(self, now_us: int) -> Iterator[tuple[int, bytes | None, str]]:
+        """(arb_id, payload, source) per source in rank order; the payload is None if not due.
 
         now_us is the earliest due time, so each due source emits once:
         its next frame falls after now_us.
         """
-        ranked = self._ranked or self._rank()
-        slots = [None] * len(ranked)
+        ids, names = self._ranked or self._rank()
+        slots = [None] * len(names)
         earliest = None
         for src in self._periodic:
             due = src.next_due
@@ -809,39 +808,40 @@ class CanBus:
                     payload = bytes(payload)
                 if len(payload) > 8:
                     raise ValueError(f"dlc {len(payload)} outside 0..8")
-                slots[src.rank] = _frame(due, src.arb_id, payload)
+                slots[src.rank] = payload
                 due += src.period
                 src.next_due = due
             if earliest is None or due < earliest:
                 earliest = due
         self._periodic_due = earliest
-        return zip(slots, ranked)
+        return zip(ids, slots, names)
 
-    def _emit_injected(self, now_us: int) -> list[tuple[CanFrame, str]]:
-        """(frame, source) for a due time with injected frames, the periodic ones first.
+    def _emit_injected(self, now_us: int) -> list[tuple[int, bytes, str]]:
+        """(arb_id, payload, source) for a due time with injected frames, the periodic ones first.
 
-        The periodic frames due at now_us are built first; then the
-        injected frames due then leave the heap, in (id, sequence) order,
+        The periodic payloads due at now_us are built first; then the
+        injected ones due then leave the heap, in (id, sequence) order,
         and a stable sort by id merges the two.
         """
         periodic = self._periodic_due == now_us
-        batch = ([pair for pair in self._emit_due(now_us) if pair[0] is not None]
+        batch = ([delivery for delivery in self._emit_due(now_us) if delivery[1] is not None]
                  if periodic else [])
         pending = self._pending
         while pending and pending[0][0] == now_us:
-            batch.append(_FRAME_AND_SOURCE(heapq.heappop(pending)))
+            _, arb_id, _, payload, source = heapq.heappop(pending)
+            batch.append((arb_id, payload, source))
         if periodic:
-            batch.sort(key=lambda delivery: delivery[0].arbitration_id)
+            batch.sort(key=itemgetter(0))
         return batch
 
-    def _rank(self) -> list[str]:
-        """Set each source's rank in (arb_id, insertion) order; returns their names in it."""
+    def _rank(self) -> tuple[list[int], list[str]]:
+        """Rank the sources in (arb_id, insertion) order; returns their ids and names in it."""
         ranked = sorted(self._periodic, key=attrgetter("arb_id"))  # stable: insertion on a tie
         for rank, src in enumerate(ranked):
             src.rank = rank
-        self._ranked = [src.source for src in ranked]
+        self._ranked = ([src.arb_id for src in ranked], [src.source for src in ranked])
         return self._ranked
 
     def trace(self) -> CanTrace:
-        """Every frame delivered so far, in delivery order, which is time order."""
-        return _ordered_trace(list(self._trace))
+        """Every frame delivered so far, in delivery (and so time) order, in copied columns."""
+        return _columnar_trace(tuple(column[:] for column in self._trace))

@@ -56,13 +56,14 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_speed(text: str) -> float:
-    """Positive speed with unit suffix: '20mph', '8.94mps', or bare m/s."""
+    """Speed in m/s from '20mph', '8.94mps' or bare m/s, > 0 and up to the speed broadcast's top."""
     t = text.strip().lower()
-    if t.endswith("mph"):
-        return _positive(t[:-3]) * MPH_TO_MPS
-    if t.endswith("mps"):
-        return _positive(t[:-3])
-    return _positive(t)
+    unit = MPH_TO_MPS if t.endswith("mph") else 1.0
+    speed_mps = _positive(t[:-3] if t.endswith(("mph", "mps")) else t) * unit
+    if speed_mps / MPH_TO_MPS > canbus.MAX_SPEED_MPH:  # in mph, as OvalSpec.validate compares it
+        raise argparse.ArgumentTypeError(f"must be at most {canbus.MAX_SPEED_MPH:.1f} mph, "
+                                         f"the most the speed broadcast carries, got {text!r}")
+    return speed_mps
 
 
 def _parse_ramp(text: str) -> tuple[int, int, int]:

@@ -693,7 +693,7 @@ REPLAY_SETTLE_S = 1.0
 def replay_ms(trace: canbus.CanTrace) -> int:
     """Rig ticks that cover a replayed trace plus REPLAY_SETTLE_S after its last frame."""
     last_us = trace.last_us() if len(trace) else 0
-    if last_us > MAX_RUN_S * 1e6:  # integer timestamps of any size compare exactly
+    if last_us > MAX_RUN_S * 1e6:
         raise ConfigError(f"capture runs to {last_us} us, past the limit of {MAX_RUN_S:g} s")
     return last_us // 1000 + round(REPLAY_SETTLE_S * 1000.0)
 
@@ -752,8 +752,7 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
     ecus.attach(bus)
 
     result = _run_injection(bus, rig, rx, injector, n_ms)
-    result.speed_series = [(f.timestamp_us, canbus.decode_speed(f))
-                           for f in result.trace if f.arbitration_id == canbus.SPEED_ID]
+    result.speed_series = canbus._speed_series(result.trace)
     return result
 
 

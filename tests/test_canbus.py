@@ -190,6 +190,23 @@ class TestSpeedCodec:
         back = canbus.encode_speed(v)
         assert (back.data[6] << 8) + back.data[7] == raw
 
+    def test_speed_series_reads_the_columns_as_decode_speed_reads_frames(self):
+        # array columns with flat payloads, and numpy ones with (n, 8) payloads
+        rng = random.Random(3)
+        frames = [CanFrame(t, rng.choice((0x75, 0x10)), rng.randbytes(rng.choice((6, 8))))
+                  for t in range(0, 400, 7)]
+        whole = [f for f in frames if f.dlc == 8 or f.arbitration_id != 0x75]
+        expected = [(f.timestamp_us, canbus.decode_speed(f)) for f in whole
+                    if f.arbitration_id == 0x75]
+        assert len(expected) > 10
+        built = CanTrace(whole)
+        for trace in (built, canbus.parse_trace(canbus.serialize_trace(built))):
+            series = canbus._speed_series(trace)
+            assert series == expected
+            assert all(type(t) is int for t, _ in series)
+        with pytest.raises(canbus.ShortFrameError, match="got 6"):
+            canbus._speed_series(CanTrace(frames))
+
 
 class TestTraceFormat:
     def test_roundtrip(self):
@@ -202,17 +219,33 @@ class TestTraceFormat:
         back = canbus.parse_trace(text)
         assert list(back) == frames
 
-    @settings(deadline=None, max_examples=100)
-    @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 0x7FF),
-                              st.binary(max_size=8)), max_size=20))
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.tuples(st.integers(0, 10_000) | st.sampled_from([0, 10**18, 2**62]),
+                              st.integers(0, 0x7FF), st.binary(max_size=8)), max_size=20))
+    @example([(2**62, 0x7FF, bytes(8)), (2**62 - 1, 0x10, b""), (0, 0x0, b"\x01")])
+    @example([(2**62, 0x7FF, bytes(8)), (2**62, 0x10, b"")])  # the second at 2**63
     def test_roundtrip_property(self, raw):
+        # timestamps from 0 to 2**63 - 1, with repeats, and past it, which no trace holds
         t = 0
         frames = []
         for gap, arb_id, data in raw:
             t += gap
             frames.append(CanFrame(t, arb_id, data))
+        if t > 2**63 - 1:
+            with pytest.raises(canbus.OutOfRangeError, match="does not fit 64 bits"):
+                CanTrace(frames)
+            return
         trace = CanTrace(frames)
+        assert trace.frames == frames
         assert canbus.parse_trace(canbus.serialize_trace(trace)) == trace
+        timestamps, ids, dlc, data = trace.columns()
+        assert len(trace) == len(timestamps) == len(data) == len(frames)
+        assert timestamps.tolist() == [f.timestamp_us for f in frames]
+        assert ids.tolist() == [f.arbitration_id for f in frames]
+        assert dlc.tolist() == [f.dlc for f in frames]
+        assert [bytes(row) for row in data] == [f.data.ljust(8, b"\0") for f in frames]
+        if frames:
+            assert trace.last_us() == t
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.tuples(st.one_of(st.integers(0, 10**12), st.just(10**17)),
@@ -241,10 +274,9 @@ class TestTraceFormat:
         with mock.patch.object(canbus, "_BLOCK", block):
             parsed = canbus.parse_trace("".join(_written_line(t, arb_id, data) + "\n"
                                                 for t, arb_id, data, _ in rows))
-        trace = parsed.select([keep for *_, keep in rows])
-        assert trace._frames is None
-        text = canbus.serialize_trace(trace)
-        assert trace._frames is None  # written from the columns, no frame built
+        with mock.patch.object(canbus, "_frames_of", side_effect=AssertionError("frames built")):
+            trace = parsed.select([keep for *_, keep in rows])
+            text = canbus.serialize_trace(trace)  # written from the columns, no frame built
         assert text == "".join(_written_line(t, arb_id, data) + "\n"
                                for t, arb_id, data, keep in rows if keep)
         assert text == canbus.serialize_trace(CanTrace(trace.frames))
@@ -366,11 +398,13 @@ class TestTraceFormat:
         canbus.parse_trace(b"0 10 0\n")  # imports numpy outside the measurement
         tracemalloc.start()
         try:
-            trace = canbus.parse_trace(text)
+            # the columnar pass reads it: only the per-line reader builds frames
+            with mock.patch.object(canbus, "_per_line", side_effect=AssertionError("per-line")):
+                trace = canbus.parse_trace(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trace._frames is None and len(trace) == 66_600
+        assert len(trace) == 66_600
         assert peak < 4 * 2**20 + len(text)
 
     def test_written_spelling_never_reaches_the_per_token_branch(self, monkeypatch):
@@ -496,7 +530,8 @@ class HeapBus:
     an injected one.  Each frame goes to the listeners whose id set holds
     its id (or that have none), as they stand when the frame's delivery
     starts.  A payload or listener that raises stops it, as it stops
-    CanBus.
+    CanBus.  It keeps its trace as a list of frames, and a step returns
+    the range of that list's rows it appended.
     """
 
     def __init__(self):
@@ -552,7 +587,7 @@ class HeapBus:
         if now_us < self._now:
             raise ValueError("bus time must not go backwards")
         self._now = now_us
-        delivered = []
+        start = len(self._trace)
         try:
             while (due := self.next_due_us()) is not None and due <= now_us:
                 self._floor_us = due
@@ -571,7 +606,6 @@ class HeapBus:
                 batch.sort(key=lambda item: item[:4])
                 for _, _, _, _, frame, source in batch:
                     self._trace.append(frame)
-                    delivered.append(frame)
                     for listener, ids in list(self._listeners):
                         if ids is None or frame.arbitration_id in ids:
                             listener(frame, source)
@@ -579,10 +613,10 @@ class HeapBus:
             self._stopped = f"bus stopped in the step to {now_us} us by {exc!r}"
             raise
         self._floor_us = now_us
-        return delivered
+        return range(start, len(self._trace))
 
     def trace(self):
-        return canbus._ordered_trace(list(self._trace))
+        return CanTrace(self._trace)
 
 
 # bus operations for the queue property; few ids, so that ties are common,
@@ -611,11 +645,17 @@ def _random_payload(rng):
 
 
 def _checked_step(bus, now_us):
-    """bus.step(now_us), checking that nothing is left due by now_us."""
-    delivered = bus.step(now_us)
+    """bus.step(now_us), checking that nothing is left due by now_us; returns its rows."""
+    rows = bus.step(now_us)
     due = bus.next_due_us()
     assert due is None or due > now_us
-    return delivered
+    return rows
+
+
+def _step_frames(bus, now_us):
+    """The frames bus.step(now_us) delivered: the rows of the trace that it returns."""
+    rows = bus.step(now_us)
+    return bus.trace().frames[rows.start:rows.stop]
 
 
 def drive_bus(bus, ops, check=lambda bus: None, listen=True, payload=_random_payload,
@@ -684,38 +724,41 @@ def _step_by_due_times(bus, now_us):
     """Checked steps to each due time up to now_us in turn, then to now_us.
 
     No due time is before the bus time, so a step back in time is made as
-    asked, and fails.
+    asked, and fails.  Returns the trace rows the steps appended, which
+    follow one another.
     """
-    delivered = []
+    steps = []
     while (due := bus.next_due_us()) is not None and due <= now_us:
-        delivered += _checked_step(bus, due)
-    return delivered + _checked_step(bus, now_us)
+        steps.append(_checked_step(bus, due))
+    steps.append(_checked_step(bus, now_us))
+    assert all(a.stop == b.start for a, b in zip(steps, steps[1:]))
+    return range(steps[0].start, steps[-1].stop)
 
 
 class TestBus:
     def test_periodic_emits_at_multiples(self):
         bus = CanBus()
         bus.add_periodic(0x75, 10_000, lambda now: bytes(8))
-        delivered = bus.step(35_000)
+        delivered = _step_frames(bus, 35_000)
         assert [f.timestamp_us for f in delivered] == [10_000, 20_000, 30_000]
 
     def test_nothing_at_time_zero(self):
         bus = CanBus()
         bus.add_periodic(0x75, 10_000, lambda now: bytes(8))
-        assert bus.step(0) == []
+        assert bus.step(0) == range(0, 0)
 
     def test_arbitration_low_id_first(self):
         bus = CanBus()
         bus.add_periodic(0x204, 10_000, lambda now: b"\x01")
         bus.add_periodic(0x10, 10_000, lambda now: b"\x02")
-        delivered = bus.step(10_000)
+        delivered = _step_frames(bus, 10_000)
         assert [f.arbitration_id for f in delivered] == [0x10, 0x204]
 
     def test_injected_after_observed_on_tie(self):
         bus = CanBus()
         bus.add_periodic(0x75, 10_000, lambda now: b"\x01")
         bus.inject_at(10_000, CanFrame(10_000, 0x75, b"\x02"))
-        delivered = bus.step(10_000)
+        delivered = _step_frames(bus, 10_000)
         assert [f.data for f in delivered] == [b"\x01", b"\x02"]
 
     def test_listener_sees_source(self):
@@ -753,7 +796,7 @@ class TestBus:
     def test_schedule_helper(self):
         bus = CanBus()
         SimulatedEcus(VehiclePlant(), schedule={0x75: 10_000, 0x10: 5_000}).attach(bus)
-        delivered = bus.step(10_000)
+        delivered = _step_frames(bus, 10_000)
         assert [f.arbitration_id for f in delivered] == [0x10, 0x10, 0x75]
 
     def test_periodic_source_checked(self):
@@ -808,7 +851,7 @@ class TestBus:
         CanTrace(bus.trace().frames)  # raises if the trace left time order
         assert [f.timestamp_us for f in bus.trace()] == [1, 2, 3, 3, 4, 4]
         bus.add_periodic(0x20, 3, lambda now: b"")
-        assert [f.timestamp_us for f in bus.step(6)] == [5, 5, 6, 6, 6]
+        assert [f.timestamp_us for f in _step_frames(bus, 6)] == [5, 5, 6, 6, 6]
 
     def test_listener_reads_only_its_ids(self):
         seen = []
@@ -862,7 +905,7 @@ class TestBus:
                          and bus.add_periodic(0x20, 3, lambda now: b""))
         bus.step(10)
         assert bus.next_due_us() == 12
-        assert [f.arbitration_id for f in bus.step(12)] == [0x10, 0x20]
+        assert [f.arbitration_id for f in _step_frames(bus, 12)] == [0x10, 0x20]
 
 
 def _stopped_bus(bus_type, where):
@@ -943,7 +986,7 @@ class TestFailStop:
                 call()
         bus.inject_at(7, CanFrame(7, 0x20, b""))
         bus.add_periodic(0x40, 4, bytes)
-        assert [(f.timestamp_us, f.arbitration_id) for f in bus.step(10)] == [
+        assert [(f.timestamp_us, f.arbitration_id) for f in _step_frames(bus, 10)] == [
             (7, 0x20), (8, 0x40), (9, 0x30)]
         assert bus.next_due_us() == 12
 
@@ -958,7 +1001,7 @@ class TestFailStop:
         assert bus.next_due_us() == 20
         bus.inject_at(15, CanFrame(15, 0x20, b""))  # due at the bus time itself
         assert bus.next_due_us() == 15
-        assert [(f.timestamp_us, f.arbitration_id) for f in bus.step(20)] == [
+        assert [(f.timestamp_us, f.arbitration_id) for f in _step_frames(bus, 20)] == [
             (15, 0x20), (20, 0x10)]
 
     def test_inject_before_the_bus_time_fails_with_no_source(self, bus_type):
@@ -968,7 +1011,7 @@ class TestFailStop:
             bus.inject_at(50, CanFrame(50, 0x20, b""))
         assert bus.next_due_us() is None
         bus.inject_at(100, CanFrame(100, 0x20, b""))
-        assert [f.timestamp_us for f in bus.step(100)] == [100]
+        assert [f.timestamp_us for f in _step_frames(bus, 100)] == [100]
 
     def test_listener_queues_before_the_step_end(self, bus_type):
         # during a step the floor is the due time in delivery, not the step's end
@@ -976,7 +1019,7 @@ class TestFailStop:
         bus.inject_at(10, CanFrame(10, 0x10, b""))
         bus.add_listener(lambda frame, source: bus.inject_at(30, CanFrame(30, 0x20, b"")),
                          ids=(0x10,))
-        assert [f.timestamp_us for f in bus.step(100)] == [10, 30]
+        assert [f.timestamp_us for f in _step_frames(bus, 100)] == [10, 30]
         assert bus.next_due_us() is None
 
 

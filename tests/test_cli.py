@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from evsim import canbus, cli, follower, lowlevel, recordings, scenario
 from evsim.canbus import CanFrame, CanTrace
+from evsim.plant import MPH_TO_MPS
 
 
 def run_cli(capsys, *argv):
@@ -744,19 +745,27 @@ class TestUserErrors:
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("speed, message", [
-        ("400mph", "oval.speed_mph 400 is above the 375.3 mph the speed broadcast carries"),
-        ("1e308", "oval.speed_mph must be a finite number, got inf"),  # m/s; inf in mph
+        ("400mph", "argument --speed: must be at most 375.3 mph, the most the speed broadcast "
+                   "carries, got '400mph'"),
+        ("1e308", "argument --speed: must be at most 375.3 mph, the most the speed broadcast "
+                  "carries, got '1e308'"),  # m/s; inf in mph
     ])
     def test_make_oval_rejects_a_speed_the_broadcast_cannot_carry(self, tmp_path, capsys,
                                                                   speed, message):
-        # the path file would be one that simulate then rejects
+        # the path file would be one that simulate then rejects; the error names
+        # the flag and the text typed
         path = tmp_path / "p.txt"
-        code = cli.main(["make-oval", "--speed", speed, "--path", str(path)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["make-oval", "--speed", speed, "--path", str(path)])
         captured = capsys.readouterr()
-        assert code == 2
+        assert exc.value.code == 2
         assert captured.err == f"evsim: error: {message}\n"
         assert captured.out == ""
         assert not path.exists()
+
+    def test_make_oval_takes_the_top_speed_the_broadcast_carries(self):
+        args = cli.build_parser().parse_args(["make-oval", "--speed", "375.3mph"])
+        assert args.speed == pytest.approx(375.3 * MPH_TO_MPS)
 
     def test_make_oval_rejects_before_writing(self, tmp_path, capsys):
         scn, path = tmp_path / "s.json", tmp_path / "p.txt"

@@ -103,7 +103,7 @@ def _forge_one(rule, genuine: CanFrame) -> CanFrame:
     bus.step(genuine.timestamp_us)
     bus.step(genuine.timestamp_us + 250)
     genuine_out, forged = bus.trace().frames
-    assert genuine_out is genuine
+    assert genuine_out == genuine
     return forged
 
 

@@ -291,8 +291,9 @@ class TestSimulatedEcus:
     def test_attach_schedule(self):
         bus = canbus.CanBus()
         SimulatedEcus(VehiclePlant()).attach(bus)
-        assert bus.step(0) == []
-        frames = bus.step(100_000)
+        assert bus.step(0) == range(0, 0)
+        rows = bus.step(100_000)
+        frames = bus.trace().frames[rows.start:rows.stop]
 
         def ids_at(t):
             return [f.arbitration_id for f in frames if f.timestamp_us == t]
@@ -332,8 +333,8 @@ class TestSimulatedEcus:
         p = VehiclePlant(state=VehicleState(speed_mph=10.0, decel=bpp_k(0.0)))
         bus = canbus.CanBus()
         SimulatedEcus(p).attach(bus)
-        delivered = bus.step(10_000)
-        speeds = [f for f in delivered if f.arbitration_id == 0x75]
+        rows = bus.step(10_000)
+        speeds = [f for f in bus.trace().frames[rows.start:rows.stop] if f.arbitration_id == 0x75]
         assert len(speeds) == 1
         assert canbus.decode_speed(speeds[0]) == pytest.approx(10.0, abs=1 / 54)
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tempfile
+import tracemalloc
 import types
 from fractions import Fraction
 from unittest import mock
@@ -278,6 +279,34 @@ class TestRunScenario:
                   if f.arbitration_id == 0x75]
         assert speeds[-1] == pytest.approx(10.0, abs=0.1)
 
+    def test_run_builds_no_frame(self):
+        # the bus appends every frame to the trace's columns and builds a
+        # CanFrame only for a listener, and no listener is wired in a run
+        built = []
+        init = CanFrame.__init__
+
+        def counted_init(frame, *args):
+            built.append(args)
+            init(frame, *args)
+
+        with mock.patch.object(canbus, "_frame", side_effect=canbus._frame) as unchecked, \
+                mock.patch.object(CanFrame, "__init__", counted_init):
+            result = run_scenario(Scenario("hold", 2.0, speed_ref_mph=10.0))
+        assert len(result.trace) == 820
+        assert unchecked.call_count == 0 and built == []
+
+    def test_trace_memory_per_frame(self):
+        # 19 bytes a frame: an int64 timestamp, a uint16 id, a uint8 dlc and 8 payload bytes
+        tracemalloc.start()
+        try:
+            result = run_scenario(Scenario("hold", 30.0, speed_ref_mph=10.0))
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, canbus.__file__)]).statistics("filename")
+        finally:
+            tracemalloc.stop()
+        assert len(result.trace) == 12_300
+        assert sum(stat.size for stat in held) <= 20 * len(result.trace)
+
     def test_no_path_metrics_without_path(self, hold):
         assert "lap_errors" not in hold.metrics
         assert hold.rows[0][12] is None  # target_n empty
@@ -527,10 +556,13 @@ class TestReplayInjection:
         cap_us = round(scenario.MAX_RUN_S * 1e6)
         at_cap = CanTrace([CanFrame(cap_us, 0x11A, bytes(8))])
         assert scenario.replay_ms(at_cap) == cap_us // 1000 + 1000
-        for last_us in (cap_us + 1, 10 ** 15, 10 ** 400):
+        for last_us in (cap_us + 1, 10 ** 15, 2 ** 63 - 1):
             past = CanTrace([CanFrame(last_us, 0x11A, bytes(8))])
             with pytest.raises(ConfigError, match="past the limit"):
                 run_replay_injection(past, lambda t: 0)
+        # a trace holds int64 timestamps, so a later one fails before any replay
+        with pytest.raises(canbus.OutOfRangeError, match="does not fit 64 bits"):
+            CanTrace([CanFrame(10 ** 400, 0x11A, bytes(8))])
 
 
 def _whole_capture_replay(trace, value_fn, target_id, byte_index, mode, delay_us):
