@@ -158,7 +158,6 @@ def cmd_isolate(args) -> int:
         print("no trace given; using the built-in pedal-press capture")
         trace = recordings.press_recording()
     oracle = recordings.throttle_effect_oracle()
-    n = len(trace.ids())
     try:
         result = revtools.isolate_control_id(trace, oracle, confirm=not args.no_confirm)
     except revtools.NoEffectError:
@@ -167,6 +166,7 @@ def cmd_isolate(args) -> int:
     except revtools.AmbiguousError as exc:
         print(f"ambiguous: {exc}")
         return 1
+    n = result.candidates
     budget = revtools.isolation_budget(n)
     extra = 1 if not args.no_confirm else 0
     print(f"control id: 0x{result.arb_id:X}")

@@ -175,9 +175,14 @@ def dominance_fraction(deliveries: Sequence[tuple[int, str]], start_us: int,
 # --- id selection -----------------------------------------------------------------
 
 def select_ids(trace: CanTrace, ids: Iterable[int]) -> CanTrace:
-    """Subset of a trace containing only the given ids, order preserved, as columns."""
+    """Subset of a trace containing only the given ids, order preserved, as columns.
+
+    When every row of the trace is wanted the trace itself comes back,
+    not a copy: a trace is not changed once built.
+    """
     wanted = set(ids)
-    subset = trace.select(np.isin(trace.columns().ids, list(wanted)))
+    rows = np.isin(trace.columns().ids, list(wanted))
+    subset = trace if rows.all() else trace.select(rows)
     missing = wanted.difference(np.flatnonzero(np.bincount(subset.columns().ids)).tolist())
     if missing:
         raise UnknownIdError(

@@ -10,7 +10,9 @@ smaller halves of odd splits finish sooner).  The saving has a blind
 spot: when two ids only trigger the effect together, the inferred half
 can be wrong.  confirm=True spends one extra call replaying the final
 candidate alone and raises Ambiguous if it does not reproduce the
-effect on its own.
+effect on its own.  Each probe's rows are selected from the subset of
+the last probe that answered yes, which holds every id still in play,
+so the trace shrinks as the search narrows.
 
 correlate_bytes ranks every payload byte in a trace by the strength of
 its linear relationship to the decoded speed broadcast, which surfaces
@@ -44,6 +46,7 @@ class IsolationResult:
     arb_id: int
     oracle_calls: int
     confirmed: bool
+    candidates: int = 0  # distinct ids in the bisected trace
 
 
 def isolation_budget(n_ids: int) -> int:
@@ -58,16 +61,25 @@ def isolate_control_id(trace: CanTrace, oracle, confirm: bool = False) -> Isolat
 
     oracle takes a CanTrace (a subset of the recording, timestamps
     preserved) and returns truthy when the physical effect appears.
+    Each call selects its subset, with one select_ids call, from the
+    subset of the last call that answered yes (at first the trace
+    itself): that subset holds every row of every id still in play, so
+    the oracle gets the same rows in the same order as from the trace.
     """
     ids = trace.ids()
     if not ids:
         raise EmptyTraceError("trace has no frames")
     calls = 0
+    last_yes = trace
 
-    def probe(subset: list[int]) -> bool:
-        nonlocal calls
+    def probe(subset_ids: list[int]) -> bool:
+        nonlocal calls, last_yes
         calls += 1
-        return bool(oracle(select_ids(trace, subset)))
+        subset = select_ids(last_yes, subset_ids)
+        if not oracle(subset):
+            return False
+        last_yes = subset
+        return True
 
     if not probe(ids):
         raise NoEffectError("full recording does not trigger the effect")
@@ -89,7 +101,7 @@ def isolate_control_id(trace: CanTrace, oracle, confirm: bool = False) -> Isolat
                 f"0x{winner:X} does not trigger the effect alone; "
                 "the effect likely needs several ids together")
         confirmed = True
-    return IsolationResult(winner, calls, confirmed)
+    return IsolationResult(winner, calls, confirmed, len(ids))
 
 
 # --- byte-vs-speed correlation ------------------------------------------------

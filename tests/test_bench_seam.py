@@ -164,7 +164,8 @@ def test_inject_replay_builds_only_target_frames_and_keeps_its_spans(tmp_path, m
 def test_isolate_keeps_its_spans_and_skips_probes_with_no_throttle_row(tmp_path, monkeypatch,
                                                                         capsys):
     # a traced isolate run requires these spans; only a probe that holds a
-    # throttle row builds a bus and moves a rig
+    # throttle row builds a bus and moves a rig, and only the first probe
+    # with given throttle rows and window does
     spans = {"canbus.step": (canbus.CanBus, "step"),
              "canbus.inject_at": (canbus.CanBus, "inject_at"),
              "plant.advance": (plant.VehiclePlant, "advance"),
@@ -192,7 +193,9 @@ def test_isolate_keeps_its_spans_and_skips_probes_with_no_throttle_row(tmp_path,
         def recorded(subset):
             before = Counter(calls)
             verdict = oracle(subset)
-            probes.append((canbus.THROTTLE_ID in subset.ids(), calls - before, verdict))
+            used = calls - before
+            rows = [f for f in subset if f.arbitration_id == canbus.THROTTLE_ID]
+            probes.append((rows, scenario.replay_ms(subset), used, verdict))
             return verdict
         return recorded
 
@@ -200,11 +203,16 @@ def test_isolate_keeps_its_spans_and_skips_probes_with_no_throttle_row(tmp_path,
     assert cli.main(["isolate", "--trace", str(path)]) == 0
     assert "control id: 0x11A" in capsys.readouterr().out
     assert all(calls[name] for name in spans), calls
-    skipped = [used for has_throttle, used, _ in probes if not has_throttle]
+    skipped = [used for rows, _, used, _ in probes if not rows]
     assert skipped and not any(used["CanBus.__init__"] or used["plant.advance"]
                                for used in skipped)
-    assert all(used["plant.advance"] and verdict
-               for has_throttle, used, verdict in probes if has_throttle)
+    (rows, n_ms, first, _), *repeats = [probe for probe in probes if probe[0]]
+    assert first["CanBus.__init__"] == 1 and first["plant.advance"]
+    assert repeats and all(
+        (repeat_rows, repeat_ms) == (rows, n_ms)
+        and not (used["CanBus.__init__"] or used["plant.advance"])
+        for repeat_rows, repeat_ms, used, _ in repeats)
+    assert all(verdict for rows, _, _, verdict in probes if rows)
 
 
 def test_isolate_reaches_select_ids_through_revtools_once_per_oracle_call(monkeypatch):

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evsim import canbus, recordings
+from evsim import canbus, recordings, scenario
 from evsim.canbus import CanBus, CanFrame, CanTrace, TraceParseError
 from evsim.injection import FilterRule
 from evsim.plant import SimulatedEcus, VehiclePlant
@@ -1114,3 +1114,31 @@ class TestQueue:
         monkeypatch.setattr(CanBus, "inject_at", counted)
         CanBus().feed_replay(CanFrame(t, 0x10, b"") for t in (5, 5, 9))
         assert calls == [(5, "replay"), (5, "replay"), (9, "replay")]
+
+
+# a replay's bus runs at most REPLAY_SETTLE_S and one 1 ms tick past a
+# capture of MAX_RUN_S, and _merged's key keeps such timestamps below 2**48
+_LATEST_MERGED_US = (1 << 48) // 2048 - 1
+
+
+@st.composite
+def _tied_trace(draw, side):
+    # few timestamps and ids, so (timestamp, id) ties fall within and across traces;
+    # the payload names the side and the row, so the order of tied rows shows
+    stamps = sorted(draw(st.lists(st.sampled_from([0, 1, 2, 7, _LATEST_MERGED_US]),
+                                  max_size=12)))
+    return CanTrace(CanFrame(t, draw(st.sampled_from([0x0, 0x10, 0x11A, 0x7FF])),
+                             bytes([side, k])) for k, t in enumerate(stamps))
+
+
+class TestMerged:
+    def test_key_bound_covers_every_replay(self):
+        assert (scenario.MAX_RUN_S + scenario.REPLAY_SETTLE_S) * 1e6 + 1_000 < _LATEST_MERGED_US
+
+    @settings(deadline=None, max_examples=300)
+    @given(_tied_trace(1), _tied_trace(2))
+    def test_matches_lexsort(self, first, second):
+        columns = [canbus.np.concatenate(pair) for pair in zip(first.columns(), second.columns())]
+        order = canbus.np.lexsort((columns[1], columns[0]))
+        expected = [col[order].tolist() for col in columns]
+        assert [col.tolist() for col in canbus._merged(first, second).columns()] == expected

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from evsim import canbus, recordings, revtools
 from evsim.canbus import CanFrame, CanTrace
+from evsim.injection import select_ids
 from evsim.revtools import (
     AmbiguousError,
     EmptyTraceError,
@@ -60,7 +61,7 @@ class TestIsolateControlId:
     def test_single_candidate(self):
         trace = _membership_trace([0x42])
         result = isolate_control_id(trace, lambda tr: 0x42 in tr.ids())
-        assert result == result.__class__(0x42, 1, True)
+        assert result == result.__class__(0x42, 1, True, candidates=1)
 
     def test_no_effect(self):
         with pytest.raises(NoEffectError):
@@ -120,6 +121,100 @@ class TestIsolateControlId:
         result = isolate_control_id(
             trace, lambda tr: {1, 2} <= set(tr.ids()))
         assert result.confirmed is False
+
+
+def isolate_control_id_full_trace(trace, oracle, confirm=False):
+    """Reference: the bisection that selected every probe from the whole trace."""
+    ids = trace.ids()
+    if not ids:
+        raise EmptyTraceError("trace has no frames")
+    calls = 0
+
+    def probe(subset):
+        nonlocal calls
+        calls += 1
+        return bool(oracle(select_ids(trace, subset)))
+
+    if not probe(ids):
+        raise NoEffectError("full recording does not trigger the effect")
+    confirmed = len(ids) == 1
+    current = ids
+    while len(current) > 1:
+        half = len(current) // 2
+        first, second = current[:half], current[half:]
+        if probe(first):
+            current = first
+            confirmed = len(first) == 1
+        else:
+            current = second
+            confirmed = False
+    winner = current[0]
+    if confirm and not confirmed:
+        if not probe([winner]):
+            raise AmbiguousError(
+                f"0x{winner:X} does not trigger the effect alone; "
+                "the effect likely needs several ids together")
+        confirmed = True
+    return revtools.IsolationResult(winner, calls, confirmed, len(ids))
+
+
+def _bisection_outcome(isolate, trace, oracle, confirm):
+    """The result or error of a bisection, and every subset it handed the oracle."""
+    subsets = []
+
+    def recorded(subset):
+        subsets.append([column.tolist() for column in subset.columns()])
+        return oracle(subset)
+
+    try:
+        outcome = isolate(trace, recorded, confirm=confirm)
+    except (EmptyTraceError, NoEffectError, AmbiguousError) as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, subsets
+
+
+@st.composite
+def _bisection_case(draw):
+    """A random trace and an oracle: membership, a coupled pair, or never true."""
+    pool = draw(st.lists(st.integers(0, 0x7FF), min_size=1, max_size=12, unique=True))
+    stamps = sorted(draw(st.lists(st.integers(0, 50), max_size=40)))
+    trace = CanTrace(CanFrame(t, draw(st.sampled_from(pool)),
+                              bytes(draw(st.lists(st.integers(0, 255), max_size=8))))
+                     for t in stamps)
+    ids = trace.ids() or pool
+    kind = draw(st.sampled_from(["member", "pair", "never"]))
+    if kind == "member":
+        target = draw(st.sampled_from(ids))
+        return trace, lambda subset: target in subset.ids()
+    if kind == "pair":
+        pair = set(draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2)))
+        return trace, lambda subset: pair <= set(subset.ids())
+    return trace, lambda subset: False
+
+
+class TestNarrowedBisection:
+    """Probes selected from the last yes-subset match probes selected from the whole trace."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_bisection_case(), st.booleans())
+    def test_matches_the_full_trace_bisection(self, case, confirm):
+        trace, oracle = case
+        assert (_bisection_outcome(isolate_control_id, trace, oracle, confirm)
+                == _bisection_outcome(isolate_control_id_full_trace, trace, oracle, confirm))
+
+    @pytest.mark.parametrize("confirm", [False, True])
+    def test_matches_the_full_trace_bisection_on_the_capture(self, press, confirm):
+        def moves(subset):
+            return canbus.THROTTLE_ID in subset.ids()
+
+        assert (_bisection_outcome(isolate_control_id, press, moves, confirm)
+                == _bisection_outcome(isolate_control_id_full_trace, press, moves, confirm))
+
+    def test_a_probe_of_every_row_is_the_trace_itself(self):
+        trace = _membership_trace([1, 2, 3])
+        seen = []
+        isolate_control_id(trace, lambda subset: seen.append(subset) or 3 in subset.ids())
+        assert seen[0] is trace
 
 
 def _speed_frames(pairs):
@@ -447,6 +542,56 @@ class TestPressRecording:
         a = recordings.press_recording()
         b = recordings.press_recording()
         assert list(a) == list(b)
+
+
+# the default press capture, and the one the benchmark's held-out seed 7919 isolates
+@pytest.fixture(scope="module", params=[2024, 15943])
+def press_capture(request):
+    return recordings.press_recording(seed=request.param)
+
+
+class TestOracleCache:
+    """An oracle answers a repeated replay from its table, as a fresh rig would."""
+
+    @pytest.fixture
+    def rigs(self, monkeypatch):
+        runs = []
+        rig_loop = recordings.rig_loop
+
+        def counted(*args, **kwargs):
+            runs.append(args[3])
+            return rig_loop(*args, **kwargs)
+
+        monkeypatch.setattr(recordings, "rig_loop", counted)
+        return runs
+
+    @pytest.mark.parametrize("confirm", [False, True])
+    def test_every_probe_answers_as_a_fresh_oracle(self, press_capture, confirm):
+        cached = recordings.throttle_effect_oracle()
+        verdicts = []
+
+        def both(subset):
+            verdicts.append((cached(subset), recordings.throttle_effect_oracle()(subset)))
+            return verdicts[-1][0]
+
+        result = isolate_control_id(press_capture, both, confirm=confirm)
+        assert result.arb_id == canbus.THROTTLE_ID
+        assert len(verdicts) == result.oracle_calls
+        assert all(mine == fresh for mine, fresh in verdicts), verdicts
+
+    def test_a_repeat_runs_no_rig_and_a_change_runs_one(self, press, rigs):
+        oracle = recordings.throttle_effect_oracle()
+        timestamps = press.columns().timestamps
+        cut = press.select(timestamps <= 5_950_000)  # the last throttle row is at 5.9 s
+        longer = select_ids(cut, [canbus.THROTTLE_ID, canbus.SPEED_ID])
+        shorter = select_ids(cut, [canbus.THROTTLE_ID])  # the same throttle rows
+        throttle_rows = np.flatnonzero(longer.columns().ids == canbus.THROTTLE_ID)
+        missing_one = longer.select(np.delete(np.arange(len(longer)), throttle_rows[-1]))
+        assert oracle(longer) and rigs == [6_950]
+        assert oracle(select_ids(cut, [canbus.THROTTLE_ID, canbus.SPEED_ID])) and rigs == [6_950]
+        assert oracle(shorter) and rigs == [6_950, 6_900]
+        assert oracle(missing_one) and rigs == [6_950, 6_900, 6_950]
+        assert oracle(missing_one) and oracle(shorter) and len(rigs) == 3
 
 
 # the default capture, and the one the benchmark's held-out seed 7919 correlates
