@@ -334,6 +334,23 @@ def _speed_series(trace: CanTrace) -> list[tuple[int, float]]:
             for row in rows]
 
 
+def _speed_ends(trace: CanTrace) -> tuple[float, float] | None:
+    """The mph of the first and last speed broadcasts, each read as _speed_series reads it.
+
+    None for a trace with no speed broadcast.  Only the two rows are
+    decoded, and only they are checked for a short frame.
+    """
+    timestamps, ids, dlc, data = trace._columns
+    first = next((row for row, arb_id in enumerate(ids) if arb_id == SPEED_ID), None)
+    if first is None:
+        return None
+    last = next(row for row in range(len(ids) - 1, first - 1, -1) if ids[row] == SPEED_ID)
+    for row in (first, last):
+        if dlc[row] < 8:
+            raise ShortFrameError(f"speed frame needs 8 bytes, got {dlc[row]}")
+    return tuple(decode_speed_raw(_SPEED.unpack_from(data, 8 * row)[0]) for row in (first, last))
+
+
 # --- trace text format ------------------------------------------------------
 
 def serialize_trace(trace: CanTrace) -> str:
@@ -635,9 +652,11 @@ class CanBus:
     due time go out by arbitration id: lower IDs win simultaneous
     arbitration, and an injected frame scheduled at the same microsecond
     and id as an observed one lands after it.  A tap-point filter wraps
-    its module's payload function (``injection.FilterRule.tap``), and
-    every frame leaves ``step`` through one loop that appends it to the
-    trace's columns and builds it as a CanFrame only for its id's listeners.
+    its module's payload function (``injection.FilterRule.tap``).  Every
+    frame leaves ``step`` through one of two loops, one for the due times
+    that hold injected frames and one for those that do not.  Each
+    appends the frame to the trace's columns, and builds a periodic frame
+    as a CanFrame only for its id's listeners.
 
     A listener names the ids it reads, as a node's acceptance filter
     does (SocketCAN's ``CAN_RAW_FILTER``, python-can's ``set_filters``);
@@ -645,10 +664,11 @@ class CanBus:
     kept as one tuple, in the order they were added, built when a frame
     of that id first meets the current wiring.
 
-    Injected payloads wait in one heap keyed by (due, id, enqueue
-    sequence): ``inject_at`` pushes, and ``step`` pops the due ones.  A
-    replay queues only the rows its receiver reads, so the heap stays
-    short.
+    Injected frames wait in one heap keyed by (due, id, enqueue
+    sequence): ``inject_at`` pushes the frame, and ``step`` pops the due
+    ones and hands their listeners that very frame, so an injected frame
+    is built once, by whoever queued it.  A replay queues only the rows
+    its receiver reads, so the heap stays short.
 
     The bus is fail-stop.  When a payload function or listener raises,
     the error propagates from ``step`` and the trace ends at the frame in
@@ -669,9 +689,9 @@ class CanBus:
         self._periodic_due: int | None = None  # earliest next_due of the sources
         self._listeners: list[tuple[Listener, frozenset[int] | None]] = []
         self._routes = _Routes(self._listeners)
-        # heap of injected entries (due, arb_id, seq, payload, source); seq is
-        # unique, so no comparison reaches the payload
-        self._pending: list[tuple[int, int, int, bytes, str]] = []
+        # heap of injected entries (due, arb_id, seq, frame, source); seq is
+        # unique, so no comparison reaches the frame
+        self._pending: list[tuple[int, int, int, CanFrame, str]] = []
         self._seq = 0
         self._now = 0
         # earliest due time inject_at accepts: the due time in delivery during
@@ -711,6 +731,8 @@ class CanBus:
     def inject_at(self, due_us: int, frame: CanFrame, source: str = "inject") -> None:
         """Queue a frame stamped due_us for delivery once the bus reaches due_us.
 
+        Its listeners are handed this frame object, so it must not change
+        while it waits.
         Raises ValueError for a due time the bus has passed: before the bus
         time, or during a step before the due time in delivery.  The frame
         would break the trace order, or wait for a step back in time.
@@ -725,7 +747,7 @@ class CanBus:
                 f"frame due at {due_us} us would follow one stamped {last} us" if due_us < last
                 else f"frame due at {due_us} us is before the bus time, {self._floor_us} us")
         heapq.heappush(self._pending,
-                       (due_us, frame.arbitration_id, self._seq, frame.data, source))
+                       (due_us, frame.arbitration_id, self._seq, frame, source))
         self._seq += 1
 
     def feed_replay(self, frames: Iterable[CanFrame]) -> None:
@@ -779,8 +801,22 @@ class CanBus:
                 if due is None or due > now_us:
                     break
                 self._floor_us = due
-                deliveries = self._emit_injected(due) if injected else self._emit_due(due)
-                for arb_id, payload, source in deliveries:
+                if injected:
+                    # the loop below, but an injected frame goes to its listeners as queued
+                    for arb_id, payload, source, frame in self._emit_injected(due):
+                        dlc = len(payload)
+                        append_t(due)
+                        append_id(arb_id)
+                        append_dlc(dlc)
+                        extend_data(payload if dlc == 8 else payload + _PAD[dlc])
+                        route = routes[arb_id]
+                        if route:
+                            if frame is None:  # a periodic frame due with the injected ones
+                                frame = _frame(due, arb_id, payload)
+                            for listener in route:
+                                listener(frame, source)
+                    continue
+                for arb_id, payload, source in self._emit_due(due):
                     if payload is None:  # a source not due at this time
                         continue
                     dlc = len(payload)
@@ -824,20 +860,21 @@ class CanBus:
         self._periodic_due = earliest
         return zip(ids, slots, names)
 
-    def _emit_injected(self, now_us: int) -> list[tuple[int, bytes, str]]:
-        """(arb_id, payload, source) for a due time with injected frames, the periodic ones first.
+    def _emit_injected(self, now_us: int) -> list[tuple[int, bytes, str, CanFrame | None]]:
+        """(arb_id, payload, source, frame) for a due time with injected frames.
 
-        The periodic payloads due at now_us are built first; then the
-        injected ones due then leave the heap, in (id, sequence) order,
-        and a stable sort by id merges the two.
+        The periodic payloads due at now_us are built first, with no
+        frame; then the injected frames due then leave the heap, in (id,
+        sequence) order, and a stable sort by id merges the two.
         """
         periodic = self._periodic_due == now_us
-        batch = ([delivery for delivery in self._emit_due(now_us) if delivery[1] is not None]
+        batch = ([(arb_id, payload, source, None)
+                  for arb_id, payload, source in self._emit_due(now_us) if payload is not None]
                  if periodic else [])
         pending = self._pending
         while pending and pending[0][0] == now_us:
-            _, arb_id, _, payload, source = heapq.heappop(pending)
-            batch.append((arb_id, payload, source))
+            _, arb_id, _, frame, source = heapq.heappop(pending)
+            batch.append((arb_id, frame.data, source, frame))
         if periodic:
             batch.sort(key=itemgetter(0))
         return batch

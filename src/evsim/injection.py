@@ -23,12 +23,17 @@ each is wired to the bus with that id as its acceptance filter
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import canbus
 from .canbus import CanBus, CanFrame, CanTrace, np
+
+
+#: Each byte value as a one-byte bytes object.
+_ONE_BYTE = [bytes((value,)) for value in range(256)]
 
 
 class UnknownIdError(ValueError):
@@ -58,14 +63,13 @@ class FilterRule:
 
     def forged_payload(self, frame: CanFrame) -> bytes:
         """frame's payload with the byte set to value_fn(frame's timestamp)."""
-        if self.byte_index >= frame.dlc:
-            raise ValueError(f"byte_index {self.byte_index} outside dlc {frame.dlc}")
+        data, index = frame.data, self.byte_index
+        if index >= len(data):
+            raise ValueError(f"byte_index {index} outside dlc {len(data)}")
         value = self.value_fn(frame.timestamp_us)
         if not 0 <= value <= 0xFF:
             raise ValueError(f"value {value} outside one byte")
-        data = bytearray(frame.data)
-        data[self.byte_index] = value
-        return bytes(data)
+        return data[:index] + _ONE_BYTE[value] + data[index + 1:]
 
     def apply(self, frame: CanFrame) -> CanFrame:
         """Tap rewrite: matching frames too short for the byte pass unchanged."""
@@ -94,6 +98,9 @@ class ShadowInjector:
     The injector listens to rule.arb_id only, and it tags its own frames
     and skips them when listening, so it never chases itself.  injected
     counts the forged frames the bus delivered, not those still queued.
+    The bus holds the injector, as a listener; the injector holds the bus
+    only through a weak proxy, so the two form no reference cycle and the
+    bus is freed as soon as its run lets go of it.
     """
 
     SOURCE = "shadow"
@@ -105,7 +112,7 @@ class ShadowInjector:
         if period_us is not None and delay_us >= period_us:
             raise DelayError(
                 f"delay {delay_us} us must be shorter than the genuine period {period_us} us")
-        self.bus = bus
+        self.bus = weakref.proxy(bus)
         self.rule = rule
         self.delay_us = delay_us
         self.injected = 0

@@ -206,7 +206,7 @@ class VehiclePlant:
 
         Each tick applies the exact first-order channel updates and then
         the kinematic bicycle pose update using the post-update speed
-        and steering angle.  The loop runs in one of two bodies, chosen
+        and steering angle.  The loop runs in one of three bodies, chosen
         by what the held inputs fix for the whole chunk:
 
         - steering duty outside the deadband: every tick moves the
@@ -220,7 +220,15 @@ class VehiclePlant:
           leaves every heading but -0.0 as it is.  So for such a
           chunk cos and sin of the heading are computed once, and a tick
           updates only decel, speed, p_n and p_e.  Any other held chunk
-          steps the heading every tick as written.
+          steps the heading every tick as written;
+        - that straight, unbraked chunk with the brake channel settled
+          (decel == k_bpp, the settle deceleration of the held brake):
+          bpp_k is negative on [0, 100], so decel is no zero, and with
+          0 <= alpha_bpp < 1 a tick's decel + alpha_bpp * 0.0 is decel.
+          The channel stays put for the whole chunk, and a tick updates
+          only speed, p_n and p_e.  An injection rig, whose brake
+          stays released and whose wheels stay straight, runs every
+          tick in this body.
 
         A tick of that last body is a pure function of decel, speed,
         p_n and p_e, so a chunk of it that starts at speed 0 runs one
@@ -283,6 +291,9 @@ class VehiclePlant:
                            and (heading or math.copysign(1.0, heading) > 0.0))
             if not turning:
                 cos_h, sin_h = cos(heading), sin(heading)
+            # straight and unbraked, a settled brake channel stays put: k_bpp < 0,
+            # so decel is not a zero, and decel + alpha_bpp * 0.0 is decel
+            settled = not turning and decel == k_bpp
             # at rest on straight wheels, run one tick alone: if it leaves every
             # bit of decel, speed, p_n and p_e as it was, so would all the rest
             probe = not turning and speed == 0.0 and n_ticks > 1
@@ -290,20 +301,29 @@ class VehiclePlant:
                 before = _HELD_FIELDS.pack(decel, speed, p_n, p_e)
             while n_ticks:
                 span = 1 if probe else n_ticks
-                for _ in range(span):
-                    decel = decel + alpha_bpp * (k_bpp - decel)
-                    if braking:
-                        speed = speed + decel * decel_to_mph_s * dt
-                    else:
+                if settled:
+                    for _ in range(span):
                         speed = speed + alpha_app * (k_app - speed)
-                    if speed < 0.0:
-                        speed = 0.0
-                    v_ms = speed * mph_to_ms
-                    if turning:
-                        heading = heading + v_ms / wheelbase * tan_delta * dt
-                        cos_h, sin_h = cos(heading), sin(heading)
-                    p_n = p_n + v_ms * cos_h * dt
-                    p_e = p_e + v_ms * sin_h * dt
+                        if speed < 0.0:
+                            speed = 0.0
+                        v_ms = speed * mph_to_ms
+                        p_n = p_n + v_ms * cos_h * dt
+                        p_e = p_e + v_ms * sin_h * dt
+                else:
+                    for _ in range(span):
+                        decel = decel + alpha_bpp * (k_bpp - decel)
+                        if braking:
+                            speed = speed + decel * decel_to_mph_s * dt
+                        else:
+                            speed = speed + alpha_app * (k_app - speed)
+                        if speed < 0.0:
+                            speed = 0.0
+                        v_ms = speed * mph_to_ms
+                        if turning:
+                            heading = heading + v_ms / wheelbase * tan_delta * dt
+                            cos_h, sin_h = cos(heading), sin(heading)
+                        p_n = p_n + v_ms * cos_h * dt
+                        p_e = p_e + v_ms * sin_h * dt
                 n_ticks -= span
                 if probe:
                     if _HELD_FIELDS.pack(decel, speed, p_n, p_e) == before:

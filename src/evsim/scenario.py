@@ -42,13 +42,14 @@ same either way.
 
 from __future__ import annotations
 
+import functools
 import json
 import marshal
 import math
 import numbers
 import os
 import shutil
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -447,17 +448,18 @@ def run_until(bus: canbus.CanBus, plant: VehiclePlant, inputs, t_us: int, end_us
     the plant stays where it is.
     """
     ticks = 0
+    next_due_us, step, advance = bus.next_due_us, bus.step, plant.advance
     while t_us < end_us:
-        due = bus.next_due_us()
+        due = next_due_us()
         if due is not None and due <= t_us:
-            bus.step(due)
+            step(due)
             continue
         held = inputs()
         if held is None:
             break
         boundary = end_us if due is None else min(end_us, -(-due // phys_us) * phys_us)
         n = (boundary - t_us) // phys_us
-        plant.advance(*held, n, dt)
+        advance(*held, n, dt)
         ticks += n
         t_us = boundary
     return ticks
@@ -630,19 +632,47 @@ def ramp_bytes(start: int, end: int, step: int):
     return value_fn
 
 
-@dataclass
 class InjectionResult:
-    trace: canbus.CanTrace
-    dominance: Fraction | None
-    injected: int
-    deliveries: list[tuple[int, str, float]]
-    speed_series: list[tuple[int, float]] = field(default_factory=list)
-    final_speed_mph: float = 0.0
+    """What an injection run reports, and the bus trace it leaves.
+
+    frames_on_bus counts the trace's rows.  A replay puts only the target
+    rows on the bus, so its trace is that bus trace with the capture's
+    other rows merged back in, in the order the bus would deliver them.
+    The merge runs on the first read of trace, and only then: a run
+    whose trace nobody reads (``evsim inject`` without ``--out``) skips
+    it.  speed_first_mph and speed_last_mph are the first and last speed
+    broadcasts of a live run, and None for a replay or a run with none;
+    speed_series decodes every one of them from the trace when read.
+    """
+
+    def __init__(self, bus_trace: canbus.CanTrace, dominance: Fraction | None, injected: int,
+                 deliveries: list[tuple[int, str, float]], final_speed_mph: float,
+                 others: tuple[canbus.CanTrace, object] | None = None):
+        self.dominance = dominance
+        self.injected = injected
+        self.deliveries = deliveries
+        self.final_speed_mph = final_speed_mph
+        self.speed_first_mph = self.speed_last_mph = None
+        self._bus_trace = bus_trace
+        # the capture and the mask of its rows the trace merges in, or None
+        self._others = others
+        self.frames_on_bus = len(bus_trace) + (0 if others is None else int(others[1].sum()))
+
+    @functools.cached_property
+    def trace(self) -> canbus.CanTrace:
+        if self._others is None:
+            return self._bus_trace
+        capture, rows = self._others
+        return canbus._merged(self._bus_trace, capture.select(rows))
+
+    @property
+    def speed_series(self) -> list[tuple[int, float]]:
+        return [] if self.speed_first_mph is None else canbus._speed_series(self.trace)
 
     def metrics(self) -> dict:
         out = {
             "injected_frames": self.injected,
-            "frames_on_bus": len(self.trace),
+            "frames_on_bus": self.frames_on_bus,
             "final_speed_mph": self.final_speed_mph,
         }
         if self.dominance is not None:
@@ -650,9 +680,9 @@ class InjectionResult:
                 "exact": f"{self.dominance.numerator}/{self.dominance.denominator}",
                 "value": float(self.dominance),
             }
-        if self.speed_series:
-            out["speed_first_mph"] = self.speed_series[0][1]
-            out["speed_last_mph"] = self.speed_series[-1][1]
+        if self.speed_first_mph is not None:
+            out["speed_first_mph"] = self.speed_first_mph
+            out["speed_last_mph"] = self.speed_last_mph
         return out
 
 
@@ -677,7 +707,9 @@ def rig_loop(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
 
     def inputs():  # read at each chunk start, which is the previous chunk's end
         nonlocal top_speed
-        top_speed = max(top_speed, rig.state.speed_mph)
+        speed = rig.state.speed_mph
+        if speed > top_speed:
+            top_speed = speed
         if top_speed >= reach_mph:
             return None
         return rx.app_pct, 0.0, 50.0
@@ -709,16 +741,22 @@ def _injection_rig(mode: str, target_id: int, byte_index: int, value_fn):
 
 
 def _run_injection(bus: canbus.CanBus, rig: VehiclePlant, rx: inj.ThrottleReceiver,
-                   injector: inj.ShadowInjector | None, n_ms: int) -> InjectionResult:
-    """Run the rig loop, then measure dominance over the genuine deliveries."""
+                   injector: inj.ShadowInjector | None, n_ms: int,
+                   others: tuple[canbus.CanTrace, object] | None = None) -> InjectionResult:
+    """Run the rig loop, then measure dominance over the genuine deliveries.
+
+    others, for a replay, is the capture and the mask of its rows that
+    stayed off the bus; the result's trace merges them in when read.
+    """
     rig_loop(bus, rig, rx, n_ms)
-    genuine = [t for t, src, _ in rx.deliveries if src != inj.ShadowInjector.SOURCE]
     dominance = None
-    if injector is not None and len(genuine) >= 2:
-        dominance = inj.dominance_fraction([(t, s) for t, s, _ in rx.deliveries],
-                                           genuine[0], genuine[-1])
+    if injector is not None:
+        genuine = [t for t, src, _ in rx.deliveries if src != inj.ShadowInjector.SOURCE]
+        if len(genuine) >= 2:
+            dominance = inj.dominance_fraction([(t, s) for t, s, _ in rx.deliveries],
+                                               genuine[0], genuine[-1])
     return InjectionResult(bus.trace(), dominance, injector.injected if injector else 0,
-                           list(rx.deliveries), [], rig.state.speed_mph)
+                           rx.deliveries, rig.state.speed_mph, others)
 
 
 def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THROTTLE_ID,
@@ -752,7 +790,9 @@ def run_live_injection(duration_s: float, value_fn, target_id: int = canbus.THRO
     ecus.attach(bus)
 
     result = _run_injection(bus, rig, rx, injector, n_ms)
-    result.speed_series = canbus._speed_series(result.trace)
+    ends = canbus._speed_ends(result.trace)
+    if ends is not None:
+        result.speed_first_mph, result.speed_last_mph = ends
     return result
 
 
@@ -768,7 +808,8 @@ def run_replay_injection(trace: canbus.CanTrace, value_fn,
     raises ShortFrameError before the run, in both modes, and a target_id
     that no frame of the capture carries is a ConfigError.  Only the target
     rows, the ones the receiver and the injector read, go on the bus; the
-    rest merge back into its trace in the order it would deliver them.
+    rest merge back into its trace in the order it would deliver them, when
+    that trace is first read.
     """
     n_ms = replay_ms(trace)
     timestamps, ids, dlc, _ = trace.columns()
@@ -792,6 +833,4 @@ def run_replay_injection(trace: canbus.CanTrace, value_fn,
     else:
         bus.feed_replay(map(rule.apply, replayed))
 
-    result = _run_injection(bus, rig, rx, injector, n_ms)
-    result.trace = canbus._merged(result.trace, trace.select(~target))
-    return result
+    return _run_injection(bus, rig, rx, injector, n_ms, (trace, ~target))

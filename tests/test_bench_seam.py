@@ -122,6 +122,7 @@ def test_inject_replay_builds_only_target_frames_and_keeps_its_spans(tmp_path, m
     # a traced inject or isolate run requires these spans, so the rows the
     # receiver reads must still reach it through feed_replay and inject_at
     spans = {"canbus.inject_at": (canbus.CanBus, "inject_at"),
+             "canbus.trace": (canbus.CanBus, "trace"),
              "injection.receiver": (injection.ThrottleReceiver, "__call__"),
              "injection.shadow": (injection.ShadowInjector, "_on_frame"),
              "injection.dominance": (injection, "dominance_fraction")}
@@ -159,6 +160,42 @@ def test_inject_replay_builds_only_target_frames_and_keeps_its_spans(tmp_path, m
     assert [f.arbitration_id for f in built] == [canbus.THROTTLE_ID] * 20
     assert all(calls[name] for name in spans), calls
     assert len(canbus.load_trace(out)) == 100
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+@pytest.mark.parametrize("mode", ["live", "shadow", "tap"])
+def test_inject_reads_its_bus_trace_and_merges_only_for_out(tmp_path, monkeypatch, capsys,
+                                                            mode, out):
+    # a traced inject run requires canbus.trace, and a shadow run injection.dominance,
+    # in each of its three commands; a replay merges the capture's other rows
+    # into its trace only for --out, since nothing else reads that trace
+    spans = {"canbus.trace": (canbus.CanBus, "trace"),
+             "injection.dominance": (injection, "dominance_fraction"),
+             "canbus._merged": (canbus, "_merged")}
+    assert {"canbus.trace", "injection.dominance"} <= set(_tracing().REQUIRED["inject"])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, (owner, attr) in spans.items():
+        monkeypatch.setattr(owner, attr, counted(name, vars(owner)[attr]))
+    path = tmp_path / "capture.txt"
+    canbus.save_trace(canbus.CanTrace([canbus.CanFrame(t, arb_id, bytes(8))
+                                       for t in range(10_000, 210_000, 10_000)
+                                       for arb_id in (0x10, 0x75, canbus.THROTTLE_ID)]), path)
+    argv = ["inject", "--ramp", "0:200:1"]
+    argv += ["--duration", "0.5"] if mode == "live" else ["--trace", str(path), "--mode", mode]
+    if out:
+        argv += ["--out", str(tmp_path / "out.txt")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls["canbus.trace"] >= 1
+    assert calls["injection.dominance"] >= (mode != "tap")
+    assert calls["canbus._merged"] == (out and mode != "live")
 
 
 def test_isolate_keeps_its_spans_and_skips_probes_with_no_throttle_row(tmp_path, monkeypatch,

@@ -770,6 +770,20 @@ class TestBus:
         bus.step(10_000)
         assert seen == [(0x75, "ecu"), (0x80, "attack")]
 
+    def test_listener_gets_an_injected_frame_as_queued(self):
+        # built once, by whoever queued it; a periodic frame due with it is built here
+        seen = []
+        bus = CanBus()
+        bus.add_periodic(0x10, 10_000, lambda now: b"\x01")
+        queued = [CanFrame(t, 0x80, b"\x02") for t in (5_000, 10_000)]
+        for frame in queued:
+            bus.inject_at(frame.timestamp_us, frame)
+        bus.add_listener(lambda f, src: seen.append((f, src)))
+        bus.step(10_000)
+        assert [f for f, _ in seen] == [queued[0], CanFrame(10_000, 0x10, b"\x01"), queued[1]]
+        assert seen[0][0] is queued[0] and seen[2][0] is queued[1]
+        assert [src for _, src in seen] == ["inject", "ecu", "inject"]
+
     def test_next_due(self):
         bus = CanBus()
         assert bus.next_due_us() is None

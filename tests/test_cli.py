@@ -11,6 +11,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 import time
 
 import pytest
@@ -331,6 +332,25 @@ def _replay_trace_file(tmp_path, n=10, period_us=100_000):
     return trace_file
 
 
+# tiny captures: a few frames on stock and edge ids, of any length, within 0.3 s
+_TINY_CAPTURE = st.lists(st.tuples(st.integers(0, 300_000),
+                                   st.sampled_from([0x11A, 0x11A, 0x75, 0x10, 0x0, 0x7FF]),
+                                   st.sampled_from([8, 8, 8, 0, 1, 4, 7])), max_size=12)
+# odd ramps too: a step past the end, and a ramp of one value
+_ODD_RAMP = (st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(1, 300))
+             .map(lambda r: r if r[1] >= r[0] else (r[0], r[1], -r[2]))
+             | st.sampled_from([(0, 255, 255), (7, 7, 1), (255, 0, -1)]))
+#: Flags the parser rejects; a draw appends at most one of them, last.
+_REJECTED_FLAG = [("--byte", "0"), ("--byte", "9"), ("--id", "800"), ("--delay-us", "0"),
+                  ("--ramp", "0:256:1"), ("--ramp", "10:0:1"), ("--ramp", "0:10:0"),
+                  ("--duration", "0"), ("--duration", "-0"), ("--duration", "nan"),
+                  ("--duration", "inf"), ("--duration", "1e308"),
+                  ("--target-period-ms", "0")]
+# one draw in four appends a rejected flag, so most reach a run; the simplest appends none
+_MAYBE_REJECTED = st.integers(0, 4 * len(_REJECTED_FLAG) - 1).map(
+    lambda k: _REJECTED_FLAG[k - 3 * len(_REJECTED_FLAG)] if k >= 3 * len(_REJECTED_FLAG)
+    else None)
+
 class TestInject:
     def test_live_shadow_reports_dominance(self, capsys):
         code, out = run_cli(
@@ -399,6 +419,57 @@ class TestInject:
             cli.main(["inject", "--duration", "1", "--ramp", "0:1:1",
                       "--byte", byte])
         assert exc.value.code == 2
+
+    @settings(deadline=None, max_examples=120)
+    @given(mode=st.sampled_from(["live", "shadow", "tap"]),
+           arb_id=st.sampled_from([0x11A, 0x11A, 0x11A, 0x75, 0x10, 0x7D, 0x204, 0x0, 0x7FF]),
+           byte=st.integers(1, 8), ramp=_ODD_RAMP,
+           delay=st.sampled_from([None, "1", "250", "9999", str(10**18)]),
+           duration=st.sampled_from(["0.5", "0.25", "0.05", "0.001", "0.0004", "5e-324"]),
+           period=st.sampled_from([None, "1", "10", "100", str(10**9)]),
+           capture=_TINY_CAPTURE, out=st.booleans(), rejected=_MAYBE_REJECTED)
+    def test_any_argument_vector_reports_finite_numbers_or_one_error(
+            self, mode, arb_id, byte, ramp, delay, duration, period, capture, out, rejected):
+        # exit 0 with finite numbers and an --out trace of frames_on_bus rows,
+        # or exit 2 with one line and nothing written
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["inject", "--id", f"{arb_id:X}", "--byte", str(byte),
+                    "--ramp", ":".join(map(str, ramp))]
+            if mode == "live":
+                argv += ["--duration", duration]
+                if period is not None:
+                    argv += ["--target-period-ms", period]
+            else:
+                path = os.path.join(tmp, "capture.txt")
+                canbus.save_trace(CanTrace([CanFrame(t, i, bytes(range(n)))
+                                            for t, i, n in sorted(capture)]), path)
+                argv += ["--trace", path, "--mode", mode]
+            if delay is not None:
+                argv += ["--delay-us", delay]
+            if rejected is not None:
+                argv += rejected
+            out_path = os.path.join(tmp, "out.txt")
+            if out:
+                argv += ["--out", out_path]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            stdout, stderr = stdout.getvalue(), stderr.getvalue()
+            if code == 0:
+                assert not stderr
+                report = stdout.replace(out_path, "")
+                assert not re.search(r"\b(nan|inf)\b", report, re.IGNORECASE), stdout
+                on_bus = int(re.search(r"\((\d+) total on the bus\)", stdout)[1])
+                if out:
+                    assert len(canbus.load_trace(out_path)) == on_bus
+            else:
+                assert code == 2, (code, stderr)
+                assert not stdout
+                assert stderr.startswith("evsim: error: ") and stderr.count("\n") == 1, stderr
+                assert not os.path.exists(out_path)
 
 
 class TestIsolate:

@@ -6,7 +6,8 @@ one at a time, speed floors at zero, the deadband holds the angle, and
 advance, which computes once per chunk what held inputs fix, equals the
 plain per-tick loop below on every float, signed zeros and non-finite
 values included.  A chunk at rest, where a tick changes no bit, runs one
-tick and skips the rest.
+tick and skips the rest, and a straight, unbraked chunk whose brake
+channel has settled skips its brake update.
 """
 
 import dataclasses
@@ -161,6 +162,20 @@ _STRAIGHT = st.tuples(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(4
          app=3.0, bpp=0.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
 @example(state=VehicleState(0.0, -0.3768, 0.0, 0.0, 0.0, 0.0),
          app=0.0, bpp=30.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+# straight and unbraked with the brake channel settled, decel == k_bpp, where a
+# tick leaves decel as it is: released at rest and moving, a light brake below
+# BRAKE_ACTIVE_PCT and one at it; then decel one ulp off k_bpp, which a tick
+# moves once alpha_bpp is past one half (dt 0.5 s)
+@example(state=VehicleState(0.0, bpp_k(0.0), 0.0, 0.0, 0.0, 0.0),
+         app=30.0, bpp=0.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+@example(state=VehicleState(12.0, bpp_k(0.0), 0.0, 0.7, 3.0, -4.0),
+         app=30.0, bpp=0.0, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+@example(state=VehicleState(12.0, bpp_k(0.5), 0.0, 0.7, 3.0, -4.0),
+         app=30.0, bpp=0.5, duty=50.0, n_ticks=60, dt=0.001, straight=None)
+@example(state=VehicleState(12.0, bpp_k(BRAKE_ACTIVE_PCT), 0.0, 0.7, 3.0, -4.0),
+         app=30.0, bpp=BRAKE_ACTIVE_PCT, duty=50.0, n_ticks=60, dt=0.01, straight=None)
+@example(state=VehicleState(12.0, math.nextafter(bpp_k(0.0), 0.0), 0.0, 0.7, 3.0, -4.0),
+         app=30.0, bpp=0.0, duty=50.0, n_ticks=3, dt=0.5, straight=None)
 def test_advance_equals_the_per_tick_loop(state, app, bpp, duty, n_ticks, dt, straight):
     if straight is not None:
         state.steer_counts, duty = straight

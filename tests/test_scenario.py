@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import itertools
 import json
@@ -6,6 +7,7 @@ import math
 import tempfile
 import tracemalloc
 import types
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -565,6 +567,33 @@ class TestReplayInjection:
             CanTrace([CanFrame(10 ** 400, 0x11A, bytes(8))])
 
 
+@pytest.mark.parametrize("run", [
+    lambda: run_live_injection(0.5, lambda t: 100),
+    lambda: run_replay_injection(_throttle_replay(), lambda t: 100, mode="shadow"),
+], ids=["live", "replay-shadow"])
+def test_a_shadow_run_frees_its_bus_without_a_cyclic_collection(monkeypatch, run):
+    # the injector and its bus form no reference cycle, so the bus, its trace
+    # columns and its listeners go as soon as the run returns
+    buses = []
+    injection_rig = scenario._injection_rig
+
+    def recorded_rig(*args):
+        rig = injection_rig(*args)
+        buses.append(weakref.ref(rig[1]))
+        return rig
+
+    monkeypatch.setattr(scenario, "_injection_rig", recorded_rig)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run()
+        assert result.injected > 0
+        assert len(buses) == 1 and buses[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _whole_capture_replay(trace, value_fn, target_id, byte_index, mode, delay_us):
     """Reference replay that puts every row of the capture on the bus."""
     rig, bus, rx, rule = scenario._injection_rig(mode, target_id, byte_index, value_fn)
@@ -644,3 +673,6 @@ class TestReplayMatchesWholeCaptureReplay:
         assert got.dominance == want.dominance
         assert got.injected == want.injected
         assert got.final_speed_mph == want.final_speed_mph
+        # frames_on_bus is counted, not read from the merged trace
+        assert got.metrics() == want.metrics()
+        assert got.frames_on_bus == len(got.trace)
