@@ -323,19 +323,8 @@ def encode_speed(speed_mph: float, timestamp_us: int = 0) -> CanFrame:
     return _frame(timestamp_us, SPEED_ID, speed_data(speed_mph))
 
 
-def _speed_series(trace: CanTrace) -> list[tuple[int, float]]:
-    """(timestamp, mph) of each speed broadcast, read from the columns as decode_speed reads it."""
-    timestamps, ids, dlc, data = trace._columns
-    rows = [row for row, arb_id in enumerate(ids.tolist()) if arb_id == SPEED_ID]
-    short = [dlc[row] for row in rows if dlc[row] < 8]
-    if short:
-        raise ShortFrameError(f"speed frame needs 8 bytes, got {short[0]}")
-    return [(int(timestamps[row]), decode_speed_raw(_SPEED.unpack_from(data, 8 * row)[0]))
-            for row in rows]
-
-
 def _speed_ends(trace: CanTrace) -> tuple[float, float] | None:
-    """The mph of the first and last speed broadcasts, each read as _speed_series reads it.
+    """The mph of the first and last speed broadcasts, each read as decode_speed reads it.
 
     None for a trace with no speed broadcast.  Only the two rows are
     decoded, and only they are checked for a short frame.
@@ -653,10 +642,9 @@ class CanBus:
     arbitration, and an injected frame scheduled at the same microsecond
     and id as an observed one lands after it.  A tap-point filter wraps
     its module's payload function (``injection.FilterRule.tap``).  Every
-    frame leaves ``step`` through one of two loops, one for the due times
-    that hold injected frames and one for those that do not.  Each
-    appends the frame to the trace's columns, and builds a periodic frame
-    as a CanFrame only for its id's listeners.
+    frame leaves ``step`` through one loop, which appends it to the
+    trace's columns and builds a periodic frame as a CanFrame only for
+    its id's listeners.
 
     A listener names the ids it reads, as a node's acceptance filter
     does (SocketCAN's ``CAN_RAW_FILTER``, python-can's ``set_filters``);
@@ -773,14 +761,14 @@ class CanBus:
 
         At each due time the due sources' payload functions are called in
         insertion order, after the listeners of every earlier frame have
-        run, and then that time's frames go out.  Periodic frames alone go
-        out in the sources' (arb_id, insertion) order, and injected frames
-        alone in the order they leave the heap; only a time with both
-        sorts its frames, stably by id.  A frame a listener queues for a
-        time up to now_us goes out in this step, so afterwards the next
-        due time is past now_us.  A payload function or listener that
-        raises stops the bus.  Returns the rows of ``trace()`` that this
-        step appended.
+        run, and then that time's frames go out through one loop.
+        Periodic frames alone go out in the sources' (arb_id, insertion)
+        order, and injected frames alone in the order they leave the
+        heap; only a time with both sorts its frames, stably by id.  A
+        frame a listener queues for a time up to now_us goes out in this
+        step, so afterwards the next due time is past now_us.  A payload
+        function or listener that raises stops the bus.  Returns the rows
+        of ``trace()`` that this step appended.
         """
         if self._stopped is not None:
             raise BusStoppedError(self._stopped)
@@ -795,28 +783,12 @@ class CanBus:
         try:
             while True:
                 due = self._periodic_due
-                injected = pending and (due is None or pending[0][0] <= due)
-                if injected:
+                if pending and (due is None or pending[0][0] < due):
                     due = pending[0][0]
                 if due is None or due > now_us:
                     break
                 self._floor_us = due
-                if injected:
-                    # the loop below, but an injected frame goes to its listeners as queued
-                    for arb_id, payload, source, frame in self._emit_injected(due):
-                        dlc = len(payload)
-                        append_t(due)
-                        append_id(arb_id)
-                        append_dlc(dlc)
-                        extend_data(payload if dlc == 8 else payload + _PAD[dlc])
-                        route = routes[arb_id]
-                        if route:
-                            if frame is None:  # a periodic frame due with the injected ones
-                                frame = _frame(due, arb_id, payload)
-                            for listener in route:
-                                listener(frame, source)
-                    continue
-                for arb_id, payload, source in self._emit_due(due):
+                for arb_id, payload, source, frame in self._emit(due):
                     if payload is None:  # a source not due at this time
                         continue
                     dlc = len(payload)
@@ -826,7 +798,8 @@ class CanBus:
                     extend_data(payload if dlc == 8 else payload + _PAD[dlc])
                     route = routes[arb_id]
                     if route:
-                        frame = _frame(due, arb_id, payload)
+                        if frame is None:  # a periodic frame: built only for its listeners
+                            frame = _frame(due, arb_id, payload)
                         for listener in route:
                             listener(frame, source)
         except BaseException as exc:
@@ -835,43 +808,44 @@ class CanBus:
         self._floor_us = now_us
         return range(start, len(timestamps))
 
-    def _emit_due(self, now_us: int) -> Iterator[tuple[int, bytes | None, str]]:
-        """(arb_id, payload, source) per source in rank order; the payload is None if not due.
+    def _emit(self, now_us: int) -> Iterable[tuple[int, bytes | None, str, CanFrame | None]]:
+        """(arb_id, payload, source, frame) per row of due time now_us, in delivery order.
 
         now_us is the earliest due time, so each due source emits once:
-        its next frame falls after now_us.
+        its next frame falls after now_us.  With no injected frame due,
+        the rows are a lazy zip over the sources in rank order, the
+        payload None for a source not due and the frame None throughout.
+        Otherwise they are a list: the due periodic rows, with frame None,
+        then the injected frames as they leave the heap, in (id,
+        sequence) order, each with its frame; a stable sort by id merges
+        the two only when both are present.
         """
-        ids, names = self._ranked or self._rank()
-        slots = [None] * len(names)
-        earliest = None
-        for src in self._periodic:
-            due = src.next_due
-            if due == now_us:
-                payload = src.payload(due)
-                if payload.__class__ is not bytes:
-                    payload = bytes(payload)
-                if len(payload) > 8:
-                    raise ValueError(f"dlc {len(payload)} outside 0..8")
-                slots[src.rank] = payload
-                due += src.period
-                src.next_due = due
-            if earliest is None or due < earliest:
-                earliest = due
-        self._periodic_due = earliest
-        return zip(ids, slots, names)
-
-    def _emit_injected(self, now_us: int) -> list[tuple[int, bytes, str, CanFrame | None]]:
-        """(arb_id, payload, source, frame) for a due time with injected frames.
-
-        The periodic payloads due at now_us are built first, with no
-        frame; then the injected frames due then leave the heap, in (id,
-        sequence) order, and a stable sort by id merges the two.
-        """
-        periodic = self._periodic_due == now_us
-        batch = ([(arb_id, payload, source, None)
-                  for arb_id, payload, source in self._emit_due(now_us) if payload is not None]
-                 if periodic else [])
         pending = self._pending
+        periodic = self._periodic_due == now_us
+        if periodic:
+            ids, names = self._ranked or self._rank()
+            slots = [None] * len(names)
+            earliest = None
+            for src in self._periodic:
+                due = src.next_due
+                if due == now_us:
+                    payload = src.payload(due)
+                    if payload.__class__ is not bytes:
+                        payload = bytes(payload)
+                    if len(payload) > 8:
+                        raise ValueError(f"dlc {len(payload)} outside 0..8")
+                    slots[src.rank] = payload
+                    due += src.period
+                    src.next_due = due
+                if earliest is None or due < earliest:
+                    earliest = due
+            self._periodic_due = earliest
+            rows = zip(ids, slots, names, repeat(None))
+            if not (pending and pending[0][0] == now_us):
+                return rows
+            batch = [row for row in rows if row[1] is not None]
+        else:
+            batch = []
         while pending and pending[0][0] == now_us:
             _, arb_id, _, frame, source = heapq.heappop(pending)
             batch.append((arb_id, frame.data, source, frame))

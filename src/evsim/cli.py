@@ -207,7 +207,11 @@ def cmd_make_oval(args) -> int:
     oval.validate()
     path = follower.make_oval(args.straight, args.radius, speed_mps)
     if args.scenario:
-        duration = int(args.laps * path.period_s / 0.1) * 0.1
+        try:
+            duration = int(args.laps * path.period_s / 0.1) * 0.1
+        except OverflowError:  # laps past a float, or a product past one
+            raise scenario.ConfigError(f"--laps gives a run too long: the limit is "
+                                       f"{scenario.MAX_RUN_S:g} s") from None
         scn = scenario.Scenario(name=Path(args.scenario).stem,
                                 duration_s=round(duration, 6), oval=oval)
         scn.validate()

@@ -440,40 +440,48 @@ class SimulatedEcus:
                  pedal_fn: Callable[[], tuple[float, float]] | None = None,
                  schedule: dict[int, int] | None = None):
         self.plant = plant
-        self.pedal_fn = pedal_fn or (lambda: (plant.last_inputs[0], plant.last_inputs[1]))
+        pedal_fn = self.pedal_fn = pedal_fn or (
+            lambda: (plant.last_inputs[0], plant.last_inputs[1]))
         self.schedule = dict(schedule) if schedule is not None else dict(canbus.DEFAULT_SCHEDULE)
+
+        # payload builders (the now_us argument keeps the bus source signature);
+        # closures over plant and pedal_fn, since bound methods in payload_fns
+        # would make the ECUs a reference cycle that outlives every run
+        def speed_payload(now_us: int) -> bytes:
+            return canbus.speed_data(plant.state.speed_mph)
+
+        def steering_payload(now_us: int) -> bytes:
+            counts = round(plant.state.steer_counts)
+            if not -32768 <= counts <= 32767:
+                counts = -32768 if counts < 0 else 32767
+            return _STEERING.pack(counts)
+
+        def app_payload(now_us: int) -> bytes:
+            return _PEDAL_PAYLOADS[_pct_byte(pedal_fn()[0])]
+
+        def bpp_payload(now_us: int) -> bytes:
+            return _PEDAL_PAYLOADS[_pct_byte(pedal_fn()[1])]
+
+        def throttle_payload(now_us: int) -> bytes:
+            return _THROTTLE_PAYLOADS[_pct_byte(pedal_fn()[0])]
+
+        self.speed_payload = speed_payload
+        self.steering_payload = steering_payload
+        self.app_payload = app_payload
+        self.bpp_payload = bpp_payload
+        self.throttle_payload = throttle_payload
         #: what attach wires per id; wrap an entry (a tap, say) before attaching
         self.payload_fns: dict[int, Callable[[int], bytes]] = {
-            canbus.SPEED_ID: self.speed_payload,
-            canbus.STEERING_ID: self.steering_payload,
-            canbus.APP_ID: self.app_payload,
-            canbus.BPP_ID: self.bpp_payload,
-            canbus.THROTTLE_ID: self.throttle_payload,
+            canbus.SPEED_ID: speed_payload,
+            canbus.STEERING_ID: steering_payload,
+            canbus.APP_ID: app_payload,
+            canbus.BPP_ID: bpp_payload,
+            canbus.THROTTLE_ID: throttle_payload,
         }
         unknown = set(self.schedule) - set(self.payload_fns)
         if unknown:
             raise ValueError("no stock payload for scheduled id "
                              + ", ".join(f"0x{i:X}" for i in sorted(unknown)))
-
-    # payload builders (now_us argument keeps the bus source signature)
-
-    def speed_payload(self, now_us: int) -> bytes:
-        return canbus.speed_data(self.plant.state.speed_mph)
-
-    def steering_payload(self, now_us: int) -> bytes:
-        counts = round(self.plant.state.steer_counts)
-        if not -32768 <= counts <= 32767:
-            counts = -32768 if counts < 0 else 32767
-        return _STEERING.pack(counts)
-
-    def app_payload(self, now_us: int) -> bytes:
-        return _PEDAL_PAYLOADS[_pct_byte(self.pedal_fn()[0])]
-
-    def bpp_payload(self, now_us: int) -> bytes:
-        return _PEDAL_PAYLOADS[_pct_byte(self.pedal_fn()[1])]
-
-    def throttle_payload(self, now_us: int) -> bytes:
-        return _THROTTLE_PAYLOADS[_pct_byte(self.pedal_fn()[0])]
 
     def attach(self, bus: canbus.CanBus) -> None:
         for arb_id, period in self.schedule.items():

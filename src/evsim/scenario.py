@@ -667,7 +667,10 @@ class InjectionResult:
 
     @property
     def speed_series(self) -> list[tuple[int, float]]:
-        return [] if self.speed_first_mph is None else canbus._speed_series(self.trace)
+        if self.speed_first_mph is None:
+            return []
+        return [(frame.timestamp_us, canbus.decode_speed(frame)) for frame in self.trace
+                if frame.arbitration_id == canbus.SPEED_ID]
 
     def metrics(self) -> dict:
         out = {

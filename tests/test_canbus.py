@@ -190,7 +190,7 @@ class TestSpeedCodec:
         back = canbus.encode_speed(v)
         assert (back.data[6] << 8) + back.data[7] == raw
 
-    def test_speed_series_reads_the_columns_as_decode_speed_reads_frames(self):
+    def test_speed_series_is_decode_speed_of_each_speed_frame(self):
         # array columns with flat payloads, and numpy ones with (n, 8) payloads
         rng = random.Random(3)
         frames = [CanFrame(t, rng.choice((0x75, 0x10)), rng.randbytes(rng.choice((6, 8))))
@@ -201,11 +201,16 @@ class TestSpeedCodec:
         assert len(expected) > 10
         built = CanTrace(whole)
         for trace in (built, canbus.parse_trace(canbus.serialize_trace(built))):
-            series = canbus._speed_series(trace)
+            result = scenario.InjectionResult(trace, None, 0, [], 0.0)
+            ends = result.speed_first_mph, result.speed_last_mph = canbus._speed_ends(trace)
+            series = result.speed_series
             assert series == expected
             assert all(type(t) is int for t, _ in series)
-        with pytest.raises(canbus.ShortFrameError, match="got 6"):
-            canbus._speed_series(CanTrace(frames))
+            assert ends == (series[0][1], series[-1][1])
+        result = scenario.InjectionResult(CanTrace(frames), None, 0, [], 0.0)
+        result.speed_first_mph = 0.0
+        with pytest.raises(canbus.ShortFrameError, match="speed frame needs 8 bytes, got 6"):
+            result.speed_series
 
 
 class TestTraceFormat:
@@ -920,6 +925,35 @@ class TestBus:
         bus.step(10)
         assert bus.next_due_us() == 12
         assert [f.arbitration_id for f in _step_frames(bus, 12)] == [0x10, 0x20]
+
+    def test_one_loop_builds_only_listened_periodic_frames(self):
+        # two periodic ids share due times with injected frames, and only
+        # 0x10 has a listener: what HeapBus cannot see, since it compares
+        # frames by value, is which frames the bus builds and which it hands on
+        queued = [CanFrame(t, arb_id, bytes([0xA0 + k])) for k, (t, arb_id) in enumerate(
+            [(5_000, 0x10), (10_000, 0x10), (10_000, 0x204), (10_000, 0x10), (20_000, 0x80)])]
+
+        def run(bus):
+            seen = []
+            bus.add_periodic(0x204, 10_000, lambda due: b"\x02", source="ecu")
+            bus.add_periodic(0x10, 10_000, lambda due: b"\x01", source="ecu")
+            for frame in queued:
+                bus.inject_at(frame.timestamp_us, frame)
+            bus.add_listener(lambda frame, source: seen.append(frame), ids=(0x10,))
+            bus.step(30_000)
+            return seen, bus
+
+        with mock.patch.object(canbus, "_frame", wraps=canbus._frame) as built:
+            seen, bus = run(CanBus())
+        assert [call.args for call in built.call_args_list] == [
+            (t, 0x10, b"\x01") for t in (10_000, 20_000, 30_000)]
+        listened = [frame for frame in queued if frame.arbitration_id == 0x10]
+        handed = [frame for frame in seen if frame.data != b"\x01"]
+        assert len(handed) == len(listened)
+        assert all(frame is mine for frame, mine in zip(handed, listened))
+        heap_seen, heap_bus = run(HeapBus())
+        assert seen == heap_seen
+        assert list(bus.trace()) == list(heap_bus.trace())
 
 
 def _stopped_bus(bus_type, where):

@@ -652,6 +652,9 @@ class TestUserErrors:
             return ["simulate", str(scn), "--outdir", str(tmp_path / "out")]
         if case == "endless-oval":
             return ["make-oval", "--straight", "1e308"]
+        if case in ("float-overflowing-laps", "infinite-laps"):  # raised OverflowError
+            laps = "1" + "0" * (400 if case == "float-overflowing-laps" else 307)
+            return ["make-oval", "--scenario", str(tmp_path / "laps.json"), "--laps", laps]
         if case == "live-delay-not-shorter-than-period":
             return ["inject", "--duration", "1", "--ramp", "0:10:1", "--delay-us", "100000"]
         if case == "live-non-stock-id":
@@ -737,7 +740,8 @@ class TestUserErrors:
                                       "too-fast-path-file", "far-path-file",
                                       "overflowing-lqr-weights", "escaping-name-scenario",
                                       "dot-name-scenario", "replay-absent-id-shadow",
-                                      "replay-absent-id-tap"])
+                                      "replay-absent-id-tap", "float-overflowing-laps",
+                                      "infinite-laps"])
     def test_one_line_and_exit_2(self, tmp_path, capsys, case):
         code = cli.main(self._argv(tmp_path, case))
         captured = capsys.readouterr()
@@ -771,7 +775,15 @@ class TestUserErrors:
         "replay-target-period": "--target-period-ms applies to a live run",
         "replay-absent-id-shadow": "target id 0x7FF has no frame in the capture",
         "replay-absent-id-tap": "target id 0x7FF has no frame in the capture",
+        "float-overflowing-laps": "--laps gives a run too long: the limit is 86400 s",
+        "infinite-laps": "--laps gives a run too long: the limit is 86400 s",
     }
+
+    @pytest.mark.parametrize("case", ["float-overflowing-laps", "infinite-laps"])
+    def test_laps_too_many_for_a_float_write_nothing(self, tmp_path, capsys, case):
+        assert cli.main(self._argv(tmp_path, case)) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["design-gains", "--tau-car", "0", "--tau-cl", "1"],

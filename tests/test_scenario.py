@@ -594,6 +594,32 @@ def test_a_shadow_run_frees_its_bus_without_a_cyclic_collection(monkeypatch, run
             gc.enable()
 
 
+@pytest.mark.parametrize("run", [
+    lambda: run_scenario(Scenario("hold", 0.5, speed_ref_mph=10.0)),
+    lambda: run_live_injection(0.5, lambda t: 100),
+    lambda: run_live_injection(0.5, lambda t: 100, mode="tap"),
+], ids=["simulate", "live-shadow", "live-tap"])
+def test_a_run_frees_its_plant_without_a_cyclic_collection(monkeypatch, run):
+    # the ECUs' payload functions hold the plant, not the ECUs, so the ECUs,
+    # the bus that calls them and the plant go as soon as the run returns
+    plants = []
+    simulated_ecus = scenario.SimulatedEcus
+
+    def recorded_ecus(plant, *args, **kwargs):
+        plants.append(weakref.ref(plant))
+        return simulated_ecus(plant, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "SimulatedEcus", recorded_ecus)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        assert len(plants) == 1 and plants[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _whole_capture_replay(trace, value_fn, target_id, byte_index, mode, delay_us):
     """Reference replay that puts every row of the capture on the bus."""
     rig, bus, rx, rule = scenario._injection_rig(mode, target_id, byte_index, value_fn)
